@@ -36,6 +36,7 @@ from .protocols import (
 from .routing import plan_route, schedule_multi, simulate_route, \
     verify_timeline
 from .spectral import (
+    STAR_FOUR_CYCLE,
     equitable_blocks_star,
     find_cls,
     nonequitable_blocks_seven,
@@ -46,7 +47,6 @@ __all__ = ["Check", "CriterionReport", "CRITERION_IDS", "run_criterion",
            "run_all"]
 
 _S2 = np.sqrt(2.0)
-_FOUR_CYCLE = (1, 3, 2, 4, 0)  # dimer sites cycle, hub fixed
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def _c10():
         J = rng.uniform(-2, 2)
         v_out, v_hub = rng.uniform(-2, 2, size=2)
         H = build_star([J] * 4, [v_out] * 2 + [v_hub] + [v_out] * 2)
-        pb = equitable_blocks_star(H, _FOUR_CYCLE)
+        pb = equitable_blocks_star(H, STAR_FOUR_CYCLE)
         direct = np.linalg.eigvalsh(np.asarray(H.base))
         worst_spec = max(worst_spec,
                          float(np.max(np.abs(pb.union_eigenvalues()

@@ -41,7 +41,7 @@ from .protocols import (
     solve_transfer_params,
 )
 from .routing import plan_route, schedule_multi, simulate_route
-from .spectral import equitable_blocks_star, find_cls, \
+from .spectral import STAR_FOUR_CYCLE, equitable_blocks_star, find_cls, \
     nonequitable_blocks_seven, spectrum
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "emit_config",
@@ -55,7 +55,6 @@ _SCHEDULE_VARIANTS = ("phase-flip-transfer", "hopping-flip-transfer",
 _PROBLEMS = ("star-transfer", "star-creation", "seven-transfer",
              "seven-creation")
 _OPT_MODES = ("evaluate", "refine", "search")
-_FOUR_CYCLE = (1, 3, 2, 4, 0)
 
 
 class ConfigError(Exception):
@@ -476,7 +475,7 @@ def cmd_spectrum(sc, out_dir):
     blocks = None
     try:
         if sc.system["kind"] == "star":
-            pb = equitable_blocks_star(H, _FOUR_CYCLE)
+            pb = equitable_blocks_star(H, STAR_FOUR_CYCLE)
             blocks = [sorted(np.linalg.eigvalsh(b).tolist())
                       for b in pb.blocks]
         elif sc.system["kind"] == "seven":

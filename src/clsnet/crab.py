@@ -41,6 +41,7 @@ from .lattice import (
     build_seven,
     build_star,
 )
+from .spectral import dimer_state
 
 __all__ = [
     "CrabParams",
@@ -155,18 +156,11 @@ class ControlProblem:
         return p
 
 
-def _dimer(n, pair, sign):
-    vec = np.zeros(n)
-    vec[pair[0]] = 1 / np.sqrt(2.0)
-    vec[pair[1]] = sign / np.sqrt(2.0)
-    return vec
-
-
 def star_transfer(J=0.25, v=0.5, T=2 * np.pi, n_steps=1024):
     """Dimer-to-dimer transfer across the star hub, all four couplings
     driven, duration one family period."""
-    return ControlProblem("star-transfer", _dimer(5, (0, 1), -1),
-                          _dimer(5, (3, 4), -1), v, J, T, n_steps)
+    return ControlProblem("star-transfer", dimer_state(5, (0, 1)),
+                          dimer_state(5, (3, 4)), v, J, T, n_steps)
 
 
 def star_creation(J=0.25, v=0.5, T=np.pi, n_steps=512):
@@ -174,7 +168,7 @@ def star_creation(J=0.25, v=0.5, T=np.pi, n_steps=512):
     dimer couplings are active, ramping up from zero."""
     psi0 = np.zeros(5)
     psi0[2] = 1.0
-    return ControlProblem("star-creation", psi0, _dimer(5, (0, 1), -1),
+    return ControlProblem("star-creation", psi0, dimer_state(5, (0, 1)),
                           v, J, T, n_steps)
 
 
@@ -182,8 +176,8 @@ def seven_transfer(J=1 / (4 * np.sqrt(2.0)), J_inner=3.0, v=0.5,
                    T=4 * np.pi, n_steps=2048):
     """Dimer-to-dimer transfer across the seven-site unit; the four
     outer couplings are driven, the two inner ones held constant."""
-    return ControlProblem("seven-transfer", _dimer(7, (0, 1), -1),
-                          _dimer(7, (5, 6), -1), v, J, T, n_steps,
+    return ControlProblem("seven-transfer", dimer_state(7, (0, 1)),
+                          dimer_state(7, (5, 6)), v, J, T, n_steps,
                           extra=(("J_inner", J_inner),))
 
 
@@ -194,7 +188,7 @@ def seven_creation(J=1 / (4 * np.sqrt(2.0)), v=0.5, T=2 * np.pi,
     couplings are driven."""
     psi0 = np.zeros(7)
     psi0[3] = 1.0
-    return ControlProblem("seven-creation", psi0, _dimer(7, (0, 1), -1),
+    return ControlProblem("seven-creation", psi0, dimer_state(7, (0, 1)),
                           v, J, T, n_steps)
 
 

@@ -4,7 +4,11 @@ Propagation convention: psi(t) = exp(-i H t) psi(0) with hbar = 1.
 Static Hamiltonians are propagated by spectral decomposition; pulsed
 ones by a fourth-order commutator-free exponential integrator (two
 matrix exponentials of weighted Hamiltonian averages per step), which
-is unitary up to roundoff.
+is unitary up to roundoff.  States have shape (n,), or (n, k) for k
+columns propagated together.  A pulsed stretch to a tolerance runs a
+convergence pair of n and 2n steps, growing n until the worst column
+deviates by at most tol times the duration; the result and every
+sample come from the finer run of the accepted pair.
 
 A :class:`ProtocolSchedule` is an ordered timeline of instantaneous
 events (phase flips on the state, sign flips on couplings) and
@@ -28,6 +32,7 @@ from .lattice import (
     TimedHamiltonian,
     evaluate_at,
     evaluate_grid,
+    static_matrix,
 )
 
 __all__ = [
@@ -56,20 +61,7 @@ _X2 = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 
 _N_MAX = 1 << 23        # step ceiling; beyond this the request is reported
 _CHUNK = 4096           # steps exponentiated per batch (memory bound)
-_CAL_STEPS = 64         # trial resolution for tolerance calibration
-
-
-def _as_static_matrix(H):
-    if isinstance(H, TimedHamiltonian):
-        if not H.static:
-            raise ValueError("Hamiltonian has pulse overrides; use evolve_timedep")
-        return np.asarray(H.base)
-    M = np.asarray(H)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("Hamiltonian must be a square matrix")
-    if not np.allclose(M, M.conj().T, atol=1e-12, rtol=0.0):
-        raise ValueError("Hamiltonian must be Hermitian")
-    return M
+_CAL_STEPS = 64         # coarse resolution of the first convergence pair
 
 
 def evolve_static(H, psi0, t):
@@ -78,7 +70,7 @@ def evolve_static(H, psi0, t):
     Computes exp(-i H t) psi0 via spectral decomposition.  ``H`` may be
     a plain Hermitian matrix or a pulse-free :class:`TimedHamiltonian`.
     """
-    M = _as_static_matrix(H)
+    M = static_matrix(H)
     w, V = np.linalg.eigh(M)
     psi0 = np.asarray(psi0, dtype=complex)
     return (V * np.exp(-1j * w * float(t))) @ (V.conj().T @ psi0)
@@ -87,9 +79,11 @@ def evolve_static(H, psi0, t):
 def _static_samples(M, psi0, durations):
     """States after each duration in ``durations`` under static M."""
     w, V = np.linalg.eigh(M)
-    coef = V.conj().T @ np.asarray(psi0, dtype=complex)
+    coef = (V.conj().T @ np.asarray(psi0, dtype=complex)).T
     phases = np.exp(-1j * np.multiply.outer(np.asarray(durations, float), w))
-    return (phases * coef) @ V.T
+    if coef.ndim == 2:
+        phases = phases[:, None, :]
+    return np.moveaxis((phases * coef) @ V.T, -1, 1)
 
 
 def _chain_product(stack):
@@ -109,9 +103,9 @@ def _chain_product(stack):
 def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
     """Fixed-step commutator-free propagation of psi over [t0, t1].
 
-    Times refer to the pulse clock of ``H``.  Returns (final_state,
-    samples) where samples is a list of states taken after every
-    ``record_every`` steps (or None if not requested).
+    Times refer to the pulse clock of ``H``; ``psi0`` is (n,) or (n, k).
+    Returns (final_state, samples) where samples is a list of states
+    taken after every ``record_every`` steps (or None if not requested).
     """
     n = int(n_steps)
     h = (t1 - t0) / n
@@ -153,17 +147,31 @@ def evolve_timedep_fixed(H, psi0, t0, t1, n_steps):
     return final
 
 
-def _calibrated_steps(H, psi0, t0, t1, tol):
-    """Step count predicted to meet ``tol`` per unit time, from a trial
-    pair at low resolution and the scheme's fourth-order error model."""
+def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
+    """Propagate over [t0, t1] to ``tol`` per unit time by convergence pair.
+
+    Runs n and 2n steps from n = _CAL_STEPS, n a multiple of
+    ``n_chunks``, and accepts once the worst column of the two runs
+    deviates by at most tol*(t1-t0); otherwise n grows by the
+    fourth-order error model (at least doubling) and the pair reruns.
+    Returns (final, samples) of the finer run, with ``n_chunks``
+    evenly spaced samples.  Raises RuntimeError past _N_MAX steps.
+    """
     budget = tol * (t1 - t0)
-    coarse, _ = _cf4_run(H, psi0, t0, t1, _CAL_STEPS)
-    fine, _ = _cf4_run(H, psi0, t0, t1, 2 * _CAL_STEPS)
-    err = float(np.linalg.norm(coarse - fine))
-    if err <= 0.25 * budget:
-        return _CAL_STEPS, True
-    n = int(np.ceil(_CAL_STEPS * (err / (0.25 * budget)) ** 0.25))
-    return max(n, 2 * _CAL_STEPS), False
+    n = _CAL_STEPS
+    while True:
+        n = -(-n // n_chunks) * n_chunks
+        if n > _N_MAX:
+            raise RuntimeError(
+                f"step size underflow: {n} steps needed for tol={tol:g} "
+                f"over [{t0:g}, {t1:g}] exceeds the {_N_MAX} ceiling")
+        coarse, _ = _cf4_run(H, psi0, t0, t1, n)
+        fine, samples = _cf4_run(H, psi0, t0, t1, 2 * n,
+                                 record_every=2 * n // n_chunks)
+        err = float(np.max(np.linalg.norm(coarse - fine, axis=0)))
+        if err <= budget:
+            return fine, samples
+        n = max(int(np.ceil(n * (err / (0.25 * budget)) ** 0.25)), 2 * n)
 
 
 def evolve_timedep(H, psi0, t0, t1, tol):
@@ -171,26 +179,16 @@ def evolve_timedep(H, psi0, t0, t1, tol):
 
     Solves i dpsi/dt = H(t) psi with local error at most ``tol`` per
     unit time, verified by self-convergence: the returned state comes
-    from a run whose deviation from a half-step companion is within
-    tol*(t1-t0).  Raises RuntimeError if the required step count is
-    unattainable (step-size underflow) rather than clamping.
+    from a run whose deviation from its companion at twice the step
+    size is within tol*(t1-t0).  Raises RuntimeError if the required
+    step count is unattainable (step-size underflow) rather than
+    clamping.
     """
     if not (1e-14 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-14, 1e-6]")
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    budget = tol * (t1 - t0)
-    n, _ = _calibrated_steps(H, psi0, t0, t1, tol)
-    while True:
-        if n > _N_MAX:
-            raise RuntimeError(
-                f"step size underflow: {n} steps needed for tol={tol:g} "
-                f"over [{t0:g}, {t1:g}] exceeds the {_N_MAX} ceiling")
-        coarse, _ = _cf4_run(H, psi0, t0, t1, n)
-        fine, _ = _cf4_run(H, psi0, t0, t1, 2 * n)
-        if np.linalg.norm(coarse - fine) <= budget:
-            return fine
-        n *= 2
+    return _propagate(H, psi0, t0, t1, tol)[0]
 
 
 def fidelity(psi, phi):
@@ -222,6 +220,12 @@ class HoppingFlip:
         if i == j:
             raise ValueError("cannot sign-flip a diagonal entry")
         object.__setattr__(self, "entry", (min(i, j), max(i, j)))
+
+    def negate(self, M):
+        """Negate the coupling and its mirror in matrix ``M``, in place."""
+        i, j = self.entry
+        M[i, j] = -M[i, j]
+        M[j, i] = -M[j, i]
 
 
 @dataclass(frozen=True)
@@ -317,7 +321,10 @@ class Trajectory:
     """Sampled states along a schedule run.
 
     ``times`` are strictly increasing; a sample at an event time holds
-    the post-event state.  ``events`` are (time, kind, detail) markers.
+    the post-event state.  ``states`` has shape (m, n) for a run from a
+    vector, (m, n, k) for a run from an (n, k) block; samples inside a
+    pulsed segment come from the accepted finer run of its convergence
+    pair.  ``events`` are (time, kind, detail) markers.
     """
 
     times: np.ndarray
@@ -360,32 +367,20 @@ class _Recorder:
             self.states.append(np.array(psi, dtype=complex))
 
 
-def _segment_steps(H_seg, psi, duration, tol, n_chunks):
-    """Step count for one pulsed segment, multiple of ``n_chunks``."""
-    n, _ = _calibrated_steps(H_seg, psi, 0.0, duration, tol)
-    n = max(n, n_chunks)
-    n = int(np.ceil(n / n_chunks)) * n_chunks
-    while True:
-        if n > _N_MAX:
-            raise RuntimeError("step size underflow in schedule segment")
-        final, _ = _cf4_run(H_seg, psi, 0.0, duration, n)
-        check, _ = _cf4_run(H_seg, psi, 0.0, duration, 2 * n)
-        if np.linalg.norm(final - check) <= tol * duration:
-            return n
-        n *= 2
-
-
 def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
     """Execute a schedule from ``psi0`` and sample the state along it.
 
-    Flips are applied as exact operations; static stretches use the
-    spectral propagator; pulsed segments use the commutator-free
-    integrator with step counts meeting ``tol`` per unit time by
-    self-convergence.  Returns a :class:`Trajectory` whose last sample
-    is the final state.
+    ``psi0`` is a state of shape (n,) or a block of shape (n, k) whose
+    columns run side by side.  Flips are applied as exact operations;
+    static stretches use the spectral propagator; pulsed segments use
+    the commutator-free integrator, whose convergence pair meets ``tol``
+    per unit time on every column, and their samples come from the
+    accepted finer run.  Returns a :class:`Trajectory` whose last
+    sample is the final state.
     """
     psi = np.asarray(psi0, dtype=complex).copy()
-    if psi.shape != (s.base.n_sites,):
+    n_sites = s.base.n_sites
+    if psi.ndim not in (1, 2) or psi.shape[0] != n_sites:
         raise ValueError("state dimension does not match the Hamiltonian")
     if samples_per_segment < 2:
         raise ValueError("need at least 2 samples per segment")
@@ -395,7 +390,7 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
     rec.put(s.t_origin, psi)
     for item in s.items:
         if isinstance(item, PhaseFlip):
-            if not 0 <= item.site < psi.size:
+            if not 0 <= item.site < n_sites:
                 raise IndexError(f"phase flip on invalid site {item.site}")
             psi = psi.copy()
             psi[item.site] = -psi[item.site]
@@ -403,10 +398,9 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
             rec.put(item.time, psi)
         elif isinstance(item, HoppingFlip):
             i, j = item.entry
-            if not (0 <= i < psi.size and 0 <= j < psi.size):
+            if not (0 <= i < n_sites and 0 <= j < n_sites):
                 raise IndexError(f"hopping flip on invalid entry {item.entry}")
-            working[i, j] = -working[i, j]
-            working[j, i] = -working[j, i]
+            item.negate(working)
             events.append((item.time, "hopping-flip", f"entry=({i},{j})"))
         else:
             n_chunks = samples_per_segment - 1
@@ -415,9 +409,8 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
                 M = working if item.H is None else np.asarray(item.H.base)
                 states = _static_samples(M, psi, taus)
             else:
-                n = _segment_steps(item.H, psi, item.duration, tol, n_chunks)
-                _, samples = _cf4_run(item.H, psi, 0.0, item.duration, n,
-                                      record_every=n // n_chunks)
+                _, samples = _propagate(item.H, psi, 0.0, item.duration, tol,
+                                        n_chunks)
                 states = np.asarray(samples)
             for tau, state in zip(taus, states):
                 rec.put(item.t_start + tau, state)
@@ -434,9 +427,7 @@ def end_hamiltonian(s):
     working = np.array(s.base.base)
     for item in s.items:
         if isinstance(item, HoppingFlip):
-            i, j = item.entry
-            working[i, j] = -working[i, j]
-            working[j, i] = -working[j, i]
+            item.negate(working)
         elif isinstance(item, Segment) and item.H is not None:
             working = evaluate_at(item.H, item.duration)
     return working

@@ -39,6 +39,7 @@ __all__ = [
     "build_seven",
     "build_dll",
     "attach_pulse",
+    "static_matrix",
     "evaluate_at",
     "evaluate_grid",
     "STAR_EDGES",
@@ -334,9 +335,6 @@ class TimedHamiltonian:
         base[j, i] = value
         return TimedHamiltonian(base, dict(self.overrides))
 
-    def without_overrides(self):
-        return TimedHamiltonian(np.array(self.base), {})
-
 
 def build_star(J, v):
     """Five-site star Hamiltonian: four outer sites coupled to a hub.
@@ -474,6 +472,21 @@ def attach_pulse(H, entry, p):
     overrides = dict(H.overrides)
     overrides[key] = p
     return TimedHamiltonian(np.array(H.base), overrides)
+
+
+def static_matrix(H):
+    """Matrix of a pulse-free Hamiltonian or of a checked Hermitian array."""
+    if isinstance(H, TimedHamiltonian):
+        if not H.static:
+            raise ValueError("Hamiltonian has pulse overrides; "
+                             "need a pulse-free one")
+        return np.asarray(H.base)
+    M = np.asarray(H)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("Hamiltonian must be a square matrix")
+    if not np.allclose(M, M.conj().T, atol=1e-12, rtol=0.0):
+        raise ValueError("Hamiltonian must be Hermitian")
+    return M
 
 
 def evaluate_at(H, t):

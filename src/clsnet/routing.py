@@ -14,6 +14,7 @@ earliest-start scheduling in request order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,7 +320,12 @@ def schedule_multi(routes):
         for c, t0, t1 in committed:
             for c2, r0, r1 in rel:
                 if c2 == c:
-                    candidates.add(t1 - r0)
+                    # (t1 - r0) + r0 may round below t1; step up to the
+                    # first delay that starts the interval at or after t1
+                    delay = t1 - r0
+                    while delay + r0 < t1:
+                        delay = math.nextafter(delay, math.inf)
+                    candidates.add(delay)
         best = None
         for delay in sorted(candidates):
             if delay < 0:
@@ -412,8 +418,7 @@ def timeline_schedule(graph, H, tl):
                 items.append(PhaseFlip(b, target))
             else:
                 items.append(HoppingFlip(b, target))
-                M[target] = -M[target]
-                M[target[::-1]] = -M[target[::-1]]
+                items[-1].negate(M)
         if b2 is None or b2 == b:
             continue
         active = [r for r in ramps if r[0] < b2 and b < r[1]]
@@ -452,9 +457,11 @@ def simulate_route(graph, H, tl, psi0=None, tol=1e-11):
     Each route's source CLS is propagated under the one shared
     time-dependent Hamiltonian (flips included), so concurrent routes
     see each other's ramps exactly as a single joint state would by
-    linearity.  Returns per-route fidelities to the destination CLS,
-    a per-jump fidelity table, and the evolved combined state
-    (``psi0`` defaults to the uniform superposition of the sources).
+    linearity.  The sources and the combined state (``psi0``, shape
+    (n,), by default the uniform superposition of the sources) run as
+    the columns of one (n, k+1) block in a single :func:`run_schedule`
+    pass.  Returns per-route fidelities to the destination CLS, a
+    per-jump fidelity table, and the evolved combined state.
     """
     n = graph.n_sites
     sources = [dimer_state(n, plan.source) for plan in tl.routes]
@@ -468,22 +475,22 @@ def simulate_route(graph, H, tl, psi0=None, tol=1e-11):
                            tuple(sources), psi0, 0.0, tl)
 
     schedule = timeline_schedule(graph, H, tl)
-    finals, fids, per_jump, drifts = [], [], [], []
-    for plan, start, src, tgt in zip(tl.routes, tl.starts, sources, targets):
-        traj = run_schedule(schedule, src, tol=tol)
-        finals.append(traj.final_state)
-        fids.append(fidelity(traj.final_state, tgt))
-        drifts.append(abs(traj.norm_drift))
+    traj = run_schedule(schedule, np.column_stack(sources + [psi0]), tol=tol)
+    finals = tuple(traj.final_state[:, :-1].T)
+    fids, per_jump = [], []
+    for r, (plan, start, tgt) in enumerate(zip(tl.routes, tl.starts, targets)):
+        fids.append(fidelity(finals[r], tgt))
         table = []
         t = start
         for j in plan.jumps:
             t += j.duration
             idx = int(np.argmin(np.abs(traj.times - t)))
             out_state = dimer_state(n, j.star.dimer_out)
-            table.append((t, fidelity(traj.states[idx], out_state)))
+            table.append((t, fidelity(traj.states[idx, :, r], out_state)))
         per_jump.append(tuple(table))
 
-    combined = run_schedule(schedule, psi0, tol=tol).final_state
-    drift = max(drifts) if drifts else 0.0
-    return RouteReport(tuple(fids), tuple(per_jump), tuple(finals),
-                       combined, drift, tl)
+    # the drift of the route columns only: a caller's psi0 may be unnormalized
+    norms = np.linalg.norm(traj.states[:, :, :-1], axis=1)
+    drift = float(np.max(np.abs(norms - 1.0)))
+    return RouteReport(tuple(fids), tuple(per_jump), finals,
+                       traj.final_state[:, -1], drift, tl)

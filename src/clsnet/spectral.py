@@ -20,11 +20,12 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import SEVEN_EDGES, TimedHamiltonian
+from .lattice import SEVEN_EDGES, static_matrix
 
 __all__ = [
     "SUPPORT_THRESHOLD",
     "CLUSTER_GAP",
+    "STAR_FOUR_CYCLE",
     "Spectrum",
     "CompactState",
     "PartitionBlocks",
@@ -43,19 +44,8 @@ SUPPORT_THRESHOLD = 1e-10
 CLUSTER_GAP = 1e-9
 # how close a projector eigenvalue must be to 1 to count as "inside"
 _FLAT_TOL = 1e-12
-
-
-def _as_matrix(H):
-    if isinstance(H, TimedHamiltonian):
-        if not H.static:
-            raise ValueError("spectral analysis needs a pulse-free Hamiltonian")
-        return np.asarray(H.base)
-    M = np.asarray(H)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("Hamiltonian must be a square matrix")
-    if not np.allclose(M, M.conj().T, atol=1e-12, rtol=0.0):
-        raise ValueError("Hamiltonian must be Hermitian")
-    return M
+# the star's outer cycle 0 -> 1 -> 3 -> 4 -> 0 as perm[i], hub 2 fixed
+STAR_FOUR_CYCLE = (1, 3, 2, 4, 0)
 
 
 @dataclass(frozen=True)
@@ -128,14 +118,14 @@ class PartitionBlocks:
 
 def spectrum(H):
     """Hermitian eigendecomposition wrapped as a :class:`Spectrum`."""
-    M = _as_matrix(H)
+    M = static_matrix(H)
     w, V = np.linalg.eigh(M)
     return Spectrum(w, V)
 
 
 def commutes_with_permutation(H, perm):
     """Whether ``H`` commutes with the site permutation i -> perm[i]."""
-    M = _as_matrix(H)
+    M = static_matrix(H)
     perm = np.asarray(perm, dtype=int)
     n = M.shape[0]
     if perm.shape != (n,) or sorted(perm) != list(range(n)):
@@ -174,7 +164,7 @@ def find_cls(H, max_support):
     """
     if max_support < 2:
         raise ValueError("max_support must be at least 2")
-    M = _as_matrix(H)
+    M = static_matrix(H)
     n = M.shape[0]
     spec = spectrum(M)
     found = []
@@ -238,7 +228,7 @@ def equitable_blocks_star(H, perm):
     coupling the outer average to the hub with strength 2J; the three
     remaining one-dimensional sectors are flat.
     """
-    M = _as_matrix(H)
+    M = static_matrix(H)
     if M.shape != (5, 5):
         raise ValueError("expected a five-site star Hamiltonian")
     perm = tuple(int(p) for p in perm)
@@ -274,7 +264,7 @@ def nonequitable_blocks_seven(H7):
     decoupled from the hub.  Lift amplitudes carry the ratios
     J3/sqrt(xi) and J4/sqrt(xi).
     """
-    M = _as_matrix(H7)
+    M = static_matrix(H7)
     if M.shape != (7, 7):
         raise ValueError("expected a seven-site Hamiltonian")
     allowed = np.diag(np.ones(7, dtype=bool))

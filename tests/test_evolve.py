@@ -23,8 +23,10 @@ from clsnet.lattice import (
     TablePulse,
     TimedHamiltonian,
     attach_pulse,
+    build_dll,
     build_star,
 )
+from clsnet.routing import build_ramp, extract_star
 
 S2 = np.sqrt(2.0)
 I_STATE = np.array([1, -1, 0, 0, 0]) / S2
@@ -274,6 +276,41 @@ class TestRunSchedule:
         back = run_schedule(rev, np.conj(fwd.final_state), tol=1e-11)
         psi0_again = np.conj(back.final_state)
         assert fidelity(psi0_again, I_STATE) >= 1 - 1e-8
+
+    def test_state_block_matches_separate_runs(self):
+        tol = 1e-11
+        H = crab_star_hamiltonian()
+        s = ProtocolSchedule(star_quarter(),
+                             (PhaseFlip(0.0, 1), Segment(0.0, 2 * np.pi, H)))
+        block = run_schedule(s, np.column_stack([I_STATE, L_STATE]), tol=tol)
+        assert block.states.shape[1:] == (5, 2)
+        for k, psi in enumerate((I_STATE, L_STATE)):
+            single = run_schedule(s, psi, tol=tol)
+            np.testing.assert_array_equal(block.times, single.times)
+            dev = np.linalg.norm(block.states[:, :, k] - single.states, axis=1)
+            assert np.max(dev) <= tol * s.t_final
+
+    def test_ramp_segment_step_overhead(self, monkeypatch):
+        # the integrator computes at most 3 steps per recorded step: the
+        # coarse run of the accepted pair plus its recorded finer run
+        steps = {"computed": 0, "recorded": 0}
+        cf4 = ev._cf4_run
+
+        def counted(H, psi0, t0, t1, n_steps, record_every=None):
+            steps["computed"] += n_steps
+            if record_every:
+                steps["recorded"] += n_steps
+            return cf4(H, psi0, t0, t1, n_steps, record_every)
+
+        monkeypatch.setattr(ev, "_cf4_run", counted)
+        g, H = build_dll(3, 3, 0.25, 0.5)
+        star = extract_star(g, H, 20)
+        seg = build_ramp(H, star.boundary_entries, "down", 1.0)
+        psi = np.zeros(g.n_sites)
+        psi[star.dimer_in[0]] = 1.0
+        run_schedule(ProtocolSchedule(H, (seg,)), psi, tol=1e-11)
+        assert steps["recorded"] > 0
+        assert steps["computed"] <= 3 * steps["recorded"]
 
     def test_state_dimension_checked(self):
         with pytest.raises(ValueError):

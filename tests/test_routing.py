@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
+import clsnet.routing
 from clsnet.evolve import (
     ProtocolSchedule,
     Segment,
@@ -314,6 +315,26 @@ def test_schedule_overlap_only_where_stars_differ():
     verify_timeline(tl)
 
 
+class _StubPlan:
+    def __init__(self, busy):
+        self._busy = busy
+
+    def busy_relative(self):
+        return self._busy
+
+
+def test_schedule_survives_delay_round_off():
+    # (t1 - r0) + r0 rounds one ulp below t1 for these intervals, which
+    # used to leave no admissible delay
+    first = _StubPlan(((20, 0.0, 115.68140899333461),))
+    second = _StubPlan(((5, 0.0, 24.84955592153876),
+                        (20, 24.84955592153876, 33.13274122871835)))
+    tl = schedule_multi([first, second])
+    assert tl.starts[0] == 0.0
+    assert tl.busy[1][1][1] >= 115.68140899333461
+    verify_timeline(tl)
+
+
 def test_verify_timeline_rejects_double_booked_star():
     g, H = dll(3, 3)
     r = plan_route(g, H, (16, 17), (21, 22))
@@ -375,6 +396,22 @@ def test_crossing_routes_share_star_at_distinct_times():
     report = simulate_route(g, H, tl)
     assert all(f >= 1.0 - 1e-8 for f in report.fidelities)
     assert report.norm_drift <= 1e-10
+
+
+def test_simulate_route_runs_one_pass_per_timeline(monkeypatch):
+    calls = []
+
+    def counted(s, psi0, **kwargs):
+        calls.append(np.shape(psi0))
+        return run_schedule(s, psi0, **kwargs)
+
+    monkeypatch.setattr(clsnet.routing, "run_schedule", counted)
+    g, H = dll(3, 3)
+    r1 = plan_route(g, H, (1, 2), (6, 7))
+    r2 = plan_route(g, H, (31, 32), (36, 37))
+    report = simulate_route(g, H, schedule_multi([r1, r2]))
+    assert calls == [(g.n_sites, 3)]
+    assert all(f >= 1.0 - 1e-8 for f in report.fidelities)
 
 
 def test_concurrent_disjoint_routes_keep_unit_fidelity():
