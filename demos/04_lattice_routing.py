@@ -6,7 +6,7 @@ On the decorated Lieb lattice every hub with its two adjacent dimers
 is a five-site star.  Ramping the rest of the lattice away isolates
 that star, a flip transfer hops the state one dimer over, and ramping
 back re-parks it.  Chaining jumps moves a state anywhere; a greedy
-scheduler keeps concurrent routes from colliding on a shared star.
+scheduler keeps concurrent routes from colliding on a shared coupling.
 """
 
 from clsnet.lattice import build_dll
@@ -37,8 +37,12 @@ print("end-to-end fidelity:", rep.fidelities[0])
 
 # ----------------------------------------------------------------
 # Two requests that both need the central hub first: east across the
-# middle row, north up the middle column.  The scheduler delays the
-# second request by exactly one jump.
+# middle row, north up the middle column.  A jump holds its four spokes
+# alone and ramps its boundary couplings; two routes may hold one
+# coupling at the same time only as ramps with the same window and ramp
+# time.  The scheduler delays the second request by exactly one jump,
+# and it then runs beside the east route's second jump, both ramping
+# the hub-20 couplings of dimer (21, 22) along the same profile.
 
 east = plan_route(graph, H, (16, 17), (26, 27))
 north = plan_route(graph, H, (8, 9), (23, 24))
@@ -47,7 +51,7 @@ print("north hubs:", [j.star.center for j in north.jumps])
 
 tl = schedule_multi([east, north])
 print("start times:", tl.starts)
-verify_timeline(tl)  # raises if any star were double-booked
+verify_timeline(tl)  # raises if two routes held a coupling at once
 
 rep = simulate_route(graph, H, tl)
 for name, fid in zip(("east", "north"), rep.fidelities):

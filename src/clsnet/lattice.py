@@ -246,9 +246,11 @@ class SiteGraph:
     edges: tuple
     labels: tuple
     positions: tuple | None = None
+    _adjacent: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
+        adjacent = {}
         for i, j in self.edges:
             if i == j:
                 raise ValueError(f"self-edge on site {i}")
@@ -259,8 +261,12 @@ class SiteGraph:
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
+            adjacent.setdefault(i, []).append(j)
+            adjacent.setdefault(j, []).append(i)
         if len(self.labels) != self.n_sites:
             raise ValueError("one label per site required")
+        object.__setattr__(self, "_adjacent", {
+            i: tuple(sorted(v)) for i, v in adjacent.items()})
 
     def dimers(self):
         """All dimer pairs (upper, lower), in site-index order."""
@@ -278,8 +284,7 @@ class SiteGraph:
 
     def neighbors(self, site):
         """Sites sharing an edge with ``site``, ascending."""
-        out = [j if i == site else i for i, j in self.edges if site in (i, j)]
-        return tuple(sorted(out))
+        return self._adjacent.get(site, ())
 
 
 def _normalize_entry(entry, n):

@@ -4,8 +4,10 @@ A stored dimer state moves through the network by dimer-jumps: ramp the
 surrounding couplings of one five-site star to zero (symmetrically on
 the dimer couplings, so the state is untouched), run a flip-transfer
 inside the isolated star, and ramp the couplings back.  Longer routes
-chain jumps through adjacent hubs; several routes may run at once as
-long as no star is occupied by two routes at the same time.
+chain jumps through adjacent hubs.  Over its window a jump holds its
+four spokes exclusively and ramps its boundary couplings; routes run at
+once as long as no coupling is held twice at overlapping times, unless
+both holds are ramps with the same window and ramp time (one profile).
 
 All planning and scheduling here is deterministic: shortest routes in
 the dimer-adjacency graph with lexicographic tie-breaks, greedy
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .evolve import (
     fidelity,
     run_schedule,
 )
-from .lattice import LinearRamp, TablePulse, TimedHamiltonian
+from .lattice import LinearRamp, TimedHamiltonian
 from .protocols import TransferParams, solve_transfer_params
 from .spectral import dimer_state
 
@@ -66,6 +69,12 @@ class StarView:
     def sites(self):
         """Star sites in protocol order (in-pair, center, out-pair)."""
         return (*self.dimer_in, self.center, *self.dimer_out)
+
+    @cached_property
+    def spokes(self):
+        """The four hub couplings, in protocol order of the dimer sites."""
+        return tuple(tuple(sorted((s, self.center)))
+                     for s in (*self.dimer_in, *self.dimer_out))
 
 
 @dataclass(frozen=True)
@@ -173,11 +182,20 @@ def extract_star(graph, H, center, dimer_in=None, dimer_out=None):
             inside.append(e)
         elif n_in == 1:
             boundary.append(e)
+    star = StarView(center, dimer_in, dimer_out, tuple(sorted(boundary)))
     # the induced subgraph must be the star: four spokes, nothing else
-    spokes = {tuple(sorted((s, center))) for s in (*dimer_in, *dimer_out)}
-    if set(inside) != spokes:
+    if set(inside) != set(star.spokes):
         raise ValueError("induced subgraph around the hub is not a star")
-    return StarView(center, dimer_in, dimer_out, tuple(sorted(boundary)))
+    return star
+
+
+def _ramp_slice(base_v, r0, r1, direction, b, b2):
+    """LinearRamp over [b, b2] cut from one entry's linear ramp over
+    [r0, r1]: 'down' from ``base_v`` to exactly 0, 'up' the reverse."""
+    s, s2 = (b - r0) / (r1 - r0), (b2 - r0) / (r1 - r0)
+    if direction == "down":
+        return LinearRamp(base_v * (1.0 - s), base_v * (1.0 - s2), b2 - b)
+    return LinearRamp(base_v * s, base_v * s2, b2 - b)
 
 
 def build_ramp(H, entries, direction, dt, paired=(), t0=0.0):
@@ -208,11 +226,8 @@ def build_ramp(H, entries, direction, dt, paired=(), t0=0.0):
     for e in entries:
         if e[0] == e[1]:
             raise ValueError("cannot ramp a diagonal entry")
-        base_v = float(H.base[e])
-        if direction == "down":
-            overrides[e] = LinearRamp(base_v, 0.0, dt)
-        else:
-            overrides[e] = LinearRamp(0.0, base_v, dt)
+        overrides[e] = _ramp_slice(float(H.base[e]), 0.0, dt, direction,
+                                   0.0, dt)
     return Segment(t0, t0 + dt, TimedHamiltonian(H.base, overrides))
 
 
@@ -299,116 +314,123 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
     return RoutePlan(jumps, src, dst)
 
 
-def _overlaps(a0, a1, b0, b1):
-    return a0 < b1 and b0 < a1
+def _jump_holds(plan, start):
+    """Per jump of ``plan`` run from ``start``: (jump, center, t0, t1,
+    holds), the one jump model of scheduling, checking and building.
+
+    The window is t0 = start + r0, t1 = start + r1 from
+    ``busy_relative``; ``holds`` are the (entry, key) couplings held
+    for all of it: the spokes exclusively (key None), the boundary
+    entries as a ramp keyed (t0, t1, dt).
+    """
+    out = []
+    for j, (c, r0, r1) in zip(plan.jumps, plan.busy_relative()):
+        t0, t1 = start + r0, start + r1
+        holds = [(e, None) for e in j.star.spokes]
+        holds += [(e, (t0, t1, j.dt)) for e in j.star.boundary_entries]
+        out.append((j, c, t0, t1, holds))
+    return out
+
+
+def _admit(index, jumps, route):
+    """Add the holds of ``jumps`` to ``index`` (entry -> holds as
+    (center, t0, t1, key, route)) unless one clashes: windows overlap
+    on one entry, other than two ramps with the same key.  Returns the
+    first clash as (center, t0, t1, entry, held), or None."""
+    for _, c, t0, t1, holds in jumps:
+        for e, key in holds:
+            for held in index.get(e, ()):
+                if held[1] < t1 and t0 < held[2] and \
+                        (key is None or key != held[3]):
+                    return c, t0, t1, e, held
+    for _, c, t0, t1, holds in jumps:
+        for e, key in holds:
+            index.setdefault(e, []).append((c, t0, t1, key, route))
+    return None
 
 
 def schedule_multi(routes):
-    """Assign start times so no star serves two routes at once.
+    """Assign start times so no two routes hold a coupling at once.
 
     Greedy earliest-start in request order: each route starts at the
-    smallest delay at which none of its star intervals overlaps an
-    interval already committed on the same star.  Stars may be reused
-    at disjoint times.
+    smallest delay at which none of its jumps' holds (spokes alone,
+    boundary couplings as a ramp) clashes with a hold committed on the
+    same coupling.  Ramps with equal window and ramp time share one
+    profile, so routes may run concurrently through adjacent stars.
     """
-    committed = []
+    index = {}
     starts = []
     busy_abs = []
-    for plan in routes:
-        rel = plan.busy_relative()
+    for r, plan in enumerate(routes):
         candidates = {0.0}
-        for c, t0, t1 in committed:
-            for c2, r0, r1 in rel:
-                if c2 == c:
-                    # (t1 - r0) + r0 may round below t1; step up to the
-                    # first delay that starts the interval at or after t1
-                    delay = t1 - r0
-                    while delay + r0 < t1:
+        for _, _, r0, _, holds in _jump_holds(plan, 0.0):
+            for e, _ in holds:
+                for held in index.get(e, ()):
+                    # (t1 - r0) + r0 may round below the hold's end t1;
+                    # step up to the first delay starting the jump at t1
+                    delay = held[2] - r0
+                    while delay + r0 < held[2]:
                         delay = math.nextafter(delay, math.inf)
-                    candidates.add(delay)
-        best = None
+                    candidates.add(max(delay, 0.0))
         for delay in sorted(candidates):
-            if delay < 0:
-                continue
-            ok = all(not (c2 == c and _overlaps(delay + r0, delay + r1,
-                                                t0, t1))
-                     for c, t0, t1 in committed
-                     for c2, r0, r1 in rel)
-            if ok:
-                best = delay
+            jumps = _jump_holds(plan, delay)
+            if _admit(index, jumps, r) is None:
                 break
-        assert best is not None  # the latest end time always works
-        abs_iv = tuple((c, best + r0, best + r1) for c, r0, r1 in rel)
-        committed.extend(abs_iv)
-        starts.append(best)
-        busy_abs.append(abs_iv)
+        else:  # the latest candidate clears every hold, so never here
+            raise AssertionError("no admissible delay")
+        starts.append(delay)
+        busy_abs.append(tuple((c, t0, t1) for _, c, t0, t1, _ in jumps))
     return Timeline(routes=tuple(routes), starts=tuple(starts),
                     busy=tuple(busy_abs))
 
 
 def verify_timeline(tl):
-    """Recheck the disjoint-star rule between distinct routes."""
-    for i in range(len(tl.busy)):
-        for j in range(i + 1, len(tl.busy)):
-            for c, a0, a1 in tl.busy[i]:
-                for c2, b0, b1 in tl.busy[j]:
-                    if c == c2 and _overlaps(a0, a1, b0, b1):
-                        raise ValueError(
-                            f"routes {i} and {j} both occupy star {c} "
-                            f"during [{max(a0, b0)}, {min(a1, b1)}]")
+    """Recheck, from the routes and start times, that no two routes
+    hold a coupling at overlapping times other than as ramps with the
+    same window and ramp time."""
+    index = {}
+    for r, (plan, start) in enumerate(zip(tl.routes, tl.starts)):
+        clash = _admit(index, _jump_holds(plan, start), r)
+        if clash is not None:
+            c, a0, a1, e, (c2, b0, b1, _, r2) = clash
+            what = f"occupy star {c}" if c == c2 else f"hold coupling {e}"
+            raise ValueError(f"routes {r2} and {r} both {what} during "
+                             f"[{max(a0, b0)}, {min(a1, b1)}]")
     return True
-
-
-def _jump_events(plan, start):
-    """(ramps, flips) of one route at an absolute start time."""
-    ramps, flips = [], []
-    t = start
-    for j in plan.jumps:
-        sv = j.star
-        # anchor the jump end on the same float arithmetic used by
-        # busy_relative, so segment bounds match occupancy intervals
-        t1 = t + j.dt
-        t3 = t + j.duration
-        t2 = t3 - j.dt
-        if sv.boundary_entries:
-            ramps.append((t, t1, sv.boundary_entries, "down"))
-            ramps.append((t2, t3, sv.boundary_entries, "up"))
-        if j.variant == "phase-flip-transfer":
-            flips.append((t1, "phase", sv.dimer_in[1]))
-            flips.append((t2, "phase", sv.dimer_out[1]))
-        else:
-            e_in = tuple(sorted((sv.dimer_in[0], sv.center)))
-            e_out = tuple(sorted((sv.center, sv.dimer_out[0])))
-            for e in (e_in, e_out):
-                flips.append((t1, "hopping", e))
-                flips.append((t2, "hopping", e))
-        t = t3
-    return ramps, flips
 
 
 def timeline_schedule(graph, H, tl):
     """One global schedule executing every route of the timeline.
 
-    Ramp windows become segments whose pulses interpolate the linear
-    profiles exactly; the static stretches in between run on the
-    working Hamiltonian.  Raises if two ramps drive the same entry at
-    overlapping times (routes sharing a dimer are not protected).
+    Checks the timeline with :func:`verify_timeline` first.  Each jump
+    ramps its boundary couplings down over the first ``dt`` of its
+    window and up over the last, exact linear slices shared by ramps
+    with one key; the static stretches run on the working Hamiltonian.
+    The rule covers couplings: a state resting in a dimer that another
+    route jumps through is not protected.
     """
     verify_timeline(tl)
     ramps, flips = [], []
     for plan, start in zip(tl.routes, tl.starts):
-        r, f = _jump_events(plan, start)
-        ramps.extend(r)
-        flips.extend(f)
+        for j, _, t0, t1, _ in _jump_holds(plan, start):
+            sv = j.star
+            down_end, up_start = t0 + j.dt, t1 - j.dt
+            if sv.boundary_entries:
+                ramps.append((t0, down_end, sv.boundary_entries, "down"))
+                ramps.append((up_start, t1, sv.boundary_entries, "up"))
+            if j.variant == "phase-flip-transfer":
+                flips.append((down_end, "phase", sv.dimer_in[1]))
+                flips.append((up_start, "phase", sv.dimer_out[1]))
+            else:
+                # the spokes to dimer_in[0] and dimer_out[0]
+                for e in (sv.spokes[0], sv.spokes[2]):
+                    flips.append((down_end, "hopping", e))
+                    flips.append((up_start, "hopping", e))
 
     bounds = {0.0, tl.end}
     bounds.update(t for r in ramps for t in r[:2])
     bounds.update(f[0] for f in flips)
     bounds = sorted(bounds)
-
-    def ramp_value(entry_base, r0, r1, kind, t):
-        s = (t - r0) / (r1 - r0)
-        return entry_base * (1.0 - s) if kind == "down" else entry_base * s
 
     M = np.array(H.base, dtype=float, copy=True)
     items = []
@@ -428,26 +450,14 @@ def timeline_schedule(graph, H, tl):
         overrides = {}
         for r0, r1, entries, kind in active:
             for e in entries:
-                base_v = float(H.base[e])
-                vals = (ramp_value(base_v, r0, r1, kind, b),
-                        ramp_value(base_v, r0, r1, kind, b2))
-                if e in overrides:
-                    # adjacent stars share the couplings of their common
-                    # dimer; concurrent jumps may demand the same profile
-                    # on them, which is fine, but never different ones
-                    if overrides[e].values != vals:
-                        raise ValueError(
-                            f"two ramps drive entry {e} to different "
-                            f"values over [{b}, {b2}]")
-                    continue
-                overrides[e] = TablePulse((0.0, b2 - b), vals)
+                # verify_timeline let only equal-key ramps share an entry
+                if e not in overrides:
+                    overrides[e] = _ramp_slice(float(H.base[e]), r0, r1,
+                                               kind, b, b2)
         items.append(Segment(b, b2, TimedHamiltonian(M.copy(), overrides)))
-        for r0, r1, entries, kind in active:
-            if r1 == b2:
-                for e in entries:
-                    end_v = 0.0 if kind == "down" else float(H.base[e])
-                    M[e] = end_v
-                    M[e[::-1]] = end_v
+        # exact at a ramp's end; mid-ramp values stay overridden
+        for e, pulse in overrides.items():
+            M[e] = M[e[::-1]] = pulse.end
     return ProtocolSchedule(TimedHamiltonian(H.base, {}), tuple(items))
 
 
@@ -481,9 +491,7 @@ def simulate_route(graph, H, tl, psi0=None, tol=1e-11):
     for r, (plan, start, tgt) in enumerate(zip(tl.routes, tl.starts, targets)):
         fids.append(fidelity(finals[r], tgt))
         table = []
-        t = start
-        for j in plan.jumps:
-            t += j.duration
+        for j, _, _, t, _ in _jump_holds(plan, start):
             idx = int(np.argmin(np.abs(traj.times - t)))
             out_state = dimer_state(n, j.star.dimer_out)
             table.append((t, fidelity(traj.states[idx, :, r], out_state)))

@@ -1,9 +1,11 @@
 """Command-line driver: config schema, outputs, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +390,26 @@ def test_route_crossing_pair_reports_delay(tmp_path):
     assert summary["norm_drift"] <= 1e-10
 
 
+def test_route_jumps_with_different_ramp_times_run(tmp_path):
+    # hubs 0 and 5 both ramp coupling (1, 5), on different profiles, so
+    # the second route waits for the first to end; the scheduler used
+    # to start both at once and the build refused the timeline
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {
+        "system": {"kind": "dll", "cells_x": 3, "cells_y": 3},
+        "parameters": {"J": 0.25, "v": 0.5},
+        "action": {"kind": "route", "requests": [
+            {"source": [3, 4], "destination": [1, 2], "dt": 1},
+            {"source": [6, 7], "destination": [8, 9], "dt": 2},
+        ]},
+        "output": {"dir": str(out)},
+    })
+    assert cli.main(["route", "--config", path]) == 0
+    routes = load_summary(out)["report"]["routes"]
+    assert all(r["fidelity"] >= 1 - 1e-8 for r in routes)
+    assert routes[1]["start"] == 8.283185307179586
+
+
 def test_route_rejects_unknown_sites(tmp_path, capsys):
     path = write_config(tmp_path, {
         "system": {"kind": "dll", "cells_x": 1, "cells_y": 1},
@@ -469,8 +491,12 @@ def test_console_entry_point(tmp_path):
         "action": {"kind": "spectrum"},
         "output": {"dir": str(out)},
     })
+    # the child imports the package this suite imported, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "clsnet.cli", "spectrum", "--config", path],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (out / "summary.json").exists()

@@ -1,7 +1,10 @@
 """Routing: star extraction, ramps, planning, scheduling, simulation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 import clsnet.routing
@@ -26,6 +29,7 @@ from clsnet.lattice import (
 )
 from clsnet.routing import (
     RoutePlan,
+    StarView,
     Timeline,
     build_ramp,
     dimer_adjacency,
@@ -316,8 +320,15 @@ def test_schedule_overlap_only_where_stars_differ():
 
 
 class _StubPlan:
+    # the jump model reads each jump's star and ramp time besides the
+    # intervals; the stars here have no boundary, only their spokes
+    _DIMERS = {5: ((1, 2), (6, 7)), 20: ((16, 17), (21, 22))}
+
     def __init__(self, busy):
         self._busy = busy
+        self.jumps = tuple(
+            SimpleNamespace(star=StarView(c, *self._DIMERS[c], ()), dt=1.0)
+            for c, _, _ in busy)
 
     def busy_relative(self):
         return self._busy
@@ -335,12 +346,65 @@ def test_schedule_survives_delay_round_off():
     verify_timeline(tl)
 
 
+def test_schedule_shared_dimer_pair_builds():
+    # route 2 rests in (21, 22), which route 1 passes through; both
+    # route 1's jumps hold couplings of route 2's jump at hub 20, so it
+    # waits for route 1 to end
+    g, H = dll(3, 3)
+    r1 = plan_route(g, H, (16, 17), (26, 27))  # hubs 20 then 25
+    r2 = plan_route(g, H, (21, 22), (23, 24))  # hub 20
+    tl = schedule_multi([r1, r2])
+    timeline_schedule(g, H, tl)
+    assert tl.starts[1] == r1.duration
+
+
+_VARIANTS = ("phase-flip-transfer", "hopping-flip-transfer")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_scheduled_timeline_builds(data):
+    cells = data.draw(st.integers(2, 4), label="cells")
+    g, H = dll(cells, cells)
+    dimers = st.sampled_from(g.dimers())
+    requests = data.draw(st.lists(
+        st.tuples(dimers, dimers, st.sampled_from(_VARIANTS),
+                  st.sampled_from((0.5, 1.0, 2.0))),
+        min_size=1, max_size=7), label="requests")
+    plans = [plan_route(g, H, a, b, variant=v, dt=dt)
+             for a, b, v, dt in requests]
+    tl = schedule_multi(plans)
+    verify_timeline(tl)
+    s = timeline_schedule(g, H, tl)
+    # every jump's ramps start and end exactly on its busy interval
+    segments = [it for it in s.items if isinstance(it, Segment)]
+    by_start = {seg.t_start: seg for seg in segments}
+    by_end = {seg.t_end: seg for seg in segments}
+    for plan, row in zip(tl.routes, tl.busy):
+        for j, (c, t0, t1) in zip(plan.jumps, row):
+            assert c == j.star.center
+            for e in j.star.boundary_entries:
+                assert by_start[t0].H.overrides[e].start == H.base[e]
+                assert by_end[t1].H.overrides[e].end == H.base[e]
+
+
 def test_verify_timeline_rejects_double_booked_star():
     g, H = dll(3, 3)
     r = plan_route(g, H, (16, 17), (21, 22))
     tl = Timeline(routes=(r, r), starts=(0.0, 0.0),
                   busy=(r.busy_relative(), r.busy_relative()))
     with pytest.raises(ValueError, match="both occupy star 20"):
+        verify_timeline(tl)
+
+
+def test_verify_timeline_rejects_ramps_on_different_profiles():
+    # hubs 0 and 5 both ramp (1, 5), over ramp times 1 and 2
+    g, H = dll(3, 3)
+    r1 = plan_route(g, H, (3, 4), (1, 2), dt=1.0)
+    r2 = plan_route(g, H, (6, 7), (8, 9), dt=2.0)
+    tl = Timeline(routes=(r1, r2), starts=(0.0, 0.0),
+                  busy=(r1.busy_relative(), r2.busy_relative()))
+    with pytest.raises(ValueError, match=r"both hold coupling \(1, 5\)"):
         verify_timeline(tl)
 
 
