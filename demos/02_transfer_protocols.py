@@ -13,7 +13,6 @@ from clsnet.evolve import fidelity, run_schedule
 from clsnet.protocols import (
     build_schedule,
     cls_state,
-    fastest_transfer_params,
     solve_generation_params,
     solve_transfer_params,
 )
@@ -38,9 +37,11 @@ traj2 = run_schedule(s2, s2.initial_state)
 print("hopping-flip fidelity:",
       fidelity(traj2.final_state, s2.target_state))
 
-# Other family members trade speed against coupling strength.
-fastest = fastest_transfer_params(0.25)
-print(f"fastest member in the default window: T = {fastest.T:.6f}")
+# Other family members trade speed against the potential: member
+# (2, 1) needs only v = 2J/3, a third of (1, 0)'s, but takes three
+# times as long.
+slow = solve_transfer_params(2, 1, 0.25)
+print(f"member (2,1): v = {slow.v:.6f}, T = {slow.T:.6f}")
 
 # ----------------------------------------------------------------
 # Generation: start from the hub, end on a dimer.  Branch-2 member

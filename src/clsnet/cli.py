@@ -8,7 +8,8 @@ machine-checkable summaries; every output embeds the config digest and
 seed, and fixed inputs reproduce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 verification failure.
+4 verification failure.  Any other exception is a bug in the program
+and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -44,8 +46,9 @@ from .routing import plan_route, schedule_multi, simulate_route
 from .spectral import STAR_FOUR_CYCLE, equitable_blocks_star, find_cls, \
     nonequitable_blocks_seven, spectrum
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "emit_config",
-           "load_config", "main"]
+__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config",
+           "cmd_spectrum", "cmd_simulate", "cmd_optimize", "cmd_route",
+           "cmd_verify", "main"]
 
 _SYSTEMS = ("star", "seven", "dll")
 _ACTIONS = ("spectrum", "simulate", "optimize", "route")
@@ -178,17 +181,16 @@ def _parse_schedule(raw, system):
         _expect(kind in ("star", "seven"), where,
                 f"{variant} needs a star or seven system, not {kind}")
         if kind == "star":
-            _only_keys(raw, ("variant", "k1", "k2", "options"), where)
+            _only_keys(raw, ("variant", "k1", "k2"), where)
             out["k1"] = _integer(raw, "k1", where, required=True)
             out["k2"] = _integer(raw, "k2", where, required=True, minimum=0)
         else:
-            _only_keys(raw, ("variant", "k", "options"), where)
+            _only_keys(raw, ("variant", "k"), where)
             out["k"] = _integer(raw, "k", where, required=True, minimum=0)
     elif variant in ("generation", "reverse-generation",
                      "piecewise-transfer"):
         _expect(kind == "star", where, f"{variant} needs a star system")
-        _only_keys(raw, ("variant", "branch", "k1p", "k2p", "options"),
-                   where)
+        _only_keys(raw, ("variant", "branch", "k1p", "k2p"), where)
         out["branch"] = _integer(raw, "branch", where, required=True)
         _expect(out["branch"] in (1, 2), where, "branch must be 1 or 2")
         out["k1p"] = _integer(raw, "k1p", where, required=True)
@@ -208,10 +210,6 @@ def _parse_schedule(raw, system):
         T = _number(raw, "T", where, default=0.0)
         _expect(T >= 0.0, where, "T must be >= 0")
         out["T"] = T
-    if "options" in raw:
-        _expect(isinstance(raw["options"], dict), where,
-                "options must be an object")
-        out["options"] = dict(raw["options"])
     return out
 
 
@@ -327,11 +325,6 @@ def parse_config(text, source="config"):
                           seed=seed, output={"dir": out_dir})
 
 
-def emit_config(sc):
-    """Canonical JSON text for a scenario; parse(emit(sc)) == sc."""
-    return json.dumps(sc.as_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def load_config(path):
     try:
         text = Path(path).read_text()
@@ -343,6 +336,17 @@ def load_config(path):
 # ------------------------------------------------------------- builders
 
 
+@contextmanager
+def _as_config_error():
+    """Report a ValueError from turning config values into library
+    objects as the config error it is."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+@_as_config_error()
 def _build_system(sc):
     kind = sc.system["kind"]
     p = sc.parameters
@@ -358,6 +362,7 @@ def _build_system(sc):
                      p["J"], p["v"])
 
 
+@_as_config_error()
 def _problem_factory(name, p, n_steps=None):
     kw = {"J": p["J"], "v": p["v"]}
     if n_steps is not None:
@@ -373,24 +378,24 @@ def _problem_factory(name, p, n_steps=None):
     return crab.seven_creation(**kw)
 
 
+@_as_config_error()
 def _build_protocol_schedule(sc):
     sched = sc.action["schedule"]
     variant = sched["variant"]
     kind = sc.system["kind"]
     p = sc.parameters
-    options = sched.get("options", {})
     if variant in ("phase-flip-transfer", "hopping-flip-transfer"):
         if kind == "star":
             params = solve_transfer_params(sched["k1"], sched["k2"], p["J"])
         else:
             params = solve_seven_transfer_params(sched["k"], p["J"], p["v"])
-        return build_schedule(kind, variant, params, **options)
+        return build_schedule(kind, variant, params)
     if variant in ("generation", "reverse-generation",
                    "piecewise-transfer"):
         Jp = p.get("J_prime", 3 * np.sqrt(2.0) * p["J"])
         params = solve_generation_params(sched["branch"], sched["k1p"],
                                          sched["k2p"], Jp)
-        return build_schedule("star", variant, params, **options)
+        return build_schedule("star", variant, params)
     if variant == "optimized":
         problem = _problem_factory(sched["problem"], p)
         ref = crab.REFERENCE_PARAMS[problem.kind]
@@ -566,10 +571,11 @@ def cmd_optimize(sc, out_dir):
 
 def cmd_route(sc, out_dir):
     graph, H = _build_system(sc)
-    plans = [plan_route(graph, H, tuple(r["source"]),
-                        tuple(r["destination"]), variant=r["variant"],
-                        dt=r["dt"])
-             for r in sc.action["requests"]]
+    with _as_config_error():
+        plans = [plan_route(graph, H, tuple(r["source"]),
+                            tuple(r["destination"]), variant=r["variant"],
+                            dt=r["dt"])
+                 for r in sc.action["requests"]]
     tl = schedule_multi(plans)
     rep = simulate_route(graph, H, tl, tol=sc.integrator["tol"])
     routes = []
@@ -680,9 +686,6 @@ def main(argv=None):
                    "optimize": cmd_optimize, "route": cmd_route}
         return handler[args.command](sc, out_dir)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (FloatingPointError, OverflowError, RuntimeError,

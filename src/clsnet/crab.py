@@ -37,13 +37,14 @@ from .lattice import (
     CreationStarPulse,
     LinearRamp,
     TimeMirrored,
-    attach_pulse,
+    TimedHamiltonian,
     build_seven,
     build_star,
 )
 from .spectral import dimer_state
 
 __all__ = [
+    "OMEGA_RANGE",
     "CrabParams",
     "OptResult",
     "ControlProblem",
@@ -53,6 +54,7 @@ __all__ = [
     "seven_creation",
     "REFERENCE_PARAMS",
     "eval_pulse",
+    "assemble_hamiltonian",
     "infidelity_objective",
     "verify_infidelity",
     "pulse_table",
@@ -213,8 +215,8 @@ REFERENCE_PARAMS = {
 
 
 def _pulse_for(kind, n, p):
-    """Printed-profile pulse object for channel n of the given kind."""
-    _check_arity(kind, p)
+    """Printed-profile pulse object for channel n of the given kind;
+    the caller has checked the arity of ``p``."""
     channels = dict(_CHANNELS[kind])
     if n not in channels:
         raise ValueError(f"{kind} has no channel {n}")
@@ -240,6 +242,7 @@ def _pulse_for(kind, n, p):
 def eval_pulse(kind, n, t, p):
     """Coupling value of channel ``n`` at time ``t`` under the declared
     ansatz (creation profiles fall to zero at the horizon)."""
+    _check_arity(kind, p)
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > p.horizon + 1e-12):
         raise ValueError("t outside [0, horizon]")
@@ -255,6 +258,7 @@ def assemble_hamiltonian(problem, p):
     """
     _check_arity(problem.kind, p)
     kind = problem.kind
+    overrides = {}
     if kind == "star-transfer":
         H = build_star(p.floor, problem.v)
     elif kind == "seven-transfer":
@@ -266,14 +270,14 @@ def assemble_hamiltonian(problem, p):
     else:
         H = build_seven([p.floor, p.floor, 0.0, 0.0, p.floor, p.floor],
                         problem.v)
-        H = attach_pulse(H, (2, 3), LinearRamp(0.0, p.horizon / (2 * np.pi),
-                                               p.horizon))
+        overrides[(2, 3)] = LinearRamp(0.0, p.horizon / (2 * np.pi),
+                                       p.horizon)
     for n, entry in _CHANNELS[kind]:
         pulse = _pulse_for(kind, n, p)
         if kind == "star-creation":
             pulse = TimeMirrored(pulse, p.horizon)
-        H = attach_pulse(H, entry, pulse)
-    return H
+        overrides[entry] = pulse
+    return TimedHamiltonian(H.base, overrides)
 
 
 def infidelity_objective(problem, p):

@@ -70,10 +70,7 @@ def evolve_static(H, psi0, t):
     Computes exp(-i H t) psi0 via spectral decomposition.  ``H`` may be
     a plain Hermitian matrix or a pulse-free :class:`TimedHamiltonian`.
     """
-    M = static_matrix(H)
-    w, V = np.linalg.eigh(M)
-    psi0 = np.asarray(psi0, dtype=complex)
-    return (V * np.exp(-1j * w * float(t))) @ (V.conj().T @ psi0)
+    return _static_samples(static_matrix(H), psi0, [float(t)])[0]
 
 
 def _static_samples(M, psi0, durations):

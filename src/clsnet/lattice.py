@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "Pulse",
-    "ConstantPulse",
     "LinearRamp",
     "CrabTransferPulse",
     "CreationStarPulse",
@@ -38,6 +37,8 @@ __all__ = [
     "build_star",
     "build_seven",
     "build_dll",
+    "star_graph",
+    "seven_graph",
     "attach_pulse",
     "static_matrix",
     "evaluate_at",
@@ -64,18 +65,6 @@ class Pulse:
 
     def value(self, t):
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ConstantPulse(Pulse):
-    """Entry held at a fixed value."""
-
-    level: float
-    kind = "constant"
-
-    def value(self, t):
-        return np.broadcast_to(np.float64(self.level), np.shape(t)).copy() \
-            if np.ndim(t) else float(self.level)
 
 
 @dataclass(frozen=True)
@@ -238,14 +227,11 @@ class SiteGraph:
         Per-site role tag: 'dimer-upper', 'dimer-lower', 'hub' or
         'connector'.  Dimer partners are adjacent in index order,
         upper immediately before lower.
-    positions : tuple of (float, float), optional
-        Decorative 2D coordinates (present for the lattice case).
     """
 
     n_sites: int
     edges: tuple
     labels: tuple
-    positions: tuple | None = None
     _adjacent: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -287,6 +273,17 @@ class SiteGraph:
         return self._adjacent.get(site, ())
 
 
+def _check_hermitian(M, name, kind):
+    """Raise ValueError unless square ``M`` has finite entries and
+    max |M - M^H| <= 1e-12."""
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must have finite entries")
+    # an exact mirror, the usual case, needs no difference matrix
+    if not (M == M.conj().T).all() and \
+            np.abs(M - M.conj().T).max() > 1e-12:
+        raise ValueError(f"{name} must be {kind}")
+
+
 def _normalize_entry(entry, n):
     i, j = int(entry[0]), int(entry[1])
     if not (0 <= i < n and 0 <= j < n):
@@ -302,7 +299,7 @@ class TimedHamiltonian:
     override maps an entry (i, j) with i <= j to a :class:`Pulse`; the
     entry and its mirror take the pulse value instead of the base
     value.  Entries without an override are constant in time.
-    Instances are immutable; modification helpers return new objects.
+    Instances are immutable; :func:`attach_pulse` returns a new one.
     """
 
     base: np.ndarray
@@ -312,8 +309,7 @@ class TimedHamiltonian:
         base = np.array(self.base, dtype=float)
         if base.ndim != 2 or base.shape[0] != base.shape[1]:
             raise ValueError("base must be a square matrix")
-        if not np.allclose(base, base.T, atol=1e-12, rtol=0.0):
-            raise ValueError("base must be symmetric")
+        _check_hermitian(base, "base", "symmetric")
         base.setflags(write=False)
         object.__setattr__(self, "base", base)
         fixed = {}
@@ -331,14 +327,6 @@ class TimedHamiltonian:
     @property
     def static(self):
         return not self.overrides
-
-    def with_entry(self, entry, value):
-        """New Hamiltonian with one static entry (and mirror) replaced."""
-        i, j = _normalize_entry(entry, self.n_sites)
-        base = np.array(self.base)
-        base[i, j] = value
-        base[j, i] = value
-        return TimedHamiltonian(base, dict(self.overrides))
 
 
 def build_star(J, v):
@@ -437,19 +425,11 @@ def build_dll(cells_x, cells_y, J, v):
         return 5 * (j * cells_x + i)
 
     labels = []
-    positions = []
     edges = []
     for j in range(cells_y):
         for i in range(cells_x):
             h = hub(i, j)
             labels += ["hub", "dimer-upper", "dimer-lower", "dimer-upper", "dimer-lower"]
-            positions += [
-                (float(i), float(j)),
-                (i + 0.5, j + 0.18),
-                (i + 0.5, j - 0.18),
-                (i + 0.18, j + 0.5),
-                (i - 0.18, j + 0.5),
-            ]
             for s in (h + 1, h + 2):          # horizontal dimer
                 edges.append(tuple(sorted((s, h))))
                 if i + 1 < cells_x:
@@ -463,7 +443,7 @@ def build_dll(cells_x, cells_y, J, v):
     np.fill_diagonal(base, float(v))
     for i, j in edges:
         base[i, j] = base[j, i] = float(J)
-    graph = SiteGraph(n, tuple(sorted(set(edges))), tuple(labels), tuple(positions))
+    graph = SiteGraph(n, tuple(sorted(set(edges))), tuple(labels))
     return graph, TimedHamiltonian(base, {})
 
 
@@ -489,8 +469,7 @@ def static_matrix(H):
     M = np.asarray(H)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("Hamiltonian must be a square matrix")
-    if not np.allclose(M, M.conj().T, atol=1e-12, rtol=0.0):
-        raise ValueError("Hamiltonian must be Hermitian")
+    _check_hermitian(M, "Hamiltonian", "Hermitian")
     return M
 
 

@@ -25,9 +25,8 @@ from .evolve import (
     PhaseFlip,
     ProtocolSchedule,
     Segment,
-    end_hamiltonian,
 )
-from .lattice import TimedHamiltonian, build_seven, build_star
+from .lattice import build_seven, build_star
 from .spectral import dimer_state
 
 __all__ = [
@@ -35,13 +34,10 @@ __all__ = [
     "GenerationParams",
     "solve_transfer_params",
     "solve_seven_transfer_params",
-    "fastest_transfer_params",
     "solve_generation_params",
     "phase_flip",
-    "hopping_flip",
     "build_schedule",
     "cls_state",
-    "target_locally_symmetric",
 ]
 
 _STAR_HOPPING_PAIRS = {"J1J3": ((0, 2), (2, 3)), "J2J4": ((1, 2), (2, 4))}
@@ -136,24 +132,6 @@ def solve_seven_transfer_params(k, J, v=0.0):
     return TransferParams(v=v, T=T, k1=k, k2=None, J=J, graph="seven")
 
 
-def fastest_transfer_params(J, k1_range=range(-2, 4), k2_range=range(0, 3)):
-    """Star family member with minimal T, ties broken by smaller |v|,
-    then by the smaller (k1, k2) pair.  Deterministic."""
-    best = None
-    for k2 in k2_range:
-        for k1 in k1_range:
-            try:
-                p = solve_transfer_params(k1, k2, J)
-            except ValueError:
-                continue
-            key = (p.T, abs(p.v), k1, k2)
-            if best is None or key < best[0]:
-                best = (key, p)
-    if best is None:
-        raise ValueError("no valid family member in the given index ranges")
-    return best[1]
-
-
 @dataclass(frozen=True)
 class GenerationParams:
     """Hub-to-dimer generation family member.
@@ -222,19 +200,6 @@ def phase_flip(psi, site):
         raise IndexError(f"site {site} outside the state")
     psi[site] = -psi[site]
     return psi
-
-
-def hopping_flip(H, entry):
-    """Negate one coupling (and its mirror) of a static Hamiltonian."""
-    i, j = entry
-    if i == j:
-        raise ValueError("cannot sign-flip a diagonal entry")
-    if not (0 <= i < H.n_sites and 0 <= j < H.n_sites):
-        raise IndexError(f"entry {entry} outside the matrix")
-    key = (min(i, j), max(i, j))
-    if key in H.overrides:
-        raise ValueError("entry is pulse-driven; flip its base before attaching")
-    return H.with_entry(key, -H.base[key])
 
 
 def _star_base(params):
@@ -318,23 +283,21 @@ def build_schedule(graph, variant, params, **options):
 
     if variant == "generation":
         final_flip = options.pop("final_flip", True)
-        flip_site = options.pop("flip_site", 1)
         if options:
             raise TypeError(f"unknown options {sorted(options)}")
         items = [Segment(0.0, T)]
         target = cls_state("star", "L")
         if final_flip:
-            items.append(PhaseFlip(T, flip_site))
-            target = phase_flip(target, flip_site)
+            items.append(PhaseFlip(T, 1))
+            target = phase_flip(target, 1)
         return ProtocolSchedule(H_in, tuple(items),
                                 initial_state=cls_state("star", "c"),
                                 target_state=target)
 
     if variant == "reverse-generation":
-        flip_site = options.pop("flip_site", 1)
         if options:
             raise TypeError(f"unknown options {sorted(options)}")
-        items = (PhaseFlip(0.0, flip_site), Segment(0.0, T))
+        items = (PhaseFlip(0.0, 1), Segment(0.0, T))
         return ProtocolSchedule(H_in, items,
                                 initial_state=cls_state("star", "I"),
                                 target_state=cls_state("star", "c"))
@@ -355,21 +318,3 @@ def build_schedule(graph, variant, params, **options):
                                 target_state=cls_state("star", "F"))
 
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def target_locally_symmetric(s):
-    """Whether the schedule's final Hamiltonian treats the target
-    dimer symmetrically (equal potentials, equal couplings outward).
-
-    True by construction for single-site targets.
-    """
-    if s.target_state is None:
-        raise ValueError("schedule declares no target state")
-    support = np.flatnonzero(np.abs(s.target_state) > 1e-12)
-    if support.size != 2:
-        return True
-    a, b = (int(x) for x in support)
-    M = end_hamiltonian(s)
-    rest = [k for k in range(M.shape[0]) if k not in (a, b)]
-    return bool(abs(M[a, a] - M[b, b]) <= 1e-12
-                and np.all(np.abs(M[rest, a] - M[rest, b]) <= 1e-12))

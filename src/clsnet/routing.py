@@ -123,11 +123,17 @@ class RoutePlan:
 
 @dataclass(frozen=True)
 class Timeline:
-    """Scheduled routes with absolute star-occupancy intervals."""
+    """Scheduled routes and their start times."""
 
     routes: tuple
     starts: tuple
-    busy: tuple  # per route: tuple of (center, t_begin, t_end)
+
+    @cached_property
+    def busy(self):
+        """Per route, the (center, t_begin, t_end) of each jump."""
+        return tuple(tuple((c, t0, t1) for _, c, t0, t1, _ in
+                           _jump_holds(plan, start))
+                     for plan, start in zip(self.routes, self.starts))
 
     @property
     def end(self):
@@ -360,7 +366,6 @@ def schedule_multi(routes):
     """
     index = {}
     starts = []
-    busy_abs = []
     for r, plan in enumerate(routes):
         candidates = {0.0}
         for _, _, r0, _, holds in _jump_holds(plan, 0.0):
@@ -373,15 +378,12 @@ def schedule_multi(routes):
                         delay = math.nextafter(delay, math.inf)
                     candidates.add(max(delay, 0.0))
         for delay in sorted(candidates):
-            jumps = _jump_holds(plan, delay)
-            if _admit(index, jumps, r) is None:
+            if _admit(index, _jump_holds(plan, delay), r) is None:
                 break
         else:  # the latest candidate clears every hold, so never here
             raise AssertionError("no admissible delay")
         starts.append(delay)
-        busy_abs.append(tuple((c, t0, t1) for _, c, t0, t1, _ in jumps))
-    return Timeline(routes=tuple(routes), starts=tuple(starts),
-                    busy=tuple(busy_abs))
+    return Timeline(routes=tuple(routes), starts=tuple(starts))
 
 
 def verify_timeline(tl):

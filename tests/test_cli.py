@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from clsnet import cli
-from clsnet.cli import ConfigError, ScenarioConfig, emit_config, parse_config
+from clsnet.cli import ConfigError, ScenarioConfig, parse_config
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -68,7 +68,8 @@ def test_parse_emit_round_trip(tmp_path):
     ]
     for doc in docs:
         sc = parse_config(json.dumps(doc))
-        again = parse_config(emit_config(sc))
+        # the path --seed/--tol/--out overrides take
+        again = parse_config(json.dumps(sc.as_dict()))
         assert again == sc
         assert again.digest() == sc.digest()
 
@@ -111,6 +112,11 @@ def test_digest_ignores_output_dir_only():
       "integrator": {"tol": 1.0}}, "tol"),
     ({"system": {"kind": "star"}, "action": {"kind": "spectrum"},
       "seed": 1.5}, "seed"),
+    ({"system": {"kind": "star"},
+      "action": {"kind": "simulate",
+                 "schedule": {"variant": "phase-flip-transfer", "k1": 1,
+                              "k2": 0, "options": {"in_site": 0}}}},
+     "unknown keys ['options']"),
 ])
 def test_parse_rejects_bad_sections(doc, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -133,6 +139,27 @@ def test_malformed_json_exits_2_with_line(tmp_path, capsys):
     assert cli.main(["spectrum", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert re.search(r"broken\.json:2:\d+", err)
+
+
+def test_refused_config_value_exits_2(tmp_path, capsys):
+    # J < 0 gives the star transfer family a negative duration
+    doc = star_transfer_doc(tmp_path / "out")
+    doc["parameters"]["J"] = -0.25
+    path = write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_library_value_error_is_not_a_config_error(tmp_path, capsys,
+                                                    monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("bug in the propagator")
+
+    monkeypatch.setattr(cli, "run_schedule", broken)
+    path = write_config(tmp_path, star_transfer_doc(tmp_path / "out"))
+    with pytest.raises(ValueError, match="bug in the propagator"):
+        cli.main(["simulate", "--config", path])
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

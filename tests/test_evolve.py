@@ -18,8 +18,8 @@ from clsnet.evolve import (
     run_schedule,
 )
 from clsnet.lattice import (
-    ConstantPulse,
     CrabTransferPulse,
+    LinearRamp,
     TablePulse,
     TimedHamiltonian,
     attach_pulse,
@@ -107,7 +107,7 @@ class TestEvolveStatic:
             evolve_static(M, np.array([1.0, 0, 0]), 1.0)
 
     def test_rejects_pulsed_hamiltonian(self):
-        H = attach_pulse(star_quarter(), (0, 2), ConstantPulse(0.25))
+        H = attach_pulse(star_quarter(), (0, 2), LinearRamp(0.25, 0.25, 1.0))
         with pytest.raises(ValueError):
             evolve_static(H, I_STATE, 1.0)
 
@@ -115,8 +115,8 @@ class TestEvolveStatic:
 class TestEvolveTimedep:
     def test_constant_pulses_reduce_to_static(self):
         H = star_quarter()
-        Hp = attach_pulse(H, (0, 2), ConstantPulse(0.25))
-        Hp = attach_pulse(Hp, (2, 2), ConstantPulse(0.5))
+        Hp = attach_pulse(H, (0, 2), LinearRamp(0.25, 0.25, 1.0))
+        Hp = attach_pulse(Hp, (2, 2), LinearRamp(0.5, 0.5, 1.0))
         psi_t = evolve_timedep(Hp, L_STATE, 0.0, 2 * np.pi, tol=1e-12)
         psi_s = evolve_static(H, L_STATE, 2 * np.pi)
         assert np.linalg.norm(psi_t - psi_s) < 1e-10
@@ -351,7 +351,7 @@ class TestScheduleValidation:
             Segment(1.0, 1.0)
 
     def test_pulsed_base_rejected(self):
-        H = attach_pulse(star_quarter(), (0, 2), ConstantPulse(0.25))
+        H = attach_pulse(star_quarter(), (0, 2), LinearRamp(0.25, 0.25, 1.0))
         with pytest.raises(ValueError):
             ProtocolSchedule(H, ())
 

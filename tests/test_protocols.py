@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from clsnet.evolve import (
+    HoppingFlip,
     ProtocolSchedule,
     end_hamiltonian,
     evolve_static,
@@ -15,13 +16,10 @@ from clsnet.protocols import (
     TransferParams,
     build_schedule,
     cls_state,
-    fastest_transfer_params,
-    hopping_flip,
     phase_flip,
     solve_generation_params,
     solve_seven_transfer_params,
     solve_transfer_params,
-    target_locally_symmetric,
 )
 
 ROOT2 = np.sqrt(2.0)
@@ -61,13 +59,6 @@ def test_transfer_params_rejects_non_integer_index():
 def test_transfer_params_consistency_guard():
     with pytest.raises(ValueError):
         TransferParams(v=0.3, T=2 * np.pi, k1=1, k2=0, J=0.25)
-
-
-def test_fastest_transfer_prefers_short_time_then_small_potential():
-    p = fastest_transfer_params(0.25)
-    assert_allclose(p.T, np.pi / (2 * 0.25), rtol=1e-15)
-    assert p.k2 == 0
-    assert abs(p.v) <= 2 * 0.25 + 1e-15
 
 
 def test_generation_params_reference_point():
@@ -128,25 +119,31 @@ def test_phase_flip_rejects_bad_site():
         phase_flip(cls_state("star", "I"), 5)
 
 
+def _flipped(M, *entries):
+    M = np.array(M)
+    for e in entries:
+        HoppingFlip(0.0, e).negate(M)
+    return M
+
+
 def test_hopping_flip_negates_one_coupling():
     H = build_star(0.25, 0.5)
-    Hf = hopping_flip(H, (0, 2))
-    assert Hf.base[0, 2] == -0.25
-    assert Hf.base[2, 0] == -0.25
+    M = _flipped(H.base, (0, 2))
+    assert M[0, 2] == -0.25
+    assert M[2, 0] == -0.25
     assert H.base[0, 2] == 0.25
 
 
 def test_hopping_flip_is_involution():
     H = build_star(0.25, 0.5)
-    Hf = hopping_flip(hopping_flip(H, (2, 3)), (3, 2))
-    assert_allclose(Hf.base, H.base, atol=0)
+    assert_allclose(_flipped(H.base, (2, 3), (3, 2)), H.base, atol=0)
 
 
 def test_hopping_flip_pair_preserves_star_spectrum():
     # negating J1 and J3 relabels eigenvectors but not energies
     H = build_star(0.25, 0.5)
-    Hf = hopping_flip(hopping_flip(H, (0, 2)), (2, 3))
-    assert_allclose(np.linalg.eigvalsh(Hf.base), np.linalg.eigvalsh(H.base),
+    M = _flipped(H.base, (0, 2), (2, 3))
+    assert_allclose(np.linalg.eigvalsh(M), np.linalg.eigvalsh(H.base),
                     atol=1e-14)
     assert_allclose(sorted(np.linalg.eigvalsh(H.base)),
                     [0.0, 0.5, 0.5, 0.5, 1.0], atol=1e-14)
@@ -154,8 +151,7 @@ def test_hopping_flip_pair_preserves_star_spectrum():
 
 def test_single_hopping_flip_swaps_dimer_eigenstate():
     # with only J2 negated the symmetric combination decouples instead
-    H = hopping_flip(build_star(0.25, 0.5), (1, 2))
-    M = H.base
+    M = _flipped(build_star(0.25, 0.5).base, (1, 2))
     sym = cls_state("star", "L")
     anti = cls_state("star", "I")
     assert np.linalg.norm(M @ sym - 0.5 * sym) < 1e-14
@@ -164,12 +160,12 @@ def test_single_hopping_flip_swaps_dimer_eigenstate():
 
 def test_hopping_flip_rejects_diagonal():
     with pytest.raises(ValueError):
-        hopping_flip(build_star(0.25, 0.5), (2, 2))
+        HoppingFlip(0.0, (2, 2))
 
 
 def test_hopping_flip_rejects_out_of_range():
     with pytest.raises(IndexError):
-        hopping_flip(build_star(0.25, 0.5), (0, 7))
+        _flipped(build_star(0.25, 0.5).base, (0, 7))
 
 
 # ------------------------------------------------------------- schedules
@@ -297,6 +293,19 @@ def test_piecewise_halves_match_direct_transfer_time():
     assert_allclose(2 * p.T, t.T, rtol=1e-15)
 
 
+def _ends_symmetric_on_target(s):
+    # the end Hamiltonian treats the two target-dimer sites alike:
+    # equal potentials, equal couplings to every other site
+    support = np.flatnonzero(np.abs(s.target_state) > 1e-12)
+    if support.size != 2:
+        return True
+    a, b = (int(x) for x in support)
+    M = end_hamiltonian(s)
+    rest = [k for k in range(M.shape[0]) if k not in (a, b)]
+    return bool(abs(M[a, a] - M[b, b]) <= 1e-12
+                and np.all(np.abs(M[rest, a] - M[rest, b]) <= 1e-12))
+
+
 def test_schedules_end_with_symmetric_target_dimer():
     p = solve_transfer_params(1, 0, 0.25)
     g = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
@@ -311,7 +320,7 @@ def test_schedules_end_with_symmetric_target_dimer():
         build_schedule("seven", "hopping-flip-transfer",
                        solve_seven_transfer_params(0, 1.0)),
     ):
-        assert target_locally_symmetric(s)
+        assert _ends_symmetric_on_target(s)
 
 
 def test_target_symmetry_helper_flags_broken_end():
@@ -325,7 +334,7 @@ def test_target_symmetry_helper_flags_broken_end():
         initial_state=cls_state("star", "I"),
         target_state=cls_state("star", "F"),
     )
-    assert not target_locally_symmetric(s)
+    assert not _ends_symmetric_on_target(s)
 
 
 def test_build_schedule_rejects_unsupported_combinations():

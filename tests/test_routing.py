@@ -138,7 +138,9 @@ def test_build_ramp_validates_input():
         build_ramp(H, ((3, 3),), "down", 1.0)
     with pytest.raises(ValueError, match="not in the ramp set"):
         build_ramp(H, entries, "down", 1.0, paired=(((1, 5), (0, 3)),))
-    H2 = H.with_entry((2, 5), 0.9 * J)
+    M = np.array(H.base)
+    M[2, 5] = M[5, 2] = 0.9 * J
+    H2 = TimedHamiltonian(M)
     with pytest.raises(ValueError, match="unequal base"):
         build_ramp(H2, entries, "down", 1.0, paired=(entries,))
 
@@ -264,8 +266,10 @@ def test_plan_route_disconnected_raises():
 
 def test_plan_route_requires_uniform_lattice():
     g, H = dll(1, 1)
+    M = np.array(H.base)
+    M[0, 1] = M[1, 0] = 2 * J
     with pytest.raises(ValueError, match="uniform"):
-        plan_route(g, H.with_entry((0, 1), 2 * J), (1, 2), (3, 4))
+        plan_route(g, TimedHamiltonian(M), (1, 2), (3, 4))
 
 
 def test_transfer_member_lookup():
@@ -358,6 +362,28 @@ def test_schedule_shared_dimer_pair_builds():
     assert tl.starts[1] == r1.duration
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the jump model covers couplings, not resting states: route 1 moves "
+    "its state into (21, 22) while route 2's state rests there, and "
+    "route 2 ends with fidelity 0.5627"))
+def test_shared_dimer_pair_keeps_both_states():
+    g, H = dll(3, 3)
+    r1 = plan_route(g, H, (16, 17), (26, 27))
+    r2 = plan_route(g, H, (21, 22), (23, 24))
+    rep = simulate_route(g, H, schedule_multi([r1, r2]))
+    assert all(f >= 1 - 1e-8 for f in rep.fidelities)
+
+
+def test_timeline_busy_follows_starts():
+    # the occupancy is derived from the routes and start times, so a
+    # late start moves the makespan with it
+    g, H = dll(1, 1)
+    r = plan_route(g, H, (1, 2), (3, 4))
+    tl = Timeline(routes=(r,), starts=(5.0,))
+    assert tl.busy == (((r.jumps[0].star.center, 5.0, 5.0 + r.duration),),)
+    assert tl.end == 5.0 + r.duration
+
+
 _VARIANTS = ("phase-flip-transfer", "hopping-flip-transfer")
 
 
@@ -391,8 +417,7 @@ def test_every_scheduled_timeline_builds(data):
 def test_verify_timeline_rejects_double_booked_star():
     g, H = dll(3, 3)
     r = plan_route(g, H, (16, 17), (21, 22))
-    tl = Timeline(routes=(r, r), starts=(0.0, 0.0),
-                  busy=(r.busy_relative(), r.busy_relative()))
+    tl = Timeline(routes=(r, r), starts=(0.0, 0.0))
     with pytest.raises(ValueError, match="both occupy star 20"):
         verify_timeline(tl)
 
@@ -402,8 +427,7 @@ def test_verify_timeline_rejects_ramps_on_different_profiles():
     g, H = dll(3, 3)
     r1 = plan_route(g, H, (3, 4), (1, 2), dt=1.0)
     r2 = plan_route(g, H, (6, 7), (8, 9), dt=2.0)
-    tl = Timeline(routes=(r1, r2), starts=(0.0, 0.0),
-                  busy=(r1.busy_relative(), r2.busy_relative()))
+    tl = Timeline(routes=(r1, r2), starts=(0.0, 0.0))
     with pytest.raises(ValueError, match=r"both hold coupling \(1, 5\)"):
         verify_timeline(tl)
 
