@@ -32,14 +32,15 @@ import numpy as np
 
 from .evolve import evolve_timedep_fixed, fidelity
 from .lattice import (
+    SEVEN_EDGES,
+    STAR_EDGES,
     CrabTransferPulse,
     CreationSevenPulse,
     CreationStarPulse,
     LinearRamp,
     TimeMirrored,
     TimedHamiltonian,
-    build_seven,
-    build_star,
+    _unit_matrix,
 )
 from .spectral import dimer_state
 
@@ -260,16 +261,18 @@ def assemble_hamiltonian(problem, p):
     kind = problem.kind
     overrides = {}
     if kind == "star-transfer":
-        H = build_star(p.floor, problem.v)
+        base = _unit_matrix(5, STAR_EDGES, p.floor, problem.v)
     elif kind == "seven-transfer":
         Ji = dict(problem.extra)["J_inner"]
-        H = build_seven([p.floor, p.floor, Ji, Ji, p.floor, p.floor],
-                        problem.v)
+        base = _unit_matrix(7, SEVEN_EDGES,
+                            [p.floor, p.floor, Ji, Ji, p.floor, p.floor],
+                            problem.v)
     elif kind == "star-creation":
-        H = build_star(0.0, problem.v)
+        base = _unit_matrix(5, STAR_EDGES, 0.0, problem.v)
     else:
-        H = build_seven([p.floor, p.floor, 0.0, 0.0, p.floor, p.floor],
-                        problem.v)
+        base = _unit_matrix(7, SEVEN_EDGES,
+                            [p.floor, p.floor, 0.0, 0.0, p.floor, p.floor],
+                            problem.v)
         overrides[(2, 3)] = LinearRamp(0.0, p.horizon / (2 * np.pi),
                                        p.horizon)
     for n, entry in _CHANNELS[kind]:
@@ -277,7 +280,7 @@ def assemble_hamiltonian(problem, p):
         if kind == "star-creation":
             pulse = TimeMirrored(pulse, p.horizon)
         overrides[entry] = pulse
-    return TimedHamiltonian(H.base, overrides)
+    return TimedHamiltonian(base, overrides)
 
 
 def infidelity_objective(problem, p):

@@ -10,6 +10,18 @@ convergence pair of n and 2n steps, growing n until the worst column
 deviates by at most tol times the duration; the result and every
 sample come from the finer run of the accepted pair.
 
+Every network the package builds is bipartite with a uniform on-site
+potential: hubs and connectors couple only to dimer sites.  For such
+an H the integrator builds each exponential in closed form through
+the Gram matrix of the couplings out of the smaller sublattice (p
+sites: 1 on the star, 2 on the seven-site unit, 9 on the 3x3 DLL)
+instead of a full n x n eigh.  It is the same matrix function, so the
+result agrees to round-off; and since each exponential acts on a
+state through the couplings alone, a state they annihilate, such as
+an antisymmetric dimer state under symmetric driving, is left alone
+by every step, not just to the integrator's tolerance.  Any other H
+takes the generic n x n path.
+
 A :class:`ProtocolSchedule` is an ordered timeline of instantaneous
 events (phase flips on the state, sign flips on couplings) and
 evolution segments.  Segments may carry their own pulsed Hamiltonian;
@@ -97,18 +109,81 @@ def _chain_product(stack):
     return stack[0]
 
 
+def _sublattice_exponentials(C, h):
+    """Real-frame exponentials of the chiral generators K = [[0, C], [C^T, 0]].
+
+    ``C`` is a (k, p, q) stack of real couplings from sublattice A (p
+    sites) to B (q sites).  With C C^T = W diag(s^2) W^T,
+
+        exp(-i h K) = [[W cos(hs) W^T,   -i W g W^T C      ],
+                       [-i C^T W g W^T,  I + C^T W f W^T C ]]
+
+    where g = sin(hs)/s and f = (cos(hs) - 1)/s^2 are entire functions
+    of s^2, so zero or tiny singular values cost no accuracy.  Returns
+    the real (k, p+q, p+q) stack F exp(-i h K) F^-1 in the frame
+    F = diag(1_A, -i 1_B): there the off-diagonal blocks are S and
+    -S^T with S = W g W^T C, so products of steps stay real.
+    """
+    k, p, q = C.shape
+    n = p + q
+    lam, W = np.linalg.eigh(C @ C.swapaxes(1, 2))
+    hs = h * np.sqrt(np.maximum(lam, 0.0))
+    Wt = np.ascontiguousarray(W.swapaxes(1, 2))
+    WtC = Wt @ C
+    CtW = np.ascontiguousarray(WtC.swapaxes(1, 2))
+    g = (h * np.sinc(hs / np.pi))[:, :, None]
+    f = (-0.5 * h * h * np.sinc(hs / (2 * np.pi)) ** 2)[:, :, None]
+    # blocks are written in place, each by a matmul of contiguous factors
+    R = np.empty((k, n, n))
+    np.matmul(W, np.cos(hs)[:, :, None] * Wt, out=R[:, :p, :p])
+    np.matmul(W, g * WtC, out=R[:, :p, p:])
+    np.matmul(CtW, -g * Wt, out=R[:, p:, :p])
+    np.matmul(CtW, f * WtC, out=R[:, p:, p:])
+    R.reshape(k, n * n)[:, p * (n + 1)::n + 1] += 1.0
+    return R
+
+
 def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
     """Fixed-step commutator-free propagation of psi over [t0, t1].
 
     Times refer to the pulse clock of ``H``; ``psi0`` is (n,) or (n, k).
     Returns (final_state, samples) where samples is a list of states
     taken after every ``record_every`` steps (or None if not requested).
+
+    When ``H`` has a chiral split (uniform on-site potential v, no
+    driven diagonal, 2-colourable coupling graph; see
+    ``TimedHamiltonian._sublattices``), every CF4 generator is
+    (v/2) I + [[0, C], [C^T, 0]] in the split's site order, so each
+    exponential is the phase e^{-ihv/2} times a closed form built from
+    the eigenvectors of the p x p Gram matrix C C^T of the smaller
+    sublattice (:func:`_sublattice_exponentials`).  That is the same
+    matrix function as the generic n x n eigh path, evaluated on fewer
+    sites.  The state runs permuted to A-first order, in the frame
+    where those exponentials are real; the phase and the frame are
+    undone for every sample and the result.  Any other H takes the
+    generic path.
     """
     n = int(n_steps)
     h = (t1 - t0) / n
     if t0 + 0.5 * h == t0:
         raise RuntimeError(f"step size underflow: h={h!r} vanishes at t={t0!r}")
     psi = np.asarray(psi0, dtype=complex).copy()
+    split = H._sublattices
+    if split is None:
+        def state(phi, steps):
+            return phi.copy()
+    else:
+        order, p = split
+        a, b = order[:p], order[p:]
+        v = H.base[0, 0]
+        psi = psi[order]
+        psi[p:] *= -1j
+
+        def state(phi, steps):
+            out = np.empty_like(phi)
+            out[a] = phi[:p]
+            out[b] = 1j * phi[p:]
+            return out * np.exp(-1j * v * h * steps)
     samples = [] if record_every else None
     done = 0
     while done < n:
@@ -116,9 +191,14 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
         ts = t0 + (done + np.arange(m)) * h
         A1 = evaluate_grid(H, ts + _C1 * h)
         A2 = evaluate_grid(H, ts + _C2 * h)
-        stacked = np.concatenate([_X2 * A1 + _X1 * A2, _X1 * A1 + _X2 * A2])
-        w, V = np.linalg.eigh(stacked)
-        E = np.einsum("kij,kj,klj->kil", V, np.exp(-1j * h * w), V.conj())
+        if split is None:
+            stacked = np.concatenate([_X2 * A1 + _X1 * A2, _X1 * A1 + _X2 * A2])
+            w, V = np.linalg.eigh(stacked)
+            E = np.einsum("kij,kj,klj->kil", V, np.exp(-1j * h * w), V.conj())
+        else:
+            C1, C2 = A1[:, a[:, None], b], A2[:, a[:, None], b]
+            E = _sublattice_exponentials(
+                np.concatenate([_X2 * C1 + _X1 * C2, _X1 * C1 + _X2 * C2]), h)
         U = E[m:] @ E[:m]
         if record_every:
             marks = [k for k in range(1, m + 1)
@@ -128,12 +208,12 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
         start = 0
         for stop in marks:
             psi = _chain_product(U[start:stop]) @ psi
-            samples.append(psi.copy())
+            samples.append(state(psi, done + stop))
             start = stop
         if start < m:
             psi = _chain_product(U[start:]) @ psi
         done += m
-    return psi, samples
+    return state(psi, n), samples
 
 
 def evolve_timedep_fixed(H, psi0, t0, t1, n_steps):

@@ -20,6 +20,8 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -328,6 +330,61 @@ class TimedHamiltonian:
     def static(self):
         return not self.overrides
 
+    @cached_property
+    def _sublattices(self):
+        """Chiral split of the sites: (order, p) with sublattice A first.
+
+        Defined when the on-site potential is uniform, no pulse drives a
+        diagonal entry, and the graph of nonzero base couplings plus
+        driven entries is 2-colourable.  Then H(t) = v*I + [[0, C(t)],
+        [C(t)^T, 0]] in the basis ``order``, whose first ``p`` sites form
+        A: the smaller colour class of each connected component (an
+        isolated site joins B).  Otherwise None.  Computed on first use.
+        """
+        base = self.base
+        n = base.shape[0]
+        diag = np.diagonal(base)
+        if (diag != diag[0]).any() or any(i == j for i, j in self.overrides):
+            return None
+        adjacent = [[] for _ in range(n)]
+        rows, cols = np.nonzero(np.triu(base, 1))
+        for i, j in chain(zip(rows.tolist(), cols.tolist()), self.overrides):
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        colour = [-1] * n
+        a_sites, b_sites = [], []
+        for root in range(n):
+            if colour[root] >= 0:
+                continue
+            colour[root] = 0
+            classes = ([root], [])
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                for j in adjacent[i]:
+                    if colour[j] < 0:
+                        colour[j] = 1 - colour[i]
+                        classes[colour[j]].append(j)
+                        stack.append(j)
+                    elif colour[j] == colour[i]:
+                        return None
+            small, large = sorted(classes, key=len)
+            a_sites += small
+            b_sites += large
+        return np.array(sorted(a_sites) + sorted(b_sites)), len(a_sites)
+
+
+def _unit_matrix(n, edges, J, v):
+    """Base matrix of an n-site unit: couplings ``J`` (scalar or one per
+    edge, in ``edges`` order) and on-site potentials ``v`` (scalar or
+    one per site)."""
+    J = np.broadcast_to(np.asarray(J, dtype=float), (len(edges),))
+    v = np.broadcast_to(np.asarray(v, dtype=float), (n,))
+    base = np.diag(v)
+    for coupling, (i, j) in zip(J, edges):
+        base[i, j] = base[j, i] = coupling
+    return base
+
 
 def build_star(J, v):
     """Five-site star Hamiltonian: four outer sites coupled to a hub.
@@ -344,12 +401,7 @@ def build_star(J, v):
     -------
     TimedHamiltonian
     """
-    J = np.broadcast_to(np.asarray(J, dtype=float), (4,))
-    v = np.broadcast_to(np.asarray(v, dtype=float), (5,))
-    base = np.diag(v).copy()
-    for coupling, (i, j) in zip(J, STAR_EDGES):
-        base[i, j] = base[j, i] = coupling
-    return TimedHamiltonian(base, {})
+    return TimedHamiltonian(_unit_matrix(5, STAR_EDGES, J, v), {})
 
 
 def star_graph():
@@ -377,12 +429,7 @@ def build_seven(J, v):
     -------
     TimedHamiltonian
     """
-    J = np.broadcast_to(np.asarray(J, dtype=float), (6,))
-    v = np.broadcast_to(np.asarray(v, dtype=float), (7,))
-    base = np.diag(v).copy()
-    for coupling, (i, j) in zip(J, SEVEN_EDGES):
-        base[i, j] = base[j, i] = coupling
-    return TimedHamiltonian(base, {})
+    return TimedHamiltonian(_unit_matrix(7, SEVEN_EDGES, J, v), {})
 
 
 def seven_graph():

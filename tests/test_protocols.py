@@ -158,11 +158,6 @@ def test_single_hopping_flip_swaps_dimer_eigenstate():
     assert np.linalg.norm(M @ anti - 0.5 * anti) > 0.3
 
 
-def test_hopping_flip_rejects_diagonal():
-    with pytest.raises(ValueError):
-        HoppingFlip(0.0, (2, 2))
-
-
 def test_hopping_flip_rejects_out_of_range():
     with pytest.raises(IndexError):
         _flipped(build_star(0.25, 0.5).base, (0, 7))
