@@ -38,8 +38,9 @@ cref = crab.REFERENCE_PARAMS["star-creation"]
 print("\nstar creation, reference parameters:")
 print("  verified infidelity:", crab.verify_infidelity(cp, cref))
 
-times, table = crab.pulse_table(cp, cref, n_times=9)
-print("  J_1 samples:", [round(x, 4) for x in table[1]])
+# the table samples 201 uniform times; every 25th gives nine
+times, table = crab.pulse_table(cp, cref)
+print("  J_1 samples:", [round(float(x), 4) for x in table[1][::25]])
 print("  min over the table:", min(table[1]))
 
 # ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -103,13 +104,18 @@ def _only_keys(d, allowed, where):
     _expect(not extra, where, f"unknown keys {extra}")
 
 
+def _is_finite_number(v):
+    # json reads NaN and Infinity as floats; bool is a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
 def _number(d, key, where, default=None, required=False):
     if key not in d:
         _expect(not required, where, f"missing required key {key!r}")
         return default
     v = d[key]
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-            where, f"{key} must be a number")
+    _expect(_is_finite_number(v), where, f"{key} must be a finite number")
     return float(v)
 
 
@@ -127,7 +133,8 @@ def _integer(d, key, where, default=None, required=False, minimum=None):
 
 def _site_pair(obj, where):
     _expect(isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(x, int) for x in obj),
+            and all(isinstance(x, int) and not isinstance(x, bool)
+                    for x in obj),
             where, "expected a pair of site indices")
     return [int(obj[0]), int(obj[1])]
 
@@ -159,8 +166,9 @@ def _parse_parameters(raw, system):
         want = 4 if kind == "star" else 6
         cs = raw["couplings"]
         _expect(isinstance(cs, list) and len(cs) == want
-                and all(isinstance(x, (int, float)) for x in cs),
-                "parameters.couplings", f"must be a list of {want} numbers")
+                and all(_is_finite_number(x) for x in cs),
+                "parameters.couplings",
+                f"must be a list of {want} finite numbers")
         out["couplings"] = [float(x) for x in cs]
     if "J_prime" in raw:
         out["J_prime"] = _number(raw, "J_prime", "parameters")
@@ -681,6 +689,9 @@ def main(argv=None):
             out_dir = Path(args.out or ".")
             return cmd_verify(args.criterion, out_dir)
         sc = _apply_overrides(load_config(args.config), args)
+        _expect(sc.action["kind"] == args.command, "action.kind",
+                f"the config asks for {sc.action['kind']!r}, but the "
+                f"command is {args.command!r}")
         out_dir = Path(sc.output["dir"])
         handler = {"spectrum": cmd_spectrum, "simulate": cmd_simulate,
                    "optimize": cmd_optimize, "route": cmd_route}

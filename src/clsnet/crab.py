@@ -81,6 +81,17 @@ _ARITY = {
     "seven-creation": (2, 2, 2),
 }
 
+# pulse duration T per ansatz kind
+_HORIZON = {
+    "star-transfer": 2 * np.pi,
+    "seven-transfer": 4 * np.pi,
+    "star-creation": np.pi,
+    "seven-creation": 2 * np.pi,
+}
+
+# the simplex stops once every vertex lies this close to the best one
+_SPREAD_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CrabParams:
@@ -124,8 +135,6 @@ class OptResult:
     best_params: CrabParams
     infidelity: float
     evaluations: int
-    restarts_used: int
-    seed: int
     log: tuple = ()
 
     def __post_init__(self):
@@ -135,7 +144,7 @@ class OptResult:
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """A pulse-design task: evolve ``initial_state`` for the params'
+    """A pulse-design task: evolve ``initial_state`` for the kind's
     horizon under the kind's ansatz and hit ``target_state``."""
 
     kind: str
@@ -143,13 +152,16 @@ class ControlProblem:
     target_state: np.ndarray
     v: float
     floor: float
-    horizon: float
     n_steps: int
     extra: tuple = ()
 
     @property
     def arity(self):
         return _ARITY[self.kind]
+
+    @property
+    def horizon(self):
+        return _HORIZON[self.kind]
 
     def make_params(self, x, xp, omega):
         p = CrabParams(x=tuple(np.atleast_1d(x)), xp=tuple(np.atleast_1d(xp)),
@@ -159,40 +171,39 @@ class ControlProblem:
         return p
 
 
-def star_transfer(J=0.25, v=0.5, T=2 * np.pi, n_steps=1024):
+def star_transfer(J=0.25, v=0.5, n_steps=1024):
     """Dimer-to-dimer transfer across the star hub, all four couplings
     driven, duration one family period."""
     return ControlProblem("star-transfer", dimer_state(5, (0, 1)),
-                          dimer_state(5, (3, 4)), v, J, T, n_steps)
+                          dimer_state(5, (3, 4)), v, J, n_steps)
 
 
-def star_creation(J=0.25, v=0.5, T=np.pi, n_steps=512):
+def star_creation(J=0.25, v=0.5, n_steps=512):
     """Hub excitation to stored dimer state on the star; only the input
     dimer couplings are active, ramping up from zero."""
     psi0 = np.zeros(5)
     psi0[2] = 1.0
     return ControlProblem("star-creation", psi0, dimer_state(5, (0, 1)),
-                          v, J, T, n_steps)
+                          v, J, n_steps)
 
 
 def seven_transfer(J=1 / (4 * np.sqrt(2.0)), J_inner=3.0, v=0.5,
-                   T=4 * np.pi, n_steps=2048):
+                   n_steps=2048):
     """Dimer-to-dimer transfer across the seven-site unit; the four
     outer couplings are driven, the two inner ones held constant."""
     return ControlProblem("seven-transfer", dimer_state(7, (0, 1)),
-                          dimer_state(7, (5, 6)), v, J, T, n_steps,
+                          dimer_state(7, (5, 6)), v, J, n_steps,
                           extra=(("J_inner", J_inner),))
 
 
-def seven_creation(J=1 / (4 * np.sqrt(2.0)), v=0.5, T=2 * np.pi,
-                   n_steps=1024):
+def seven_creation(J=1 / (4 * np.sqrt(2.0)), v=0.5, n_steps=1024):
     """Hub excitation to stored dimer state on the seven-site unit; the
     inner coupling ramps linearly from zero while the input dimer
     couplings are driven."""
     psi0 = np.zeros(7)
     psi0[3] = 1.0
     return ControlProblem("seven-creation", psi0, dimer_state(7, (0, 1)),
-                          v, J, T, n_steps)
+                          v, J, n_steps)
 
 
 REFERENCE_PARAMS = {
@@ -303,13 +314,14 @@ def _infidelity(problem, p, n_steps):
     return max(0.0, 1.0 - fidelity(psi, problem.target_state))
 
 
-def pulse_table(problem, p, n_times=201):
-    """Uniform-grid sample of every driven coupling, declared profile.
+def pulse_table(problem, p):
+    """Sample of every driven coupling, declared profile, at 201
+    uniform times over the horizon.
 
     Returns (times, {channel: values}); creation kinds include the
     ramped partner channels so the table plots complete.
     """
-    times = np.linspace(0.0, p.horizon, n_times)
+    times = np.linspace(0.0, p.horizon, 201)
     table = {n: eval_pulse(problem.kind, n, times, p)
              for n, _ in _CHANNELS[problem.kind]}
     if problem.kind == "seven-creation":
@@ -320,13 +332,13 @@ def pulse_table(problem, p, n_times=201):
 # ------------------------------------------------------------ optimizer
 
 
-def nelder_mead(objective, x0, max_evals=20000, spread_tol=1e-12):
+def nelder_mead(objective, x0, max_evals=20000):
     """Downhill simplex search (reflection 1, expansion 2, contraction
     0.5, shrink 0.5).
 
     The initial simplex perturbs each coordinate by 5% (0.05 absolute
-    at zero).  Terminates when every vertex lies within ``spread_tol``
-    of the best one in the max norm, or on the evaluation budget.
+    at zero).  Terminates when every vertex lies within 1e-12 of the
+    best one in the max norm, or on the evaluation budget.
     Deterministic; raises if the objective goes non-finite.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -357,7 +369,7 @@ def nelder_mead(objective, x0, max_evals=20000, spread_tol=1e-12):
     while evals < max_evals:
         order = np.argsort(vals, kind="stable")
         pts, vals = pts[order], vals[order]
-        if np.max(np.abs(pts[1:] - pts[0])) < spread_tol:
+        if np.max(np.abs(pts[1:] - pts[0])) < _SPREAD_TOL:
             break
         centroid = pts[:-1].mean(axis=0)
         xr = centroid + (centroid - pts[-1])
@@ -390,61 +402,49 @@ def nelder_mead(objective, x0, max_evals=20000, spread_tol=1e-12):
     return pts[best].copy(), float(vals[best])
 
 
-def _pack(p, include_omega):
-    vec = list(p.x) + list(p.xp)
-    if include_omega:
-        vec += list(p.omega)
-    return np.array(vec, dtype=float)
+def _unpack(problem, vec, omega=None):
+    """Params from a simplex vector: the amplitudes x and xp, then the
+    frequencies unless ``omega`` holds them fixed."""
+    nx, nxp, _ = problem.arity
+    w = vec[nx + nxp:] if omega is None else omega
+    return problem.make_params(vec[:nx], vec[nx:nx + nxp], w)
 
 
-def _unpack(problem, vec, include_omega, omega=None):
-    nx, nxp, nw = problem.arity
-    x = vec[:nx]
-    xp = vec[nx:nx + nxp]
-    w = vec[nx + nxp:nx + nxp + nw] if include_omega else omega
-    return problem.make_params(x, xp, w)
-
-
-def _objective_from_vector(problem, include_omega, omega=None):
+def _objective_from_vector(problem, omega=None):
     def g(vec):
-        return infidelity_objective(
-            problem, _unpack(problem, vec, include_omega, omega))
+        return infidelity_objective(problem, _unpack(problem, vec, omega))
     return g
 
 
-def refine(problem, p, include_omega=True, max_evals=20000,
-           spread_tol=1e-12):
-    """Local simplex refinement seeded at ``p``; frequencies join the
-    search by default.  Returns (params, infidelity)."""
+def refine(problem, p):
+    """Local simplex refinement seeded at ``p`` over amplitudes and
+    frequencies together, on a budget of 20000 evaluations.  Returns
+    (params, infidelity)."""
     _check_arity(problem.kind, p)
-    g = _objective_from_vector(problem, include_omega, p.omega)
-    xb, fb = nelder_mead(g, _pack(p, include_omega), max_evals=max_evals,
-                         spread_tol=spread_tol)
-    return _unpack(problem, xb, include_omega, p.omega), fb
+    xb, fb = nelder_mead(_objective_from_vector(problem),
+                         np.array(p.x + p.xp + p.omega))
+    return _unpack(problem, xb), fb
 
 
-def optimize_crab(problem, n_restarts=32, seed=0,
-                  omega_range=OMEGA_RANGE, refine_omega=None,
-                  max_evals=20000, spread_tol=1e-12):
+def optimize_crab(problem, n_restarts=32, seed=0, max_evals=20000):
     """Seeded multistart pulse search.
 
-    Each restart k draws its frequencies uniformly from ``omega_range``
+    Each restart k draws its frequencies uniformly from ``OMEGA_RANGE``
     and its starting amplitudes from U(0, 3) with an independent
     generator derived from (seed, k), then runs the simplex on the
-    amplitudes.  Zero starting amplitudes would strand the search on
-    the flat stored-state plateau, hence the draw; the upper end
-    brackets the reference amplitude sets.  The creation ansatz on the
-    star is small enough that its frequencies always join the simplex,
-    and ``refine_omega=True`` forces that for the other kinds too.
-    Restarts are merged by (infidelity, restart index), so the result
-    is reproducible from the seed alone.
+    amplitudes, at most ``max_evals`` evaluations per restart.  Zero
+    starting amplitudes would strand the search on the flat
+    stored-state plateau, hence the draw; the upper end brackets the
+    reference amplitude sets.  The creation ansatz on the star is small
+    enough that its frequencies join the simplex too.  Restarts are
+    merged by (infidelity, restart index), so the result is
+    reproducible from the seed alone.
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be at least 1")
     nx, nxp, nw = problem.arity
-    if refine_omega is None:
-        refine_omega = problem.kind == "star-creation"
-    lo, hi = omega_range
+    refine_omega = problem.kind == "star-creation"
+    lo, hi = OMEGA_RANGE
 
     log = []
     total_evals = 0
@@ -454,18 +454,17 @@ def optimize_crab(problem, n_restarts=32, seed=0,
         omega = rng.uniform(lo, hi, size=nw)
         amps = rng.uniform(0.0, 3.0, size=nx + nxp)
         x0 = np.concatenate([amps, omega]) if refine_omega else amps
+        fixed = None if refine_omega else tuple(omega)
 
         evals = 0
 
-        def counted(vec, _g=_objective_from_vector(problem, refine_omega,
-                                                   tuple(omega))):
+        def counted(vec, _g=_objective_from_vector(problem, fixed)):
             nonlocal evals
             evals += 1
             return _g(vec)
 
-        xb, fb = nelder_mead(counted, x0, max_evals=max_evals,
-                             spread_tol=spread_tol)
-        params = _unpack(problem, xb, refine_omega, tuple(omega))
+        xb, fb = nelder_mead(counted, x0, max_evals=max_evals)
+        params = _unpack(problem, xb, fixed)
         total_evals += evals
         log.append({"restart": k, "omega": tuple(omega),
                     "infidelity": fb, "evaluations": evals})
@@ -473,5 +472,4 @@ def optimize_crab(problem, n_restarts=32, seed=0,
             best = (fb, k, params)
 
     return OptResult(best_params=best[2], infidelity=best[0],
-                     evaluations=total_evals, restarts_used=n_restarts,
-                     seed=seed, log=tuple(log))
+                     evaluations=total_evals, log=tuple(log))

@@ -63,8 +63,6 @@ class Pulse:
     of times and returning the same shape.  Pulses are immutable.
     """
 
-    kind = "abstract"
-
     def value(self, t):
         raise NotImplementedError
 
@@ -80,7 +78,6 @@ class LinearRamp(Pulse):
     start: float
     end: float
     duration: float
-    kind = "linear-ramp"
 
     def __post_init__(self):
         if not self.duration > 0:
@@ -112,10 +109,6 @@ class CrabTransferPulse(Pulse):
     omega: float
     env_div: float = 2.0
 
-    @property
-    def kind(self):
-        return "crab-star" if self.env_div == 2.0 else "crab-seven"
-
     def value(self, t):
         t = np.asarray(t, dtype=float)
         bracket = self.x * np.sin(self.omega * t) + self.xp * np.cos(self.omega * t)
@@ -140,7 +133,6 @@ class CreationStarPulse(Pulse):
     omegap: float
     amplitude: float
     horizon: float
-    kind = "creation-star"
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -163,7 +155,6 @@ class CreationSevenPulse(Pulse):
     x: float
     xp: float
     omega: float
-    kind = "creation-seven"
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -181,7 +172,6 @@ class TablePulse(Pulse):
 
     times: tuple
     values: tuple
-    kind = "custom-table"
 
     def __post_init__(self):
         if len(self.times) != len(self.values) or len(self.times) < 2:
@@ -200,15 +190,10 @@ class TimeMirrored(Pulse):
 
     Used to run a pulse profile in the opposite time direction, e.g.
     to turn a decoupling profile into the matching coupling profile.
-    The reported kind is the inner pulse's kind.
     """
 
     inner: Pulse
     horizon: float
-
-    @property
-    def kind(self):
-        return self.inner.kind
 
     def value(self, t):
         return self.inner.value(self.horizon - np.asarray(t, dtype=float)) \

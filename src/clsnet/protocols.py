@@ -73,6 +73,11 @@ def _require_int(value, label):
     return int(value)
 
 
+def _require_coupling(J):
+    if J == 0:
+        raise ValueError("flip transfer needs a nonzero coupling J")
+
+
 @dataclass(frozen=True)
 class TransferParams:
     """Potential and duration of one flip-transfer family member.
@@ -92,8 +97,9 @@ class TransferParams:
     graph: str = "star"
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"transfer time must be positive, got {self.T}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"transfer time must be positive and finite, "
+                             f"got {self.T}")
         if self.graph == "star":
             expect_v = self.J * (4 * self.k1 / (1 + 2 * self.k2) - 2)
             expect_T = np.pi * (1 + 2 * self.k2) / (2 * self.J)
@@ -109,8 +115,9 @@ class TransferParams:
 def solve_transfer_params(k1, k2, J):
     """Star flip-transfer family member for integer indices (k1, k2).
 
-    Raises for indices that give a non-positive duration.
+    Raises for J = 0 and for indices that give a non-positive duration.
     """
+    _require_coupling(J)
     k1 = _require_int(k1, "k1")
     k2 = _require_int(k2, "k2")
     if 1 + 2 * k2 == 0:
@@ -127,6 +134,7 @@ def solve_transfer_params(k1, k2, J):
 
 def solve_seven_transfer_params(k, J, v=0.0):
     """Seven-site flip-transfer family member (inner couplings sqrt3*J)."""
+    _require_coupling(J)
     k = _require_int(k, "k")
     T = np.pi * (2 * k + 1) / (np.sqrt(2.0) * J)
     return TransferParams(v=v, T=T, k1=k, k2=None, J=J, graph="seven")

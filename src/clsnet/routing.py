@@ -31,7 +31,8 @@ from .evolve import (
     run_schedule,
 )
 from .lattice import LinearRamp, TimedHamiltonian
-from .protocols import TransferParams, solve_transfer_params
+from .protocols import TransferParams, _require_coupling, \
+    solve_transfer_params
 from .spectral import dimer_state
 
 __all__ = [
@@ -147,7 +148,6 @@ class RouteReport:
     fidelities: tuple
     per_jump: tuple
     final_states: tuple
-    combined_final: np.ndarray
     norm_drift: float
     timeline: Timeline = field(repr=False)
 
@@ -204,13 +204,13 @@ def _ramp_slice(base_v, r0, r1, direction, b, b2):
     return LinearRamp(base_v * s, base_v * s2, b2 - b)
 
 
-def build_ramp(H, entries, direction, dt, paired=(), t0=0.0):
-    """Linear ramp segment over [t0, t0+dt] for the given entries.
+def build_ramp(H, entries, direction, dt):
+    """Linear ramp segment over [0, dt] for the given entries.
 
     ``direction`` 'down' takes each entry from its base value to
-    exactly 0, 'up' the reverse.  Entry pairs listed in ``paired`` are
-    constrained to identical profiles, which requires equal base
-    values; this is what keeps a stored dimer state unperturbed.
+    exactly 0, 'up' the reverse.  Entries with equal base values get
+    identical profiles, which is what keeps a stored dimer state
+    unperturbed.
     """
     if not isinstance(H, TimedHamiltonian) or not H.static:
         raise ValueError("ramps are built from a static Hamiltonian")
@@ -221,20 +221,13 @@ def build_ramp(H, entries, direction, dt, paired=(), t0=0.0):
     entries = [tuple(sorted(e)) for e in entries]
     if len(set(entries)) != len(entries):
         raise ValueError("duplicate ramp entries")
-    for a, b in paired:
-        a, b = tuple(sorted(a)), tuple(sorted(b))
-        if a not in entries or b not in entries:
-            raise ValueError(f"paired entries {(a, b)} not in the ramp set")
-        if abs(H.base[a] - H.base[b]) > 1e-12:
-            raise ValueError(f"paired entries {(a, b)} have unequal base "
-                             "values; their profiles cannot match")
     overrides = {}
     for e in entries:
         if e[0] == e[1]:
             raise ValueError("cannot ramp a diagonal entry")
         overrides[e] = _ramp_slice(float(H.base[e]), 0.0, dt, direction,
                                    0.0, dt)
-    return Segment(t0, t0 + dt, TimedHamiltonian(H.base, overrides))
+    return Segment(0.0, dt, TimedHamiltonian(H.base, overrides))
 
 
 def dimer_adjacency(graph):
@@ -253,10 +246,11 @@ def dimer_adjacency(graph):
     return {d: tuple(sorted(v)) for d, v in adj.items()}
 
 
-def transfer_member_for(J, v, k2_range=range(0, 8)):
+def transfer_member_for(J, v):
     """Flip-transfer family member matching a lattice's (J, v), with
-    the smallest admissible duration."""
-    for k2 in k2_range:
+    the smallest duration among k2 = 0..7."""
+    _require_coupling(J)
+    for k2 in range(8):
         x = (v / J + 2.0) * (1 + 2 * k2) / 4.0
         k1 = round(x)
         if abs(k1 - x) < 1e-9:
@@ -463,32 +457,29 @@ def timeline_schedule(graph, H, tl):
     return ProtocolSchedule(TimedHamiltonian(H.base, {}), tuple(items))
 
 
-def simulate_route(graph, H, tl, psi0=None, tol=1e-11):
+def simulate_route(graph, H, tl, tol=1e-11):
     """Run every route of a timeline on the full lattice state.
 
     Each route's source CLS is propagated under the one shared
     time-dependent Hamiltonian (flips included), so concurrent routes
     see each other's ramps exactly as a single joint state would by
-    linearity.  The sources and the combined state (``psi0``, shape
-    (n,), by default the uniform superposition of the sources) run as
-    the columns of one (n, k+1) block in a single :func:`run_schedule`
-    pass.  Returns per-route fidelities to the destination CLS, a
-    per-jump fidelity table, and the evolved combined state.
+    linearity.  The k sources run as the columns of one (n, k) block
+    in a single :func:`run_schedule` pass.  Returns per-route
+    fidelities to the destination CLS, a per-jump fidelity table, the
+    final route states and the largest norm drift of any column.
     """
     n = graph.n_sites
     sources = [dimer_state(n, plan.source) for plan in tl.routes]
     targets = [dimer_state(n, plan.destination) for plan in tl.routes]
-    if psi0 is None:
-        psi0 = sum(sources) / np.sqrt(len(sources)) if sources else None
 
     if tl.end == 0.0:
         fids = tuple(fidelity(s, t) for s, t in zip(sources, targets))
         return RouteReport(fids, tuple(() for _ in tl.routes),
-                           tuple(sources), psi0, 0.0, tl)
+                           tuple(sources), 0.0, tl)
 
     schedule = timeline_schedule(graph, H, tl)
-    traj = run_schedule(schedule, np.column_stack(sources + [psi0]), tol=tol)
-    finals = tuple(traj.final_state[:, :-1].T)
+    traj = run_schedule(schedule, np.column_stack(sources), tol=tol)
+    finals = tuple(traj.final_state.T)
     fids, per_jump = [], []
     for r, (plan, start, tgt) in enumerate(zip(tl.routes, tl.starts, targets)):
         fids.append(fidelity(finals[r], tgt))
@@ -498,9 +489,5 @@ def simulate_route(graph, H, tl, psi0=None, tol=1e-11):
             out_state = dimer_state(n, j.star.dimer_out)
             table.append((t, fidelity(traj.states[idx, :, r], out_state)))
         per_jump.append(tuple(table))
-
-    # the drift of the route columns only: a caller's psi0 may be unnormalized
-    norms = np.linalg.norm(traj.states[:, :, :-1], axis=1)
-    drift = float(np.max(np.abs(norms - 1.0)))
     return RouteReport(tuple(fids), tuple(per_jump), finals,
-                       traj.final_state[:, -1], drift, tl)
+                       traj.norm_drift, tl)

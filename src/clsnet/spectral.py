@@ -55,12 +55,13 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def clusters(self, gap=CLUSTER_GAP):
-        """Index ranges of degenerate groups, split at gaps > ``gap``."""
+    def clusters(self):
+        """Index ranges of degenerate groups, split at gaps above
+        ``CLUSTER_GAP``."""
         w = self.eigenvalues
         if w.size == 0:
             return []
-        cuts = np.flatnonzero(np.diff(w) > gap) + 1
+        cuts = np.flatnonzero(np.diff(w) > CLUSTER_GAP) + 1
         return [range(a, b) for a, b in
                 zip(np.r_[0, cuts], np.r_[cuts, w.size])]
 

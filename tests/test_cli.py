@@ -117,6 +117,28 @@ def test_digest_ignores_output_dir_only():
                  "schedule": {"variant": "phase-flip-transfer", "k1": 1,
                               "k2": 0, "options": {"in_site": 0}}}},
      "unknown keys ['options']"),
+    # json reads NaN and Infinity; none of them is a usable number
+    ({"system": {"kind": "star"}, "parameters": {"J": float("nan")},
+      "action": {"kind": "spectrum"}},
+     "parameters: J must be a finite number"),
+    ({"system": {"kind": "star"}, "parameters": {"v": float("-inf")},
+      "action": {"kind": "spectrum"}},
+     "parameters: v must be a finite number"),
+    ({"system": {"kind": "star"}, "action": {"kind": "spectrum"},
+      "integrator": {"tol": float("inf")}},
+     "integrator: tol must be a finite number"),
+    ({"system": {"kind": "star"},
+      "parameters": {"couplings": [0.25, 0.25, True, 0.25]},
+      "action": {"kind": "spectrum"}},
+     "parameters.couplings: must be a list of 4 finite numbers"),
+    ({"system": {"kind": "seven"},
+      "parameters": {"couplings": [1.0] * 5 + [float("nan")]},
+      "action": {"kind": "spectrum"}},
+     "parameters.couplings: must be a list of 6 finite numbers"),
+    ({"system": {"kind": "dll", "cells_x": 2, "cells_y": 1},
+      "action": {"kind": "route", "requests": [
+          {"source": [True, 2], "destination": [6, 7]}]}},
+     "action.requests[0].source: expected a pair of site indices"),
 ])
 def test_parse_rejects_bad_sections(doc, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -166,6 +188,50 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["spectrum", "--config",
                      str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# one valid config per action kind
+ACTION_DOCS = {
+    "spectrum": {"system": {"kind": "star"}, "action": {"kind": "spectrum"}},
+    "simulate": {"system": {"kind": "star"},
+                 "action": {"kind": "simulate",
+                            "schedule": {"variant": "phase-flip-transfer",
+                                         "k1": 1, "k2": 0}}},
+    "optimize": {"system": {"kind": "star"},
+                 "action": {"kind": "optimize",
+                            "problem": "star-transfer"}},
+    "route": {"system": {"kind": "dll", "cells_x": 2, "cells_y": 1},
+              "action": {"kind": "route", "requests": [
+                  {"source": [1, 2], "destination": [6, 7]}]}},
+}
+
+
+@pytest.mark.parametrize("command, kind", [
+    (c, k) for c in ACTION_DOCS for k in ACTION_DOCS if c != k])
+def test_command_refuses_other_action_kind(tmp_path, capsys, command, kind):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(ACTION_DOCS[kind],
+                                       output={"dir": str(out)}))
+    assert cli.main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: action.kind" in err
+    assert repr(kind) in err and repr(command) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", {"system": {"kind": "star"}, "parameters": {"J": 0.0},
+                  "action": {"kind": "simulate", "schedule": {
+                      "variant": "phase-flip-transfer", "k1": 1, "k2": 0}}}),
+    ("simulate", {"system": {"kind": "seven"}, "parameters": {"J": 0},
+                  "action": {"kind": "simulate", "schedule": {
+                      "variant": "hopping-flip-transfer", "k": 0}}}),
+    ("route", dict(ACTION_DOCS["route"], parameters={"J": 0.0})),
+], ids=["star", "seven", "dll"])
+def test_zero_coupling_exits_2(tmp_path, capsys, command, doc):
+    path = write_config(tmp_path, dict(doc, output={"dir": str(tmp_path)}))
+    assert cli.main([command, "--config", path]) == 2
+    assert "nonzero coupling J" in capsys.readouterr().err
 
 
 # --------------------------------------------------------- spectrum

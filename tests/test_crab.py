@@ -109,7 +109,7 @@ def test_params_reject_negative_horizon_and_nan():
 def test_optresult_requires_unit_interval_infidelity():
     p = REFERENCE_PARAMS["star-transfer"]
     with pytest.raises(ValueError):
-        OptResult(p, 1.5, 1, 1, 0)
+        OptResult(p, 1.5, 1)
 
 
 # -------------------------------------------------------------- pulses
@@ -190,8 +190,8 @@ def test_seven_creation_bracket_is_linear_not_squared():
 def test_pulse_table_covers_all_channels():
     prob = seven_creation()
     p = REFERENCE_PARAMS["seven-creation"]
-    times, table = pulse_table(prob, p, n_times=101)
-    assert times.shape == (101,)
+    times, table = pulse_table(prob, p)
+    assert times.shape == (201,)
     assert set(table) == {1, 2, 3}
     assert_allclose(table[3][-1], 1.0, rtol=1e-12)
     tr_times, tr_table = pulse_table(star_transfer(),
@@ -298,7 +298,6 @@ def test_optimize_crab_monotone_in_restarts():
 def test_optimize_crab_merge_rule_and_log():
     prob = _tiny_problem()
     res = optimize_crab(prob, n_restarts=3, seed=9, max_evals=200)
-    assert res.restarts_used == 3
     assert len(res.log) == 3
     assert res.infidelity == min(r["infidelity"] for r in res.log)
     assert res.evaluations == sum(r["evaluations"] for r in res.log)

@@ -1,0 +1,28 @@
+"""Every narrative script in demos/ runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from clsnet import cli
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_all_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(tmp_path, demo):
+    # the child imports the package this suite imported, installed or
+    # not; a demo's temporary files land under tmp_path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

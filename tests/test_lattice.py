@@ -190,7 +190,6 @@ class TestPulses:
         assert rev.value(0.0) == 0.0
         assert rev.value(2.0) == 1.0
         assert rev.value(0.5) == pytest.approx(ramp.value(1.5))
-        assert rev.kind == "linear-ramp"
 
 
 class TestAttachEvaluate:

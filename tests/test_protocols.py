@@ -61,6 +61,15 @@ def test_transfer_params_consistency_guard():
         TransferParams(v=0.3, T=2 * np.pi, k1=1, k2=0, J=0.25)
 
 
+def test_transfer_params_reject_zero_coupling():
+    with pytest.raises(ValueError, match="nonzero coupling"):
+        solve_transfer_params(1, 0, 0.0)
+    with pytest.raises(ValueError, match="nonzero coupling"):
+        solve_seven_transfer_params(0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        TransferParams(v=0.0, T=np.inf, k1=0, k2=None, J=0.0, graph="seven")
+
+
 def test_generation_params_reference_point():
     p = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
     assert_allclose(p.v, 0.5, rtol=1e-15)
