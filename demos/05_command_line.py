@@ -14,8 +14,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-root = Path(tempfile.mkdtemp(prefix="clsnet_demo_"))
-
 
 def run(command, doc, out):
     cfg = root / f"{out}.json"
@@ -28,60 +26,65 @@ def run(command, doc, out):
     return json.loads((root / out / "summary.json").read_text())
 
 
-# ----------------------------------------------------------------
-# Spectrum of the uniform star: eigenvalues, compact states and the
-# symmetry-reduced blocks land in summary.json.
+# Every command writes under one temporary directory, removed at the end.
+with tempfile.TemporaryDirectory(prefix="clsnet_demo_") as tmp:
+    root = Path(tmp)
 
-summary = run("spectrum", {
-    "system": {"kind": "star"},
-    "parameters": {"J": 0.25, "v": 0.5},
-    "action": {"kind": "spectrum"},
-}, "spec")
-print("eigenvalues:", summary["report"]["eigenvalues"])
-print("digest:", summary["digest"][:16], "...\n")
+    # ----------------------------------------------------------------
+    # Spectrum of the uniform star: eigenvalues, compact states and the
+    # symmetry-reduced blocks land in summary.json.
 
-# ----------------------------------------------------------------
-# Simulate the flagship transfer; the trajectory table is plot-ready
-# (one row per sample, events as comment lines).
+    summary = run("spectrum", {
+        "system": {"kind": "star"},
+        "parameters": {"J": 0.25, "v": 0.5},
+        "action": {"kind": "spectrum"},
+    }, "spec")
+    print("eigenvalues:", summary["report"]["eigenvalues"])
+    print("digest:", summary["digest"][:16], "...\n")
 
-summary = run("simulate", {
-    "system": {"kind": "star"},
-    "parameters": {"J": 0.25, "v": 0.5},
-    "action": {"kind": "simulate",
-               "schedule": {"variant": "phase-flip-transfer",
-                            "k1": 1, "k2": 0}},
-}, "sim")
-print("fidelity:", summary["fidelity"])
-traj = (root / "sim" / "trajectory.csv").read_text().splitlines()
-print("trajectory header:", traj[0][:40], "...")
-print("first event line: ", next(l for l in traj if l.startswith("#")), "\n")
+    # ----------------------------------------------------------------
+    # Simulate the flagship transfer; the trajectory table is plot-ready
+    # (one row per sample, events as comment lines).
 
-# ----------------------------------------------------------------
-# Evaluate the bundled reference creation pulses (no search, no seed needed).
+    summary = run("simulate", {
+        "system": {"kind": "star"},
+        "parameters": {"J": 0.25, "v": 0.5},
+        "action": {"kind": "simulate",
+                   "schedule": {"variant": "phase-flip-transfer",
+                                "k1": 1, "k2": 0}},
+    }, "sim")
+    print("fidelity:", summary["fidelity"])
+    traj = (root / "sim" / "trajectory.csv").read_text().splitlines()
+    print("trajectory header:", traj[0][:40], "...")
+    print("first event line: ", next(l for l in traj if l.startswith("#")), "\n")
 
-summary = run("optimize", {
-    "system": {"kind": "star"},
-    "action": {"kind": "optimize", "problem": "star-creation",
-               "mode": "evaluate"},
-}, "opt")
-print("infidelity:", summary["infidelity"], "\n")
+    # ----------------------------------------------------------------
+    # Evaluate the bundled reference creation pulses (no search, no seed
+    # needed).
 
-# ----------------------------------------------------------------
-# Route two stored states at once; the report shows the scheduler's
-# inserted delay and both end-to-end fidelities.
+    summary = run("optimize", {
+        "system": {"kind": "star"},
+        "action": {"kind": "optimize", "problem": "star-creation",
+                   "mode": "evaluate"},
+    }, "opt")
+    print("infidelity:", summary["infidelity"], "\n")
 
-summary = run("route", {
-    "system": {"kind": "dll", "cells_x": 3, "cells_y": 3},
-    "parameters": {"J": 0.25, "v": 0.5},
-    "action": {"kind": "route", "requests": [
-        {"source": [16, 17], "destination": [26, 27]},
-        {"source": [8, 9], "destination": [23, 24]},
-    ]},
-}, "route")
-for r in summary["report"]["routes"]:
-    print(f"route {r['source']} -> {r['destination']}: "
-          f"start {r['start']:.3f}, fidelity {r['fidelity']:.12f}")
-print("delays inserted:", summary["report"]["delays_inserted"])
+    # ----------------------------------------------------------------
+    # Route two stored states at once; the report shows the scheduler's
+    # inserted delay and both end-to-end fidelities.
+
+    summary = run("route", {
+        "system": {"kind": "dll", "cells_x": 3, "cells_y": 3},
+        "parameters": {"J": 0.25, "v": 0.5},
+        "action": {"kind": "route", "requests": [
+            {"source": [16, 17], "destination": [26, 27]},
+            {"source": [8, 9], "destination": [23, 24]},
+        ]},
+    }, "route")
+    for r in summary["report"]["routes"]:
+        print(f"route {r['source']} -> {r['destination']}: "
+              f"start {r['start']:.3f}, fidelity {r['fidelity']:.12f}")
+    print("delays inserted:", summary["report"]["delays_inserted"])
 
 # ----------------------------------------------------------------
 # The verification suite runs single criteria too:

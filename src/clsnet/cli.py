@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -77,14 +77,7 @@ class ScenarioConfig:
     output: dict
 
     def as_dict(self):
-        return {
-            "system": self.system,
-            "parameters": self.parameters,
-            "action": self.action,
-            "integrator": self.integrator,
-            "seed": self.seed,
-            "output": self.output,
-        }
+        return asdict(self)
 
     def digest(self):
         # output.dir says where results go, not what is computed, so
@@ -170,10 +163,9 @@ def _parse_parameters(raw, system):
                 "parameters.couplings",
                 f"must be a list of {want} finite numbers")
         out["couplings"] = [float(x) for x in cs]
-    if "J_prime" in raw:
-        out["J_prime"] = _number(raw, "J_prime", "parameters")
-    if "J_inner" in raw:
-        out["J_inner"] = _number(raw, "J_inner", "parameters")
+    for key in ("J_prime", "J_inner"):
+        if key in raw:
+            out[key] = _number(raw, key, "parameters")
     return out
 
 

@@ -52,14 +52,9 @@ def cls_state(graph, name):
         n, dim_in, dim_out, hub = 7, (0, 1), (5, 6), 3
     else:
         raise ValueError(f"unknown graph {graph!r}")
-    if name == "I":
-        return dimer_state(n, dim_in)
-    if name == "L":
-        return dimer_state(n, dim_in, antisymmetric=False)
-    if name == "F":
-        return dimer_state(n, dim_out)
-    if name == "R":
-        return dimer_state(n, dim_out, antisymmetric=False)
+    if name in ("I", "L", "F", "R"):
+        return dimer_state(n, dim_in if name in "IL" else dim_out,
+                           antisymmetric=name in "IF")
     if name == "c":
         vec = np.zeros(n)
         vec[hub] = 1.0

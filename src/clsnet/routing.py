@@ -457,6 +457,11 @@ def timeline_schedule(graph, H, tl):
     return ProtocolSchedule(TimedHamiltonian(H.base, {}), tuple(items))
 
 
+def _unit_fidelity(psi, target):
+    # min() drops the last-ulp rounding of a unit vector's overlap
+    return min(1.0, fidelity(psi / np.linalg.norm(psi), target))
+
+
 def simulate_route(graph, H, tl, tol=1e-11):
     """Run every route of a timeline on the full lattice state.
 
@@ -465,8 +470,9 @@ def simulate_route(graph, H, tl, tol=1e-11):
     see each other's ramps exactly as a single joint state would by
     linearity.  The k sources run as the columns of one (n, k) block
     in a single :func:`run_schedule` pass.  Returns per-route
-    fidelities to the destination CLS, a per-jump fidelity table, the
-    final route states and the largest norm drift of any column.
+    fidelities of the normalized states to the destination CLS, a
+    per-jump table of the same, the final route states and the largest
+    norm drift of any column.
     """
     n = graph.n_sites
     sources = [dimer_state(n, plan.source) for plan in tl.routes]
@@ -482,12 +488,13 @@ def simulate_route(graph, H, tl, tol=1e-11):
     finals = tuple(traj.final_state.T)
     fids, per_jump = [], []
     for r, (plan, start, tgt) in enumerate(zip(tl.routes, tl.starts, targets)):
-        fids.append(fidelity(finals[r], tgt))
+        fids.append(_unit_fidelity(finals[r], tgt))
         table = []
         for j, _, _, t, _ in _jump_holds(plan, start):
             idx = int(np.argmin(np.abs(traj.times - t)))
             out_state = dimer_state(n, j.star.dimer_out)
-            table.append((t, fidelity(traj.states[idx, :, r], out_state)))
+            table.append((t, _unit_fidelity(traj.states[idx, :, r],
+                                            out_state)))
         per_jump.append(tuple(table))
     return RouteReport(tuple(fids), tuple(per_jump), finals,
                        traj.norm_drift, tl)

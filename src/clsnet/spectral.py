@@ -9,7 +9,9 @@ seven-site unit into a 4x4 block R and a decoupled 3x3 block C0.
 A CLS is an eigenvector with exactly zero amplitude outside a small
 support.  Eigensolvers return arbitrary rotations inside a flat band,
 so CLS detection searches each degenerate cluster for minimal-support
-combinations rather than trusting raw eigenvector columns.
+combinations rather than trusting raw eigenvector columns; only supports
+S on which H[S^c, S] has a null vector are candidates (Roentgen et al.,
+PRB 97, 035161, 2018).
 """
 
 from __future__ import annotations
@@ -145,69 +147,79 @@ def dimer_state(n_sites, pair, antisymmetric=True):
     return vec
 
 
-def _null_space_columns(K, rtol=1e-8):
-    """Orthonormal basis of the right null space of K (k x d)."""
-    _, s, vh = np.linalg.svd(K, full_matrices=True)
-    rank = int(np.sum(s > rtol))
-    return vh[rank:].conj().T
+def _candidate_supports(M, max_size, tau):
+    """Supports S of size 2..max_size, in size-then-lexicographic order,
+    on which H[S^c, S] has a singular value <= tau.  Its Gram matrix,
+    (M^H M)[S, S] - M[S, S]^H M[S, S], is formed for all S of a size
+    at once."""
+    MM = M.conj().T @ M
+    out = []
+    for size in range(2, max_size + 1):
+        S = np.array(list(combinations(range(len(M)), size)), np.intp)
+        rows, cols = S[:, :, None], S[:, None, :]
+        inner = M[rows, cols]
+        gram = MM[rows, cols] - inner.conj().transpose(0, 2, 1) @ inner
+        keep = np.linalg.eigvalsh(gram)[:, 0] <= tau * tau
+        out.extend(map(tuple, S[keep].tolist()))
+    return out
 
 
 def find_cls(H, max_support):
     """Compact localized eigenvectors with support size <= max_support.
 
-    Each degenerate cluster is scanned over candidate supports in
-    order of increasing size (lexicographic within a size).  A support
-    qualifies when the cluster projector restricted to it has a unit
-    eigenvalue; the unit eigenspace is then deflated against states
-    already accepted in the cluster so the returned list is mutually
-    orthogonal.  Amplitudes below SUPPORT_THRESHOLD are zeroed exactly
-    and every state is re-verified as an eigenvector afterwards.
+    The rank condition picks candidate supports once per H: S is kept
+    when H[S^c, S] has a singular value <= tau = 2 ||H|| sqrt(_FLAT_TOL)
+    + n CLUSTER_GAP.  A unit cluster vector u with weight >= 1 - _FLAT_TOL
+    on S has |(H - E) u| <= n CLUSTER_GAP and |u off S| <= sqrt(_FLAT_TOL),
+    so H[S^c, S] u_S meets tau: no support the projector test accepts is
+    dropped.  Each degenerate cluster scans the candidates in order of
+    increasing size (lexicographic within a size).  A support qualifies
+    when the cluster projector restricted to it has a unit eigenvalue;
+    the unit eigenspace is then deflated against states already
+    accepted in the cluster so the returned list is mutually orthogonal.
+    Amplitudes below SUPPORT_THRESHOLD are zeroed exactly and every
+    state is re-verified as an eigenvector afterwards.
     """
     if max_support < 2:
         raise ValueError("max_support must be at least 2")
     M = static_matrix(H)
     n = M.shape[0]
     spec = spectrum(M)
+    tau = (2 * np.abs(spec.eigenvalues).max(initial=0.0) * np.sqrt(_FLAT_TOL)
+           + n * CLUSTER_GAP)
+    candidates = _candidate_supports(M, min(max_support, n), tau)
     found = []
     for cluster in spec.clusters():
         Vc = spec.eigenvectors[:, list(cluster)]
         weight = np.einsum("ij,ij->i", Vc, Vc.conj()).real
         accepted = []
-        for size in range(2, min(max_support, n) + 1):
-            for S in combinations(range(n), size):
-                idx = list(S)
-                if weight[idx].sum() < 1 - _FLAT_TOL:
+        for S in candidates:
+            idx = list(S)
+            if weight[idx].sum() < 1 - _FLAT_TOL:
+                continue
+            sub = Vc[idx, :]
+            lam, U = np.linalg.eigh(sub @ sub.conj().T)
+            inside = lam >= 1 - _FLAT_TOL
+            if not inside.any():
+                continue
+            B = np.zeros((n, int(inside.sum())), dtype=Vc.dtype)
+            B[idx, :] = U[:, inside]
+            if accepted:
+                # project onto the null space of the accepted states
+                K = np.column_stack(accepted).conj().T @ B
+                _, sv, vh = np.linalg.svd(K, full_matrices=True)
+                B = B @ vh[int(np.sum(sv > 1e-8)):].conj().T
+            for vec in B.T:
+                vec = vec / np.linalg.norm(vec)
+                energy = float((vec.conj() @ M @ vec).real)
+                vec = np.where(np.abs(vec) < SUPPORT_THRESHOLD, 0.0, vec)
+                vec = vec / np.linalg.norm(vec)
+                if np.linalg.norm(M @ vec - energy * vec) > 1e-10:
                     continue
-                sub = Vc[idx, :]
-                lam, U = np.linalg.eigh(sub @ sub.conj().T)
-                inside = lam >= 1 - _FLAT_TOL
-                if not inside.any():
-                    continue
-                B = np.zeros((n, int(inside.sum())), dtype=Vc.dtype)
-                B[idx, :] = U[:, inside]
-                if accepted:
-                    K = np.column_stack(accepted).conj().T @ B
-                    B = B @ _null_space_columns(K)
-                for vec in B.T:
-                    vec = vec / np.linalg.norm(vec)
-                    energy = float((vec.conj() @ M @ vec).real)
-                    vec = np.where(np.abs(vec) < SUPPORT_THRESHOLD, 0.0, vec)
-                    vec = vec / np.linalg.norm(vec)
-                    if np.linalg.norm(M @ vec - energy * vec) > 1e-10:
-                        continue
-                    support = tuple(np.flatnonzero(np.abs(vec) > 0.0))
-                    found.append(CompactState(vec, support, energy))
-                    accepted.append(vec)
+                support = tuple(np.flatnonzero(np.abs(vec) > 0.0))
+                found.append(CompactState(vec, support, energy))
+                accepted.append(vec)
     return found
-
-
-def _cycle_order(perm, start):
-    order = [start]
-    nxt = perm[start]
-    while nxt != start:
-        order.append(nxt)
-        nxt = perm[nxt]
-    return order
 
 
 def _blocks_from_bases(M, bases, context):
@@ -239,7 +251,9 @@ def equitable_blocks_star(H, perm):
     if len(fixed) != 1:
         raise ValueError("permutation must fix exactly the hub site")
     hub = fixed[0]
-    cyc = _cycle_order(perm, min(i for i in range(5) if i != hub))
+    cyc = [min(i for i in range(5) if i != hub)]
+    while perm[cyc[-1]] != cyc[0]:
+        cyc.append(perm[cyc[-1]])
     if len(cyc) != 4:
         raise ValueError("permutation must cycle the four outer sites")
     e = np.eye(5)

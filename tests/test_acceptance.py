@@ -79,6 +79,12 @@ def test_c12_lattice_routing():
     _assert_passed(_run("C12"))
 
 
+def test_c12_fidelities_never_exceed_one():
+    fids = [c.value for c in _run("C12").checks if "fidelity" in c.name]
+    assert len(fids) == 4
+    assert all(f <= 1.0 for f in fids)
+
+
 def test_c13_norm_and_determinism():
     drifts = [r.norm_drift for cid, r in _reports.items()
               if cid != "C13" and r.norm_drift is not None]

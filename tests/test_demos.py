@@ -19,10 +19,14 @@ def test_all_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
     # the child imports the package this suite imported, installed or
-    # not; a demo's temporary files land under tmp_path
+    # not; a demo's temporary files land in its own TMPDIR, which it
+    # must leave empty
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir), PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmpdir.iterdir()) == []

@@ -366,6 +366,21 @@ def test_shared_dimer_pair_keeps_both_states():
     assert all(f >= 1 - 1e-8 for f in rep.fidelities)
 
 
+def test_route_fidelities_never_exceed_one():
+    # three concurrent routes on the 3x3 DLL: the propagated states
+    # drift in norm by ~5e-14, which the reported fidelities used to
+    # carry above 1 (1.0000000000000915 for the first route)
+    g, H = dll(3, 3)
+    plans = [plan_route(g, H, a, b) for a, b in
+             (((16, 17), (26, 27)), ((8, 9), (23, 24)), ((1, 2), (3, 4)))]
+    rep = simulate_route(g, H, schedule_multi(plans))
+    assert rep.norm_drift > 0.0
+    jump_fids = [f for table in rep.per_jump for _, f in table]
+    assert len(jump_fids) == sum(len(p.jumps) for p in plans)
+    for f in list(rep.fidelities) + jump_fids:
+        assert 1 - 1e-8 <= f <= 1.0
+
+
 def test_timeline_busy_follows_starts():
     # the occupancy is derived from the routes and start times, so a
     # late start moves the makespan with it

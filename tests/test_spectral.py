@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from clsnet.lattice import build_dll, build_seven, build_star
+from clsnet.lattice import build_dll, build_seven, build_star, static_matrix
 from clsnet.spectral import (
+    CLUSTER_GAP,
+    SUPPORT_THRESHOLD,
     CompactState,
     PartitionBlocks,
     Spectrum,
@@ -196,6 +200,126 @@ class TestFindCls:
             hits = [s for s in find_cls(M, 2) if s.support == (0, 1)]
             assert hits
             assert abs(np.vdot(hits[0].vector, vec)) ** 2 >= 1 - 1e-12
+
+
+def exhaustive_find_cls(H, max_support, flat_tol=1e-12):
+    """Oracle: the projector test on every support of every cluster,
+    without the rank condition's candidate selection."""
+    M = static_matrix(H)
+    n = M.shape[0]
+    w, V = np.linalg.eigh(M)
+    cuts = np.flatnonzero(np.diff(w) > CLUSTER_GAP) + 1
+    found = []
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, w.size]):
+        Vc = V[:, a:b]
+        weight = np.einsum("ij,ij->i", Vc, Vc.conj()).real
+        accepted = []
+        for size in range(2, min(max_support, n) + 1):
+            for S in combinations(range(n), size):
+                idx = list(S)
+                if weight[idx].sum() < 1 - flat_tol:
+                    continue
+                sub = Vc[idx, :]
+                lam, U = np.linalg.eigh(sub @ sub.conj().T)
+                inside = lam >= 1 - flat_tol
+                if not inside.any():
+                    continue
+                B = np.zeros((n, int(inside.sum())), dtype=Vc.dtype)
+                B[idx, :] = U[:, inside]
+                if accepted:
+                    K = np.column_stack(accepted).conj().T @ B
+                    _, sv, vh = np.linalg.svd(K, full_matrices=True)
+                    B = B @ vh[int(np.sum(sv > 1e-8)):].conj().T
+                for vec in B.T:
+                    vec = vec / np.linalg.norm(vec)
+                    energy = float((vec.conj() @ M @ vec).real)
+                    vec = np.where(np.abs(vec) < SUPPORT_THRESHOLD, 0.0, vec)
+                    vec = vec / np.linalg.norm(vec)
+                    if np.linalg.norm(M @ vec - energy * vec) > 1e-10:
+                        continue
+                    support = tuple(np.flatnonzero(np.abs(vec) > 0.0))
+                    found.append((support, energy, vec.tobytes()))
+                    accepted.append(vec)
+    return found
+
+
+def assert_matches_oracle(H, max_support):
+    got = [(s.support, s.energy, s.vector.tobytes())
+           for s in find_cls(H, max_support)]
+    assert got == exhaustive_find_cls(H, max_support)
+
+
+def _skewed_star():
+    M = np.array(build_star([0.25] * 4, 0.5).base)
+    M[0, 1] = M[1, 0] = 0.37
+    M[0, 0] = 1.9
+    return M
+
+
+TUNED_STARS = {
+    "uniform": lambda: build_star([0.25] * 4, 0.5),
+    "broken-dimer": lambda: build_star([0.2, 0.3, 0.25, 0.25],
+                                       [0.4, 0.6, 0.5, 0.5, 0.5]),
+    "coupling-skew": lambda: build_star([0.2, 0.3, 0.25, 0.25], 0.5),
+    "outside-perturbation": _skewed_star,
+}
+
+
+class TestFindClsOracle:
+    """The rank condition only drops supports the projector test would
+    reject, so find_cls returns the exhaustive scan's states bit for
+    bit."""
+
+    @pytest.mark.parametrize("max_support", [2, 3, 4, 5])
+    @pytest.mark.parametrize("star", sorted(TUNED_STARS))
+    def test_tuned_stars(self, star, max_support):
+        assert_matches_oracle(TUNED_STARS[star](), max_support)
+
+    @pytest.mark.parametrize("max_support", [2, 3, 4, 5])
+    def test_seven_site_sqrt3_point(self, max_support):
+        assert_matches_oracle(build_seven([1, 1, S3, S3, 1, 1], 0.0),
+                              max_support)
+
+    @pytest.mark.parametrize("cells", [2, 3])
+    def test_dll(self, cells):
+        assert_matches_oracle(build_dll(cells, cells, 1.0, 0.0)[1], 2)
+
+    def test_perturbed_dll_ensemble(self):
+        # skew one dimer site's coupling and potential by amounts drawn
+        # log-uniformly from 1e-14 to 1e-3: the small skews leave a
+        # compact state, the large ones break it, and those near
+        # sqrt(1e-12) sit at the projector test's edge
+        rng = np.random.default_rng(2018)
+        for trial in range(48):
+            cells = 2 + trial % 2
+            graph, H = build_dll(cells, cells, 1.0, 0.0)
+            M = np.array(H.base)
+            site = graph.dimers()[rng.integers(len(graph.dimers()))][0]
+            other = rng.choice(np.flatnonzero(M[site]))
+            dJ, dv = rng.choice([-1, 1], 2) * 10.0 ** rng.uniform(-14, -3, 2)
+            M[site, other] += dJ
+            M[other, site] = M[site, other]
+            M[site, site] += dv
+            assert_matches_oracle(M, 2)
+
+
+def test_find_cls_dll_6x6_eigh_count(monkeypatch):
+    # candidate supports come once per H, so the projector eigh runs
+    # only on the ~100 kept pairs per cluster that pass the weight
+    # filter, not on all 16,110 pairs of every cluster
+    graph, H = build_dll(6, 6, 1.0, 0.0)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kw):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    states = find_cls(H, 2)
+    assert len(calls) <= 100
+    assert len(states) == 72
+    assert {s.support for s in states} == set(graph.dimers())
 
 
 class TestDimerState:
