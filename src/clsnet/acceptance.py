@@ -260,37 +260,38 @@ def _c8():
 
 @_criterion("C9", "optimized seven-site transfer and creation pulses")
 def _c9():
-    checks_t, _ = _reference_and_refined(
-        crab.seven_transfer(), crab.seven_transfer(n_steps=1024), 1e-4, 1e-7)
-    checks_c, _ = _reference_and_refined(
-        crab.seven_creation(), crab.seven_creation(n_steps=512), 1e-4, 1e-7)
-    checks = [Check(f"transfer: {c.name}", c.ok, c.value, c.bound)
-              for c in checks_t]
-    checks += [Check(f"creation: {c.name}", c.ok, c.value, c.bound)
-               for c in checks_c]
+    checks = []
+    for label, make, n_steps in (("transfer", crab.seven_transfer, 1024),
+                                 ("creation", crab.seven_creation, 512)):
+        sub, _ = _reference_and_refined(make(), make(n_steps=n_steps),
+                                        1e-4, 1e-7)
+        checks += [Check(f"{label}: {c.name}", c.ok, c.value, c.bound)
+                   for c in sub]
     return checks, None
 
 
 # ----------------------------------------------- symmetry and protection
 
 
+def _partition_errors(H, pb):
+    """Spectrum deviation and worst lifted-eigenvector residual of ``pb``."""
+    M = np.asarray(H.base)
+    spec = float(np.max(np.abs(pb.union_eigenvalues()
+                               - np.linalg.eigvalsh(M))))
+    return spec, max(float(np.linalg.norm(M @ vec - energy * vec))
+                     for energy, vec in pb.lifted_pairs())
+
+
 @_criterion("C10", "partition theorems on random parameterizations")
 def _c10():
     rng = np.random.default_rng(1001)
-    worst_spec, worst_res = 0.0, 0.0
+    errors = []
     for _ in range(100):
         J = rng.uniform(-2, 2)
         v_out, v_hub = rng.uniform(-2, 2, size=2)
         H = build_star([J] * 4, [v_out] * 2 + [v_hub] + [v_out] * 2)
-        pb = equitable_blocks_star(H, STAR_FOUR_CYCLE)
-        direct = np.linalg.eigvalsh(np.asarray(H.base))
-        worst_spec = max(worst_spec,
-                         float(np.max(np.abs(pb.union_eigenvalues()
-                                             - direct))))
-        M = np.asarray(H.base)
-        for energy, vec in pb.lifted_pairs():
-            worst_res = max(worst_res,
-                            float(np.linalg.norm(M @ vec - energy * vec)))
+        errors.append(_partition_errors(
+            H, equitable_blocks_star(H, STAR_FOUR_CYCLE)))
     for _ in range(100):
         J = rng.uniform(0.2, 2)
         J3, J4 = rng.uniform(-2, 2, size=2)
@@ -299,15 +300,8 @@ def _c10():
         v12, vc, vhub = rng.uniform(-1, 1, size=3)
         H = build_seven([J, J, J3, J4, J, J],
                         [v12, v12, vc, vhub, vc, v12, v12])
-        pb = nonequitable_blocks_seven(H)
-        direct = np.linalg.eigvalsh(np.asarray(H.base))
-        worst_spec = max(worst_spec,
-                         float(np.max(np.abs(pb.union_eigenvalues()
-                                             - direct))))
-        M = np.asarray(H.base)
-        for energy, vec in pb.lifted_pairs():
-            worst_res = max(worst_res,
-                            float(np.linalg.norm(M @ vec - energy * vec)))
+        errors.append(_partition_errors(H, nonequitable_blocks_seven(H)))
+    worst_spec, worst_res = (max(0.0, *col) for col in zip(*errors))
     checks = [
         Check("union spectrum deviation, 200 trials",
               worst_spec <= 1e-12, worst_spec, "<= 1e-12"),
@@ -467,10 +461,7 @@ def run_criterion(cid, drifts=None):
                        f"{', '.join(_REGISTRY)}")
     title, fn = _REGISTRY[cid]
     t0 = perf_counter()
-    if cid == "C13":
-        checks, drift = fn(drifts=drifts)
-    else:
-        checks, drift = fn()
+    checks, drift = fn(drifts=drifts) if cid == "C13" else fn()
     elapsed = perf_counter() - t0
     passed = all(c.ok for c in checks)
     return CriterionReport(cid, title, passed, tuple(checks), elapsed, drift)

@@ -241,7 +241,7 @@ def _parse_action(raw, system, seed):
             for key in ("n_restarts", "max_evals"):
                 _expect(key not in raw, "action",
                         f"{key} only applies to search mode")
-        if mode == "search":
+        else:
             _expect(seed is not None, "seed",
                     "a search action draws random bases; set a seed")
             out["n_restarts"] = _integer(raw, "n_restarts", "action",
@@ -367,15 +367,13 @@ def _problem_factory(name, p, n_steps=None):
     kw = {"J": p["J"], "v": p["v"]}
     if n_steps is not None:
         kw["n_steps"] = n_steps
-    if name == "star-transfer":
-        return crab.star_transfer(**kw)
-    if name == "star-creation":
-        return crab.star_creation(**kw)
-    if name == "seven-transfer":
-        if "J_inner" in p:
-            kw["J_inner"] = p["J_inner"]
-        return crab.seven_transfer(**kw)
-    return crab.seven_creation(**kw)
+    if name == "seven-transfer" and "J_inner" in p:
+        kw["J_inner"] = p["J_inner"]
+    factory = {"star-transfer": crab.star_transfer,
+               "star-creation": crab.star_creation,
+               "seven-transfer": crab.seven_transfer,
+               "seven-creation": crab.seven_creation}[name]
+    return factory(**kw)
 
 
 @_as_config_error()
@@ -459,11 +457,8 @@ def _write_trajectory(path, traj):
         while k < len(events) and events[k][0] <= t + 1e-12:
             lines.append(f"# event {events[k][1]} t={events[k][0]!r}")
             k += 1
-        cells = [repr(float(t))]
-        for z in psi:
-            cells.append(repr(float(z.real)))
-            cells.append(repr(float(z.imag)))
-        lines.append(", ".join(cells))
+        cells = [t] + [x for z in psi for x in (z.real, z.imag)]
+        lines.append(", ".join(repr(float(x)) for x in cells))
     for t_ev, kind, _ in events[k:]:
         lines.append(f"# event {kind} t={t_ev!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -477,14 +472,12 @@ def cmd_spectrum(sc, out_dir):
     _, H = _build_system(sc)
     spec = spectrum(H)
     states = find_cls(H, 2)
+    kind = sc.system["kind"]
     blocks = None
     try:
-        if sc.system["kind"] == "star":
-            pb = equitable_blocks_star(H, STAR_FOUR_CYCLE)
-            blocks = [sorted(np.linalg.eigvalsh(b).tolist())
-                      for b in pb.blocks]
-        elif sc.system["kind"] == "seven":
-            pb = nonequitable_blocks_seven(H)
+        if kind in ("star", "seven"):
+            pb = equitable_blocks_star(H, STAR_FOUR_CYCLE) if kind == "star" \
+                else nonequitable_blocks_seven(H)
             blocks = [sorted(np.linalg.eigvalsh(b).tolist())
                       for b in pb.blocks]
     except ValueError:

@@ -27,6 +27,7 @@ Conventions frozen here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .lattice import (
     CreationSevenPulse,
     CreationStarPulse,
     LinearRamp,
+    Pulse,
     TimeMirrored,
     TimedHamiltonian,
     _unit_matrix,
@@ -109,9 +111,8 @@ class CrabParams:
     horizon: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "xp", tuple(float(v) for v in self.xp))
-        object.__setattr__(self, "omega", tuple(float(v) for v in self.omega))
+        for name in ("x", "xp", "omega"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         vals = self.x + self.xp + self.omega + (self.floor, self.horizon)
         if not all(np.isfinite(v) for v in vals):
             raise ValueError("parameters must be finite")
@@ -233,12 +234,9 @@ def _pulse_for(kind, n, p):
     if n not in channels:
         raise ValueError(f"{kind} has no channel {n}")
     k = list(channels).index(n)
-    if kind == "star-transfer":
+    if kind.endswith("transfer"):
         return CrabTransferPulse(p.floor, p.x[k], p.xp[k], p.omega[k],
-                                 env_div=2.0)
-    if kind == "seven-transfer":
-        return CrabTransferPulse(p.floor, p.x[k], p.xp[k], p.omega[k],
-                                 env_div=4.0)
+                                 env_div=2.0 if kind == "star-transfer" else 4.0)
     if kind == "star-creation":
         if p.horizon <= 0:
             raise ValueError("creation pulses need a positive horizon")
@@ -262,6 +260,24 @@ def eval_pulse(kind, n, t, p):
     return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=32)
+def _skeleton(kind, floor, v, extra):
+    """Validated base and chiral split of a kind's Hamiltonian, which do
+    not depend on the pulse amplitudes: a search builds them once, and
+    :func:`assemble_hamiltonian` swaps in its pulses per evaluation."""
+    if kind.startswith("star"):
+        base = _unit_matrix(5, STAR_EDGES,
+                            floor if kind == "star-transfer" else 0.0, v)
+    else:
+        Ji = dict(extra)["J_inner"] if kind == "seven-transfer" else 0.0
+        base = _unit_matrix(7, SEVEN_EDGES,
+                            [floor, floor, Ji, Ji, floor, floor], v)
+    entries = [entry for _, entry in _CHANNELS[kind]]
+    if kind == "seven-creation":
+        entries.append((2, 3))
+    return TimedHamiltonian(base, dict.fromkeys(entries, Pulse()))
+
+
 def assemble_hamiltonian(problem, p):
     """Time-dependent Hamiltonian the objective actually integrates.
 
@@ -271,27 +287,15 @@ def assemble_hamiltonian(problem, p):
     _check_arity(problem.kind, p)
     kind = problem.kind
     overrides = {}
-    if kind == "star-transfer":
-        base = _unit_matrix(5, STAR_EDGES, p.floor, problem.v)
-    elif kind == "seven-transfer":
-        Ji = dict(problem.extra)["J_inner"]
-        base = _unit_matrix(7, SEVEN_EDGES,
-                            [p.floor, p.floor, Ji, Ji, p.floor, p.floor],
-                            problem.v)
-    elif kind == "star-creation":
-        base = _unit_matrix(5, STAR_EDGES, 0.0, problem.v)
-    else:
-        base = _unit_matrix(7, SEVEN_EDGES,
-                            [p.floor, p.floor, 0.0, 0.0, p.floor, p.floor],
-                            problem.v)
-        overrides[(2, 3)] = LinearRamp(0.0, p.horizon / (2 * np.pi),
-                                       p.horizon)
     for n, entry in _CHANNELS[kind]:
         pulse = _pulse_for(kind, n, p)
-        if kind == "star-creation":
-            pulse = TimeMirrored(pulse, p.horizon)
-        overrides[entry] = pulse
-    return TimedHamiltonian(base, overrides)
+        overrides[entry] = TimeMirrored(pulse, p.horizon) \
+            if kind == "star-creation" else pulse
+    if kind == "seven-creation":
+        overrides[(2, 3)] = LinearRamp(0.0, p.horizon / (2 * np.pi),
+                                       p.horizon)
+    skeleton = _skeleton(kind, p.floor, problem.v, problem.extra)
+    return skeleton._with_pulses(overrides)
 
 
 def infidelity_objective(problem, p):
@@ -360,10 +364,7 @@ def nelder_mead(objective, x0, max_evals=20000):
 
     pts = np.tile(x0, (dim + 1, 1))
     for i in range(dim):
-        if pts[i + 1, i] != 0.0:
-            pts[i + 1, i] *= 1.05
-        else:
-            pts[i + 1, i] = 0.05
+        pts[i + 1, i] = pts[i + 1, i] * 1.05 if pts[i + 1, i] != 0.0 else 0.05
     vals = np.array([f(x) for x in pts])
 
     while evals < max_evals:
@@ -467,7 +468,8 @@ def optimize_crab(problem, n_restarts=32, seed=0, max_evals=20000):
         params = _unpack(problem, xb, fixed)
         total_evals += evals
         log.append({"restart": k, "omega": tuple(omega),
-                    "infidelity": fb, "evaluations": evals})
+                    "infidelity": fb, "evaluations": evals,
+                    "stopped": "budget" if evals >= max_evals else "converged"})
         if best is None or (fb, k) < best[:2]:
             best = (fb, k, params)
 

@@ -12,15 +12,16 @@ sample come from the finer run of the accepted pair.
 
 Every network the package builds is bipartite with a uniform on-site
 potential: hubs and connectors couple only to dimer sites.  For such
-an H the integrator builds each exponential in closed form through
-the Gram matrix of the couplings out of the smaller sublattice (p
-sites: 1 on the star, 2 on the seven-site unit, 9 on the 3x3 DLL)
-instead of a full n x n eigh.  It is the same matrix function, so the
-result agrees to round-off; and since each exponential acts on a
-state through the couplings alone, a state they annihilate, such as
-an antisymmetric dimer state under symmetric driving, is left alone
-by every step, not just to the integrator's tolerance.  Any other H
-takes the generic n x n path.
+an H the integrator samples only the coupling block C(t) from the
+smaller sublattice (p sites: 1 on the star, 2 on the seven-site unit,
+9 on the 3x3 DLL) and builds each exponential through the p x p Gram
+matrix C C^T, whose eigenpairs are closed-form for p <= 2, instead of
+a full n x n eigh.  It is the same matrix function, so the result
+agrees to round-off; and since each exponential acts on a state
+through the couplings alone, a state they annihilate, such as an
+antisymmetric dimer state under symmetric driving, is left alone by
+every step, not just to the integrator's tolerance.  Any other H takes
+the generic n x n path.
 
 A :class:`ProtocolSchedule` is an ordered timeline of instantaneous
 events (phase flips on the state, sign flips on couplings) and
@@ -42,6 +43,7 @@ import numpy as np
 from .lattice import (
     TimeMirrored,
     TimedHamiltonian,
+    _sample_block,
     evaluate_at,
     evaluate_grid,
     static_matrix,
@@ -122,22 +124,35 @@ def _sublattice_exponentials(C, h):
     of s^2, so zero or tiny singular values cost no accuracy.  Returns
     the real (k, p+q, p+q) stack F exp(-i h K) F^-1 in the frame
     F = diag(1_A, -i 1_B): there the off-diagonal blocks are S and
-    -S^T with S = W g W^T C, so products of steps stay real.
+    -S^T with S = W g W^T C, so products of steps stay real.  For
+    p <= 2 the eigenpairs of C C^T are closed-form; larger p uses eigh.
     """
     k, p, q = C.shape
     n = p + q
-    lam, W = np.linalg.eigh(C @ C.swapaxes(1, 2))
+    gram = C @ np.ascontiguousarray(C.swapaxes(1, 2))
+    if p == 1:
+        lam, W = gram[:, 0], np.ones((k, 1, 1))
+    elif p == 2:
+        # the Jacobi rotation W = [[c, -s], [s, c]] diagonalizes [[a, b], [b, d]]
+        a, b, d = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+        theta = 0.5 * np.arctan2(2.0 * b, a - d)
+        r = np.hypot(0.5 * (a - d), b)
+        lam = np.stack([0.5 * (a + d) + r, 0.5 * (a + d) - r], axis=1)
+        c, s = np.cos(theta), np.sin(theta)
+        W = np.stack([c, -s, s, c], axis=1).reshape(k, 2, 2)
+    else:
+        lam, W = np.linalg.eigh(gram)
     hs = h * np.sqrt(np.maximum(lam, 0.0))
     Wt = np.ascontiguousarray(W.swapaxes(1, 2))
     WtC = Wt @ C
     CtW = np.ascontiguousarray(WtC.swapaxes(1, 2))
     g = (h * np.sinc(hs / np.pi))[:, :, None]
     f = (-0.5 * h * h * np.sinc(hs / (2 * np.pi)) ** 2)[:, :, None]
-    # blocks are written in place, each by a matmul of contiguous factors
+    # blocks are written in place; the lower-left one is -(upper-right)^T
     R = np.empty((k, n, n))
     np.matmul(W, np.cos(hs)[:, :, None] * Wt, out=R[:, :p, :p])
     np.matmul(W, g * WtC, out=R[:, :p, p:])
-    np.matmul(CtW, -g * Wt, out=R[:, p:, :p])
+    np.negative(R[:, :p, p:].swapaxes(1, 2), out=R[:, p:, :p])
     np.matmul(CtW, f * WtC, out=R[:, p:, p:])
     R.reshape(k, n * n)[:, p * (n + 1)::n + 1] += 1.0
     return R
@@ -149,19 +164,17 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
     Times refer to the pulse clock of ``H``; ``psi0`` is (n,) or (n, k).
     Returns (final_state, samples) where samples is a list of states
     taken after every ``record_every`` steps (or None if not requested).
+    Each chunk samples every pulse once, on the C1 and C2 nodes together.
 
-    When ``H`` has a chiral split (uniform on-site potential v, no
-    driven diagonal, 2-colourable coupling graph; see
-    ``TimedHamiltonian._sublattices``), every CF4 generator is
-    (v/2) I + [[0, C], [C^T, 0]] in the split's site order, so each
-    exponential is the phase e^{-ihv/2} times a closed form built from
-    the eigenvectors of the p x p Gram matrix C C^T of the smaller
-    sublattice (:func:`_sublattice_exponentials`).  That is the same
-    matrix function as the generic n x n eigh path, evaluated on fewer
-    sites.  The state runs permuted to A-first order, in the frame
-    where those exponentials are real; the phase and the frame are
-    undone for every sample and the result.  Any other H takes the
-    generic path.
+    When ``H`` has a chiral split (``TimedHamiltonian._sublattices``),
+    every CF4 generator is (v/2) I + [[0, C], [C^T, 0]] in the split's
+    site order.  Only the coupling block C(t) is sampled, as one
+    contiguous (2m, p, q) stack, never the n x n snapshots, and each
+    exponential is the phase e^{-ihv/2} times the closed form of
+    :func:`_sublattice_exponentials`.  The state runs permuted to
+    A-first order, in the frame where those exponentials are real; the
+    phase and the frame are undone for every sample and the result.
+    Any other H takes the generic n x n eigh path.
     """
     n = int(n_steps)
     h = (t1 - t0) / n
@@ -189,22 +202,19 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
     while done < n:
         m = min(_CHUNK, n - done)
         ts = t0 + (done + np.arange(m)) * h
-        A1 = evaluate_grid(H, ts + _C1 * h)
-        A2 = evaluate_grid(H, ts + _C2 * h)
+        nodes = np.concatenate([ts + _C1 * h, ts + _C2 * h])
+        A = evaluate_grid(H, nodes) if split is None \
+            else _sample_block(H, nodes, a, b)
+        A1, A2 = A[:m], A[m:]
+        stacked = np.concatenate([_X2 * A1 + _X1 * A2, _X1 * A1 + _X2 * A2])
         if split is None:
-            stacked = np.concatenate([_X2 * A1 + _X1 * A2, _X1 * A1 + _X2 * A2])
             w, V = np.linalg.eigh(stacked)
             E = np.einsum("kij,kj,klj->kil", V, np.exp(-1j * h * w), V.conj())
         else:
-            C1, C2 = A1[:, a[:, None], b], A2[:, a[:, None], b]
-            E = _sublattice_exponentials(
-                np.concatenate([_X2 * C1 + _X1 * C2, _X1 * C1 + _X2 * C2]), h)
+            E = _sublattice_exponentials(stacked, h)
         U = E[m:] @ E[:m]
-        if record_every:
-            marks = [k for k in range(1, m + 1)
-                     if (done + k) % record_every == 0]
-        else:
-            marks = []
+        marks = range(record_every - done % record_every, m + 1,
+                      record_every) if record_every else ()
         start = 0
         for stop in marks:
             psi = _chain_product(U[start:stop]) @ psi

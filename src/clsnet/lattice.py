@@ -315,6 +315,16 @@ class TimedHamiltonian:
     def static(self):
         return not self.overrides
 
+    def _with_pulses(self, overrides):
+        """Same base and driven entries, other pulses: an unvalidated
+        copy sharing the base and its chiral split."""
+        if overrides.keys() != self.overrides.keys():
+            raise ValueError("pulses must drive the same entries")
+        H = object.__new__(TimedHamiltonian)
+        H.__dict__.update(base=self.base, overrides=dict(overrides),
+                          _sublattices=self._sublattices)
+        return H
+
     @cached_property
     def _sublattices(self):
         """Chiral split of the sites: (order, p) with sublattice A first.
@@ -516,15 +526,25 @@ def evaluate_at(H, t):
 
 
 def evaluate_grid(H, times):
-    """Stacked snapshots of ``H`` at an array of times.
+    """Stacked snapshots of ``H`` at an array of times, shape
+    (len(times), n, n); pulses are evaluated vectorized over time."""
+    sites = np.arange(H.n_sites)
+    return _sample_block(H, times, sites, sites)
 
-    Returns an array of shape (len(times), n, n).  Pulse evaluation is
-    vectorized over the time axis.
-    """
+
+def _sample_block(H, times, rows, cols):
+    """C-contiguous stack of the blocks H(t)[rows][:, cols] at ``times``,
+    shape (len(times), len(rows), len(cols)).  Each pulse is sampled
+    once, and no n x n snapshot is formed."""
     times = np.asarray(times, dtype=float)
-    out = np.broadcast_to(H.base, (times.size,) + H.base.shape).copy()
+    block = H.base[np.ix_(rows, cols)]
+    out = np.empty((times.size,) + block.shape)
+    out[:] = block
+    at_row = dict(zip(rows.tolist(), range(len(rows))))
+    at_col = dict(zip(cols.tolist(), range(len(cols))))
     for (i, j), pulse in H.overrides.items():
         vals = np.asarray(pulse.value(times), dtype=float)
-        out[:, i, j] = vals
-        out[:, j, i] = vals
+        for r, c in ((i, j), (j, i)):
+            if r in at_row and c in at_col:
+                out[:, at_row[r], at_col[c]] = vals
     return out

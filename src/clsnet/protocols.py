@@ -159,15 +159,18 @@ class GenerationParams:
             raise ValueError("family point has v = 0")
         if not self.T > 0:
             raise ValueError(f"generation time must be positive, got {self.T}")
-        root2 = np.sqrt(2.0)
-        if self.branch == 1:
-            ev = root2 * self.Jp * (4 * self.k1p - 1) / (1 + 4 * self.k2p)
-            eT = np.pi * (4 * self.k1p - 1) / (2 * self.v)
-        else:
-            ev = root2 * self.Jp * (4 * self.k1p + 1) / (-1 + 4 * self.k2p)
-            eT = np.pi * (4 * self.k1p + 1) / (2 * self.v)
+        num, den = _generation_indices(self.branch, self.k1p, self.k2p)
+        ev = np.sqrt(2.0) * self.Jp * num / den
+        eT = np.pi * num / (2 * self.v)
         if abs(self.v - ev) > 1e-12 or abs(self.T - eT) > 1e-12:
             raise ValueError("(v, T) inconsistent with the family formulas")
+
+
+def _generation_indices(branch, k1p, k2p):
+    """(numerator, denominator) of the branch's v / (sqrt2 J')."""
+    if branch == 1:
+        return 4 * k1p - 1, 1 + 4 * k2p
+    return 4 * k1p + 1, -1 + 4 * k2p
 
 
 def solve_generation_params(branch, k1p, k2p, Jp):
@@ -178,12 +181,7 @@ def solve_generation_params(branch, k1p, k2p, Jp):
     k1p = _require_int(k1p, "k1p")
     k2p = _require_int(k2p, "k2p")
     root2 = np.sqrt(2.0)
-    if branch == 1:
-        den = 1 + 4 * k2p
-        num = 4 * k1p - 1
-    else:
-        den = -1 + 4 * k2p
-        num = 4 * k1p + 1
+    num, den = _generation_indices(branch, k1p, k2p)
     if den == 0:
         raise ValueError("denominator vanishes for these indices")
     v = root2 * Jp * num / den
@@ -252,20 +250,15 @@ def build_schedule(graph, variant, params, **options):
         if not isinstance(params, TransferParams) or params.graph != graph:
             raise ValueError(f"{variant} on {graph} needs TransferParams "
                              f"solved for that graph")
-        if graph == "star":
-            base = _star_base(params)
-            in_site = options.pop("in_site", 1)
-            out_site = options.pop("out_site", 4)
-            pairs = _STAR_HOPPING_PAIRS
-            if in_site not in (0, 1) or out_site not in (3, 4):
-                raise ValueError("star flips must hit one site of each dimer")
-        else:
-            base = _seven_base(params)
-            in_site = options.pop("in_site", 1)
-            out_site = options.pop("out_site", 6)
-            pairs = _SEVEN_HOPPING_PAIRS
-            if in_site not in (0, 1) or out_site not in (5, 6):
-                raise ValueError("seven-site flips must hit one site of each dimer")
+        star = graph == "star"
+        base = _star_base(params) if star else _seven_base(params)
+        pairs = _STAR_HOPPING_PAIRS if star else _SEVEN_HOPPING_PAIRS
+        out_pair = (3, 4) if star else (5, 6)
+        in_site = options.pop("in_site", 1)
+        out_site = options.pop("out_site", out_pair[1])
+        if in_site not in (0, 1) or out_site not in out_pair:
+            raise ValueError(f"{'star' if star else 'seven-site'} flips must "
+                             "hit one site of each dimer")
         pair = options.pop("pair", next(iter(pairs)))
         if options:
             raise TypeError(f"unknown options {sorted(options)}")

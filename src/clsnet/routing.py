@@ -181,13 +181,8 @@ def extract_star(graph, H, center, dimer_in=None, dimer_out=None):
         raise ValueError("input and output dimers must differ")
 
     sites = {center, *dimer_in, *dimer_out}
-    inside, boundary = [], []
-    for e in graph.edges:
-        n_in = (e[0] in sites) + (e[1] in sites)
-        if n_in == 2:
-            inside.append(e)
-        elif n_in == 1:
-            boundary.append(e)
+    inside = [e for e in graph.edges if e[0] in sites and e[1] in sites]
+    boundary = [e for e in graph.edges if (e[0] in sites) != (e[1] in sites)]
     star = StarView(center, dimer_in, dimer_out, tuple(sorted(boundary)))
     # the induced subgraph must be the star: four spokes, nothing else
     if set(inside) != set(star.spokes):
@@ -240,9 +235,7 @@ def dimer_adjacency(graph):
     adj = {d: [] for d in dimers}
     for h, ds in sorted(by_hub.items()):
         for d in ds:
-            for d2 in ds:
-                if d2 != d:
-                    adj[d].append((h, d2))
+            adj[d] += [(h, d2) for d2 in ds if d2 != d]
     return {d: tuple(sorted(v)) for d, v in adj.items()}
 
 

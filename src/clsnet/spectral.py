@@ -114,8 +114,7 @@ class PartitionBlocks:
         out = []
         for k, blk in enumerate(self.blocks):
             w, U = np.linalg.eigh(blk)
-            for i in range(w.size):
-                out.append((float(w[i]), self.lift(k, U[:, i])))
+            out += [(float(w[i]), self.lift(k, U[:, i])) for i in range(w.size)]
         return out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from clsnet import crab
 from clsnet.crab import (
     OMEGA_RANGE,
     REFERENCE_PARAMS,
@@ -22,8 +23,9 @@ from clsnet.crab import (
     star_transfer,
     verify_infidelity,
 )
-from clsnet.evolve import evolve_static, fidelity
-from clsnet.lattice import build_star, evaluate_at
+from clsnet.evolve import evolve_static, evolve_timedep_fixed, fidelity
+from clsnet.lattice import TimedHamiltonian, build_seven, build_star, \
+    evaluate_at
 
 ROOT2 = np.sqrt(2.0)
 
@@ -262,6 +264,66 @@ def test_seven_creation_assembly_ramp():
     assert abs(M0[3, 4]) < 1e-12 and abs(MT[3, 4]) < 1e-12
 
 
+# ---------------------------------------------------- problem skeleton
+
+
+def _fresh_infidelity(problem, p, n_steps):
+    """The objective with H assembled from scratch: an independently
+    built base, the assembled pulses, validation and colouring anew."""
+    J, v = p.floor, problem.v
+    Ji = dict(problem.extra).get("J_inner", 0.0)
+    base = {"star-transfer": lambda: build_star([J] * 4, v),
+            "star-creation": lambda: build_star([0.0] * 4, v),
+            "seven-transfer": lambda: build_seven([J, J, Ji, Ji, J, J], v),
+            "seven-creation": lambda: build_seven([J, J, 0, 0, J, J], v),
+            }[problem.kind]().base
+    H = TimedHamiltonian(base, assemble_hamiltonian(problem, p).overrides)
+    psi = evolve_timedep_fixed(H, problem.initial_state, 0.0, p.horizon,
+                               n_steps)
+    return 1.0 - fidelity(psi, problem.target_state)
+
+
+@pytest.mark.parametrize("make", [star_transfer, star_creation,
+                                  seven_transfer, seven_creation])
+def test_objective_matches_fresh_assembly(make):
+    prob = make()
+    ref = REFERENCE_PARAMS[prob.kind]
+    assert abs(infidelity_objective(prob, ref)
+               - _fresh_infidelity(prob, ref, prob.n_steps)) <= 1e-14
+
+
+def test_floor_mismatch_gets_its_own_skeleton():
+    # the problem's floor (0.25) differs from the reference floor 1/(4 sqrt2)
+    prob = seven_creation(J=0.25)
+    ref = REFERENCE_PARAMS["seven-creation"]
+    own = prob.make_params(ref.x, ref.xp, ref.omega)
+    infidelity_objective(prob, own)                 # caches the 0.25 skeleton
+    got = verify_infidelity(prob, ref)
+    assert abs(got - _fresh_infidelity(prob, ref, 2 * prob.n_steps)) <= 1e-14
+    H = assemble_hamiltonian(prob, ref)
+    assert H.base[0, 2] == ref.floor != assemble_hamiltonian(prob, own).base[0, 2]
+
+
+def test_search_colours_one_skeleton(monkeypatch):
+    colouring = TimedHamiltonian.__dict__["_sublattices"]
+    original, calls = colouring.func, []
+
+    def counted(H):
+        calls.append(H)
+        return original(H)
+
+    monkeypatch.setattr(colouring, "func", counted)
+    crab._skeleton.cache_clear()
+    res = optimize_crab(star_creation(n_steps=64), n_restarts=2, max_evals=200)
+    assert res.evaluations > 200 and len(calls) == 1
+
+
+def test_skeleton_refuses_other_entries():
+    H = assemble_hamiltonian(star_transfer(), REFERENCE_PARAMS["star-transfer"])
+    with pytest.raises(ValueError, match="same entries"):
+        H._with_pulses(dict(list(H.overrides.items())[:3]))
+
+
 def test_refinement_recovers_deep_minimum():
     # rounded print -> 1e-8 scale; local refinement goes much deeper
     prob = star_creation()
@@ -303,6 +365,25 @@ def test_optimize_crab_merge_rule_and_log():
     assert res.evaluations == sum(r["evaluations"] for r in res.log)
     assert all(OMEGA_RANGE[0] <= w <= OMEGA_RANGE[1]
                for r in res.log for w in r["omega"])
+
+
+def test_restart_stop_reason(monkeypatch):
+    # a quadratic bowl in place of the objective: the simplex converges
+    # well inside a large budget and spends a small one entirely
+    def bowl(problem, p):
+        d = float(np.sum((np.array(p.x + p.xp) - 1.0) ** 2))
+        return d / (1.0 + d)
+
+    monkeypatch.setattr(crab, "infidelity_objective", bowl)
+    prob = _tiny_problem()
+    free = optimize_crab(prob, n_restarts=2, seed=4, max_evals=20000)
+    assert [r["stopped"] for r in free.log] == ["converged"] * 2
+    assert all(r["evaluations"] < 20000 for r in free.log)
+    capped = optimize_crab(prob, n_restarts=2, seed=4, max_evals=50)
+    assert [(r["stopped"], r["evaluations"]) for r in capped.log] \
+        == [("budget", 50)] * 2
+    assert capped.log == optimize_crab(prob, n_restarts=2, seed=4,
+                                       max_evals=50).log
 
 
 def test_optimize_crab_rejects_zero_restarts():

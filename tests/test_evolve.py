@@ -30,7 +30,9 @@ from clsnet.lattice import (
     build_seven,
     build_star,
     evaluate_at,
+    evaluate_grid,
 )
+from clsnet.lattice import _sample_block
 from clsnet.routing import build_ramp, extract_star
 
 S2 = np.sqrt(2.0)
@@ -457,6 +459,29 @@ class TestSublatticeExponential:
         E = _framed_exponentials(C, 0.3, -1.0)
         assert np.max(np.abs(E - _expm_reference(C, 0.3, -1.0))) <= 1e-13
 
+    @pytest.mark.parametrize("C", [
+        [[0.3, 0.4, 0.0], [0.4, -0.3, 0.0]],      # a = d, b = 0: degenerate
+        [[0.1, 0.2, 0.0], [1.0, 0.5, 0.7]],       # a < d
+        [[1.0, 0.5, 0.0], [-0.7, 0.2, 0.3]],      # b < 0
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],       # all-zero C
+        [[1e-9, 0.0, 0.0, 0.0]],                  # p = 1, s^2 = 1e-18
+        [[6e-10, 8e-10, 0.0, 0.0]],               # p = 1, s^2 = 1e-18
+    ], ids=["degenerate", "a<d", "b<0", "zero", "tiny-p1", "tiny-p1-mixed"])
+    def test_closed_form_edges(self, C, monkeypatch):
+        # p <= 2 solves the Gram eigenproblem in closed form, never by eigh
+        def refuse(M):
+            raise AssertionError("eigh called for p <= 2")
+
+        C = np.array([C] * 3) * np.array([1.0, -2.0, 0.5])[:, None, None]
+        steps = (1e-3, 0.05, 0.7)
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "eigh", refuse)
+            stacks = [_framed_exponentials(C, h, 0.5) for h in steps]
+        for h, E in zip(steps, stacks):
+            assert np.max(np.abs(E - _expm_reference(C, h, 0.5))) <= 1e-13
+            eye = np.eye(E.shape[1])
+            assert np.abs(E @ E.conj().swapaxes(1, 2) - eye).max() <= 1e-13
+
     def test_split_sizes(self):
         for problem, p in ((crab.star_creation(), 1), (crab.star_transfer(), 1),
                            (crab.seven_transfer(), 2),
@@ -510,6 +535,61 @@ class TestSublatticeExponential:
         assert np.max(np.abs(fast - slow)) <= 1e-13
         assert np.max(np.abs(np.asarray(fast_samples)
                              - np.asarray(slow_samples))) <= 1e-13
+
+
+def _dll_ramp_segment():
+    # the middle star of the 3x3 DLL from dimer (8, 9) to dimer (21, 22):
+    # its boundary has hub-first entries such as (5, 8) and dimer-first
+    # ones such as (16, 20)
+    g, H = build_dll(3, 3, 0.25, 0.5)
+    star = extract_star(g, H, 20, dimer_in=(8, 9), dimer_out=(21, 22))
+    return build_ramp(H, star.boundary_entries, "down", 1.0)
+
+
+def _coupling_block_cases():
+    cases = [crab.assemble_hamiltonian(problem,
+                                       crab.REFERENCE_PARAMS[problem.kind])
+             for problem in (crab.star_creation(), crab.seven_creation(),
+                             crab.seven_transfer())]
+    return cases + [_dll_ramp_segment().H]
+
+
+class TestCouplingBlock:
+    @pytest.mark.parametrize("H", _coupling_block_cases(),
+                             ids=["star-creation", "seven-creation",
+                                  "seven-transfer", "dll-ramp"])
+    def test_block_equals_gathered_snapshots(self, H):
+        order, p = H._sublattices
+        a, b = order[:p], order[p:]
+        times = np.linspace(-0.1, 2 * np.pi + 0.1, 77)
+        block = _sample_block(H, times, a, b)
+        assert block.flags.c_contiguous
+        assert block.shape == (times.size, p, H.n_sites - p)
+        np.testing.assert_array_equal(
+            block, evaluate_grid(H, times)[:, a[:, None], b])
+        # and against the pointwise snapshots, which share no code with it
+        for k in (0, 30, 76):
+            np.testing.assert_allclose(
+                block[k], evaluate_at(H, times[k])[np.ix_(a, b)],
+                rtol=0, atol=1e-15)
+
+    def test_dll_ramp_drives_both_orientations(self):
+        H = _dll_ramp_segment().H
+        order, p = H._sublattices
+        in_a = {i in set(order[:p].tolist()) for i, _ in H.overrides}
+        assert in_a == {True, False}
+
+    def test_split_path_forms_no_snapshots(self, monkeypatch):
+        def refuse(H, times):
+            raise AssertionError("n x n snapshots sampled")
+
+        H = _dll_ramp_segment().H
+        psi0 = np.zeros(H.n_sites)
+        psi0[[1, 2]] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        free = ev._cf4_run(H, psi0, 0.0, 1.0, 128)[0]
+        monkeypatch.setattr(ev, "evaluate_grid", refuse)
+        np.testing.assert_array_equal(ev._cf4_run(H, psi0, 0.0, 1.0, 128)[0],
+                                      free)
 
 
 # ------------------------------------------ pulsed segment property tests
