@@ -33,8 +33,6 @@ from .lattice import (
     build_dll,
     build_seven,
     build_star,
-    seven_graph,
-    star_graph,
 )
 from .protocols import (
     build_schedule,
@@ -352,14 +350,20 @@ def _build_system(sc):
     p = sc.parameters
     if kind == "star":
         couplings = p.get("couplings", [p["J"]] * 4)
-        return star_graph(), build_star(couplings, p["v"])
+        return build_star(couplings, p["v"])
     if kind == "seven":
         inner = p.get("J_inner", np.sqrt(3.0) * p["J"])
         couplings = p.get("couplings",
                           [p["J"], p["J"], inner, inner, p["J"], p["J"]])
-        return seven_graph(), build_seven(couplings, p["v"])
+        return build_seven(couplings, p["v"])
+    return _build_dll(sc)[1]
+
+
+@_as_config_error()
+def _build_dll(sc):
+    """Site graph and Hamiltonian of a dll scenario."""
     return build_dll(sc.system["cells_x"], sc.system["cells_y"],
-                     p["J"], p["v"])
+                     sc.parameters["J"], sc.parameters["v"])
 
 
 @_as_config_error()
@@ -403,7 +407,7 @@ def _build_protocol_schedule(sc):
                                 initial_state=problem.initial_state,
                                 target_state=problem.target_state)
     # hold: the stored state parked under the static network
-    _, H = _build_system(sc)
+    H = _build_system(sc)
     psi = cls_state(kind, "I")
     items = (Segment(0.0, sched["T"]),) if sched["T"] > 0 else ()
     return ProtocolSchedule(H, items, initial_state=psi, target_state=psi)
@@ -469,7 +473,7 @@ def _write_trajectory(path, traj):
 
 
 def cmd_spectrum(sc, out_dir):
-    _, H = _build_system(sc)
+    H = _build_system(sc)
     spec = spectrum(H)
     states = find_cls(H, 2)
     kind = sc.system["kind"]
@@ -563,7 +567,7 @@ def cmd_optimize(sc, out_dir):
 
 
 def cmd_route(sc, out_dir):
-    graph, H = _build_system(sc)
+    graph, H = _build_dll(sc)
     with _as_config_error():
         plans = [plan_route(graph, H, tuple(r["source"]),
                             tuple(r["destination"]), variant=r["variant"],

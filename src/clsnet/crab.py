@@ -72,7 +72,7 @@ _CHANNELS = {
     "star-transfer": ((1, (0, 2)), (2, (1, 2)), (3, (2, 3)), (4, (2, 4))),
     "seven-transfer": ((1, (0, 2)), (2, (1, 2)), (5, (4, 5)), (6, (4, 6))),
     "star-creation": ((1, (0, 2)), (2, (1, 2))),
-    "seven-creation": ((1, (0, 2)), (2, (1, 2))),
+    "seven-creation": ((1, (0, 2)), (2, (1, 2)), (3, (2, 3))),
 }
 
 # (len(x), len(xp), len(omega)) per ansatz kind
@@ -234,6 +234,9 @@ def _pulse_for(kind, n, p):
     if n not in channels:
         raise ValueError(f"{kind} has no channel {n}")
     k = list(channels).index(n)
+    if kind == "seven-creation" and n == 3:
+        # the inner coupling ramps linearly from 0, reaching 1 at 2*pi
+        return LinearRamp(0.0, p.horizon / (2 * np.pi), p.horizon)
     if kind.endswith("transfer"):
         return CrabTransferPulse(p.floor, p.x[k], p.xp[k], p.omega[k],
                                  env_div=2.0 if kind == "star-transfer" else 4.0)
@@ -251,13 +254,13 @@ def _pulse_for(kind, n, p):
 
 def eval_pulse(kind, n, t, p):
     """Coupling value of channel ``n`` at time ``t`` under the declared
-    ansatz (creation profiles fall to zero at the horizon)."""
+    ansatz (star creation profiles fall to zero at the horizon): a float
+    for a scalar time, else an array of the shape of ``t``."""
     _check_arity(kind, p)
     t = np.asarray(t, dtype=float)
     if np.any(t < -1e-12) or np.any(t > p.horizon + 1e-12):
         raise ValueError("t outside [0, horizon]")
-    out = np.asarray(_pulse_for(kind, n, p).value(t))
-    return float(out) if out.ndim == 0 else out
+    return _pulse_for(kind, n, p).value(t)
 
 
 @lru_cache(maxsize=32)
@@ -273,8 +276,6 @@ def _skeleton(kind, floor, v, extra):
         base = _unit_matrix(7, SEVEN_EDGES,
                             [floor, floor, Ji, Ji, floor, floor], v)
     entries = [entry for _, entry in _CHANNELS[kind]]
-    if kind == "seven-creation":
-        entries.append((2, 3))
     return TimedHamiltonian(base, dict.fromkeys(entries, Pulse()))
 
 
@@ -291,9 +292,6 @@ def assemble_hamiltonian(problem, p):
         pulse = _pulse_for(kind, n, p)
         overrides[entry] = TimeMirrored(pulse, p.horizon) \
             if kind == "star-creation" else pulse
-    if kind == "seven-creation":
-        overrides[(2, 3)] = LinearRamp(0.0, p.horizon / (2 * np.pi),
-                                       p.horizon)
     skeleton = _skeleton(kind, p.floor, problem.v, problem.extra)
     return skeleton._with_pulses(overrides)
 
@@ -322,14 +320,11 @@ def pulse_table(problem, p):
     """Sample of every driven coupling, declared profile, at 201
     uniform times over the horizon.
 
-    Returns (times, {channel: values}); creation kinds include the
-    ramped partner channels so the table plots complete.
+    Returns (times, {channel: values}), one column per channel.
     """
     times = np.linspace(0.0, p.horizon, 201)
     table = {n: eval_pulse(problem.kind, n, times, p)
              for n, _ in _CHANNELS[problem.kind]}
-    if problem.kind == "seven-creation":
-        table[3] = times / (2 * np.pi)
     return times, table
 
 

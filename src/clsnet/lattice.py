@@ -11,10 +11,10 @@ time dependent:
   dimers each, with open boundary conditions.
 
 A Hamiltonian is stored as a dense real symmetric ``base`` matrix plus
-a mapping from matrix entries to :class:`Pulse` objects.  Conventions:
-hbar = 1, energies in abstract units, times in inverse energy units.
-All couplings and potentials are real, so Hermitian means symmetric
-here.
+a mapping from matrix entries to :class:`Pulse` objects, all sampled by
+:func:`_sample_block`.  Conventions: hbar = 1, energies in abstract
+units, times in inverse energy units.  All couplings and potentials are
+real, so Hermitian means symmetric here.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "build_star",
     "build_seven",
     "build_dll",
-    "star_graph",
-    "seven_graph",
     "attach_pulse",
     "static_matrix",
     "evaluate_at",
@@ -59,11 +57,19 @@ SEVEN_EDGES = ((0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6))
 class Pulse:
     """Scalar function of time attached to one Hamiltonian entry.
 
-    Subclasses implement ``value(t)``, accepting a float or an ndarray
-    of times and returning the same shape.  Pulses are immutable.
+    Subclasses implement ``_sample(t)`` on a float ndarray of times,
+    returning the same shape; :meth:`value` is the one place a scalar
+    time becomes a float.  Pulses are immutable.
     """
 
     def value(self, t):
+        """A float for a scalar ``t``, sampled as a one-element array,
+        else an array of ``t``'s shape."""
+        if np.ndim(t):
+            return self._sample(np.asarray(t, dtype=float))
+        return float(self._sample(np.array([t], dtype=float))[0])
+
+    def _sample(self, t):
         raise NotImplementedError
 
 
@@ -83,12 +89,11 @@ class LinearRamp(Pulse):
         if not self.duration > 0:
             raise ValueError("ramp duration must be positive")
 
-    def value(self, t):
-        s = np.asarray(t, dtype=float) / self.duration
+    def _sample(self, t):
+        s = t / self.duration
         v = self.start + (self.end - self.start) * s
         v = np.where(s <= 0.0, self.start, v)
-        v = np.where(s >= 1.0, self.end, v)
-        return v if np.ndim(t) else float(v)
+        return np.where(s >= 1.0, self.end, v)
 
 
 @dataclass(frozen=True)
@@ -109,11 +114,9 @@ class CrabTransferPulse(Pulse):
     omega: float
     env_div: float = 2.0
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
+    def _sample(self, t):
         bracket = self.x * np.sin(self.omega * t) + self.xp * np.cos(self.omega * t)
-        v = self.floor * (1.0 + np.sin(t / self.env_div) * bracket**2)
-        return v if v.ndim else float(v)
+        return self.floor * (1.0 + np.sin(t / self.env_div) * bracket**2)
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,10 @@ class CreationStarPulse(Pulse):
     amplitude: float
     horizon: float
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
+    def _sample(self, t):
         bracket = 1.0 + self.x * np.sin(self.omega * t) + self.xp * np.sin(self.omegap * t)
         lin = np.where(t >= self.horizon, 0.0, 1.0 - t / self.horizon)
-        v = bracket * self.amplitude * lin
-        return v if v.ndim else float(v)
+        return bracket * self.amplitude * lin
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,9 @@ class CreationSevenPulse(Pulse):
     xp: float
     omega: float
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
+    def _sample(self, t):
         bracket = self.x * np.sin(self.omega * t) + self.xp * np.cos(self.omega * t)
-        v = self.floor * (1.0 + np.sin(t / 2.0) * bracket)
-        return v if v.ndim else float(v)
+        return self.floor * (1.0 + np.sin(t / 2.0) * bracket)
 
 
 @dataclass(frozen=True)
@@ -179,9 +178,8 @@ class TablePulse(Pulse):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("table times must be strictly increasing")
 
-    def value(self, t):
-        v = np.interp(np.asarray(t, dtype=float), self.times, self.values)
-        return v if np.ndim(t) else float(v)
+    def _sample(self, t):
+        return np.interp(t, self.times, self.values)
 
 
 @dataclass(frozen=True)
@@ -195,9 +193,8 @@ class TimeMirrored(Pulse):
     inner: Pulse
     horizon: float
 
-    def value(self, t):
-        return self.inner.value(self.horizon - np.asarray(t, dtype=float)) \
-            if np.ndim(t) else self.inner.value(self.horizon - t)
+    def _sample(self, t):
+        return self.inner._sample(self.horizon - t)
 
 
 @dataclass(frozen=True)
@@ -211,9 +208,9 @@ class SiteGraph:
     edges : tuple of (int, int)
         Unordered coupling pairs, stored with i < j.
     labels : tuple of str
-        Per-site role tag: 'dimer-upper', 'dimer-lower', 'hub' or
-        'connector'.  Dimer partners are adjacent in index order,
-        upper immediately before lower.
+        Per-site role tag: 'dimer-upper', 'dimer-lower' or 'hub'.
+        Dimer partners are adjacent in index order, upper immediately
+        before lower.
     """
 
     n_sites: int
@@ -399,15 +396,6 @@ def build_star(J, v):
     return TimedHamiltonian(_unit_matrix(5, STAR_EDGES, J, v), {})
 
 
-def star_graph():
-    """Connectivity and labels matching :func:`build_star`."""
-    return SiteGraph(
-        5,
-        STAR_EDGES,
-        ("dimer-upper", "dimer-lower", "hub", "dimer-upper", "dimer-lower"),
-    )
-
-
 def build_seven(J, v):
     """Seven-site unit: dimer - connector - hub - connector - dimer.
 
@@ -425,16 +413,6 @@ def build_seven(J, v):
     TimedHamiltonian
     """
     return TimedHamiltonian(_unit_matrix(7, SEVEN_EDGES, J, v), {})
-
-
-def seven_graph():
-    """Connectivity and labels matching :func:`build_seven`."""
-    return SiteGraph(
-        7,
-        SEVEN_EDGES,
-        ("dimer-upper", "dimer-lower", "connector", "hub", "connector",
-         "dimer-upper", "dimer-lower"),
-    )
 
 
 def build_dll(cells_x, cells_y, J, v):
@@ -481,12 +459,8 @@ def build_dll(cells_x, cells_y, J, v):
                 if j + 1 < cells_y:
                     edges.append(tuple(sorted((s, hub(i, j + 1)))))
 
-    base = np.full((n, n), 0.0)
-    np.fill_diagonal(base, float(v))
-    for i, j in edges:
-        base[i, j] = base[j, i] = float(J)
     graph = SiteGraph(n, tuple(sorted(set(edges))), tuple(labels))
-    return graph, TimedHamiltonian(base, {})
+    return graph, TimedHamiltonian(_unit_matrix(n, graph.edges, J, v), {})
 
 
 def attach_pulse(H, entry, p):
@@ -516,13 +490,9 @@ def static_matrix(H):
 
 
 def evaluate_at(H, t):
-    """Dense symmetric snapshot of ``H`` at time ``t``."""
-    out = np.array(H.base)
-    for (i, j), pulse in H.overrides.items():
-        val = float(pulse.value(float(t)))
-        out[i, j] = val
-        out[j, i] = val
-    return out
+    """Dense symmetric snapshot of ``H`` at time ``t``: the one-time
+    case of :func:`evaluate_grid`."""
+    return evaluate_grid(H, [t])[0]
 
 
 def evaluate_grid(H, times):
@@ -543,7 +513,7 @@ def _sample_block(H, times, rows, cols):
     at_row = dict(zip(rows.tolist(), range(len(rows))))
     at_col = dict(zip(cols.tolist(), range(len(cols))))
     for (i, j), pulse in H.overrides.items():
-        vals = np.asarray(pulse.value(times), dtype=float)
+        vals = pulse._sample(times)
         for r, c in ((i, j), (j, i)):
             if r in at_row and c in at_col:
                 out[:, at_row[r], at_col[c]] = vals

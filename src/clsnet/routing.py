@@ -17,7 +17,7 @@ earliest-start scheduling in request order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -113,14 +113,6 @@ class RoutePlan:
     def duration(self):
         return sum(j.duration for j in self.jumps)
 
-    def busy_relative(self):
-        """Per-jump (center, begin, end) intervals relative to start."""
-        out, t = [], 0.0
-        for j in self.jumps:
-            out.append((j.star.center, t, t + j.duration))
-            t += j.duration
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Timeline:
@@ -149,7 +141,6 @@ class RouteReport:
     per_jump: tuple
     final_states: tuple
     norm_drift: float
-    timeline: Timeline = field(repr=False)
 
 
 def _dimer_hubs(graph, pair):
@@ -311,17 +302,20 @@ def _jump_holds(plan, start):
     """Per jump of ``plan`` run from ``start``: (jump, center, t0, t1,
     holds), the one jump model of scheduling, checking and building.
 
-    The window is t0 = start + r0, t1 = start + r1 from
-    ``busy_relative``; ``holds`` are the (entry, key) couplings held
-    for all of it: the spokes exclusively (key None), the boundary
-    entries as a ramp keyed (t0, t1, dt).
+    The window is t0 = start + r0, t1 = start + r1, where r0 sums the
+    durations of the earlier jumps and r1 = r0 + duration; ``holds``
+    are the (entry, key) couplings held for all of it: the spokes
+    exclusively (key None), the boundary entries as a ramp keyed
+    (t0, t1, dt).
     """
-    out = []
-    for j, (c, r0, r1) in zip(plan.jumps, plan.busy_relative()):
+    out, r0 = [], 0.0
+    for j in plan.jumps:
+        r1 = r0 + j.duration
         t0, t1 = start + r0, start + r1
         holds = [(e, None) for e in j.star.spokes]
         holds += [(e, (t0, t1, j.dt)) for e in j.star.boundary_entries]
-        out.append((j, c, t0, t1, holds))
+        out.append((j, j.star.center, t0, t1, holds))
+        r0 = r1
     return out
 
 
@@ -474,7 +468,7 @@ def simulate_route(graph, H, tl, tol=1e-11):
     if tl.end == 0.0:
         fids = tuple(fidelity(s, t) for s, t in zip(sources, targets))
         return RouteReport(fids, tuple(() for _ in tl.routes),
-                           tuple(sources), 0.0, tl)
+                           tuple(sources), 0.0)
 
     schedule = timeline_schedule(graph, H, tl)
     traj = run_schedule(schedule, np.column_stack(sources), tol=tol)
@@ -490,4 +484,4 @@ def simulate_route(graph, H, tl, tol=1e-11):
                                             out_state)))
         per_jump.append(tuple(table))
     return RouteReport(tuple(fids), tuple(per_jump), finals,
-                       traj.norm_drift, tl)
+                       traj.norm_drift)

@@ -201,6 +201,22 @@ def test_pulse_table_covers_all_channels():
     assert set(tr_table) == {1, 2, 3, 4}
 
 
+PROBLEMS = {"star-transfer": star_transfer, "star-creation": star_creation,
+            "seven-transfer": seven_transfer, "seven-creation": seven_creation}
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_channel_table_lists_every_driven_entry(kind):
+    # the assembled Hamiltonian drives exactly the channel entries, and
+    # the pulse table has one column per channel
+    problem, p = PROBLEMS[kind](), REFERENCE_PARAMS[kind]
+    channels = crab._CHANNELS[kind]
+    H = assemble_hamiltonian(problem, p)
+    assert set(H.overrides) == {entry for _, entry in channels}
+    _, table = pulse_table(problem, p)
+    assert sorted(table) == sorted(n for n, _ in channels)
+
+
 # ----------------------------------------------------------- objective
 
 

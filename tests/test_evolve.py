@@ -567,11 +567,14 @@ class TestCouplingBlock:
         assert block.shape == (times.size, p, H.n_sites - p)
         np.testing.assert_array_equal(
             block, evaluate_grid(H, times)[:, a[:, None], b])
-        # and against the pointwise snapshots, which share no code with it
+        # and against snapshots written entry by entry from scalar
+        # pulse values, which share no code with the sampler
         for k in (0, 30, 76):
-            np.testing.assert_allclose(
-                block[k], evaluate_at(H, times[k])[np.ix_(a, b)],
-                rtol=0, atol=1e-15)
+            snap = np.array(H.base)
+            for (i, j), pulse in H.overrides.items():
+                snap[i, j] = snap[j, i] = pulse.value(times[k])
+            np.testing.assert_allclose(block[k], snap[np.ix_(a, b)],
+                                       rtol=0, atol=1e-15)
 
     def test_dll_ramp_drives_both_orientations(self):
         H = _dll_ramp_segment().H

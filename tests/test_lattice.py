@@ -6,6 +6,7 @@ from clsnet.lattice import (
     CreationSevenPulse,
     CreationStarPulse,
     LinearRamp,
+    Pulse,
     SEVEN_EDGES,
     STAR_EDGES,
     TablePulse,
@@ -247,6 +248,79 @@ class TestAttachEvaluate:
             np.testing.assert_allclose(grid[k], evaluate_at(H, t), atol=0, rtol=0)
 
 
+# one instance of each pulse class, and a mirrored wrapper
+PULSES = {
+    "linear-ramp": LinearRamp(0.25, 0.0, 4.0),
+    "crab-transfer": CrabTransferPulse(0.25, 0.5850, 2.9997, 1.4452),
+    "creation-star": CreationStarPulse(0.8292, 1.5246, 1.7638, 1.9434,
+                                       3 * S2, np.pi),
+    "creation-seven": CreationSevenPulse(1 / (4 * S2), 6.9763, 2.1072, 1.7465),
+    "table": TablePulse((0.0, 1.0, 2.5), (0.3, -0.2, 0.7)),
+    "mirrored": TimeMirrored(CreationStarPulse(0.8292, 1.5246, 1.7638, 1.9434,
+                                               3 * S2, np.pi), np.pi),
+}
+
+
+class TestScalarPath:
+    @pytest.mark.parametrize("name", sorted(PULSES))
+    def test_scalar_matches_array_bit_for_bit(self, name):
+        pulse = PULSES[name]
+        # out-of-range times and the ends of every profile included
+        times = np.concatenate([
+            np.random.default_rng(11).uniform(-1.0, 8.0, 300),
+            [0.0, 1.0, 2.5, 4.0, np.pi, 2 * np.pi]])
+        vals = pulse.value(times)
+        assert vals.shape == times.shape and vals.dtype == np.float64
+        for t, v in zip(times, vals):
+            for scalar in (float(t), np.float64(t)):
+                got = pulse.value(scalar)
+                assert type(got) is float
+                assert got == v, (t, got, v)
+
+    @pytest.mark.parametrize("name", sorted(PULSES))
+    def test_array_keeps_shape(self, name):
+        pulse = PULSES[name]
+        times = np.linspace(-0.5, 5.0, 24)
+        grid = pulse.value(times.reshape(4, 6))
+        assert grid.shape == (4, 6)
+        np.testing.assert_array_equal(grid.ravel(), pulse.value(times))
+        assert pulse.value(times[:1]).shape == (1,)
+
+    @pytest.mark.parametrize("name", sorted(PULSES))
+    def test_scalar_conversion_lives_in_pulse(self, name):
+        assert type(PULSES[name]).value is Pulse.value
+
+
+def _one_sampler_cases():
+    from clsnet import crab
+    from clsnet.routing import build_ramp, extract_star
+
+    cases = {kind: crab.assemble_hamiltonian(
+                 problem, crab.REFERENCE_PARAMS[kind])
+             for kind, problem in (("star-creation", crab.star_creation()),
+                                   ("seven-creation", crab.seven_creation()),
+                                   ("star-transfer", crab.star_transfer()))}
+    g, H = build_dll(3, 3, 0.25, 0.5)
+    star = extract_star(g, H, 20, dimer_in=(8, 9), dimer_out=(21, 22))
+    cases["dll-ramp"] = build_ramp(H, star.boundary_entries, "down", 1.0).H
+    cases["table"] = attach_pulse(build_star([0.25] * 4, 0.5), (2, 3),
+                                  TablePulse((0.0, 1.0, 3.0), (0.25, 0.0, 0.5)))
+    return cases
+
+
+class TestOneSampler:
+    @pytest.mark.parametrize("name", ["star-creation", "seven-creation",
+                                      "star-transfer", "dll-ramp", "table"])
+    def test_evaluate_at_is_grid_at_one_time(self, name):
+        H = _one_sampler_cases()[name]
+        times = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 300)
+        grid = evaluate_grid(H, times)
+        for k, t in enumerate(times):
+            snap = evaluate_at(H, t)
+            np.testing.assert_array_equal(snap, evaluate_grid(H, [t])[0])
+            np.testing.assert_array_equal(snap, grid[k])
+
+
 class TestInvariants:
     def test_symmetric_at_random_times(self):
         rng = np.random.default_rng(7)
@@ -284,22 +358,6 @@ class TestInvariants:
 
 
 class TestSiteGraph:
-    def test_star_roles(self):
-        from clsnet.lattice import star_graph
-
-        g = star_graph()
-        assert g.hubs() == (2,)
-        assert g.dimers() == ((0, 1), (3, 4))
-        assert g.neighbors(2) == (0, 1, 3, 4)
-
-    def test_seven_roles(self):
-        from clsnet.lattice import seven_graph
-
-        g = seven_graph()
-        assert g.hubs() == (3,)
-        assert g.dimers() == ((0, 1), (5, 6))
-        assert g.labels[2] == g.labels[4] == "connector"
-
     def test_rejects_malformed(self):
         from clsnet.lattice import SiteGraph
 

@@ -1,10 +1,21 @@
-"""Package surface: each module's ``__all__`` lists its public names."""
+"""Package surface: each module's ``__all__`` lists its public names,
+and every public name has a caller."""
 
 import ast
+import functools
 import importlib
 import inspect
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# public names kept without a caller in the package or the bench: the
+# correctness claims on tolerance per unit time and on time reversal
+# rest on them
+KEPT_WITHOUT_CALLER = {"evolve_timedep", "reverse_schedule"}
 
 MODULES = ("lattice", "spectral", "evolve", "protocols", "crab", "routing",
            "cli", "acceptance")
@@ -30,3 +41,38 @@ def test_all_lists_exactly_the_public_names(name):
     module = importlib.import_module(f"clsnet.{name}")
     assert len(module.__all__) == len(set(module.__all__))
     assert set(module.__all__) == _public_top_level(module)
+
+
+@functools.cache
+def _references():
+    """How often each name is read in ``src/clsnet`` and ``bench/``: as
+    a loaded name, an attribute or a string (getattr-style patch
+    targets), not counting definitions and ``__all__`` lists."""
+    seen = Counter()
+    files = sorted((ROOT / "src" / "clsnet").glob("*.py")) + \
+        sorted((ROOT / "bench").glob("*.py"))
+    for path in files:
+        tree = ast.parse(path.read_text())
+        listed = {id(n) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets)
+                  for n in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if id(node) in listed:
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                seen[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                seen[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                seen[node.value] += 1
+    return seen
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_name_has_a_caller(name):
+    module = importlib.import_module(f"clsnet.{name}")
+    seen = _references()
+    unused = {n for n in module.__all__ if not seen[n]} - KEPT_WITHOUT_CALLER
+    assert not unused

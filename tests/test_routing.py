@@ -21,11 +21,7 @@ from clsnet.lattice import (
     TimedHamiltonian,
     LinearRamp,
     build_dll,
-    build_star,
     evaluate_at,
-    star_graph,
-    seven_graph,
-    build_seven,
 )
 from clsnet.routing import (
     RoutePlan,
@@ -54,11 +50,11 @@ def dll(nx, ny):
 
 
 def test_extract_star_of_standalone_star_is_whole_graph():
-    g = star_graph()
-    H = build_star(J, V)
-    sv = extract_star(g, H, 2)
-    assert sv.sites == (0, 1, 2, 3, 4)
-    assert sv.dimer_in == (0, 1) and sv.dimer_out == (3, 4)
+    # one DLL cell is a standalone star: hub 0, dimers (1, 2) and (3, 4)
+    g, H = dll(1, 1)
+    sv = extract_star(g, H, 0)
+    assert sv.sites == (1, 2, 0, 3, 4)
+    assert sv.dimer_in == (1, 2) and sv.dimer_out == (3, 4)
     assert sv.boundary_entries == ()
 
 
@@ -92,11 +88,11 @@ def test_extract_star_rejects_non_hub():
 
 
 def test_extract_star_rejects_single_dimer_hub():
-    # the seven-site hub only touches connectors, never a dimer
-    g = seven_graph()
-    H = build_seven(J, V)
+    # hub 2 couples to the one dimer (0, 1) only
+    g = SiteGraph(3, ((0, 2), (1, 2)), ("dimer-upper", "dimer-lower", "hub"))
+    H = TimedHamiltonian(np.eye(3))
     with pytest.raises(ValueError, match="fewer than two"):
-        extract_star(g, H, 3)
+        extract_star(g, H, 2)
 
 
 def test_extract_star_rejects_foreign_or_equal_dimers():
@@ -316,26 +312,26 @@ def test_schedule_overlap_only_where_stars_differ():
 
 
 class _StubPlan:
-    # the jump model reads each jump's star and ramp time besides the
-    # intervals; the stars here have no boundary, only their spokes
+    # the jump model reads each jump's star, ramp time and duration;
+    # the stars here have no boundary, only their spokes
     _DIMERS = {5: ((1, 2), (6, 7)), 20: ((16, 17), (21, 22))}
 
-    def __init__(self, busy):
-        self._busy = busy
+    def __init__(self, jumps):
         self.jumps = tuple(
-            SimpleNamespace(star=StarView(c, *self._DIMERS[c], ()), dt=1.0)
-            for c, _, _ in busy)
-
-    def busy_relative(self):
-        return self._busy
+            SimpleNamespace(star=StarView(c, *self._DIMERS[c], ()), dt=1.0,
+                            duration=d)
+            for c, d in jumps)
 
 
 def test_schedule_survives_delay_round_off():
-    # (t1 - r0) + r0 rounds one ulp below t1 for these intervals, which
-    # used to leave no admissible delay
-    first = _StubPlan(((20, 0.0, 115.68140899333461),))
-    second = _StubPlan(((5, 0.0, 24.84955592153876),
-                        (20, 24.84955592153876, 33.13274122871835)))
+    # jump windows (20, 0, 115.68140899333461) for the first route and
+    # (5, 0, 24.84955592153876), (20, 24.84955592153876,
+    # 33.13274122871835) for the second: (t1 - r0) + r0 rounds one ulp
+    # below t1 for them, which used to leave no admissible delay
+    first = _StubPlan(((20, 115.68140899333461),))
+    second = _StubPlan(((5, 24.84955592153876), (20, 8.283185307179593)))
+    assert Timeline((second,), (0.0,)).busy[0][1] == \
+        (20, 24.84955592153876, 33.13274122871835)
     tl = schedule_multi([first, second])
     assert tl.starts[0] == 0.0
     assert tl.busy[1][1][1] >= 115.68140899333461
@@ -540,7 +536,7 @@ def test_simulation_is_deterministic():
 def test_jump_duration_and_busy_accounting():
     g, H = dll(2, 1)
     plan = plan_route(g, H, (1, 2), (6, 7), dt=0.5)
-    (center, b0, b1), = plan.busy_relative()
+    (center, b0, b1), = Timeline((plan,), (0.0,)).busy[0]
     assert center == 5
     assert b0 == 0.0
     assert b1 == pytest.approx(1.0 + 2 * np.pi)
