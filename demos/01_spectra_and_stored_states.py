@@ -35,7 +35,7 @@ for s in find_cls(H, max_support=2):
 # The outer four-cycle (swap the dimers, swap partners) commutes with
 # H.  Its symmetric sector is a 2x2 block coupling the outer average
 # to the hub with strength 2J; everything else is flat.
-blocks = equitable_blocks_star(H, (1, 3, 2, 4, 0))
+blocks = equitable_blocks_star(H)
 print("block sizes:", [b.shape[0] for b in blocks.blocks])
 print("2x2 block:\n", blocks.blocks[0])
 

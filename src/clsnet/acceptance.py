@@ -17,6 +17,7 @@ import numpy as np
 
 from . import crab
 from .evolve import (
+    PhaseFlip,
     ProtocolSchedule,
     Segment,
     evolve_static,
@@ -26,9 +27,9 @@ from .evolve import (
 from .lattice import TablePulse, TimedHamiltonian, LinearRamp, \
     attach_pulse, build_dll, build_star, build_seven
 from .protocols import (
+    TRANSFER_VARIANTS,
     build_schedule,
     cls_state,
-    phase_flip,
     solve_generation_params,
     solve_seven_transfer_params,
     solve_transfer_params,
@@ -36,7 +37,6 @@ from .protocols import (
 from .routing import plan_route, schedule_multi, simulate_route, \
     verify_timeline
 from .spectral import (
-    STAR_FOUR_CYCLE,
     equitable_blocks_star,
     find_cls,
     nonequitable_blocks_seven,
@@ -156,7 +156,8 @@ def _c4():
     s = build_schedule("star", "generation", gp, final_flip=False)
     traj = run_schedule(s, s.initial_state)
     fid_L = fidelity(traj.final_state, cls_state("star", "L"))
-    fid_I = fidelity(phase_flip(traj.final_state, 1), cls_state("star", "I"))
+    fid_I = fidelity(PhaseFlip(gp.T, 1).apply(traj.final_state),
+                     cls_state("star", "I"))
     # scale misreading: an absolute coupling 3*sqrt(2) instead of
     # 3*sqrt(2)*J winds the hub-dimer rotation through full turns
     bad_H = build_star([3 * _S2, 3 * _S2, 0.0, 0.0], 0.5)
@@ -240,7 +241,7 @@ def _c8():
     dev = float(np.max(np.abs(w - expected)))
     p = solve_seven_transfer_params(0, 1.0, 0.0)
     fids, drifts = [], []
-    for variant in ("phase-flip-transfer", "hopping-flip-transfer"):
+    for variant in TRANSFER_VARIANTS:
         s = build_schedule("seven", variant, p)
         traj = run_schedule(s, s.initial_state)
         fids.append(fidelity(traj.final_state, s.target_state))
@@ -289,8 +290,7 @@ def _c10():
         J = rng.uniform(-2, 2)
         v_out, v_hub = rng.uniform(-2, 2, size=2)
         H = build_star([J] * 4, [v_out] * 2 + [v_hub] + [v_out] * 2)
-        errors.append(_partition_errors(
-            H, equitable_blocks_star(H, STAR_FOUR_CYCLE)))
+        errors.append(_partition_errors(H, equitable_blocks_star(H)))
     for _ in range(100):
         J = rng.uniform(0.2, 2)
         J3, J4 = rng.uniform(-2, 2, size=2)

@@ -35,6 +35,7 @@ from .lattice import (
     build_star,
 )
 from .protocols import (
+    TRANSFER_VARIANTS,
     build_schedule,
     cls_state,
     solve_generation_params,
@@ -42,7 +43,7 @@ from .protocols import (
     solve_transfer_params,
 )
 from .routing import plan_route, schedule_multi, simulate_route
-from .spectral import STAR_FOUR_CYCLE, equitable_blocks_star, find_cls, \
+from .spectral import equitable_blocks_star, find_cls, \
     nonequitable_blocks_seven, spectrum
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config",
@@ -51,8 +52,7 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config",
 
 _SYSTEMS = ("star", "seven", "dll")
 _ACTIONS = ("spectrum", "simulate", "optimize", "route")
-_SCHEDULE_VARIANTS = ("phase-flip-transfer", "hopping-flip-transfer",
-                      "generation", "reverse-generation",
+_SCHEDULE_VARIANTS = (*TRANSFER_VARIANTS, "generation", "reverse-generation",
                       "piecewise-transfer", "optimized", "hold")
 _PROBLEMS = ("star-transfer", "star-creation", "seven-transfer",
              "seven-creation")
@@ -167,6 +167,14 @@ def _parse_parameters(raw, system):
     return out
 
 
+def _problem(raw, kind, where):
+    problem = raw.get("problem")
+    _expect(problem in _PROBLEMS, where, f"problem must be one of {_PROBLEMS}")
+    _expect(problem.split("-")[0] == kind, where,
+            f"problem {problem} does not run on a {kind} system")
+    return problem
+
+
 def _parse_schedule(raw, system):
     _expect(isinstance(raw, dict), "action.schedule", "must be an object")
     variant = raw.get("variant")
@@ -175,7 +183,7 @@ def _parse_schedule(raw, system):
     where = "action.schedule"
     kind = system["kind"]
     out = {"variant": variant}
-    if variant in ("phase-flip-transfer", "hopping-flip-transfer"):
+    if variant in TRANSFER_VARIANTS:
         _expect(kind in ("star", "seven"), where,
                 f"{variant} needs a star or seven system, not {kind}")
         if kind == "star":
@@ -195,12 +203,7 @@ def _parse_schedule(raw, system):
         out["k2p"] = _integer(raw, "k2p", where, required=True)
     elif variant == "optimized":
         _only_keys(raw, ("variant", "problem"), where)
-        problem = raw.get("problem")
-        _expect(problem in _PROBLEMS, where,
-                f"problem must be one of {_PROBLEMS}")
-        _expect(problem.split("-")[0] == kind, where,
-                f"problem {problem} does not run on a {kind} system")
-        out["problem"] = problem
+        out["problem"] = _problem(raw, kind, where)
     else:  # hold
         _expect(kind in ("star", "seven"), where,
                 "hold needs a star or seven system")
@@ -226,11 +229,7 @@ def _parse_action(raw, system, seed):
     if kind == "optimize":
         _only_keys(raw, ("kind", "problem", "mode", "n_restarts",
                          "max_evals", "n_steps"), "action")
-        problem = raw.get("problem")
-        _expect(problem in _PROBLEMS, "action.problem",
-                f"must be one of {_PROBLEMS}")
-        _expect(problem.split("-")[0] == system["kind"], "action.problem",
-                f"{problem} does not run on a {system['kind']} system")
+        problem = _problem(raw, system["kind"], "action.problem")
         mode = raw.get("mode", "evaluate")
         _expect(mode in _OPT_MODES, "action.mode",
                 f"must be one of {_OPT_MODES}")
@@ -268,8 +267,7 @@ def _parse_action(raw, system, seed):
             "variant": r.get("variant", "phase-flip-transfer"),
             "dt": _number(r, "dt", where, default=1.0),
         }
-        _expect(item["variant"] in ("phase-flip-transfer",
-                                    "hopping-flip-transfer"),
+        _expect(item["variant"] in TRANSFER_VARIANTS,
                 where, "unknown transfer variant")
         _expect(item["dt"] > 0, where, "dt must be positive")
         parsed.append(item)
@@ -386,7 +384,7 @@ def _build_protocol_schedule(sc):
     variant = sched["variant"]
     kind = sc.system["kind"]
     p = sc.parameters
-    if variant in ("phase-flip-transfer", "hopping-flip-transfer"):
+    if variant in TRANSFER_VARIANTS:
         if kind == "star":
             params = solve_transfer_params(sched["k1"], sched["k2"], p["J"])
         else:
@@ -480,7 +478,7 @@ def cmd_spectrum(sc, out_dir):
     blocks = None
     try:
         if kind in ("star", "seven"):
-            pb = equitable_blocks_star(H, STAR_FOUR_CYCLE) if kind == "star" \
+            pb = equitable_blocks_star(H) if kind == "star" \
                 else nonequitable_blocks_seven(H)
             blocks = [sorted(np.linalg.eigvalsh(b).tolist())
                       for b in pb.blocks]

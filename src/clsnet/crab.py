@@ -44,7 +44,7 @@ from .lattice import (
     TimedHamiltonian,
     _unit_matrix,
 )
-from .spectral import dimer_state
+from .protocols import cls_state
 
 __all__ = [
     "OMEGA_RANGE",
@@ -175,25 +175,23 @@ class ControlProblem:
 def star_transfer(J=0.25, v=0.5, n_steps=1024):
     """Dimer-to-dimer transfer across the star hub, all four couplings
     driven, duration one family period."""
-    return ControlProblem("star-transfer", dimer_state(5, (0, 1)),
-                          dimer_state(5, (3, 4)), v, J, n_steps)
+    return ControlProblem("star-transfer", cls_state("star", "I"),
+                          cls_state("star", "F"), v, J, n_steps)
 
 
 def star_creation(J=0.25, v=0.5, n_steps=512):
     """Hub excitation to stored dimer state on the star; only the input
     dimer couplings are active, ramping up from zero."""
-    psi0 = np.zeros(5)
-    psi0[2] = 1.0
-    return ControlProblem("star-creation", psi0, dimer_state(5, (0, 1)),
-                          v, J, n_steps)
+    return ControlProblem("star-creation", cls_state("star", "c"),
+                          cls_state("star", "I"), v, J, n_steps)
 
 
 def seven_transfer(J=1 / (4 * np.sqrt(2.0)), J_inner=3.0, v=0.5,
                    n_steps=2048):
     """Dimer-to-dimer transfer across the seven-site unit; the four
     outer couplings are driven, the two inner ones held constant."""
-    return ControlProblem("seven-transfer", dimer_state(7, (0, 1)),
-                          dimer_state(7, (5, 6)), v, J, n_steps,
+    return ControlProblem("seven-transfer", cls_state("seven", "I"),
+                          cls_state("seven", "F"), v, J, n_steps,
                           extra=(("J_inner", J_inner),))
 
 
@@ -201,10 +199,8 @@ def seven_creation(J=1 / (4 * np.sqrt(2.0)), v=0.5, n_steps=1024):
     """Hub excitation to stored dimer state on the seven-site unit; the
     inner coupling ramps linearly from zero while the input dimer
     couplings are driven."""
-    psi0 = np.zeros(7)
-    psi0[3] = 1.0
-    return ControlProblem("seven-creation", psi0, dimer_state(7, (0, 1)),
-                          v, J, n_steps)
+    return ControlProblem("seven-creation", cls_state("seven", "c"),
+                          cls_state("seven", "I"), v, J, n_steps)
 
 
 REFERENCE_PARAMS = {
@@ -338,7 +334,8 @@ def nelder_mead(objective, x0, max_evals=20000):
     The initial simplex perturbs each coordinate by 5% (0.05 absolute
     at zero).  Terminates when every vertex lies within 1e-12 of the
     best one in the max norm, or on the evaluation budget.
-    Deterministic; raises if the objective goes non-finite.
+    Deterministic; raises if the objective goes non-finite.  Returns
+    (x, f, evaluations).
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or not np.all(np.isfinite(x0)):
@@ -395,7 +392,7 @@ def nelder_mead(objective, x0, max_evals=20000):
                     vals[i] = f(pts[i])
 
     best = int(np.argmin(vals))
-    return pts[best].copy(), float(vals[best])
+    return pts[best].copy(), float(vals[best]), evals
 
 
 def _unpack(problem, vec, omega=None):
@@ -417,8 +414,8 @@ def refine(problem, p):
     frequencies together, on a budget of 20000 evaluations.  Returns
     (params, infidelity)."""
     _check_arity(problem.kind, p)
-    xb, fb = nelder_mead(_objective_from_vector(problem),
-                         np.array(p.x + p.xp + p.omega))
+    xb, fb, _ = nelder_mead(_objective_from_vector(problem),
+                            np.array(p.x + p.xp + p.omega))
     return _unpack(problem, xb), fb
 
 
@@ -451,15 +448,8 @@ def optimize_crab(problem, n_restarts=32, seed=0, max_evals=20000):
         amps = rng.uniform(0.0, 3.0, size=nx + nxp)
         x0 = np.concatenate([amps, omega]) if refine_omega else amps
         fixed = None if refine_omega else tuple(omega)
-
-        evals = 0
-
-        def counted(vec, _g=_objective_from_vector(problem, fixed)):
-            nonlocal evals
-            evals += 1
-            return _g(vec)
-
-        xb, fb = nelder_mead(counted, x0, max_evals=max_evals)
+        xb, fb, evals = nelder_mead(_objective_from_vector(problem, fixed),
+                                    x0, max_evals=max_evals)
         params = _unpack(problem, xb, fixed)
         total_evals += evals
         log.append({"restart": k, "omega": tuple(omega),

@@ -24,8 +24,9 @@ every step, not just to the integrator's tolerance.  Any other H takes
 the generic n x n path.
 
 A :class:`ProtocolSchedule` is an ordered timeline of instantaneous
-events (phase flips on the state, sign flips on couplings) and
-evolution segments.  Segments may carry their own pulsed Hamiltonian;
+events (phase flips on the state, sign flips on couplings, each
+applied by the flip itself and checked when the schedule is built)
+and evolution segments.  Segments may carry their own pulsed Hamiltonian;
 pulses inside a segment run on a segment-local clock starting at 0.
 When a segment with its own Hamiltonian ends, the snapshot of that
 Hamiltonian at the segment's end becomes the working Hamiltonian for
@@ -294,6 +295,15 @@ class PhaseFlip:
     time: float
     site: int
 
+    def apply(self, psi):
+        """Copy of ``psi`` with the amplitude on the site negated; exact
+        and norm-preserving.  A block (n, k) flips the row."""
+        psi = np.array(psi)
+        if not 0 <= self.site < len(psi):
+            raise IndexError(f"site {self.site} outside the state")
+        psi[self.site] = -psi[self.site]
+        return psi
+
 
 @dataclass(frozen=True)
 class HoppingFlip:
@@ -346,7 +356,8 @@ class ProtocolSchedule:
     meant to do; executing it is the job of :func:`run_schedule`.
     Construction validates chronology (each segment starts where the
     previous one ended; flips sit at segment boundaries) and rejects
-    same-time events acting on the same site or entry.
+    same-time events acting on the same site or entry, flips outside
+    the base (IndexError) and segments of another size (ValueError).
     """
 
     base: TimedHamiltonian
@@ -359,10 +370,14 @@ class ProtocolSchedule:
             raise ValueError("schedule base must be a pulse-free TimedHamiltonian")
         items = tuple(self.items)
         object.__setattr__(self, "items", items)
+        n = self.base.n_sites
         t_now = None
         touched = set()
         for item in items:
             if isinstance(item, Segment):
+                if item.H is not None and item.H.n_sites != n:
+                    raise ValueError(f"segment H has {item.H.n_sites} sites, "
+                                     f"the base {n}")
                 if t_now is not None and abs(item.t_start - t_now) > 1e-9:
                     raise ValueError(
                         f"segment starting at {item.t_start} does not begin at "
@@ -375,12 +390,14 @@ class ProtocolSchedule:
                     raise ValueError(
                         f"event at t={item.time} is not at a segment boundary "
                         f"(schedule time {t_now})")
-                target = ("site", item.site) if isinstance(item, PhaseFlip) \
-                    else ("entry", item.entry)
-                key = (round(item.time, 10), target)
+                sites = (item.site,) if isinstance(item, PhaseFlip) \
+                    else item.entry
+                if not all(0 <= i < n for i in sites):
+                    raise IndexError(f"{item!r} acts outside sites 0..{n - 1}")
+                key = (round(item.time, 10), type(item), sites)
                 if key in touched:
                     raise ValueError(
-                        f"conflicting events at t={item.time} on {target}")
+                        f"conflicting events at t={item.time} on {item!r}")
                 touched.add(key)
             else:
                 raise TypeError(f"unknown schedule item {item!r}")
@@ -458,7 +475,7 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
     """Execute a schedule from ``psi0`` and sample the state along it.
 
     ``psi0`` is a state of shape (n,) or a block of shape (n, k) whose
-    columns run side by side.  Flips are applied as exact operations;
+    columns run side by side.  Flips apply themselves as exact operations;
     static stretches use the spectral propagator; pulsed segments use
     the commutator-free integrator, whose convergence pair meets ``tol``
     per unit time on every column, and their samples come from the
@@ -466,8 +483,7 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
     sample is the final state.
     """
     psi = np.asarray(psi0, dtype=complex).copy()
-    n_sites = s.base.n_sites
-    if psi.ndim not in (1, 2) or psi.shape[0] != n_sites:
+    if psi.ndim not in (1, 2) or psi.shape[0] != s.base.n_sites:
         raise ValueError("state dimension does not match the Hamiltonian")
     if samples_per_segment < 2:
         raise ValueError("need at least 2 samples per segment")
@@ -477,17 +493,12 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
     rec.put(s.t_origin, psi)
     for item in s.items:
         if isinstance(item, PhaseFlip):
-            if not 0 <= item.site < n_sites:
-                raise IndexError(f"phase flip on invalid site {item.site}")
-            psi = psi.copy()
-            psi[item.site] = -psi[item.site]
+            psi = item.apply(psi)
             events.append((item.time, "phase-flip", f"site={item.site}"))
             rec.put(item.time, psi)
         elif isinstance(item, HoppingFlip):
-            i, j = item.entry
-            if not (0 <= i < n_sites and 0 <= j < n_sites):
-                raise IndexError(f"hopping flip on invalid entry {item.entry}")
             item.negate(working)
+            i, j = item.entry
             events.append((item.time, "hopping-flip", f"entry=({i},{j})"))
         else:
             n_chunks = samples_per_segment - 1

@@ -35,10 +35,12 @@ __all__ = [
     "solve_transfer_params",
     "solve_seven_transfer_params",
     "solve_generation_params",
-    "phase_flip",
     "build_schedule",
     "cls_state",
+    "TRANSFER_VARIANTS",
 ]
+
+TRANSFER_VARIANTS = ("phase-flip-transfer", "hopping-flip-transfer")
 
 _STAR_HOPPING_PAIRS = {"J1J3": ((0, 2), (2, 3)), "J2J4": ((1, 2), (2, 4))}
 _SEVEN_HOPPING_PAIRS = {"J2J6": ((1, 2), (4, 6)), "J1J5": ((0, 2), (4, 5))}
@@ -194,15 +196,6 @@ def solve_generation_params(branch, k1p, k2p, Jp):
     return params
 
 
-def phase_flip(psi, site):
-    """Negate the amplitude on one site; exact and norm-preserving."""
-    psi = np.array(psi)
-    if not 0 <= site < psi.size:
-        raise IndexError(f"site {site} outside the state")
-    psi[site] = -psi[site]
-    return psi
-
-
 def _star_base(params):
     return build_star([params.J] * 4, params.v)
 
@@ -245,8 +238,7 @@ def build_schedule(graph, variant, params, **options):
     if graph not in ("star", "seven"):
         raise ValueError(f"unknown graph {graph!r}")
 
-    transfer_variants = ("phase-flip-transfer", "hopping-flip-transfer")
-    if variant in transfer_variants:
+    if variant in TRANSFER_VARIANTS:
         if not isinstance(params, TransferParams) or params.graph != graph:
             raise ValueError(f"{variant} on {graph} needs TransferParams "
                              f"solved for that graph")
@@ -285,7 +277,7 @@ def build_schedule(graph, variant, params, **options):
         target = cls_state("star", "L")
         if final_flip:
             items.append(PhaseFlip(T, 1))
-            target = phase_flip(target, 1)
+            target = items[-1].apply(target)
         return ProtocolSchedule(H_in, tuple(items),
                                 initial_state=cls_state("star", "c"),
                                 target_state=target)

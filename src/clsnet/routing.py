@@ -2,12 +2,13 @@
 
 A stored dimer state moves through the network by dimer-jumps: ramp the
 surrounding couplings of one five-site star to zero (symmetrically on
-the dimer couplings, so the state is untouched), run a flip-transfer
-inside the isolated star, and ramp the couplings back.  Longer routes
-chain jumps through adjacent hubs.  Over its window a jump holds its
-four spokes exclusively and ramps its boundary couplings; routes run at
-once as long as no coupling is held twice at overlapping times, unless
-both holds are ramps with the same window and ramp time (one profile).
+the dimer couplings, so the state is untouched), run the star
+protocol's flip transfer inside the isolated star, and ramp the
+couplings back.  Longer routes chain jumps through adjacent hubs.  Over
+its window a jump holds its four spokes exclusively and ramps its
+boundary couplings; routes run at once as long as no coupling is held
+twice at overlapping times, unless both holds are ramps with the same
+window and ramp time (one profile).
 
 All planning and scheduling here is deterministic: shortest routes in
 the dimer-adjacency graph with lexicographic tie-breaks, greedy
@@ -31,8 +32,8 @@ from .evolve import (
     run_schedule,
 )
 from .lattice import LinearRamp, TimedHamiltonian
-from .protocols import TransferParams, _require_coupling, \
-    solve_transfer_params
+from .protocols import TRANSFER_VARIANTS, TransferParams, \
+    _require_coupling, build_schedule, solve_transfer_params
 from .spectral import dimer_state
 
 __all__ = [
@@ -263,7 +264,7 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
     adj = dimer_adjacency(graph)
     if src not in adj or dst not in adj:
         raise ValueError("source and destination must be lattice dimers")
-    if variant not in ("phase-flip-transfer", "hopping-flip-transfer"):
+    if variant not in TRANSFER_VARIANTS:
         raise ValueError(f"unknown transfer variant {variant!r}")
     if src == dst:
         return RoutePlan((), src, dst)
@@ -382,6 +383,13 @@ def verify_timeline(tl):
     return True
 
 
+def _moved(flip, time, sites):
+    """Star-protocol ``flip`` at ``time`` on the lattice sites ``sites[k]``."""
+    if isinstance(flip, PhaseFlip):
+        return PhaseFlip(time, sites[flip.site])
+    return HoppingFlip(time, (sites[flip.entry[0]], sites[flip.entry[1]]))
+
+
 def timeline_schedule(graph, H, tl):
     """One global schedule executing every route of the timeline.
 
@@ -389,11 +397,14 @@ def timeline_schedule(graph, H, tl):
     ramps its boundary couplings down over the first ``dt`` of its
     window and up over the last, exact linear slices shared by ramps
     with one key; the static stretches run on the working Hamiltonian.
-    The rule covers couplings: a state resting in a dimer that another
+    In between run the flips of ``build_schedule('star', variant,
+    params)``, star site k moved to ``StarView.sites[k]``, time 0 to
+    the end of the down-ramp and T to the start of the up-ramp.  The
+    rule covers couplings: a state resting in a dimer that another
     route jumps through is not protected.
     """
     verify_timeline(tl)
-    ramps, flips = [], []
+    ramps, flips, star_flips = [], {}, {}
     for plan, start in zip(tl.routes, tl.starts):
         for j, _, t0, t1, _ in _jump_holds(plan, start):
             sv = j.star
@@ -401,29 +412,26 @@ def timeline_schedule(graph, H, tl):
             if sv.boundary_entries:
                 ramps.append((t0, down_end, sv.boundary_entries, "down"))
                 ramps.append((up_start, t1, sv.boundary_entries, "up"))
-            if j.variant == "phase-flip-transfer":
-                flips.append((down_end, "phase", sv.dimer_in[1]))
-                flips.append((up_start, "phase", sv.dimer_out[1]))
-            else:
-                # the spokes to dimer_in[0] and dimer_out[0]
-                for e in (sv.spokes[0], sv.spokes[2]):
-                    flips.append((down_end, "hopping", e))
-                    flips.append((up_start, "hopping", e))
+            key = (j.variant, j.params)
+            if key not in star_flips:
+                star_flips[key] = [f for f in build_schedule("star", *key).items
+                                   if not isinstance(f, Segment)]
+            for f in star_flips[key]:
+                t = down_end if f.time == 0.0 else up_start
+                flips.setdefault(t, []).append(_moved(f, t, sv.sites))
 
     bounds = {0.0, tl.end}
     bounds.update(t for r in ramps for t in r[:2])
-    bounds.update(f[0] for f in flips)
+    bounds.update(flips)
     bounds = sorted(bounds)
 
     M = np.array(H.base, dtype=float, copy=True)
     items = []
     for b, b2 in zip(bounds, bounds[1:] + [None]):
-        for ft, kind, target in sorted(f for f in flips if f[0] == b):
-            if kind == "phase":
-                items.append(PhaseFlip(b, target))
-            else:
-                items.append(HoppingFlip(b, target))
-                items[-1].negate(M)
+        for f in flips.get(b, ()):
+            items.append(f)
+            if isinstance(f, HoppingFlip):
+                f.negate(M)
         if b2 is None or b2 == b:
             continue
         active = [r for r in ramps if r[0] < b2 and b < r[1]]
@@ -437,7 +445,7 @@ def timeline_schedule(graph, H, tl):
                 if e not in overrides:
                     overrides[e] = _ramp_slice(float(H.base[e]), r0, r1,
                                                kind, b, b2)
-        items.append(Segment(b, b2, TimedHamiltonian(M.copy(), overrides)))
+        items.append(Segment(b, b2, TimedHamiltonian(M, overrides)))
         # exact at a ramp's end; mid-ramp values stay overridden
         for e, pulse in overrides.items():
             M[e] = M[e[::-1]] = pulse.end

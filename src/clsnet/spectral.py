@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -83,12 +82,10 @@ class PartitionBlocks:
 
     ``bases[k]`` has orthonormal columns spanning block k's sector; a
     block eigenvector w lifts to the full-space vector bases[k] @ w.
-    ``xi`` carries the J3^2 + J4^2 combination in the seven-site case.
     """
 
     blocks: tuple
     bases: tuple
-    xi: Optional[float] = None
 
     def __post_init__(self):
         if len(self.blocks) != len(self.bases):
@@ -232,37 +229,27 @@ def _blocks_from_bases(M, bases, context):
     return tuple(blocks)
 
 
-def equitable_blocks_star(H, perm):
-    """Block-diagonalize a star Hamiltonian over an outer four-cycle.
+def equitable_blocks_star(H):
+    """Block-diagonalize a star Hamiltonian over its outer four-cycle.
 
-    ``perm`` must be a four-cycle on the outer sites that fixes the
-    hub and commutes with H.  The symmetric sector gives a 2x2 block
-    coupling the outer average to the hub with strength 2J; the three
-    remaining one-dimensional sectors are flat.
+    H must commute with ``STAR_FOUR_CYCLE`` (0 -> 1 -> 3 -> 4 -> 0, hub
+    2 fixed).  The symmetric sector gives a 2x2 block coupling the
+    outer average to the hub with strength 2J; the three remaining
+    one-dimensional sectors are flat.
     """
     M = static_matrix(H)
     if M.shape != (5, 5):
         raise ValueError("expected a five-site star Hamiltonian")
-    perm = tuple(int(p) for p in perm)
-    if not commutes_with_permutation(M, perm):
-        raise ValueError("Hamiltonian does not commute with the permutation")
-    fixed = [i for i in range(5) if perm[i] == i]
-    if len(fixed) != 1:
-        raise ValueError("permutation must fix exactly the hub site")
-    hub = fixed[0]
-    cyc = [min(i for i in range(5) if i != hub)]
-    while perm[cyc[-1]] != cyc[0]:
-        cyc.append(perm[cyc[-1]])
-    if len(cyc) != 4:
-        raise ValueError("permutation must cycle the four outer sites")
+    if not commutes_with_permutation(M, STAR_FOUR_CYCLE):
+        raise ValueError("Hamiltonian does not commute with the four-cycle")
     e = np.eye(5)
     half = 0.5
-    q_sym = half * (e[cyc[0]] + e[cyc[1]] + e[cyc[2]] + e[cyc[3]])
+    q_sym = half * (e[0] + e[1] + e[3] + e[4])
     bases = (
-        np.column_stack([q_sym, e[hub]]),
-        (e[cyc[0]] - e[cyc[2]])[:, None] / np.sqrt(2.0),
-        (half * (e[cyc[0]] - e[cyc[1]] + e[cyc[2]] - e[cyc[3]]))[:, None],
-        (e[cyc[1]] - e[cyc[3]])[:, None] / np.sqrt(2.0),
+        np.column_stack([q_sym, e[2]]),
+        (e[0] - e[3])[:, None] / np.sqrt(2.0),
+        (half * (e[0] - e[1] + e[3] - e[4]))[:, None],
+        (e[1] - e[4])[:, None] / np.sqrt(2.0),
     )
     return PartitionBlocks(_blocks_from_bases(M, bases, "equitable star"), bases)
 
@@ -314,4 +301,4 @@ def nonequitable_blocks_seven(H7):
     ])
     bases = (basis_r, basis_c)
     return PartitionBlocks(_blocks_from_bases(M, bases, "nonequitable seven"),
-                           bases, xi=xi)
+                           bases)

@@ -34,7 +34,7 @@ ROOT2 = np.sqrt(2.0)
 
 
 def test_nelder_mead_quadratic():
-    xb, fb = nelder_mead(lambda x: (x[0] - 2.0) ** 2, np.zeros(1))
+    xb, fb, _ = nelder_mead(lambda x: (x[0] - 2.0) ** 2, np.zeros(1))
     assert abs(xb[0] - 2.0) < 1e-6
     assert fb < 1e-12
 
@@ -43,7 +43,7 @@ def test_nelder_mead_rosenbrock():
     def rosen(x):
         return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
 
-    xb, fb = nelder_mead(rosen, np.array([-1.2, 1.0]))
+    xb, fb, _ = nelder_mead(rosen, np.array([-1.2, 1.0]))
     assert_allclose(xb, [1.0, 1.0], atol=1e-4)
     assert fb < 1e-8
 
@@ -53,7 +53,7 @@ def test_nelder_mead_never_worse_than_start():
         return np.sum(np.cos(x) + 0.1 * x**2)
 
     x0 = np.array([0.3, -1.0, 2.2])
-    _, fb = nelder_mead(f, x0, max_evals=50)
+    _, fb, _ = nelder_mead(f, x0, max_evals=50)
     assert fb <= f(x0)
 
 
@@ -63,7 +63,7 @@ def test_nelder_mead_deterministic():
 
     a = nelder_mead(f, np.array([1.0, -1.0]))
     b = nelder_mead(f, np.array([1.0, -1.0]))
-    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+    assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
 
 
 def test_nelder_mead_reports_non_finite_point():
@@ -86,8 +86,8 @@ def test_nelder_mead_respects_eval_budget():
         count[0] += 1
         return float(np.sum(x**2))
 
-    nelder_mead(f, np.ones(4), max_evals=40)
-    assert count[0] <= 40
+    _, _, evaluations = nelder_mead(f, np.ones(4), max_evals=40)
+    assert evaluations == count[0] <= 40
 
 
 # ------------------------------------------------------------- params

@@ -360,6 +360,24 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             Segment(1.0, 1.0)
 
+    # flip targets and segment sizes are checked when the schedule is
+    # built, so end_hamiltonian and reverse_schedule never see them
+    def test_hopping_flip_outside_base_rejected(self):
+        with pytest.raises(IndexError):
+            ProtocolSchedule(star_quarter(), (HoppingFlip(0.0, (-1, 2)),
+                                              Segment(0.0, 1.0)))
+
+    def test_phase_flip_outside_base_rejected(self):
+        with pytest.raises(IndexError):
+            ProtocolSchedule(star_quarter(), (Segment(0.0, 1.0),
+                                              PhaseFlip(1.0, 7)))
+
+    def test_segment_of_other_size_rejected(self):
+        root3 = np.sqrt(3.0)
+        H7 = build_seven([1, 1, root3, root3, 1, 1], 0.0)
+        with pytest.raises(ValueError, match="7 sites"):
+            ProtocolSchedule(star_quarter(), (Segment(0.0, 1.0, H7),))
+
     def test_pulsed_base_rejected(self):
         H = attach_pulse(star_quarter(), (0, 2), LinearRamp(0.25, 0.25, 1.0))
         with pytest.raises(ValueError):

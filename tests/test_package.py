@@ -76,3 +76,35 @@ def test_every_public_name_has_a_caller(name):
     seen = _references()
     unused = {n for n in module.__all__ if not seen[n]} - KEPT_WITHOUT_CALLER
     assert not unused
+
+
+# parameters kept unread: bench/ passes them positionally
+UNREAD_KEPT = {("extract_star", "H"), ("timeline_schedule", "graph")}
+
+
+def _is_stub(fn):
+    """Body is a docstring at most and a raise of NotImplementedError."""
+    body = [s for s in fn.body if not (isinstance(s, ast.Expr) and
+                                       isinstance(s.value, ast.Constant))]
+    return len(body) == 1 and isinstance(body[0], ast.Raise) and \
+        "NotImplementedError" in ast.unparse(body[0])
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted((ROOT / "src" / "clsnet").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        functions += [m for c in tree.body if isinstance(c, ast.ClassDef)
+                      for m in c.body if isinstance(m, ast.FunctionDef)]
+        for fn in functions:
+            if _is_stub(fn):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(fn.name, p) for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert set(unread) == UNREAD_KEPT, sorted(set(unread) ^ UNREAD_KEPT)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from clsnet.evolve import (
     HoppingFlip,
+    PhaseFlip,
     ProtocolSchedule,
     end_hamiltonian,
     evolve_static,
@@ -16,7 +17,6 @@ from clsnet.protocols import (
     TransferParams,
     build_schedule,
     cls_state,
-    phase_flip,
     solve_generation_params,
     solve_seven_transfer_params,
     solve_transfer_params,
@@ -108,24 +108,25 @@ def test_generation_params_consistency_guard():
 
 
 def test_phase_flip_converts_antisymmetric_to_symmetric():
-    psi = phase_flip(cls_state("star", "I"), 1)
+    psi = PhaseFlip(0.0, 1).apply(cls_state("star", "I"))
     assert_allclose(psi, cls_state("star", "L"), atol=1e-15)
 
 
 def test_phase_flip_is_involution():
     rng = np.random.default_rng(7)
     psi = rng.normal(size=5) + 1j * rng.normal(size=5)
-    assert_allclose(phase_flip(phase_flip(psi, 3), 3), psi, atol=0)
+    flip = PhaseFlip(0.0, 3)
+    assert_allclose(flip.apply(flip.apply(psi)), psi, atol=0)
 
 
 def test_phase_flip_leaves_other_amplitudes():
-    psi = phase_flip(cls_state("star", "I"), 4)
+    psi = PhaseFlip(0.0, 4).apply(cls_state("star", "I"))
     assert_allclose(psi, cls_state("star", "I"), atol=1e-15)
 
 
 def test_phase_flip_rejects_bad_site():
     with pytest.raises(IndexError):
-        phase_flip(cls_state("star", "I"), 5)
+        PhaseFlip(0.0, 5).apply(cls_state("star", "I"))
 
 
 def _flipped(M, *entries):

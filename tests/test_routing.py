@@ -9,6 +9,8 @@ from scipy.sparse.csgraph import shortest_path
 
 import clsnet.routing
 from clsnet.evolve import (
+    HoppingFlip,
+    PhaseFlip,
     ProtocolSchedule,
     Segment,
     end_hamiltonian,
@@ -23,6 +25,7 @@ from clsnet.lattice import (
     build_dll,
     evaluate_at,
 )
+from clsnet.protocols import TRANSFER_VARIANTS, build_schedule
 from clsnet.routing import (
     RoutePlan,
     StarView,
@@ -387,9 +390,6 @@ def test_timeline_busy_follows_starts():
     assert tl.end == 5.0 + r.duration
 
 
-_VARIANTS = ("phase-flip-transfer", "hopping-flip-transfer")
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_scheduled_timeline_builds(data):
@@ -397,7 +397,7 @@ def test_every_scheduled_timeline_builds(data):
     g, H = dll(cells, cells)
     dimers = st.sampled_from(g.dimers())
     requests = data.draw(st.lists(
-        st.tuples(dimers, dimers, st.sampled_from(_VARIANTS),
+        st.tuples(dimers, dimers, st.sampled_from(TRANSFER_VARIANTS),
                   st.sampled_from((0.5, 1.0, 2.0))),
         min_size=1, max_size=7), label="requests")
     plans = [plan_route(g, H, a, b, variant=v, dt=dt)
@@ -415,6 +415,32 @@ def test_every_scheduled_timeline_builds(data):
             for e in j.star.boundary_entries:
                 assert by_start[t0].H.overrides[e].start == H.base[e]
                 assert by_end[t1].H.overrides[e].end == H.base[e]
+
+
+@pytest.mark.parametrize("variant", TRANSFER_VARIANTS)
+def test_jump_flips_are_the_star_protocol_flips(variant):
+    # each jump runs the isolated star's protocol: star site k is the
+    # jump's sites[k], time 0 the end of its down-ramp, T the start of
+    # its up-ramp
+    g, H = dll(3, 3)
+    plan = plan_route(g, H, (16, 17), (26, 27), variant=variant)
+    assert len(plan.jumps) == 2
+    s = timeline_schedule(g, H, schedule_multi([plan]))
+    emitted = [f for f in s.items if not isinstance(f, Segment)]
+    expected, t0 = set(), 0.0
+    for j in plan.jumps:
+        t1 = t0 + j.duration
+        window = {0.0: t0 + j.dt, j.params.T: t1 - j.dt}
+        sites = j.star.sites
+        for f in build_schedule("star", variant, j.params).items:
+            if isinstance(f, PhaseFlip):
+                expected.add(PhaseFlip(window[f.time], sites[f.site]))
+            elif isinstance(f, HoppingFlip):
+                i, k = f.entry
+                expected.add(HoppingFlip(window[f.time], (sites[i], sites[k])))
+        t0 = t1
+    assert len(emitted) == len(expected)
+    assert set(emitted) == expected
 
 
 def test_verify_timeline_rejects_double_booked_star():
