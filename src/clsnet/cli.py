@@ -571,7 +571,7 @@ def cmd_route(sc, out_dir):
                             tuple(r["destination"]), variant=r["variant"],
                             dt=r["dt"])
                  for r in sc.action["requests"]]
-    tl = schedule_multi(plans)
+        tl = schedule_multi(plans)
     rep = simulate_route(graph, H, tl, tol=sc.integrator["tol"])
     routes = []
     for plan, start, fid, jumps in zip(tl.routes, tl.starts,

@@ -10,18 +10,14 @@ convergence pair of n and 2n steps, growing n until the worst column
 deviates by at most tol times the duration; the result and every
 sample come from the finer run of the accepted pair.
 
-Every network the package builds is bipartite with a uniform on-site
-potential: hubs and connectors couple only to dimer sites.  For such
-an H the integrator samples only the coupling block C(t) from the
-smaller sublattice (p sites: 1 on the star, 2 on the seven-site unit,
-9 on the 3x3 DLL) and builds each exponential through the p x p Gram
-matrix C C^T, whose eigenpairs are closed-form for p <= 2, instead of
-a full n x n eigh.  It is the same matrix function, so the result
-agrees to round-off; and since each exponential acts on a state
-through the couplings alone, a state they annihilate, such as an
-antisymmetric dimer state under symmetric driving, is left alone by
-every step, not just to the integrator's tolerance.  Any other H takes
-the generic n x n path.
+A pulsed H must be chiral, as every network here is: bipartite (hubs
+and connectors couple only to dimer sites), with a uniform on-site
+potential and no driven diagonal; any other raises ValueError.  The
+integrator samples only the coupling block C(t) from the smaller
+sublattice (p = 1 on the star, 2 on the seven-site unit, 9 on the 3x3
+DLL) and exponentiates through the p x p Gram matrix C C^T.  A step
+acts through the couplings alone, so a state they annihilate (say an
+antisymmetric dimer under symmetric driving) is left alone exactly.
 
 A :class:`ProtocolSchedule` is an ordered timeline of instantaneous
 events (phase flips on the state, sign flips on couplings, each
@@ -46,7 +42,7 @@ from .lattice import (
     TimedHamiltonian,
     _sample_block,
     evaluate_at,
-    evaluate_grid,
+    evaluate_grid,  # unused here; bench/tracing.py wraps evolve.evaluate_grid
     static_matrix,
 )
 
@@ -77,6 +73,9 @@ _X2 = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 _N_MAX = 1 << 23        # step ceiling; beyond this the request is reported
 _CHUNK = 4096           # steps exponentiated per batch (memory bound)
 _CAL_STEPS = 64         # coarse resolution of the first convergence pair
+# largest budget tol*(t1-t0) a convergence pair can certify: two unit
+# columns differ by at most 2, so near 1 a pair passes whatever its error
+_BUDGET_MAX = 1e-3
 
 
 def evolve_static(H, psi0, t):
@@ -165,54 +164,41 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
     Times refer to the pulse clock of ``H``; ``psi0`` is (n,) or (n, k).
     Returns (final_state, samples) where samples is a list of states
     taken after every ``record_every`` steps (or None if not requested).
-    Each chunk samples every pulse once, on the C1 and C2 nodes together.
 
-    When ``H`` has a chiral split (``TimedHamiltonian._sublattices``),
-    every CF4 generator is (v/2) I + [[0, C], [C^T, 0]] in the split's
-    site order.  Only the coupling block C(t) is sampled, as one
-    contiguous (2m, p, q) stack, never the n x n snapshots, and each
-    exponential is the phase e^{-ihv/2} times the closed form of
-    :func:`_sublattice_exponentials`.  The state runs permuted to
-    A-first order, in the frame where those exponentials are real; the
-    phase and the frame are undone for every sample and the result.
-    Any other H takes the generic n x n eigh path.
+    ``H`` must have a chiral split (``TimedHamiltonian._sublattices``
+    raises ValueError otherwise): each CF4 generator is (v/2) I +
+    [[0, C], [C^T, 0]] in its site order.  A chunk samples only C(t), as
+    one (2m, p, q) stack on the C1 and C2 nodes, and each exponential is
+    e^{-ihv/2} times :func:`_sublattice_exponentials`.  The state runs
+    permuted A-first, in the frame where those are real; the phase and
+    the frame are undone for every sample and the result.
     """
     n = int(n_steps)
     h = (t1 - t0) / n
     if t0 + 0.5 * h == t0:
         raise RuntimeError(f"step size underflow: h={h!r} vanishes at t={t0!r}")
-    psi = np.asarray(psi0, dtype=complex).copy()
-    split = H._sublattices
-    if split is None:
-        def state(phi, steps):
-            return phi.copy()
-    else:
-        order, p = split
-        a, b = order[:p], order[p:]
-        v = H.base[0, 0]
-        psi = psi[order]
-        psi[p:] *= -1j
+    order, p = H._sublattices
+    a, b = order[:p], order[p:]
+    v = H.base[0, 0]
+    psi = np.asarray(psi0, dtype=complex)[order]
+    psi[p:] *= -1j
 
-        def state(phi, steps):
-            out = np.empty_like(phi)
-            out[a] = phi[:p]
-            out[b] = 1j * phi[p:]
-            return out * np.exp(-1j * v * h * steps)
+    def state(phi, steps):
+        out = np.empty_like(phi)
+        out[a] = phi[:p]
+        out[b] = 1j * phi[p:]
+        return out * np.exp(-1j * v * h * steps)
+
     samples = [] if record_every else None
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
         ts = t0 + (done + np.arange(m)) * h
         nodes = np.concatenate([ts + _C1 * h, ts + _C2 * h])
-        A = evaluate_grid(H, nodes) if split is None \
-            else _sample_block(H, nodes, a, b)
+        A = _sample_block(H, nodes, a, b)
         A1, A2 = A[:m], A[m:]
         stacked = np.concatenate([_X2 * A1 + _X1 * A2, _X1 * A1 + _X2 * A2])
-        if split is None:
-            w, V = np.linalg.eigh(stacked)
-            E = np.einsum("kij,kj,klj->kil", V, np.exp(-1j * h * w), V.conj())
-        else:
-            E = _sublattice_exponentials(stacked, h)
+        E = _sublattice_exponentials(stacked, h)
         U = E[m:] @ E[:m]
         marks = range(record_every - done % record_every, m + 1,
                       record_every) if record_every else ()
@@ -231,8 +217,7 @@ def evolve_timedep_fixed(H, psi0, t0, t1, n_steps):
     """Propagate under a pulsed Hamiltonian with a fixed step count."""
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    final, _ = _cf4_run(H, psi0, t0, t1, n_steps)
-    return final
+    return _cf4_run(H, psi0, t0, t1, n_steps)[0]
 
 
 def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
@@ -243,9 +228,13 @@ def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
     deviates by at most tol*(t1-t0); otherwise n grows by the
     fourth-order error model (at least doubling) and the pair reruns.
     Returns (final, samples) of the finer run, with ``n_chunks``
-    evenly spaced samples.  Raises RuntimeError past _N_MAX steps.
+    evenly spaced samples.  Raises RuntimeError past _N_MAX steps, or
+    before integrating when the budget tol*(t1-t0) exceeds _BUDGET_MAX.
     """
     budget = tol * (t1 - t0)
+    if budget > _BUDGET_MAX:
+        raise RuntimeError(f"error budget tol*(t1-t0) = {budget:g} exceeds "
+                           f"{_BUDGET_MAX:g}: no convergence pair bounds it")
     n = _CAL_STEPS
     while True:
         n = -(-n // n_chunks) * n_chunks
@@ -263,14 +252,11 @@ def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
 
 
 def evolve_timedep(H, psi0, t0, t1, tol):
-    """Propagate under a pulsed Hamiltonian to a requested accuracy.
+    """Propagate under a pulsed Hamiltonian to ``tol`` per unit time.
 
-    Solves i dpsi/dt = H(t) psi with local error at most ``tol`` per
-    unit time, verified by self-convergence: the returned state comes
-    from a run whose deviation from its companion at twice the step
-    size is within tol*(t1-t0).  Raises RuntimeError if the required
-    step count is unattainable (step-size underflow) rather than
-    clamping.
+    The state comes from the finer run of a convergence pair within
+    tol*(t1-t0).  Raises RuntimeError, rather than clamping, when the
+    step count or the budget is out of reach (see :func:`_propagate`).
     """
     if not (1e-14 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-14, 1e-6]")
@@ -457,20 +443,6 @@ class Trajectory:
         return float(np.max(np.abs(np.linalg.norm(self.states, axis=1) - 1.0)))
 
 
-class _Recorder:
-    def __init__(self):
-        self.times = []
-        self.states = []
-
-    def put(self, t, psi):
-        # post-event samples overwrite a pre-event sample at the same time
-        if self.times and abs(t - self.times[-1]) <= 1e-12:
-            self.states[-1] = np.array(psi, dtype=complex)
-        else:
-            self.times.append(float(t))
-            self.states.append(np.array(psi, dtype=complex))
-
-
 def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
     """Execute a schedule from ``psi0`` and sample the state along it.
 
@@ -487,15 +459,23 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
         raise ValueError("state dimension does not match the Hamiltonian")
     if samples_per_segment < 2:
         raise ValueError("need at least 2 samples per segment")
-    rec = _Recorder()
-    events = []
+    times, kept, events = [], [], []
+
+    def put(t, psi):
+        # post-event samples overwrite a pre-event sample at the same time
+        if times and abs(t - times[-1]) <= 1e-12:
+            kept[-1] = np.array(psi, dtype=complex)
+        else:
+            times.append(float(t))
+            kept.append(np.array(psi, dtype=complex))
+
     working = np.array(s.base.base)
-    rec.put(s.t_origin, psi)
+    put(s.t_origin, psi)
     for item in s.items:
         if isinstance(item, PhaseFlip):
             psi = item.apply(psi)
             events.append((item.time, "phase-flip", f"site={item.site}"))
-            rec.put(item.time, psi)
+            put(item.time, psi)
         elif isinstance(item, HoppingFlip):
             item.negate(working)
             i, j = item.entry
@@ -511,13 +491,13 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
                                         n_chunks)
                 states = np.asarray(samples)
             for tau, state in zip(taus, states):
-                rec.put(item.t_start + tau, state)
+                put(item.t_start + tau, state)
             psi = states[-1].copy()
             events.append((item.t_start, "segment",
                            f"t={item.t_start:g}..{item.t_end:g}"))
             if item.H is not None:
                 working = evaluate_at(item.H, item.duration)
-    return Trajectory(np.asarray(rec.times), np.asarray(rec.states), tuple(events))
+    return Trajectory(np.asarray(times), np.asarray(kept), tuple(events))
 
 
 def end_hamiltonian(s):

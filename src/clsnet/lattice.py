@@ -326,20 +326,23 @@ class TimedHamiltonian:
     def _sublattices(self):
         """Chiral split of the sites: (order, p) with sublattice A first.
 
-        Defined when the on-site potential is uniform, no pulse drives a
-        diagonal entry, and the graph of nonzero base couplings plus
-        driven entries is 2-colourable.  Then H(t) = v*I + [[0, C(t)],
-        [C(t)^T, 0]] in the basis ``order``, whose first ``p`` sites form
-        A: the smaller colour class of each connected component (an
-        isolated site joins B).  Otherwise None.  Computed on first use.
+        Every pulsed H must have one: a uniform on-site potential, no
+        pulse on a diagonal entry, and a 2-colourable graph of nonzero
+        base couplings plus driven entries; else ValueError names what
+        fails.  Then H(t) = v*I + [[0, C(t)], [C(t)^T, 0]] in the basis
+        ``order``, whose first ``p`` sites form A: the smaller colour
+        class of each connected component (an isolated site joins B).
+        Computed on first use.
         """
-        base = self.base
-        n = base.shape[0]
-        diag = np.diagonal(base)
-        if (diag != diag[0]).any() or any(i == j for i, j in self.overrides):
-            return None
+        n = self.n_sites
+        diag = np.diagonal(self.base)
+        driven = [e for e in self.overrides if e[0] == e[1]]
+        if driven or (diag != diag[0]).any():
+            why = f"a pulse drives the diagonal entry {driven[0]}" \
+                if driven else "the on-site potential is not uniform"
+            raise ValueError(f"{why}: not a chiral Hamiltonian")
         adjacent = [[] for _ in range(n)]
-        rows, cols = np.nonzero(np.triu(base, 1))
+        rows, cols = np.nonzero(np.triu(self.base, 1))
         for i, j in chain(zip(rows.tolist(), cols.tolist()), self.overrides):
             adjacent[i].append(j)
             adjacent[j].append(i)
@@ -359,7 +362,8 @@ class TimedHamiltonian:
                         classes[colour[j]].append(j)
                         stack.append(j)
                     elif colour[j] == colour[i]:
-                        return None
+                        raise ValueError(f"sites {i} and {j} close an odd "
+                                         f"cycle: not a chiral Hamiltonian")
             small, large = sorted(classes, key=len)
             a_sites += small
             b_sites += large

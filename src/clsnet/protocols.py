@@ -75,6 +75,15 @@ def _require_coupling(J):
         raise ValueError("flip transfer needs a nonzero coupling J")
 
 
+def _require_phases(indices, phases):
+    """Refuse a member whose sector phases exp(-i theta), (theta, sign)
+    in ``phases``, miss their signs by over 1e-9: v*T is too large."""
+    miss = max(abs(np.exp(-1j * theta) - sign) for theta, sign in phases)
+    if not miss <= 1e-9:
+        raise ValueError(f"{indices} too large: the sector phases miss "
+                         f"their signs by {miss:.1e} in floating point")
+
+
 @dataclass(frozen=True)
 class TransferParams:
     """Potential and duration of one flip-transfer family member.
@@ -105,7 +114,8 @@ class TransferParams:
             expect_T = np.pi * (2 * self.k1 + 1) / (np.sqrt(2.0) * self.J)
         else:
             raise ValueError(f"unknown graph {self.graph!r}")
-        if abs(self.v - expect_v) > 1e-12 or abs(self.T - expect_T) > 1e-12:
+        if not np.allclose([self.v, self.T], [expect_v, expect_T],
+                           rtol=1e-12, atol=1e-12):
             raise ValueError("(v, T) inconsistent with the family formulas")
 
 
@@ -123,9 +133,8 @@ def solve_transfer_params(k1, k2, J):
     T = np.pi * (1 + 2 * k2) / (2 * J)
     params = TransferParams(v=v, T=T, k1=k1, k2=k2, J=J)
     # the three sector phases the derivation rests on
-    assert abs(np.exp(-1j * v * T) + 1) < 1e-9
-    assert abs(np.exp(-1j * (v - 2 * J) * T) - 1) < 1e-9
-    assert abs(np.exp(-1j * (v + 2 * J) * T) - 1) < 1e-9
+    _require_phases(f"k2={k2}", ((v * T, -1), ((v - 2 * J) * T, 1),
+                                 ((v + 2 * J) * T, 1)))
     return params
 
 
@@ -164,7 +173,8 @@ class GenerationParams:
         num, den = _generation_indices(self.branch, self.k1p, self.k2p)
         ev = np.sqrt(2.0) * self.Jp * num / den
         eT = np.pi * num / (2 * self.v)
-        if abs(self.v - ev) > 1e-12 or abs(self.T - eT) > 1e-12:
+        if not np.allclose([self.v, self.T], [ev, eT],
+                           rtol=1e-12, atol=1e-12):
             raise ValueError("(v, T) inconsistent with the family formulas")
 
 
@@ -191,8 +201,8 @@ def solve_generation_params(branch, k1p, k2p, Jp):
         raise ValueError("family point has v = 0 (is Jp zero?)")
     T = np.pi * num / (2 * v)
     params = GenerationParams(branch=branch, k1p=k1p, k2p=k2p, Jp=Jp, v=v, T=T)
-    assert abs(np.exp(-1j * (v - root2 * Jp) * T) + 1) < 1e-9
-    assert abs(np.exp(-1j * (v + root2 * Jp) * T) - 1) < 1e-9
+    _require_phases(f"k1p={k1p}, k2p={k2p}",
+                    (((v - root2 * Jp) * T, -1), ((v + root2 * Jp) * T, 1)))
     return params
 
 

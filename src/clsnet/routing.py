@@ -307,12 +307,17 @@ def _jump_holds(plan, start):
     durations of the earlier jumps and r1 = r0 + duration; ``holds``
     are the (entry, key) couplings held for all of it: the spokes
     exclusively (key None), the boundary entries as a ramp keyed
-    (t0, t1, dt).
+    (t0, t1, dt).  Raises ValueError unless the flips at t0 + dt and
+    t1 - dt stay T apart to 1e-9 in floating point; a huge dt breaks it.
     """
     out, r0 = [], 0.0
     for j in plan.jumps:
         r1 = r0 + j.duration
         t0, t1 = start + r0, start + r1
+        gap = (t1 - j.dt) - (t0 + j.dt)
+        if not abs(gap - j.params.T) <= 1e-9 * j.params.T:
+            raise ValueError(f"dt={j.dt!r} leaves the flips of a jump at "
+                             f"t={t0:g} {gap:g} apart, not T={j.params.T:g}")
         holds = [(e, None) for e in j.star.spokes]
         holds += [(e, (t0, t1, j.dt)) for e in j.star.boundary_entries]
         out.append((j, j.star.center, t0, t1, holds))

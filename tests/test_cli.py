@@ -234,6 +234,43 @@ def test_zero_coupling_exits_2(tmp_path, capsys, command, doc):
     assert "nonzero coupling J" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k2", [10**12, 669790])
+def test_too_large_flip_index_exits_2(tmp_path, capsys, k2):
+    # the rounding of v*T breaks the sector phases: a config error that
+    # names k2, never an assertion traceback
+    doc = star_transfer_doc(tmp_path / "out")
+    doc["action"]["schedule"].update(k1=0, k2=k2)
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+    assert f"k2={k2} too large" in capsys.readouterr().err
+
+
+def _one_jump_route(tmp_path, dt):
+    return write_config(tmp_path, {
+        "system": {"kind": "dll", "cells_x": 1, "cells_y": 1},
+        "action": {"kind": "route", "requests": [
+            {"source": [1, 2], "destination": [3, 4], "dt": dt}]},
+        "output": {"dir": str(tmp_path / "out")},
+    })
+
+
+@pytest.mark.parametrize("dt", [1e17, 1e300])
+def test_route_dt_that_collapses_the_transfer_exits_2(tmp_path, capsys, dt):
+    # start + 2 dt + T rounds T away, so both flips would fall on one time
+    assert cli.main(["route", "--config", _one_jump_route(tmp_path, dt)]) == 2
+    assert f"config error: dt={dt!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unboundable_tolerance_budget_exits_3(tmp_path, capsys):
+    # ramps of 1e6 at tol 1e-6: an error budget of 1 bounds nothing
+    doc = json.loads(json.dumps(ACTION_DOCS["route"]))
+    doc["action"]["requests"][0]["dt"] = 1e6
+    doc["output"] = {"dir": str(tmp_path / "out")}
+    path = write_config(tmp_path, doc)
+    assert cli.main(["route", "--config", path, "--tol", "1e-6"]) == 3
+    assert "error budget" in capsys.readouterr().err
+
+
 # --------------------------------------------------------- spectrum
 
 

@@ -1,10 +1,11 @@
 """Package surface: each module's ``__all__`` lists its public names,
-and every public name has a caller."""
+every public name has a caller, and the source keeps its tooling rules."""
 
 import ast
 import functools
 import importlib
 import inspect
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -108,3 +109,31 @@ def test_every_parameter_is_read():
             unread += [(fn.name, p) for p in params
                        if p not in read and p not in ("self", "cls")]
     assert set(unread) == UNREAD_KEPT, sorted(set(unread) ^ UNREAD_KEPT)
+
+
+def _source_trees():
+    return [(path.name, ast.parse(path.read_text()))
+            for path in sorted((ROOT / "src" / "clsnet").glob("*.py"))]
+
+
+def test_no_assert_statements():
+    # python -O strips them, so a check must raise on its own
+    found = [(name, node.lineno) for name, tree in _source_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    # scipy and hypothesis stay test-only
+    allowed = set(sys.stdlib_module_names) | {"numpy", "clsnet"}
+    foreign = []
+    for name, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [(name, r) for r in roots if r not in allowed]
+    assert not foreign

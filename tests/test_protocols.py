@@ -70,6 +70,26 @@ def test_transfer_params_reject_zero_coupling():
         TransferParams(v=0.0, T=np.inf, k1=0, k2=None, J=0.0, graph="seven")
 
 
+def test_transfer_params_refuse_indices_that_break_the_phases():
+    # v*T grows with k2; from about k2 = 6e5 its rounding misses the
+    # sector phases by more than 1e-9 for some indices
+    solve_transfer_params(0, 669789, 0.25)
+    for k2 in (669790, 10**12):
+        with pytest.raises(ValueError, match=f"k2={k2} too large"):
+            solve_transfer_params(0, k2, 0.25)
+    with pytest.raises(ValueError, match="k1p=1000000000, k2p=3 too large"):
+        solve_generation_params(1, 10**9, 3, 1.0)
+
+
+def test_params_consistency_is_relative_for_long_durations():
+    # one ulp of T = 8.4e6 is 1.9e-9, far above an absolute 1e-12
+    p = solve_transfer_params(0, 669789, 0.25)
+    TransferParams(v=p.v, T=np.nextafter(p.T, np.inf), k1=0, k2=669789,
+                   J=0.25)
+    with pytest.raises(ValueError, match="inconsistent"):
+        TransferParams(v=p.v, T=p.T * (1 + 1e-9), k1=0, k2=669789, J=0.25)
+
+
 def test_generation_params_reference_point():
     p = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
     assert_allclose(p.v, 0.5, rtol=1e-15)

@@ -315,14 +315,14 @@ def test_schedule_overlap_only_where_stars_differ():
 
 
 class _StubPlan:
-    # the jump model reads each jump's star, ramp time and duration;
-    # the stars here have no boundary, only their spokes
+    # the jump model reads each jump's star, ramp time, duration and
+    # transfer time; the stars here have no boundary, only their spokes
     _DIMERS = {5: ((1, 2), (6, 7)), 20: ((16, 17), (21, 22))}
 
     def __init__(self, jumps):
         self.jumps = tuple(
             SimpleNamespace(star=StarView(c, *self._DIMERS[c], ()), dt=1.0,
-                            duration=d)
+                            duration=d, params=SimpleNamespace(T=d - 2.0))
             for c, d in jumps)
 
 
