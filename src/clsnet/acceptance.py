@@ -130,20 +130,18 @@ def _c2():
 
 @_criterion("C3", "transfer parameter family grid")
 def _c3():
-    worst, drifts = 1.0, []
-    count = 0
+    worst, drifts, members = 1.0, [], set()
     for k1 in range(-2, 4):
         for k2 in range(0, 3):
             p = solve_transfer_params(k1, k2, 0.25)
-            if not p.T > 0:
-                continue
             s = build_schedule("star", "phase-flip-transfer", p)
             traj = run_schedule(s, s.initial_state)
             worst = min(worst, fidelity(traj.final_state, s.target_state))
             drifts.append(traj.norm_drift)
-            count += 1
+            members.add((p.v, p.T))
     checks = [
-        Check("grid size", count == 18, count, "18 members with T > 0"),
+        Check("grid size", len(members) == 18, len(members),
+              "18 distinct (v, T) members"),
         Check("worst fidelity", worst >= 1 - 1e-10, worst, ">= 1 - 1e-10"),
     ]
     return checks, max(drifts)

@@ -456,8 +456,8 @@ def _coupling_stack(rng, k, mask):
     return rng.uniform(-1.5, 1.5, size=(k,) + mask.shape) * mask
 
 
-def _dll2_mask():
-    _, H = build_dll(2, 2, 1.0, 0.5)
+def _dll_mask(cells):
+    _, H = build_dll(cells, cells, 1.0, 0.5)
     order, p = H._sublattices
     return H.base[np.ix_(order[:p], order[p:])]
 
@@ -466,24 +466,56 @@ SEVEN_MASK = np.array([[1, 1, 1, 0, 0],      # connector 2 -> 0, 1, hub 3
                        [0, 0, 1, 1, 1]])     # connector 4 -> hub 3, 5, 6
 
 
+def _assert_matches_expm(C, h, v):
+    E = _framed_exponentials(C, h, v)
+    assert np.max(np.abs(E - _expm_reference(C, h, v))) <= 1e-13
+    eye = np.eye(E.shape[1])
+    assert np.abs(E @ E.conj().swapaxes(1, 2) - eye).max() <= 1e-13
+
+
 class TestSublatticeExponential:
     @pytest.mark.parametrize("mask", [
         np.ones((1, 4)),                                 # star, p = 1
         SEVEN_MASK,                                      # seven-site, p = 2
-        _dll2_mask(),                                     # 2x2 DLL, p = 4
+        _dll_mask(2),                                    # 2x2 DLL, p = 4
+        _dll_mask(3),                                    # 3x3 DLL, p = 9
+        _dll_mask(4),                                    # 4x4 DLL, p = 16
         np.array([[0, 0, 0, 0], [1, 1, 0, 1]]),          # zero row: s = 0
         np.array([[1, 1, 0, 0, 0], [1, 0, 1, 0, 0]]),    # isolated B site
         np.array([[1, 1, 0, 0], [0, 0, 1, 1]]),          # two components
-    ], ids=["star", "seven", "dll2", "zero-row", "isolated", "components"])
+    ], ids=["star", "seven", "dll2", "dll3", "dll4", "zero-row", "isolated",
+            "components"])
     def test_matches_expm(self, mask):
         rng = np.random.default_rng(7)
         C = _coupling_stack(rng, 24, np.asarray(mask, float))
-        for h in (1e-3, 0.05, 0.7):
-            E = _framed_exponentials(C, h, 0.5)
-            assert np.max(np.abs(E - _expm_reference(C, h, 0.5))) <= 1e-13
-            eye = np.eye(E.shape[1])
-            unit = np.abs(E @ E.conj().swapaxes(1, 2) - eye).max()
-            assert unit <= 1e-13
+        if C.shape[1] > 2:
+            # at h = 3, ||X||_inf > 8 for X = h^2 C C^T: sigma >= 2 levels
+            X = 9.0 * (C @ C.swapaxes(1, 2))
+            assert np.abs(X).sum(axis=2).max() > 8.0
+        for h in (1e-3, 0.05, 0.7, 3.0):
+            _assert_matches_expm(C, h, 0.5)
+
+    @pytest.mark.parametrize("edge", ["zero", "zero-row", "tiny", "isolated"])
+    def test_series_edges(self, edge, monkeypatch):
+        # p > 2 takes cos, sinc and (cos - 1)/X of the Gram matrix from
+        # series with double-angle recovery, never from eigh
+        def refuse(M):
+            raise AssertionError("eigh called for p > 2")
+
+        C = _coupling_stack(np.random.default_rng(11), 6, _dll_mask(3))
+        if edge == "zero":
+            C[:] = 0.0
+        elif edge == "zero-row":
+            C[:, 4] = 0.0
+        elif edge == "tiny":
+            # s^2 near 1e-18 in a stack whose other members set sigma
+            C[::2] *= 1e-9 / np.abs(C[::2]).max()
+        else:
+            C[:, :, 7] = 0.0                          # B site 7 decoupled
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "eigh", refuse)
+            for h in (1e-3, 0.05, 0.7, 3.0):
+                _assert_matches_expm(C, h, 0.5)
 
     def test_tiny_singular_values(self):
         # s^2 near round-off: the entire functions of s^2 stay accurate
@@ -506,14 +538,10 @@ class TestSublatticeExponential:
             raise AssertionError("eigh called for p <= 2")
 
         C = np.array([C] * 3) * np.array([1.0, -2.0, 0.5])[:, None, None]
-        steps = (1e-3, 0.05, 0.7)
         with monkeypatch.context() as patched:
             patched.setattr(np.linalg, "eigh", refuse)
-            stacks = [_framed_exponentials(C, h, 0.5) for h in steps]
-        for h, E in zip(steps, stacks):
-            assert np.max(np.abs(E - _expm_reference(C, h, 0.5))) <= 1e-13
-            eye = np.eye(E.shape[1])
-            assert np.abs(E @ E.conj().swapaxes(1, 2) - eye).max() <= 1e-13
+            for h in (1e-3, 0.05, 0.7):
+                _assert_matches_expm(C, h, 0.5)
 
     def test_split_sizes(self):
         for problem, p in ((crab.star_creation(), 1), (crab.star_transfer(), 1),
@@ -647,15 +675,16 @@ class TestNoFullExponential:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         return shapes
 
-    def test_dll_ramp_diagonalizes_gram_stacks_only(self, monkeypatch):
+    def test_dll_ramp_calls_no_eigh(self, monkeypatch):
+        # p = 9: the Gram functions come from series, not eigenpairs
         seg = _dll_ramp_segment()
         s = ProtocolSchedule(TimedHamiltonian(seg.H.base), (seg,))
         psi0 = np.zeros(seg.H.n_sites)
         psi0[[8, 9]] = np.array([1.0, -1.0]) / np.sqrt(2.0)
         shapes = self._spy(monkeypatch)
-        run_schedule(s, psi0)
-        assert shapes
-        assert all(len(sh) == 3 and sh[1:] == (9, 9) for sh in shapes)
+        traj = run_schedule(s, psi0)
+        assert shapes == []
+        assert fidelity(traj.final_state, psi0) >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("problem", [crab.star_creation,
                                          crab.seven_creation])

@@ -137,3 +137,13 @@ def test_runtime_imports_only_stdlib_and_numpy():
                 continue
             foreign += [(name, r) for r in roots if r not in allowed]
     assert not foreign
+
+
+# ROADMAP's cap on src/clsnet, counted as ``wc -l`` counts: newlines
+LINE_CAP = 3893
+
+
+def test_source_stays_under_the_line_cap():
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in (ROOT / "src" / "clsnet").glob("*.py"))
+    assert lines <= LINE_CAP
