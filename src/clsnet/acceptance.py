@@ -28,11 +28,11 @@ from .lattice import TablePulse, TimedHamiltonian, LinearRamp, \
     attach_pulse, build_dll, build_star, build_seven
 from .protocols import (
     TRANSFER_VARIANTS,
+    GenerationParams,
+    SevenTransferParams,
+    StarTransferParams,
     build_schedule,
     cls_state,
-    solve_generation_params,
-    solve_seven_transfer_params,
-    solve_transfer_params,
 )
 from .routing import plan_route, schedule_multi, simulate_route, \
     verify_timeline
@@ -96,8 +96,8 @@ def _criterion(cid, title):
 @_criterion("C1", "star phase-flip transfer")
 def _c1():
     t0 = perf_counter()
-    p = solve_transfer_params(1, 0, 0.25)
-    s = build_schedule("star", "phase-flip-transfer", p)
+    p = StarTransferParams(1, 0, 0.25)
+    s = build_schedule("phase-flip-transfer", p)
     traj = run_schedule(s, s.initial_state)
     fid = fidelity(traj.final_state, s.target_state)
     elapsed = perf_counter() - t0
@@ -112,9 +112,9 @@ def _c1():
 
 @_criterion("C2", "star hopping-flip transfer matches phase-flip profiles")
 def _c2():
-    p = solve_transfer_params(1, 0, 0.25)
-    sp = build_schedule("star", "phase-flip-transfer", p)
-    sh = build_schedule("star", "hopping-flip-transfer", p)  # (J1, J3)
+    p = StarTransferParams(1, 0, 0.25)
+    sp = build_schedule("phase-flip-transfer", p)
+    sh = build_schedule("hopping-flip-transfer", p)  # (J1, J3)
     tp = run_schedule(sp, sp.initial_state)
     th = run_schedule(sh, sh.initial_state)
     fid = fidelity(th.final_state, sh.target_state)
@@ -133,8 +133,8 @@ def _c3():
     worst, drifts, members = 1.0, [], set()
     for k1 in range(-2, 4):
         for k2 in range(0, 3):
-            p = solve_transfer_params(k1, k2, 0.25)
-            s = build_schedule("star", "phase-flip-transfer", p)
+            p = StarTransferParams(k1, k2, 0.25)
+            s = build_schedule("phase-flip-transfer", p)
             traj = run_schedule(s, s.initial_state)
             worst = min(worst, fidelity(traj.final_state, s.target_state))
             drifts.append(traj.norm_drift)
@@ -150,8 +150,8 @@ def _c3():
 @_criterion("C4", "generation reaches the dimer, flip completes it")
 def _c4():
     J = 0.25
-    gp = solve_generation_params(2, 0, 1, 3 * _S2 * J)
-    s = build_schedule("star", "generation", gp, final_flip=False)
+    gp = GenerationParams(2, 0, 1, 3 * _S2 * J)
+    s = build_schedule("generation", gp, final_flip=False)
     traj = run_schedule(s, s.initial_state)
     fid_L = fidelity(traj.final_state, cls_state("star", "L"))
     fid_I = fidelity(PhaseFlip(gp.T, 1).apply(traj.final_state),
@@ -178,8 +178,8 @@ def _c4():
 
 @_criterion("C5", "piecewise transfer through the hub")
 def _c5():
-    gp = solve_generation_params(2, 0, 1, 3 * _S2 * 0.25)
-    s = build_schedule("star", "piecewise-transfer", gp)
+    gp = GenerationParams(2, 0, 1, 3 * _S2 * 0.25)
+    s = build_schedule("piecewise-transfer", gp)
     traj = run_schedule(s, s.initial_state)
     fid = fidelity(traj.final_state, s.target_state)
     checks = [
@@ -237,10 +237,10 @@ def _c8():
     w = spectrum(H).eigenvalues
     expected = np.array(sorted([0, 0, 0, -_S2, _S2, -2 * _S2, 2 * _S2]))
     dev = float(np.max(np.abs(w - expected)))
-    p = solve_seven_transfer_params(0, 1.0, 0.0)
+    p = SevenTransferParams(0, 1.0, 0.0)
     fids, drifts = [], []
     for variant in TRANSFER_VARIANTS:
-        s = build_schedule("seven", variant, p)
+        s = build_schedule(variant, p)
         traj = run_schedule(s, s.initial_state)
         fids.append(fidelity(traj.final_state, s.target_state))
         drifts.append(traj.norm_drift)
@@ -423,8 +423,8 @@ def _c13(drifts=None):
     opt_same = (r1.best_params == r2.best_params
                 and r1.infidelity == r2.infidelity and r1.log == r2.log)
 
-    p = solve_transfer_params(1, 0, 0.25)
-    s = build_schedule("star", "phase-flip-transfer", p)
+    p = StarTransferParams(1, 0, 0.25)
+    s = build_schedule("phase-flip-transfer", p)
     ta = run_schedule(s, s.initial_state)
     tb = run_schedule(s, s.initial_state)
     run_same = np.array_equal(ta.states, tb.states)

@@ -36,11 +36,11 @@ from .lattice import (
 )
 from .protocols import (
     TRANSFER_VARIANTS,
+    GenerationParams,
+    SevenTransferParams,
+    StarTransferParams,
     build_schedule,
     cls_state,
-    solve_generation_params,
-    solve_seven_transfer_params,
-    solve_transfer_params,
 )
 from .routing import plan_route, schedule_multi, simulate_route
 from .spectral import equitable_blocks_star, find_cls, \
@@ -386,16 +386,16 @@ def _build_protocol_schedule(sc):
     p = sc.parameters
     if variant in TRANSFER_VARIANTS:
         if kind == "star":
-            params = solve_transfer_params(sched["k1"], sched["k2"], p["J"])
+            params = StarTransferParams(sched["k1"], sched["k2"], p["J"])
         else:
-            params = solve_seven_transfer_params(sched["k"], p["J"], p["v"])
-        return build_schedule(kind, variant, params)
+            params = SevenTransferParams(sched["k"], p["J"], p["v"])
+        return build_schedule(variant, params)
     if variant in ("generation", "reverse-generation",
                    "piecewise-transfer"):
         Jp = p.get("J_prime", 3 * np.sqrt(2.0) * p["J"])
-        params = solve_generation_params(sched["branch"], sched["k1p"],
-                                         sched["k2p"], Jp)
-        return build_schedule("star", variant, params)
+        params = GenerationParams(sched["branch"], sched["k1p"],
+                                  sched["k2p"], Jp)
+        return build_schedule(variant, params)
     if variant == "optimized":
         problem = _problem_factory(sched["problem"], p)
         ref = crab.REFERENCE_PARAMS[problem.kind]

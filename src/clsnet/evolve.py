@@ -560,8 +560,7 @@ def end_hamiltonian(s):
 
 
 def _mirror_pulses(H, duration):
-    overrides = {entry: TimeMirrored(p, duration) if not isinstance(p, TimeMirrored)
-                 else p.inner
+    overrides = {entry: TimeMirrored(p, duration)
                  for entry, p in H.overrides.items()}
     return TimedHamiltonian(np.array(H.base), overrides)
 

@@ -175,6 +175,8 @@ class TablePulse(Pulse):
     def __post_init__(self):
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ValueError("table needs matching times/values, at least 2 points")
+        if not np.all(np.isfinite(np.concatenate((self.times, self.values)))):
+            raise ValueError("table times and values must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("table times must be strictly increasing")
 

@@ -7,6 +7,9 @@ generation protocols trade the hub amplitude for a dimer state with
 half the couplings switched off.  The seven-site unit supports the two
 flip-based transfer variants with its own timing family.
 
+A family member is built from its indices, derives v and T, and names
+its network in ``graph``: ``build_schedule(variant, params)``.
+
 State naming on the star (sites 0,1 dimer, 2 hub, 3,4 dimer):
 ``I`` = (e0-e1)/sqrt2, ``L`` = (e0+e1)/sqrt2, ``c`` = e2,
 ``R`` = (e3+e4)/sqrt2, ``F`` = (e3-e4)/sqrt2.  The seven-site unit
@@ -16,25 +19,19 @@ uses the same names with its dimers (0,1) and (5,6) and hub 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
-from .evolve import (
-    HoppingFlip,
-    PhaseFlip,
-    ProtocolSchedule,
-    Segment,
-)
+from .evolve import HoppingFlip, PhaseFlip, ProtocolSchedule, Segment
 from .lattice import build_seven, build_star
 from .spectral import dimer_state
 
 __all__ = [
-    "TransferParams",
+    "StarTransferParams",
+    "SevenTransferParams",
     "GenerationParams",
-    "solve_transfer_params",
-    "solve_seven_transfer_params",
-    "solve_generation_params",
+    "transfer_member_for",
     "build_schedule",
     "cls_state",
     "TRANSFER_VARIANTS",
@@ -67,12 +64,16 @@ def cls_state(graph, name):
 def _require_int(value, label):
     if value != int(value):
         raise ValueError(f"{label} must be an integer")
-    return int(value)
 
 
 def _require_coupling(J):
     if J == 0:
         raise ValueError("flip transfer needs a nonzero coupling J")
+
+
+def _require_duration(T):
+    if not 0 < T < np.inf:
+        raise ValueError(f"transfer time must be positive and finite, got {T}")
 
 
 def _require_phases(indices, phases):
@@ -85,70 +86,64 @@ def _require_phases(indices, phases):
 
 
 @dataclass(frozen=True)
-class TransferParams:
-    """Potential and duration of one flip-transfer family member.
-
-    ``graph`` = 'star': v = J(4 k1/(1+2 k2) - 2) and
-    T = pi (1+2 k2)/(2 J), making the symmetric sector return to
-    itself while the flat sector picks up a minus sign over T.
-    ``graph`` = 'seven': T = pi (2 k1 + 1)/(sqrt2 J) with free v
-    (k2 unused); requires the inner couplings at sqrt3 * J.
-    """
-
-    v: float
-    T: float
-    k1: int
-    k2: Optional[int]
-    J: float
-    graph: str = "star"
-
-    def __post_init__(self):
-        if not 0 < self.T < np.inf:
-            raise ValueError(f"transfer time must be positive and finite, "
-                             f"got {self.T}")
-        if self.graph == "star":
-            expect_v = self.J * (4 * self.k1 / (1 + 2 * self.k2) - 2)
-            expect_T = np.pi * (1 + 2 * self.k2) / (2 * self.J)
-        elif self.graph == "seven":
-            expect_v = self.v
-            expect_T = np.pi * (2 * self.k1 + 1) / (np.sqrt(2.0) * self.J)
-        else:
-            raise ValueError(f"unknown graph {self.graph!r}")
-        if not np.allclose([self.v, self.T], [expect_v, expect_T],
-                           rtol=1e-12, atol=1e-12):
-            raise ValueError("(v, T) inconsistent with the family formulas")
-
-
-def solve_transfer_params(k1, k2, J):
+class StarTransferParams:
     """Star flip-transfer family member for integer indices (k1, k2).
 
-    Raises for J = 0 and for indices that give a non-positive duration.
+    v = J(4 k1/(1+2 k2) - 2) and T = pi (1+2 k2)/(2 J), making the
+    symmetric sector return to itself while the flat sector picks up a
+    minus sign over T.
     """
-    _require_coupling(J)
-    k1 = _require_int(k1, "k1")
-    k2 = _require_int(k2, "k2")
-    if 1 + 2 * k2 == 0:
-        raise ValueError("1 + 2*k2 must be nonzero")
-    v = J * (4 * k1 / (1 + 2 * k2) - 2)
-    T = np.pi * (1 + 2 * k2) / (2 * J)
-    params = TransferParams(v=v, T=T, k1=k1, k2=k2, J=J)
-    # the three sector phases the derivation rests on
-    _require_phases(f"k2={k2}", ((v * T, -1), ((v - 2 * J) * T, 1),
-                                 ((v + 2 * J) * T, 1)))
-    return params
+
+    graph = "star"
+    k1: int
+    k2: int
+    J: float
+
+    def __post_init__(self):
+        _require_coupling(self.J)
+        _require_int(self.k1, "k1")
+        _require_int(self.k2, "k2")
+        _require_duration(self.T)
+        v, T, J = self.v, self.T, self.J
+        # the three sector phases the derivation rests on
+        _require_phases(f"k2={self.k2}", ((v * T, -1), ((v - 2 * J) * T, 1),
+                                          ((v + 2 * J) * T, 1)))
+
+    @cached_property
+    def v(self):
+        return self.J * (4 * self.k1 / (1 + 2 * self.k2) - 2)
+
+    @cached_property
+    def T(self):
+        return np.pi * (1 + 2 * self.k2) / (2 * self.J)
 
 
-def solve_seven_transfer_params(k, J, v=0.0):
-    """Seven-site flip-transfer family member (inner couplings sqrt3*J)."""
-    _require_coupling(J)
-    k = _require_int(k, "k")
-    T = np.pi * (2 * k + 1) / (np.sqrt(2.0) * J)
-    return TransferParams(v=v, T=T, k1=k, k2=None, J=J, graph="seven")
+@dataclass(frozen=True)
+class SevenTransferParams:
+    """Seven-site flip-transfer family member for an integer index k.
+
+    T = pi (2 k + 1)/(sqrt2 J) with free potential v; requires the
+    inner couplings at sqrt3 * J.
+    """
+
+    graph = "seven"
+    k: int
+    J: float
+    v: float = 0.0
+
+    def __post_init__(self):
+        _require_coupling(self.J)
+        _require_int(self.k, "k")
+        _require_duration(self.T)
+
+    @cached_property
+    def T(self):
+        return np.pi * (2 * self.k + 1) / (np.sqrt(2.0) * self.J)
 
 
 @dataclass(frozen=True)
 class GenerationParams:
-    """Hub-to-dimer generation family member.
+    """Hub-to-dimer generation family member on the star.
 
     branch 1: v = sqrt2 J' (4k1'-1)/(1+4k2'), T = pi (4k1'-1)/(2v);
     branch 2: v = sqrt2 J' (4k1'+1)/(-1+4k2'), T = pi (4k1'+1)/(2v).
@@ -156,136 +151,125 @@ class GenerationParams:
     (v + sqrt2 J') sector returns, swapping hub and dimer exactly.
     """
 
+    graph = "star"
     branch: int
     k1p: int
     k2p: int
     Jp: float
-    v: float
-    T: float
 
     def __post_init__(self):
         if self.branch not in (1, 2):
             raise ValueError("branch must be 1 or 2")
+        _require_int(self.k1p, "k1p")
+        _require_int(self.k2p, "k2p")
         if self.v == 0:
-            raise ValueError("family point has v = 0")
+            raise ValueError("family point has v = 0 (is Jp zero?)")
         if not self.T > 0:
             raise ValueError(f"generation time must be positive, got {self.T}")
-        num, den = _generation_indices(self.branch, self.k1p, self.k2p)
-        ev = np.sqrt(2.0) * self.Jp * num / den
-        eT = np.pi * num / (2 * self.v)
-        if not np.allclose([self.v, self.T], [ev, eT],
-                           rtol=1e-12, atol=1e-12):
-            raise ValueError("(v, T) inconsistent with the family formulas")
+        v, T, root2_Jp = self.v, self.T, np.sqrt(2.0) * self.Jp
+        _require_phases(f"k1p={self.k1p}, k2p={self.k2p}",
+                        (((v - root2_Jp) * T, -1), ((v + root2_Jp) * T, 1)))
+
+    @property
+    def _fraction(self):
+        """(numerator, denominator) of the branch's v / (sqrt2 J')."""
+        if self.branch == 1:
+            return 4 * self.k1p - 1, 1 + 4 * self.k2p
+        return 4 * self.k1p + 1, -1 + 4 * self.k2p
+
+    @cached_property
+    def v(self):
+        num, den = self._fraction
+        return np.sqrt(2.0) * self.Jp * num / den
+
+    @cached_property
+    def T(self):
+        return np.pi * self._fraction[0] / (2 * self.v)
 
 
-def _generation_indices(branch, k1p, k2p):
-    """(numerator, denominator) of the branch's v / (sqrt2 J')."""
-    if branch == 1:
-        return 4 * k1p - 1, 1 + 4 * k2p
-    return 4 * k1p + 1, -1 + 4 * k2p
+def transfer_member_for(J, v):
+    """Star flip-transfer member matching a lattice's (J, v), with the
+    smallest duration among k2 = 0..7: the inverse of
+    :attr:`StarTransferParams.v`."""
+    _require_coupling(J)
+    for k2 in range(8):
+        x = (v / J + 2.0) * (1 + 2 * k2) / 4.0
+        k1 = round(x)
+        if abs(k1 - x) < 1e-9:
+            return StarTransferParams(k1, k2, J)
+    raise ValueError(f"no flip-transfer timing exists for J={J}, v={v}")
 
 
-def solve_generation_params(branch, k1p, k2p, Jp):
-    """Generation family member; raises when the indices give v = 0,
-    a vanishing denominator, or T <= 0."""
-    if branch not in (1, 2):
-        raise ValueError("branch must be 1 or 2")
-    k1p = _require_int(k1p, "k1p")
-    k2p = _require_int(k2p, "k2p")
-    root2 = np.sqrt(2.0)
-    num, den = _generation_indices(branch, k1p, k2p)
-    if den == 0:
-        raise ValueError("denominator vanishes for these indices")
-    v = root2 * Jp * num / den
-    if v == 0:
-        raise ValueError("family point has v = 0 (is Jp zero?)")
-    T = np.pi * num / (2 * v)
-    params = GenerationParams(branch=branch, k1p=k1p, k2p=k2p, Jp=Jp, v=v, T=T)
-    _require_phases(f"k1p={k1p}, k2p={k2p}",
-                    (((v - root2 * Jp) * T, -1), ((v + root2 * Jp) * T, 1)))
-    return params
+_TRANSFER_MEMBERS = (StarTransferParams, SevenTransferParams)
+
+# per variant: the family members it runs on and the options it takes
+_VARIANTS = {
+    "phase-flip-transfer": (_TRANSFER_MEMBERS, ("in_site", "out_site")),
+    "hopping-flip-transfer": (_TRANSFER_MEMBERS, ("pair",)),
+    "generation": ((GenerationParams,), ("final_flip",)),
+    "reverse-generation": ((GenerationParams,), ()),
+    "piecewise-transfer": ((GenerationParams,), ("in_site", "out_site")),
+}
 
 
-def _star_base(params):
-    return build_star([params.J] * 4, params.v)
+def build_schedule(variant, params, **options):
+    """Schedule for one protocol variant on the network of ``params``.
 
-
-def _seven_base(params):
-    root3 = np.sqrt(3.0)
-    J = params.J
-    return build_seven([J, J, root3 * J, root3 * J, J, J], params.v)
-
-
-def _generation_hamiltonians(params):
-    """In-half and out-half star Hamiltonians of the generation setup."""
-    H_in = build_star([params.Jp, params.Jp, 0.0, 0.0], params.v)
-    H_out = build_star([0.0, 0.0, params.Jp, params.Jp], params.v)
-    return H_in, H_out
-
-
-def _flip_transfer(T, variant, in_site, out_site, pair_entries):
-    if variant == "phase-flip-transfer":
-        return (PhaseFlip(0.0, in_site), Segment(0.0, T), PhaseFlip(T, out_site))
-    a, b = pair_entries
-    return (HoppingFlip(0.0, a), HoppingFlip(0.0, b),
-            Segment(0.0, T),
-            HoppingFlip(T, a), HoppingFlip(T, b))
-
-
-def build_schedule(graph, variant, params, **options):
-    """Schedule for one protocol variant on 'star' or 'seven'.
-
-    Star variants: phase-flip-transfer, hopping-flip-transfer,
-    generation (hub -> stored dimer state), reverse-generation
-    (stored dimer state -> hub), piecewise-transfer (transfer routed
-    through the hub in two generation-length halves).  Seven-site
-    variants: the two flip transfers.  Options select which dimer
-    member is flipped (``in_site``, ``out_site``), which coupling pair
-    a hopping variant flips (``pair``: 'J1J3'/'J2J4' on the star,
-    'J2J6'/'J1J5' on the seven-site unit), and whether generation ends
-    with the flip to the antisymmetric state (``final_flip``).
+    Transfer variants (phase-flip-transfer, hopping-flip-transfer) run
+    on a :class:`StarTransferParams` or :class:`SevenTransferParams`
+    member.  The star-only variants generation (hub -> stored dimer
+    state), reverse-generation (stored dimer state -> hub) and
+    piecewise-transfer (transfer routed through the hub in two
+    generation-length halves) run on a :class:`GenerationParams`
+    member.  Options select which dimer member a phase flip hits
+    (``in_site``, ``out_site``), which coupling pair a hopping variant
+    flips (``pair``: 'J1J3'/'J2J4' on the star, 'J2J6'/'J1J5' on the
+    seven-site unit), and whether generation ends with the flip to the
+    antisymmetric state (``final_flip``).
     """
-    if graph not in ("star", "seven"):
-        raise ValueError(f"unknown graph {graph!r}")
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    members, allowed = _VARIANTS[variant]
+    if not isinstance(params, members):
+        raise ValueError(f"{variant} needs "
+                         f"{' or '.join(m.__name__ for m in members)}")
+    unknown = set(options) - set(allowed)
+    if unknown:
+        raise TypeError(f"{variant} takes no options {sorted(unknown)}")
 
+    v, T = params.v, params.T
     if variant in TRANSFER_VARIANTS:
-        if not isinstance(params, TransferParams) or params.graph != graph:
-            raise ValueError(f"{variant} on {graph} needs TransferParams "
-                             f"solved for that graph")
-        star = graph == "star"
-        base = _star_base(params) if star else _seven_base(params)
-        pairs = _STAR_HOPPING_PAIRS if star else _SEVEN_HOPPING_PAIRS
-        out_pair = (3, 4) if star else (5, 6)
-        in_site = options.pop("in_site", 1)
-        out_site = options.pop("out_site", out_pair[1])
-        if in_site not in (0, 1) or out_site not in out_pair:
-            raise ValueError(f"{'star' if star else 'seven-site'} flips must "
-                             "hit one site of each dimer")
-        pair = options.pop("pair", next(iter(pairs)))
-        if options:
-            raise TypeError(f"unknown options {sorted(options)}")
-        if pair not in pairs:
-            raise ValueError(f"unknown hopping pair {pair!r}")
-        items = _flip_transfer(params.T, variant, in_site, out_site, pairs[pair])
+        J, star = params.J, params.graph == "star"
+        base = build_star([J] * 4, v) if star else \
+            build_seven([J, J, np.sqrt(3.0) * J, np.sqrt(3.0) * J, J, J], v)
+        if variant == "phase-flip-transfer":
+            out_pair = (3, 4) if star else (5, 6)
+            in_site = options.get("in_site", 1)
+            out_site = options.get("out_site", out_pair[1])
+            if in_site not in (0, 1) or out_site not in out_pair:
+                raise ValueError(f"{'star' if star else 'seven-site'} flips "
+                                 "must hit one site of each dimer")
+            items = (PhaseFlip(0.0, in_site), Segment(0.0, T),
+                     PhaseFlip(T, out_site))
+        else:
+            pairs = _STAR_HOPPING_PAIRS if star else _SEVEN_HOPPING_PAIRS
+            pair = options.get("pair", next(iter(pairs)))
+            if pair not in pairs:
+                raise ValueError(f"unknown hopping pair {pair!r}")
+            a, b = pairs[pair]
+            items = (HoppingFlip(0.0, a), HoppingFlip(0.0, b), Segment(0.0, T),
+                     HoppingFlip(T, a), HoppingFlip(T, b))
         return ProtocolSchedule(base, items,
-                                initial_state=cls_state(graph, "I"),
-                                target_state=cls_state(graph, "F"))
+                                initial_state=cls_state(params.graph, "I"),
+                                target_state=cls_state(params.graph, "F"))
 
-    if graph == "seven":
-        raise ValueError(f"variant {variant!r} is not defined for the "
-                         "seven-site graph; only flip transfers are")
-    if not isinstance(params, GenerationParams):
-        raise ValueError(f"{variant} needs GenerationParams")
-    H_in, H_out = _generation_hamiltonians(params)
-    T = params.T
-
+    # generation: the in-half of the star couplings, then the out-half
+    H_in = build_star([params.Jp, params.Jp, 0.0, 0.0], v)
+    H_out = build_star([0.0, 0.0, params.Jp, params.Jp], v)
     if variant == "generation":
-        final_flip = options.pop("final_flip", True)
-        if options:
-            raise TypeError(f"unknown options {sorted(options)}")
         items = [Segment(0.0, T)]
         target = cls_state("star", "L")
-        if final_flip:
+        if options.get("final_flip", True):
             items.append(PhaseFlip(T, 1))
             target = items[-1].apply(target)
         return ProtocolSchedule(H_in, tuple(items),
@@ -293,26 +277,17 @@ def build_schedule(graph, variant, params, **options):
                                 target_state=target)
 
     if variant == "reverse-generation":
-        if options:
-            raise TypeError(f"unknown options {sorted(options)}")
         items = (PhaseFlip(0.0, 1), Segment(0.0, T))
         return ProtocolSchedule(H_in, items,
                                 initial_state=cls_state("star", "I"),
                                 target_state=cls_state("star", "c"))
 
-    if variant == "piecewise-transfer":
-        in_site = options.pop("in_site", 1)
-        out_site = options.pop("out_site", 4)
-        if options:
-            raise TypeError(f"unknown options {sorted(options)}")
-        items = (
-            PhaseFlip(0.0, in_site),
-            Segment(0.0, T),
-            Segment(T, 2 * T, H_out),
-            PhaseFlip(2 * T, out_site),
-        )
-        return ProtocolSchedule(H_in, items,
-                                initial_state=cls_state("star", "I"),
-                                target_state=cls_state("star", "F"))
-
-    raise ValueError(f"unknown variant {variant!r}")
+    items = (
+        PhaseFlip(0.0, options.get("in_site", 1)),
+        Segment(0.0, T),
+        Segment(T, 2 * T, H_out),
+        PhaseFlip(2 * T, options.get("out_site", 4)),
+    )
+    return ProtocolSchedule(H_in, items,
+                            initial_state=cls_state("star", "I"),
+                            target_state=cls_state("star", "F"))

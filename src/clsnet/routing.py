@@ -3,12 +3,14 @@
 A stored dimer state moves through the network by dimer-jumps: ramp the
 surrounding couplings of one five-site star to zero (symmetrically on
 the dimer couplings, so the state is untouched), run the star
-protocol's flip transfer inside the isolated star, and ramp the
-couplings back.  Longer routes chain jumps through adjacent hubs.  Over
-its window a jump holds its four spokes exclusively and ramps its
-boundary couplings; routes run at once as long as no coupling is held
-twice at overlapping times, unless both holds are ramps with the same
-window and ramp time (one profile).
+protocol's flip transfer inside the isolated star (the flips of
+``build_schedule(variant, params)`` for the lattice's member
+``transfer_member_for(J, v)``), and ramp the couplings back.  Longer
+routes chain jumps through adjacent hubs.  Over its window a jump
+holds its four spokes exclusively and ramps its boundary couplings;
+routes run at once as long as no coupling is held twice at
+overlapping times, unless both holds are ramps with the same window
+and ramp time (one profile).
 
 All planning and scheduling here is deterministic: shortest routes in
 the dimer-adjacency graph with lexicographic tie-breaks, greedy
@@ -32,8 +34,8 @@ from .evolve import (
     run_schedule,
 )
 from .lattice import LinearRamp, TimedHamiltonian
-from .protocols import TRANSFER_VARIANTS, TransferParams, \
-    _require_coupling, build_schedule, solve_transfer_params
+from .protocols import TRANSFER_VARIANTS, StarTransferParams, \
+    build_schedule, transfer_member_for
 from .spectral import dimer_state
 
 __all__ = [
@@ -45,7 +47,6 @@ __all__ = [
     "extract_star",
     "build_ramp",
     "dimer_adjacency",
-    "transfer_member_for",
     "plan_route",
     "schedule_multi",
     "verify_timeline",
@@ -86,7 +87,7 @@ class Jump:
     star: StarView
     variant: str
     dt: float
-    params: TransferParams
+    params: StarTransferParams
 
     @property
     def duration(self):
@@ -229,18 +230,6 @@ def dimer_adjacency(graph):
         for d in ds:
             adj[d] += [(h, d2) for d2 in ds if d2 != d]
     return {d: tuple(sorted(v)) for d, v in adj.items()}
-
-
-def transfer_member_for(J, v):
-    """Flip-transfer family member matching a lattice's (J, v), with
-    the smallest duration among k2 = 0..7."""
-    _require_coupling(J)
-    for k2 in range(8):
-        x = (v / J + 2.0) * (1 + 2 * k2) / 4.0
-        k1 = round(x)
-        if abs(k1 - x) < 1e-9:
-            return solve_transfer_params(k1, k2, J)
-    raise ValueError(f"no flip-transfer timing exists for J={J}, v={v}")
 
 
 def _uniform_lattice_scales(graph, H):
@@ -402,11 +391,11 @@ def timeline_schedule(graph, H, tl):
     ramps its boundary couplings down over the first ``dt`` of its
     window and up over the last, exact linear slices shared by ramps
     with one key; the static stretches run on the working Hamiltonian.
-    In between run the flips of ``build_schedule('star', variant,
-    params)``, star site k moved to ``StarView.sites[k]``, time 0 to
-    the end of the down-ramp and T to the start of the up-ramp.  The
-    rule covers couplings: a state resting in a dimer that another
-    route jumps through is not protected.
+    In between run the flips of ``build_schedule(variant, params)``,
+    star site k moved to ``StarView.sites[k]``, time 0 to the end of
+    the down-ramp and T to the start of the up-ramp.  The rule covers
+    couplings: a state resting in a dimer that another route jumps
+    through is not protected.
     """
     verify_timeline(tl)
     ramps, flips, star_flips = [], {}, {}
@@ -419,7 +408,7 @@ def timeline_schedule(graph, H, tl):
                 ramps.append((up_start, t1, sv.boundary_entries, "up"))
             key = (j.variant, j.params)
             if key not in star_flips:
-                star_flips[key] = [f for f in build_schedule("star", *key).items
+                star_flips[key] = [f for f in build_schedule(*key).items
                                    if not isinstance(f, Segment)]
             for f in star_flips[key]:
                 t = down_end if f.time == 0.0 else up_start

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 import clsnet.evolve as ev
@@ -25,6 +25,7 @@ from clsnet.lattice import (
     LinearRamp,
     TablePulse,
     TimedHamiltonian,
+    TimeMirrored,
     attach_pulse,
     build_dll,
     build_seven,
@@ -710,8 +711,9 @@ _KNOTS = 4
 
 @st.composite
 def _pulsed_segments(draw):
-    """A random LinearRamp/TablePulse segment on a star, seven-site or
-    2x2 DLL base; sometimes with a driven diagonal, which is refused."""
+    """A random LinearRamp/TablePulse/TimeMirrored segment on a star,
+    seven-site or 2x2 DLL base; sometimes with a driven diagonal, which
+    is refused."""
     H = _property_shape(draw(st.sampled_from(("star", "seven", "dll2"))))
     T = draw(st.floats(0.5, 3.0))
     level = st.floats(-1.5, 1.5)
@@ -722,8 +724,15 @@ def _pulsed_segments(draw):
         driven.append((0, 0))
     overrides = {}
     for entry in driven:
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(("ramp", "table", "mirrored")))
+        if kind == "ramp":
             overrides[entry] = LinearRamp(draw(level), draw(level), T)
+        elif kind == "mirrored":
+            # a horizon past T puts the inner ramp's end, a kink, at
+            # t = c T / _KNOTS, on the knot grid
+            c = draw(st.integers(1, _KNOTS - 1))
+            overrides[entry] = TimeMirrored(
+                LinearRamp(draw(level), draw(level), T), T * (1 + c / _KNOTS))
         else:
             # knots on a grid of T / _KNOTS fall on step boundaries of
             # runs with _KNOTS + 1 samples, where a kink costs no order
@@ -739,8 +748,15 @@ def _pulsed_segments(draw):
     return TimedHamiltonian(H.base, overrides), T, psi / np.linalg.norm(psi)
 
 
+_MIRRORED = TimeMirrored(LinearRamp(0.25, 0.75, 5.0), 5.0)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(case=_pulsed_segments())
+# a mirrored pulse whose horizon is not the segment's duration
+@example(case=(attach_pulse(attach_pulse(star_quarter(), (0, 2), _MIRRORED),
+                            (1, 2), _MIRRORED),
+               3.0, np.array([0.6, 0.0, 0.0, 0.8j, 0.0])))
 def test_pulsed_segment_properties(case):
     H, T, psi = case
     tol = 1e-10

@@ -184,6 +184,13 @@ class TestPulses:
             TablePulse((0.0, 0.0), (1.0, 2.0))
         with pytest.raises(ValueError):
             TablePulse((0.0,), (1.0,))
+        # NaN fails every comparison, so it would pass the order check
+        with pytest.raises(ValueError, match="finite"):
+            TablePulse((0.0, np.nan, 1.0), (0.0, 0.1, 0.2))
+        with pytest.raises(ValueError, match="finite"):
+            TablePulse((0.0, 1.0), (0.0, np.inf))
+        with pytest.raises(ValueError, match="finite"):
+            TablePulse((-np.inf, 1.0), (0.0, 0.1))
 
     def test_time_mirrored(self):
         ramp = LinearRamp(1.0, 0.0, 2.0)

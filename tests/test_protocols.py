@@ -13,13 +13,13 @@ from clsnet.evolve import (
 )
 from clsnet.lattice import build_star, evaluate_at
 from clsnet.protocols import (
+    TRANSFER_VARIANTS,
     GenerationParams,
-    TransferParams,
+    SevenTransferParams,
+    StarTransferParams,
     build_schedule,
     cls_state,
-    solve_generation_params,
-    solve_seven_transfer_params,
-    solve_transfer_params,
+    transfer_member_for,
 )
 
 ROOT2 = np.sqrt(2.0)
@@ -29,99 +29,119 @@ ROOT2 = np.sqrt(2.0)
 
 
 def test_transfer_params_reference_point():
-    p = solve_transfer_params(1, 0, 0.25)
+    p = StarTransferParams(1, 0, 0.25)
     assert_allclose(p.v, 0.5, atol=1e-15)
     assert_allclose(p.T, 2 * np.pi, rtol=1e-15)
 
 
 def test_transfer_params_negative_potential_member():
-    p = solve_transfer_params(0, 0, 0.25)
+    p = StarTransferParams(0, 0, 0.25)
     assert_allclose(p.v, -0.5, atol=1e-15)
     assert_allclose(p.T, 2 * np.pi, rtol=1e-15)
 
 
 def test_transfer_params_slow_member():
-    p = solve_transfer_params(2, 1, 0.25)
+    p = StarTransferParams(2, 1, 0.25)
     assert_allclose(p.v, 1.0 / 6.0, rtol=1e-15)
     assert_allclose(p.T, 6 * np.pi, rtol=1e-15)
 
 
 def test_transfer_params_rejects_negative_duration():
     with pytest.raises(ValueError):
-        solve_transfer_params(1, -1, 0.25)
+        StarTransferParams(1, -1, 0.25)
 
 
 def test_transfer_params_rejects_non_integer_index():
-    with pytest.raises(ValueError):
-        solve_transfer_params(0.5, 0, 0.25)
-
-
-def test_transfer_params_consistency_guard():
-    with pytest.raises(ValueError):
-        TransferParams(v=0.3, T=2 * np.pi, k1=1, k2=0, J=0.25)
+    with pytest.raises(ValueError, match="k1 must be an integer"):
+        StarTransferParams(0.5, 0, 0.25)
 
 
 def test_transfer_params_reject_zero_coupling():
     with pytest.raises(ValueError, match="nonzero coupling"):
-        solve_transfer_params(1, 0, 0.0)
+        StarTransferParams(1, 0, 0.0)
     with pytest.raises(ValueError, match="nonzero coupling"):
-        solve_seven_transfer_params(0, 0.0)
+        SevenTransferParams(0, 0.0)
     with pytest.raises(ValueError, match="finite"):
-        TransferParams(v=0.0, T=np.inf, k1=0, k2=None, J=0.0, graph="seven")
+        StarTransferParams(0, 0, 1e-310)  # T overflows
 
 
 def test_transfer_params_refuse_indices_that_break_the_phases():
     # v*T grows with k2; from about k2 = 6e5 its rounding misses the
     # sector phases by more than 1e-9 for some indices
-    solve_transfer_params(0, 669789, 0.25)
+    StarTransferParams(0, 669789, 0.25)
     for k2 in (669790, 10**12):
         with pytest.raises(ValueError, match=f"k2={k2} too large"):
-            solve_transfer_params(0, k2, 0.25)
+            StarTransferParams(0, k2, 0.25)
     with pytest.raises(ValueError, match="k1p=1000000000, k2p=3 too large"):
-        solve_generation_params(1, 10**9, 3, 1.0)
-
-
-def test_params_consistency_is_relative_for_long_durations():
-    # one ulp of T = 8.4e6 is 1.9e-9, far above an absolute 1e-12
-    p = solve_transfer_params(0, 669789, 0.25)
-    TransferParams(v=p.v, T=np.nextafter(p.T, np.inf), k1=0, k2=669789,
-                   J=0.25)
-    with pytest.raises(ValueError, match="inconsistent"):
-        TransferParams(v=p.v, T=p.T * (1 + 1e-9), k1=0, k2=669789, J=0.25)
+        GenerationParams(1, 10**9, 3, 1.0)
 
 
 def test_generation_params_reference_point():
-    p = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
+    p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
     assert_allclose(p.v, 0.5, rtol=1e-15)
     assert_allclose(p.T, np.pi, rtol=1e-15)
 
 
 def test_generation_params_branch_one():
-    p = solve_generation_params(1, 1, 0, 1.0)
+    p = GenerationParams(1, 1, 0, 1.0)
     assert_allclose(p.v, 3 * ROOT2, rtol=1e-15)
     assert_allclose(p.T, 3 * np.pi / (2 * p.v), rtol=1e-15)
 
 
 def test_generation_params_scale_with_coupling():
-    a = solve_generation_params(1, 1, 0, 1.0)
-    b = solve_generation_params(1, 1, 0, 2.0)
+    a = GenerationParams(1, 1, 0, 1.0)
+    b = GenerationParams(1, 1, 0, 2.0)
     assert_allclose(b.v, 2 * a.v, rtol=1e-15)
     assert_allclose(b.T, a.T / 2, rtol=1e-15)
 
 
 def test_generation_params_rejects_zero_coupling():
     with pytest.raises(ValueError):
-        solve_generation_params(2, 0, 1, 0.0)
+        GenerationParams(2, 0, 1, 0.0)
 
 
 def test_generation_params_rejects_unknown_branch():
-    with pytest.raises(ValueError):
-        solve_generation_params(3, 0, 1, 1.0)
+    with pytest.raises(ValueError, match="branch must be 1 or 2"):
+        GenerationParams(3, 0, 1, 1.0)
 
 
-def test_generation_params_consistency_guard():
-    with pytest.raises(ValueError):
-        GenerationParams(branch=2, k1p=0, k2p=1, Jp=1.0, v=0.5, T=np.pi)
+def test_members_refuse_non_integer_indices_and_negative_durations():
+    with pytest.raises(ValueError, match="k must be an integer"):
+        SevenTransferParams(0.5, 1.0)
+    with pytest.raises(ValueError, match="k2p must be an integer"):
+        GenerationParams(1, 1, 0.5, 1.0)
+    with pytest.raises(ValueError, match="positive and finite, got -"):
+        SevenTransferParams(-1, 1.0)
+    with pytest.raises(ValueError, match="positive, got -"):
+        GenerationParams(1, 1, -1, 1.0)
+
+
+def test_members_derive_v_and_t_from_their_indices():
+    # v and T are no inputs, so no member carries an off-family pair
+    with pytest.raises(TypeError):
+        StarTransferParams(1, 0, 0.25, v=0.3)
+    with pytest.raises(TypeError):
+        GenerationParams(2, 0, 1, 1.0, T=np.pi)
+    p = StarTransferParams(1, 0, 0.25)
+    assert p == StarTransferParams(1, 0, 0.25) and len({p, p}) == 1
+    assert (p.graph, SevenTransferParams(0, 1.0).graph) == ("star", "seven")
+    assert GenerationParams(2, 0, 1, 1.0).graph == "star"
+
+
+def test_transfer_member_lookup():
+    p = transfer_member_for(0.25, 0.5)
+    assert (p.k1, p.k2) == (1, 0) and p.T == pytest.approx(2 * np.pi)
+    p = transfer_member_for(0.25, -0.5)
+    assert (p.k1, p.k2) == (0, 0)
+    # detuned lattice: admissible only at a higher winding pair
+    p = transfer_member_for(0.25, 0.5 / 3)
+    assert p.T > 2 * np.pi
+    with pytest.raises(ValueError, match="no flip-transfer"):
+        transfer_member_for(0.25, 0.0)  # parity obstruction at v = 0
+    with pytest.raises(ValueError, match="no flip-transfer"):
+        transfer_member_for(0.3, 0.3)
+    with pytest.raises(ValueError, match="nonzero coupling"):
+        transfer_member_for(0.0, 0.5)
 
 
 # ----------------------------------------------------------------- flips
@@ -202,8 +222,8 @@ def _run_fidelity(s, tol=1e-11):
 
 
 def test_star_phase_flip_transfer_reaches_unit_fidelity():
-    s = build_schedule("star", "phase-flip-transfer",
-                       solve_transfer_params(1, 0, 0.25))
+    s = build_schedule("phase-flip-transfer",
+                       StarTransferParams(1, 0, 0.25))
     fid, traj = _run_fidelity(s)
     assert fid >= 1 - 1e-12
     assert abs(traj.norm_drift) <= 1e-12
@@ -213,15 +233,15 @@ def test_star_transfer_family_grid():
     # every valid index pair in a small grid transfers exactly
     for k1 in range(-2, 4):
         for k2 in range(0, 3):
-            s = build_schedule("star", "phase-flip-transfer",
-                               solve_transfer_params(k1, k2, 0.25))
+            s = build_schedule("phase-flip-transfer",
+                               StarTransferParams(k1, k2, 0.25))
             fid, _ = _run_fidelity(s)
             assert fid >= 1 - 1e-12, (k1, k2, fid)
 
 
 def test_star_hopping_flip_transfer_reaches_unit_fidelity():
-    s = build_schedule("star", "hopping-flip-transfer",
-                       solve_transfer_params(1, 0, 0.25))
+    s = build_schedule("hopping-flip-transfer",
+                       StarTransferParams(1, 0, 0.25))
     fid, traj = _run_fidelity(s)
     assert fid >= 1 - 1e-12
     kinds = [ev[1] for ev in traj.events]
@@ -229,54 +249,56 @@ def test_star_hopping_flip_transfer_reaches_unit_fidelity():
 
 
 def test_star_hopping_alternate_pair_option():
-    s = build_schedule("star", "hopping-flip-transfer",
-                       solve_transfer_params(1, 0, 0.25), pair="J2J4")
+    s = build_schedule("hopping-flip-transfer",
+                       StarTransferParams(1, 0, 0.25), pair="J2J4")
     fid, _ = _run_fidelity(s)
     assert fid >= 1 - 1e-12
 
 
 def test_star_phase_flip_alternate_sites():
-    s = build_schedule("star", "phase-flip-transfer",
-                       solve_transfer_params(1, 0, 0.25),
+    s = build_schedule("phase-flip-transfer",
+                       StarTransferParams(1, 0, 0.25),
                        in_site=0, out_site=3)
     fid, _ = _run_fidelity(s)
     assert fid >= 1 - 1e-12
 
 
 def test_seven_phase_flip_transfer():
-    s = build_schedule("seven", "phase-flip-transfer",
-                       solve_seven_transfer_params(0, 1.0))
+    # the member names its network: a seven-site base, no graph argument
+    s = build_schedule("phase-flip-transfer",
+                       SevenTransferParams(0, 1.0))
+    assert s.base.n_sites == 7
     assert_allclose(s.t_final, np.pi / ROOT2, rtol=1e-15)
     fid, _ = _run_fidelity(s)
     assert fid >= 1 - 1e-12
 
 
 def test_seven_hopping_flip_transfer():
-    s = build_schedule("seven", "hopping-flip-transfer",
-                       solve_seven_transfer_params(0, 1.0))
+    s = build_schedule("hopping-flip-transfer",
+                       SevenTransferParams(0, 1.0))
     fid, _ = _run_fidelity(s)
     assert fid >= 1 - 1e-12
 
 
 def test_seven_transfer_with_potential_offset():
     # the seven-site timing works for any uniform potential
-    s = build_schedule("seven", "phase-flip-transfer",
-                       solve_seven_transfer_params(0, 1.0, v=0.7))
+    s = build_schedule("phase-flip-transfer",
+                       SevenTransferParams(0, 1.0, v=0.7))
     fid, _ = _run_fidelity(s)
     assert fid >= 1 - 1e-12
 
 
 def test_generation_reaches_symmetric_state_before_flip():
-    p = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
-    s = build_schedule("star", "generation", p, final_flip=False)
+    p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+    s = build_schedule("generation", p, final_flip=False)
     fid, _ = _run_fidelity(s)
     assert fid >= 1 - 1e-12
     assert_allclose(s.target_state, cls_state("star", "L"), atol=1e-15)
 
 
 def test_generation_ends_in_stored_state():
-    p = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
-    s = build_schedule("star", "generation", p)
+    p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+    s = build_schedule("generation", p)
     fid, traj = _run_fidelity(s)
     assert fid >= 1 - 1e-12
     # stored state must be an eigenvector of the final Hamiltonian
@@ -286,24 +308,24 @@ def test_generation_ends_in_stored_state():
 
 
 def test_reverse_generation_recovers_hub_state():
-    p = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
-    s = build_schedule("star", "reverse-generation", p)
+    p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+    s = build_schedule("reverse-generation", p)
     fid, _ = _run_fidelity(s)
     assert fid >= 1 - 1e-12
 
 
 def test_generation_roundtrip_is_identity():
-    p = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
-    rev = build_schedule("star", "reverse-generation", p)
-    gen = build_schedule("star", "generation", p)
+    p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+    rev = build_schedule("reverse-generation", p)
+    gen = build_schedule("generation", p)
     mid = run_schedule(rev, cls_state("star", "I"), tol=1e-11).final_state
     out = run_schedule(gen, mid, tol=1e-11).final_state
     assert fidelity(out, cls_state("star", "I")) >= 1 - 1e-12
 
 
 def test_piecewise_transfer_through_hub():
-    p = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
-    s = build_schedule("star", "piecewise-transfer", p)
+    p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+    s = build_schedule("piecewise-transfer", p)
     assert_allclose(s.t_final, 2 * np.pi, rtol=1e-15)
     fid, traj = _run_fidelity(s)
     assert fid >= 1 - 1e-12
@@ -313,8 +335,8 @@ def test_piecewise_transfer_through_hub():
 
 
 def test_piecewise_halves_match_direct_transfer_time():
-    p = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
-    t = solve_transfer_params(1, 0, 0.25)
+    p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+    t = StarTransferParams(1, 0, 0.25)
     assert_allclose(2 * p.T, t.T, rtol=1e-15)
 
 
@@ -332,24 +354,24 @@ def _ends_symmetric_on_target(s):
 
 
 def test_schedules_end_with_symmetric_target_dimer():
-    p = solve_transfer_params(1, 0, 0.25)
-    g = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
+    p = StarTransferParams(1, 0, 0.25)
+    g = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
     for s in (
-        build_schedule("star", "phase-flip-transfer", p),
-        build_schedule("star", "hopping-flip-transfer", p),
-        build_schedule("star", "generation", g),
-        build_schedule("star", "reverse-generation", g),
-        build_schedule("star", "piecewise-transfer", g),
-        build_schedule("seven", "phase-flip-transfer",
-                       solve_seven_transfer_params(0, 1.0)),
-        build_schedule("seven", "hopping-flip-transfer",
-                       solve_seven_transfer_params(0, 1.0)),
+        build_schedule("phase-flip-transfer", p),
+        build_schedule("hopping-flip-transfer", p),
+        build_schedule("generation", g),
+        build_schedule("reverse-generation", g),
+        build_schedule("piecewise-transfer", g),
+        build_schedule("phase-flip-transfer",
+                       SevenTransferParams(0, 1.0)),
+        build_schedule("hopping-flip-transfer",
+                       SevenTransferParams(0, 1.0)),
     ):
         assert _ends_symmetric_on_target(s)
 
 
 def test_target_symmetry_helper_flags_broken_end():
-    p = solve_transfer_params(1, 0, 0.25)
+    p = StarTransferParams(1, 0, 0.25)
     base = build_star((0.25, 0.25, 0.25, 0.3), p.v)
     from clsnet.evolve import PhaseFlip, Segment
 
@@ -363,33 +385,76 @@ def test_target_symmetry_helper_flags_broken_end():
 
 
 def test_build_schedule_rejects_unsupported_combinations():
-    g = solve_generation_params(2, 0, 1, 3 * ROOT2 / 4)
-    with pytest.raises(ValueError):
-        build_schedule("seven", "generation", g)
-    with pytest.raises(ValueError):
-        build_schedule("star", "generation",
-                       solve_transfer_params(1, 0, 0.25))
-    with pytest.raises(ValueError):
-        build_schedule("star", "phase-flip-transfer", g)
-    with pytest.raises(ValueError):
-        build_schedule("ring", "phase-flip-transfer",
-                       solve_transfer_params(1, 0, 0.25))
-    with pytest.raises(ValueError):
-        build_schedule("seven", "phase-flip-transfer",
-                       solve_transfer_params(1, 0, 0.25))
-    with pytest.raises(ValueError):
-        build_schedule("star", "warp", solve_transfer_params(1, 0, 0.25))
+    g = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+    for member in (StarTransferParams(1, 0, 0.25), SevenTransferParams(0, 1.0)):
+        with pytest.raises(ValueError, match="generation needs GenerationParams"):
+            build_schedule("generation", member)
+    with pytest.raises(ValueError, match="unknown variant"):
+        build_schedule("warp", StarTransferParams(1, 0, 0.25))
+    with pytest.raises(ValueError, match="one site of each dimer"):
+        build_schedule("phase-flip-transfer", SevenTransferParams(0, 1.0),
+                       out_site=4)
+    with pytest.raises(ValueError, match="unknown hopping pair"):
+        build_schedule("hopping-flip-transfer", SevenTransferParams(0, 1.0),
+                       pair="J1J3")
 
 
 def test_build_schedule_rejects_unknown_option():
     with pytest.raises(TypeError):
-        build_schedule("star", "phase-flip-transfer",
-                       solve_transfer_params(1, 0, 0.25), speed="fast")
+        build_schedule("phase-flip-transfer",
+                       StarTransferParams(1, 0, 0.25), speed="fast")
+
+
+_GENERATION_VARIANTS = ("generation", "reverse-generation",
+                        "piecewise-transfer")
+
+
+@pytest.mark.parametrize("variant", TRANSFER_VARIANTS + _GENERATION_VARIANTS)
+def test_build_schedule_refuses_the_other_family(variant):
+    transfer = variant in TRANSFER_VARIANTS
+    member = GenerationParams(2, 0, 1, 3 * ROOT2 / 4) if transfer \
+        else StarTransferParams(1, 0, 0.25)
+    with pytest.raises(ValueError, match=f"{variant} needs"):
+        build_schedule(variant, member)
+
+
+# the options each variant takes; every other name is refused
+_OPTION_TABLE = {
+    "phase-flip-transfer": {"in_site": 0, "out_site": 3},
+    "hopping-flip-transfer": {"pair": "J2J4"},
+    "generation": {"final_flip": False},
+    "reverse-generation": {},
+    "piecewise-transfer": {"in_site": 0, "out_site": 3},
+}
+_ANY_OPTION = {"in_site": 0, "out_site": 3, "pair": "J2J4",
+               "final_flip": False, "speed": "fast"}
+
+
+def _member_for(variant):
+    if variant in TRANSFER_VARIANTS:
+        return StarTransferParams(1, 0, 0.25)
+    return GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+
+
+@pytest.mark.parametrize("variant,option", [
+    (variant, option) for variant, table in _OPTION_TABLE.items()
+    for option in _ANY_OPTION if option not in table])
+def test_build_schedule_refuses_options_outside_the_variant_table(variant,
+                                                                   option):
+    with pytest.raises(TypeError, match=option):
+        build_schedule(variant, _member_for(variant),
+                       **{option: _ANY_OPTION[option]})
+
+
+@pytest.mark.parametrize("variant", _OPTION_TABLE)
+def test_build_schedule_takes_the_options_in_its_table(variant):
+    s = build_schedule(variant, _member_for(variant), **_OPTION_TABLE[variant])
+    assert _run_fidelity(s)[0] >= 1 - 1e-12
 
 
 def test_stored_state_is_stationary_between_flips():
     # before the first flip the antisymmetric state only gains phase
-    p = solve_transfer_params(1, 0, 0.25)
+    p = StarTransferParams(1, 0, 0.25)
     H = build_star(p.J, p.v)
     psi = evolve_static(H, cls_state("star", "I"), 1.3)
     expected = np.exp(-1j * p.v * 1.3) * cls_state("star", "I")
@@ -406,8 +471,8 @@ def test_cls_state_validation():
 
 
 def test_evaluate_at_star_base_matches_params():
-    p = solve_transfer_params(1, 0, 0.25)
-    s = build_schedule("star", "phase-flip-transfer", p)
+    p = StarTransferParams(1, 0, 0.25)
+    s = build_schedule("phase-flip-transfer", p)
     M = evaluate_at(s.base, 0.0)
     assert_allclose(np.diag(M), p.v, atol=1e-15)
     assert M[0, 2] == p.J

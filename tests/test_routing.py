@@ -37,7 +37,6 @@ from clsnet.routing import (
     schedule_multi,
     simulate_route,
     timeline_schedule,
-    transfer_member_for,
     verify_timeline,
 )
 from clsnet.spectral import dimer_state
@@ -263,20 +262,6 @@ def test_plan_route_requires_uniform_lattice():
         plan_route(g, TimedHamiltonian(M), (1, 2), (3, 4))
 
 
-def test_transfer_member_lookup():
-    p = transfer_member_for(0.25, 0.5)
-    assert (p.k1, p.k2) == (1, 0) and p.T == pytest.approx(2 * np.pi)
-    p = transfer_member_for(0.25, -0.5)
-    assert (p.k1, p.k2) == (0, 0)
-    # detuned lattice: admissible only at a higher winding pair
-    p = transfer_member_for(0.25, 0.5 / 3)
-    assert p.T > 2 * np.pi
-    with pytest.raises(ValueError, match="no flip-transfer"):
-        transfer_member_for(0.25, 0.0)  # parity obstruction at v = 0
-    with pytest.raises(ValueError, match="no flip-transfer"):
-        transfer_member_for(0.3, 0.3)
-
-
 # ----------------------------------------------------------- scheduling
 
 
@@ -432,7 +417,7 @@ def test_jump_flips_are_the_star_protocol_flips(variant):
         t1 = t0 + j.duration
         window = {0.0: t0 + j.dt, j.params.T: t1 - j.dt}
         sites = j.star.sites
-        for f in build_schedule("star", variant, j.params).items:
+        for f in build_schedule(variant, j.params).items:
             if isinstance(f, PhaseFlip):
                 expected.add(PhaseFlip(window[f.time], sites[f.site]))
             elif isinstance(f, HoppingFlip):
