@@ -18,6 +18,7 @@ uses the same names with its dimers (0,1) and (5,6) and hub 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,7 +139,8 @@ class SevenTransferParams:
 
     @cached_property
     def T(self):
-        return np.pi * (2 * self.k + 1) / (np.sqrt(2.0) * self.J)
+        # Python floats: a tiny J overflows to inf, refused as not finite
+        return math.pi * (2 * self.k + 1) / (math.sqrt(2.0) * self.J)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,20 @@ and ramp time (one profile).
 All planning and scheduling here is deterministic: shortest routes in
 the dimer-adjacency graph with lexicographic tie-breaks, greedy
 earliest-start scheduling in request order.
+
+Each ``SiteGraph`` gets its dimer tables (hubs, each hub's dimers, the
+dimer adjacency, the edge index) once, on first use, and planning reads
+them.  Each plan's holds are built once and shifted per start examined.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -126,8 +133,8 @@ class Timeline:
     @cached_property
     def busy(self):
         """Per route, the (center, t_begin, t_end) of each jump."""
-        return tuple(tuple((c, t0, t1) for _, c, t0, t1, _ in
-                           _jump_holds(plan, start))
+        return tuple(tuple((j.star.center, t0, t1) for j, t0, t1, _ in
+                           _shifted(_jump_holds(plan), start))
                      for plan, start in zip(self.routes, self.starts))
 
     @property
@@ -150,16 +157,42 @@ def _dimer_hubs(graph, pair):
     return tuple(sorted(shared - set(pair)))
 
 
+# per graph, on its first use: hubs, hub -> its dimers, the read-only
+# dimer adjacency and the edge index; keyed weakly, so an entry goes
+# with the graph that built it, and equal graphs share it meanwhile
+_Tables = namedtuple("_Tables", "hubs hub_dimers adjacency edge_index")
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _tables(graph):
+    tables = _TABLES.get(graph)
+    if tables is None:
+        hub_dimers = {}
+        for d in graph.dimers():
+            for h in _dimer_hubs(graph, d):
+                hub_dimers.setdefault(h, []).append(d)
+        adj = {d: [] for d in graph.dimers()}
+        for h, ds in sorted(hub_dimers.items()):
+            for d in ds:
+                adj[d] += [(h, d2) for d2 in ds if d2 != d]
+        tables = _TABLES[graph] = _Tables(
+            graph.hubs(),
+            {h: tuple(sorted(ds)) for h, ds in hub_dimers.items()},
+            MappingProxyType({d: tuple(sorted(v)) for d, v in adj.items()}),
+            tuple(np.array(graph.edges, dtype=int).reshape(-1, 2).T))
+    return tables
+
+
 def extract_star(graph, H, center, dimer_in=None, dimer_out=None):
     """View of the five-site star around a hub of the lattice.
 
     The two dimers give the transfer direction; by default the two
     lexicographically smallest dimers adjacent to the hub are used.
     """
-    if center not in graph.hubs():
+    tables = _tables(graph)
+    if center not in tables.hubs:
         raise ValueError(f"site {center} is not a hub")
-    adjacent = sorted(d for d in graph.dimers()
-                      if center in _dimer_hubs(graph, d))
+    adjacent = tables.hub_dimers.get(center, ())
     if len(adjacent) < 2:
         raise ValueError(f"hub {center} has fewer than two adjacent dimers")
     if dimer_in is None:
@@ -174,11 +207,17 @@ def extract_star(graph, H, center, dimer_in=None, dimer_out=None):
         raise ValueError("input and output dimers must differ")
 
     sites = {center, *dimer_in, *dimer_out}
-    inside = [e for e in graph.edges if e[0] in sites and e[1] in sites]
-    boundary = [e for e in graph.edges if (e[0] in sites) != (e[1] in sites)]
+    inside, boundary = set(), []
+    for a in sites:
+        for b in graph.neighbors(a):
+            e = (a, b) if a < b else (b, a)
+            if b in sites:
+                inside.add(e)
+            else:
+                boundary.append(e)
     star = StarView(center, dimer_in, dimer_out, tuple(sorted(boundary)))
     # the induced subgraph must be the star: four spokes, nothing else
-    if set(inside) != set(star.spokes):
+    if inside != set(star.spokes):
         raise ValueError("induced subgraph around the hub is not a star")
     return star
 
@@ -219,26 +258,8 @@ def build_ramp(H, entries, direction, dt):
 
 
 def dimer_adjacency(graph):
-    """Map dimer -> sorted tuple of (shared hub, neighbor dimer)."""
-    dimers = list(graph.dimers())
-    by_hub = {}
-    for d in dimers:
-        for h in _dimer_hubs(graph, d):
-            by_hub.setdefault(h, []).append(d)
-    adj = {d: [] for d in dimers}
-    for h, ds in sorted(by_hub.items()):
-        for d in ds:
-            adj[d] += [(h, d2) for d2 in ds if d2 != d]
-    return {d: tuple(sorted(v)) for d, v in adj.items()}
-
-
-def _uniform_lattice_scales(graph, H):
-    vals = np.array([H.base[e] for e in graph.edges])
-    diag = np.diag(H.base)
-    if vals.size == 0 or np.ptp(vals) > 1e-12 or np.ptp(diag) > 1e-12:
-        raise ValueError("route planning needs uniform couplings and "
-                         "potentials")
-    return float(vals[0]), float(diag[0])
+    """Read-only map dimer -> sorted tuple of (hub, neighbor dimer)."""
+    return _tables(graph).adjacency
 
 
 def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
@@ -250,7 +271,8 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
     win.  Raises when the dimers are not connected.
     """
     src, dst = tuple(src_dimer), tuple(dst_dimer)
-    adj = dimer_adjacency(graph)
+    tables = _tables(graph)
+    adj = tables.adjacency
     if src not in adj or dst not in adj:
         raise ValueError("source and destination must be lattice dimers")
     if variant not in TRANSFER_VARIANTS:
@@ -279,8 +301,11 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
         d = prev
     chain.reverse()
 
-    J, v = _uniform_lattice_scales(graph, H)
-    params = transfer_member_for(J, v)
+    vals, diag = H.base[tables.edge_index], np.diag(H.base)
+    if vals.size == 0 or np.ptp(vals) > 1e-12 or np.ptp(diag) > 1e-12:
+        raise ValueError("route planning needs uniform couplings and "
+                         "potentials")
+    params = transfer_member_for(float(vals[0]), float(diag[0]))
     jumps = tuple(
         Jump(extract_star(graph, H, hub, dimer_in=a, dimer_out=b),
              variant, dt, params)
@@ -288,46 +313,56 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
     return RoutePlan(jumps, src, dst)
 
 
-def _jump_holds(plan, start):
-    """Per jump of ``plan`` run from ``start``: (jump, center, t0, t1,
-    holds), the one jump model of scheduling, checking and building.
-
-    The window is t0 = start + r0, t1 = start + r1, where r0 sums the
-    durations of the earlier jumps and r1 = r0 + duration; ``holds``
-    are the (entry, key) couplings held for all of it: the spokes
-    exclusively (key None), the boundary entries as a ramp keyed
-    (t0, t1, dt).  Raises ValueError unless the flips at t0 + dt and
-    t1 - dt stay T apart to 1e-9 in floating point; a huge dt breaks it.
-    """
+def _jump_holds(plan):
+    """Per jump of ``plan``: (jump, r0, r1, holds) relative to its
+    start, the one jump model of scheduling, checking and building.
+    r0 sums the durations of the earlier jumps, r1 = r0 + duration;
+    ``holds`` are the (entry, ramped) couplings held all of the window:
+    the spokes exclusively, the boundary entries as a ramp."""
     out, r0 = [], 0.0
     for j in plan.jumps:
         r1 = r0 + j.duration
+        holds = tuple((e, False) for e in j.star.spokes) + \
+            tuple((e, True) for e in j.star.boundary_entries)
+        out.append((j, r0, r1, holds))
+        r0 = r1
+    return out
+
+
+def _shifted(jumps, start):
+    """:func:`_jump_holds` ``jumps`` run from ``start``: (jump, t0, t1,
+    holds), t0 = start + r0 and t1 = start + r1.  Raises ValueError
+    unless the flips at t0 + dt and t1 - dt stay T apart to 1e-9 in
+    floating point; a huge dt breaks it."""
+    out = []
+    for j, r0, r1, holds in jumps:
         t0, t1 = start + r0, start + r1
         gap = (t1 - j.dt) - (t0 + j.dt)
         if not abs(gap - j.params.T) <= 1e-9 * j.params.T:
             raise ValueError(f"dt={j.dt!r} leaves the flips of a jump at "
                              f"t={t0:g} {gap:g} apart, not T={j.params.T:g}")
-        holds = [(e, None) for e in j.star.spokes]
-        holds += [(e, (t0, t1, j.dt)) for e in j.star.boundary_entries]
-        out.append((j, j.star.center, t0, t1, holds))
-        r0 = r1
+        out.append((j, t0, t1, holds))
     return out
 
 
 def _admit(index, jumps, route):
-    """Add the holds of ``jumps`` to ``index`` (entry -> holds as
-    (center, t0, t1, key, route)) unless one clashes: windows overlap
-    on one entry, other than two ramps with the same key.  Returns the
-    first clash as (center, t0, t1, entry, held), or None."""
-    for _, c, t0, t1, holds in jumps:
-        for e, key in holds:
+    """Add the holds of the shifted ``jumps`` to ``index`` (entry ->
+    holds as (center, t0, t1, key, route), key None for a spoke) unless
+    one clashes: windows overlap on one entry, other than two ramps with
+    the same key.  Returns the first clash as (center, t0, t1, entry,
+    held), or None."""
+    for j, t0, t1, holds in jumps:
+        key = (t0, t1, j.dt)
+        for e, ramped in holds:
             for held in index.get(e, ()):
                 if held[1] < t1 and t0 < held[2] and \
-                        (key is None or key != held[3]):
-                    return c, t0, t1, e, held
-    for _, c, t0, t1, holds in jumps:
-        for e, key in holds:
-            index.setdefault(e, []).append((c, t0, t1, key, route))
+                        (not ramped or key != held[3]):
+                    return j.star.center, t0, t1, e, held
+    for j, t0, t1, holds in jumps:
+        key = (t0, t1, j.dt)
+        for e, ramped in holds:
+            index.setdefault(e, []).append(
+                (j.star.center, t0, t1, key if ramped else None, route))
     return None
 
 
@@ -343,8 +378,9 @@ def schedule_multi(routes):
     index = {}
     starts = []
     for r, plan in enumerate(routes):
+        jumps = _jump_holds(plan)
         candidates = {0.0}
-        for _, _, r0, _, holds in _jump_holds(plan, 0.0):
+        for _, r0, _, holds in jumps:
             for e, _ in holds:
                 for held in index.get(e, ()):
                     # (t1 - r0) + r0 may round below the hold's end t1;
@@ -354,7 +390,7 @@ def schedule_multi(routes):
                         delay = math.nextafter(delay, math.inf)
                     candidates.add(max(delay, 0.0))
         for delay in sorted(candidates):
-            if _admit(index, _jump_holds(plan, delay), r) is None:
+            if _admit(index, _shifted(jumps, delay), r) is None:
                 break
         else:  # the latest candidate clears every hold, so never here
             raise AssertionError("no admissible delay")
@@ -368,7 +404,7 @@ def verify_timeline(tl):
     same window and ramp time."""
     index = {}
     for r, (plan, start) in enumerate(zip(tl.routes, tl.starts)):
-        clash = _admit(index, _jump_holds(plan, start), r)
+        clash = _admit(index, _shifted(_jump_holds(plan), start), r)
         if clash is not None:
             c, a0, a1, e, (c2, b0, b1, _, r2) = clash
             what = f"occupy star {c}" if c == c2 else f"hold coupling {e}"
@@ -400,7 +436,7 @@ def timeline_schedule(graph, H, tl):
     verify_timeline(tl)
     ramps, flips, star_flips = [], {}, {}
     for plan, start in zip(tl.routes, tl.starts):
-        for j, _, t0, t1, _ in _jump_holds(plan, start):
+        for j, t0, t1, _ in _shifted(_jump_holds(plan), start):
             sv = j.star
             down_end, up_start = t0 + j.dt, t1 - j.dt
             if sv.boundary_entries:
@@ -419,21 +455,26 @@ def timeline_schedule(graph, H, tl):
     bounds.update(flips)
     bounds = sorted(bounds)
 
+    # ramp ends are bounds: a ramp spans segments pos[start]..pos[end]-1
+    pos = {t: k for k, t in enumerate(bounds)}
+    active = [[] for _ in bounds]
+    for r in ramps:
+        for k in range(pos[r[0]], pos[r[1]]):
+            active[k].append(r)
     M = np.array(H.base, dtype=float, copy=True)
     items = []
-    for b, b2 in zip(bounds, bounds[1:] + [None]):
+    for k, (b, b2) in enumerate(zip(bounds, bounds[1:] + [None])):
         for f in flips.get(b, ()):
             items.append(f)
             if isinstance(f, HoppingFlip):
                 f.negate(M)
         if b2 is None or b2 == b:
             continue
-        active = [r for r in ramps if r[0] < b2 and b < r[1]]
-        if not active:
+        if not active[k]:
             items.append(Segment(b, b2))
             continue
         overrides = {}
-        for r0, r1, entries, kind in active:
+        for r0, r1, entries, kind in active[k]:
             for e in entries:
                 # verify_timeline let only equal-key ramps share an entry
                 if e not in overrides:
@@ -479,7 +520,7 @@ def simulate_route(graph, H, tl, tol=1e-11):
     for r, (plan, start, tgt) in enumerate(zip(tl.routes, tl.starts, targets)):
         fids.append(_unit_fidelity(finals[r], tgt))
         table = []
-        for j, _, _, t, _ in _jump_holds(plan, start):
+        for j, _, t, _ in _shifted(_jump_holds(plan), start):
             idx = int(np.argmin(np.abs(traj.times - t)))
             out_state = dimer_state(n, j.star.dimer_out)
             table.append((t, _unit_fidelity(traj.states[idx, :, r],

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,22 @@ def test_zero_coupling_exits_2(tmp_path, capsys, command, doc):
     path = write_config(tmp_path, dict(doc, output={"dir": str(tmp_path)}))
     assert cli.main([command, "--config", path]) == 2
     assert "nonzero coupling J" in capsys.readouterr().err
+
+
+def test_seven_transfer_time_overflow_exits_2_without_warning(tmp_path,
+                                                              capsys):
+    # J = 1e-310 overflows T = pi/(sqrt2 J) to inf: a config error, and
+    # no overflow warning on the way
+    doc = {"system": {"kind": "seven"}, "parameters": {"J": 1e-310},
+           "action": {"kind": "simulate", "schedule": {
+               "variant": "hopping-flip-transfer", "k": 0}},
+           "output": {"dir": str(tmp_path / "out")}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["simulate", "--config", write_config(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2 and "finite" in err
+    assert not caught and "Warning" not in err
 
 
 @pytest.mark.parametrize("k2", [10**12, 669790])

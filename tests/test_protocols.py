@@ -63,6 +63,8 @@ def test_transfer_params_reject_zero_coupling():
         SevenTransferParams(0, 0.0)
     with pytest.raises(ValueError, match="finite"):
         StarTransferParams(0, 0, 1e-310)  # T overflows
+    with pytest.raises(ValueError, match="finite"):
+        SevenTransferParams(0, 1e-310)  # T overflows, with no warning
 
 
 def test_transfer_params_refuse_indices_that_break_the_phases():

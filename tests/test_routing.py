@@ -1,10 +1,13 @@
 """Routing: star extraction, ramps, planning, scheduling, simulation."""
 
+import math
+import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 import clsnet.routing
@@ -552,3 +555,243 @@ def test_jump_duration_and_busy_accounting():
     assert b0 == 0.0
     assert b1 == pytest.approx(1.0 + 2 * np.pi)
     assert plan.duration == b1
+
+
+# ------------------------------------------------- oracles of the planner
+#
+# The planner's scans before it kept per-graph tables and per-plan holds:
+# each request rebuilt the dimer adjacency and scanned every edge of the
+# lattice, each candidate delay rebuilt its plan's holds, and each
+# segment rescanned every ramp.  The planner must emit the same output.
+
+
+def _oracle_dimer_adjacency(g):
+    by_hub = {}
+    for d in g.dimers():
+        shared = set(g.neighbors(d[0])) & set(g.neighbors(d[1]))
+        for h in sorted(shared - set(d)):
+            by_hub.setdefault(h, []).append(d)
+    adj = {d: [] for d in g.dimers()}
+    for h, ds in sorted(by_hub.items()):
+        for d in ds:
+            adj[d] += [(h, d2) for d2 in ds if d2 != d]
+    return {d: tuple(sorted(v)) for d, v in adj.items()}
+
+
+def _oracle_star(g, center, dimer_in, dimer_out):
+    sites = {center, *dimer_in, *dimer_out}
+    inside = {e for e in g.edges if e[0] in sites and e[1] in sites}
+    boundary = [e for e in g.edges if (e[0] in sites) != (e[1] in sites)]
+    star = StarView(center, dimer_in, dimer_out, tuple(sorted(boundary)))
+    assert inside == set(star.spokes)
+    return star
+
+
+def _oracle_jump_holds(plan, start):
+    out, r0 = [], 0.0
+    for j in plan.jumps:
+        r1 = r0 + j.duration
+        t0, t1 = start + r0, start + r1
+        assert abs((t1 - j.dt) - (t0 + j.dt) - j.params.T) <= \
+            1e-9 * j.params.T
+        holds = [(e, None) for e in j.star.spokes]
+        holds += [(e, (t0, t1, j.dt)) for e in j.star.boundary_entries]
+        out.append((j, t0, t1, holds))
+        r0 = r1
+    return out
+
+
+def _oracle_admit(index, jumps):
+    for _, t0, t1, holds in jumps:
+        for e, key in holds:
+            for h0, h1, held_key in index.get(e, ()):
+                if h0 < t1 and t0 < h1 and (key is None or key != held_key):
+                    return False
+    for _, t0, t1, holds in jumps:
+        for e, key in holds:
+            index.setdefault(e, []).append((t0, t1, key))
+    return True
+
+
+def _oracle_starts(plans):
+    index, starts = {}, []
+    for plan in plans:
+        candidates = {0.0}
+        for _, r0, _, holds in _oracle_jump_holds(plan, 0.0):
+            for e, _ in holds:
+                for _, h1, _ in index.get(e, ()):
+                    delay = h1 - r0
+                    while delay + r0 < h1:
+                        delay = math.nextafter(delay, math.inf)
+                    candidates.add(max(delay, 0.0))
+        starts.append(next(
+            d for d in sorted(candidates)
+            if _oracle_admit(index, _oracle_jump_holds(plan, d))))
+    return tuple(starts)
+
+
+def _oracle_items(H, tl):
+    """timeline_schedule's items, as (flip) or (t_start, t_end, base,
+    override items) with base and overrides None on a static stretch."""
+    ramps, flips = [], {}
+    for plan, start in zip(tl.routes, tl.starts):
+        for j, t0, t1, _ in _oracle_jump_holds(plan, start):
+            down_end, up_start = t0 + j.dt, t1 - j.dt
+            if j.star.boundary_entries:
+                ramps.append((t0, down_end, j.star.boundary_entries, "down"))
+                ramps.append((up_start, t1, j.star.boundary_entries, "up"))
+            for f in build_schedule(j.variant, j.params).items:
+                if not isinstance(f, Segment):
+                    t = down_end if f.time == 0.0 else up_start
+                    flips.setdefault(t, []).append(
+                        clsnet.routing._moved(f, t, j.star.sites))
+    bounds = sorted({0.0, tl.end, *flips, *(t for r in ramps for t in r[:2])})
+    M = np.array(H.base, dtype=float, copy=True)
+    items = []
+    for b, b2 in zip(bounds, bounds[1:] + [None]):
+        for f in flips.get(b, ()):
+            items.append(f)
+            if isinstance(f, HoppingFlip):
+                f.negate(M)
+        if b2 is None:
+            continue
+        overrides = {}
+        for r0, r1, entries, kind in (r for r in ramps
+                                      if r[0] < b2 and b < r[1]):
+            for e in entries:
+                overrides.setdefault(e, clsnet.routing._ramp_slice(
+                    float(H.base[e]), r0, r1, kind, b, b2))
+        if not overrides:
+            items.append((b, b2, None, None))
+            continue
+        items.append((b, b2, M.copy(), list(overrides.items())))
+        for e, pulse in overrides.items():
+            M[e] = M[e[::-1]] = pulse.end
+    return items
+
+
+def _as_oracle_item(item):
+    if not isinstance(item, Segment):
+        return item
+    if item.H is None:
+        return item.t_start, item.t_end, None, None
+    return (item.t_start, item.t_end, item.H.base,
+            list(item.H.overrides.items()))
+
+
+def _same_item(got, want):
+    if not isinstance(want, tuple):
+        return type(got) is type(want) and got == want
+    return got[:2] == want[:2] and got[3] == want[3] and (
+        got[2] is None if want[2] is None
+        else np.array_equal(got[2], want[2]))
+
+
+@pytest.mark.parametrize("cells", [2, 3, 4, 5, 6])
+def test_dimer_adjacency_matches_oracle(cells):
+    g, _ = dll(cells, cells)
+    assert dict(dimer_adjacency(g)) == _oracle_dimer_adjacency(g)
+
+
+@pytest.mark.parametrize("cells", [3, 4])
+def test_extract_star_matches_full_edge_scan(cells):
+    g, H = dll(cells, cells)
+    adjacency = _oracle_dimer_adjacency(g)
+    for hub in g.hubs():
+        adjacent = sorted({d for ds in adjacency.values()
+                           for h, d in ds if h == hub})
+        for a in adjacent:
+            for b in adjacent:
+                if a != b:
+                    assert extract_star(g, H, hub, a, b) == \
+                        _oracle_star(g, hub, a, b)
+        assert extract_star(g, H, hub) == \
+            _oracle_star(g, hub, adjacent[0], adjacent[1])
+
+
+# no shrinking: each example plans 50 requests, and a failing one is
+# reported as drawn
+@settings(max_examples=15, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(data=st.data())
+def test_planner_output_matches_oracle(data):
+    cells = data.draw(st.integers(2, 6), label="cells")
+    g, H = dll(cells, cells)
+    dimers = st.sampled_from(g.dimers())
+    requests = data.draw(st.lists(
+        st.tuples(dimers, dimers, st.sampled_from(TRANSFER_VARIANTS),
+                  st.sampled_from((1.0, 2.0))),
+        min_size=50, max_size=50), label="requests")
+    plans = [plan_route(g, H, a, b, variant=v, dt=dt)
+             for a, b, v, dt in requests]
+    tl = schedule_multi(plans)
+    assert tl.starts == _oracle_starts(plans)
+    got = [_as_oracle_item(it) for it in timeline_schedule(g, H, tl).items]
+    want = _oracle_items(H, tl)
+    assert len(got) == len(want)
+    assert all(_same_item(a, b) for a, b in zip(got, want))
+
+
+# --------------------------------------------------- work done per plan
+
+
+def test_plan_route_builds_dimer_tables_once_per_graph(monkeypatch):
+    g, H = dll(6, 6)
+    calls, hubs = [], clsnet.routing._dimer_hubs
+
+    def counted(graph, pair):
+        calls.append(pair)
+        return hubs(graph, pair)
+
+    monkeypatch.setattr(clsnet.routing, "_dimer_hubs", counted)
+    rng = np.random.default_rng(14)
+    pairs = [rng.choice(len(g.dimers()), 2, replace=False)
+             for _ in range(50)]
+    counts = []
+    for batch in (pairs[:1], pairs):
+        monkeypatch.setattr(clsnet.routing, "_TABLES",
+                            weakref.WeakKeyDictionary())
+        calls.clear()
+        for a, b in batch:
+            plan_route(g, H, g.dimers()[a], g.dimers()[b])
+        counts.append(len(calls))
+    assert counts == [len(g.dimers())] * 2
+
+
+def test_schedule_multi_builds_each_plans_holds_once(monkeypatch):
+    g, H = dll(3, 3)
+    rng = np.random.default_rng(15)
+    dimers = g.dimers()
+    plans = [plan_route(g, H, *(dimers[k] for k in
+                                rng.choice(len(dimers), 2, replace=False)))
+             for _ in range(50)]
+    built, shifted = Counter(), []
+    holds, shift = clsnet.routing._jump_holds, clsnet.routing._shifted
+
+    def counted_holds(plan):
+        built[id(plan)] += 1
+        return holds(plan)
+
+    def counted_shift(jumps, start):
+        shifted.append(start)
+        return shift(jumps, start)
+
+    monkeypatch.setattr(clsnet.routing, "_jump_holds", counted_holds)
+    monkeypatch.setattr(clsnet.routing, "_shifted", counted_shift)
+    tl = schedule_multi(plans)
+    assert built == Counter(id(p) for p in plans)
+    # rejected delays were examined, each shifting the same holds
+    assert len(shifted) > len(plans) and max(tl.starts) > 0.0
+
+
+def test_dimer_adjacency_is_read_only():
+    g, H = dll(3, 3)
+    before = plan_route(g, H, (1, 2), (36, 37))
+    adj = dimer_adjacency(g)
+    with pytest.raises(TypeError):
+        adj[(1, 2)] = ()
+    with pytest.raises(TypeError):
+        del adj[(36, 37)]
+    assert isinstance(adj[(1, 2)], tuple)
+    assert plan_route(g, H, (1, 2), (36, 37)) == before
+    assert dict(dimer_adjacency(g)) == _oracle_dimer_adjacency(g)
