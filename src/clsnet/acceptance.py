@@ -25,7 +25,7 @@ from .evolve import (
     run_schedule,
 )
 from .lattice import TablePulse, TimedHamiltonian, LinearRamp, \
-    attach_pulse, build_dll, build_star, build_seven
+    build_dll, build_star, build_seven
 from .protocols import (
     TRANSFER_VARIANTS,
     GenerationParams,
@@ -154,7 +154,7 @@ def _c4():
     s = build_schedule("generation", gp, final_flip=False)
     traj = run_schedule(s, s.initial_state)
     fid_L = fidelity(traj.final_state, cls_state("star", "L"))
-    fid_I = fidelity(PhaseFlip(gp.T, 1).apply(traj.final_state),
+    fid_I = fidelity(PhaseFlip(1).apply(traj.final_state),
                      cls_state("star", "I"))
     # scale misreading: an absolute coupling 3*sqrt(2) instead of
     # 3*sqrt(2)*J winds the hub-dimer rotation through full turns
@@ -183,8 +183,8 @@ def _c5():
     traj = run_schedule(s, s.initial_state)
     fid = fidelity(traj.final_state, s.target_state)
     checks = [
-        Check("total time 2*pi", abs(s.t_final - 2 * np.pi) < 1e-12,
-              s.t_final, "== 2*pi"),
+        Check("total time 2*pi", abs(s.duration - 2 * np.pi) < 1e-12,
+              s.duration, "== 2*pi"),
         Check("final fidelity", fid >= 1 - 1e-10, fid, ">= 1 - 1e-10"),
     ]
     return checks, traj.norm_drift
@@ -320,11 +320,9 @@ def _c11():
         knots = tuple(np.linspace(0.0, T, 33))
         vals = tuple(rng.uniform(0.0, 0.6, size=33))
         pulse = TablePulse(knots, vals)
-        H = build_star([0.25] * 4, 0.5)
-        H = attach_pulse(attach_pulse(H, (0, 2), pulse), (1, 2), pulse)
-        base = TimedHamiltonian(H.base, {})
-        traj = run_schedule(ProtocolSchedule(base, (Segment(0.0, T, H),)),
-                            psi_I)
+        base = build_star([0.25] * 4, 0.5)
+        H = TimedHamiltonian(base.base, {(0, 2): pulse, (1, 2): pulse})
+        traj = run_schedule(ProtocolSchedule(base, (Segment(T, H),)), psi_I)
         worst_sym = min(worst_sym, fidelity(traj.final_state, psi_I))
         drifts.append(traj.norm_drift)
     # (b) static perturbations that avoid the dimer sites entirely
@@ -347,7 +345,7 @@ def _c11():
     })
     traj = run_schedule(
         ProtocolSchedule(TimedHamiltonian(M0.base, {}),
-                         (Segment(0.0, dt, Hr),)), psi_I, tol=tol)
+                         (Segment(dt, Hr),)), psi_I, tol=tol)
     drifts.append(traj.norm_drift)
     leak = 1.0 - float(np.sum(np.abs(traj.final_state[[0, 1]]) ** 2))
     checks = [

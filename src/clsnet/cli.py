@@ -7,9 +7,10 @@ Scenario configs are JSON documents with five sections: ``system``
 machine-checkable summaries; every output embeds the config digest and
 seed, and fixed inputs reproduce byte-identical files.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure,
-4 verification failure.  Any other exception is a bug in the program
-and surfaces as a traceback.
+Exit codes: 0 success, 2 config error, 3 numerical failure (a
+floating-point overflow, invalid value or division by zero anywhere in
+a command is one), 4 verification failure.  Any other exception is a
+bug in the program and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -378,6 +379,12 @@ def _problem_factory(name, p, n_steps=None):
     return factory(**kw)
 
 
+def _reference_point(problem):
+    """The reference pulse of ``problem``'s kind at its own J and horizon."""
+    ref = crab.REFERENCE_PARAMS[problem.kind]
+    return problem.make_params(ref.x, ref.xp, ref.omega)
+
+
 @_as_config_error()
 def _build_protocol_schedule(sc):
     sched = sc.action["schedule"]
@@ -398,16 +405,16 @@ def _build_protocol_schedule(sc):
         return build_schedule(variant, params)
     if variant == "optimized":
         problem = _problem_factory(sched["problem"], p)
-        ref = crab.REFERENCE_PARAMS[problem.kind]
-        H = crab.assemble_hamiltonian(problem, ref)
+        point = _reference_point(problem)
+        H = crab.assemble_hamiltonian(problem, point)
         base = TimedHamiltonian(np.asarray(H.base), {})
-        return ProtocolSchedule(base, (Segment(0.0, ref.horizon, H),),
+        return ProtocolSchedule(base, (Segment(point.horizon, H),),
                                 initial_state=problem.initial_state,
                                 target_state=problem.target_state)
     # hold: the stored state parked under the static network
     H = _build_system(sc)
     psi = cls_state(kind, "I")
-    items = (Segment(0.0, sched["T"]),) if sched["T"] > 0 else ()
+    items = (Segment(sched["T"]),) if sched["T"] > 0 else ()
     return ProtocolSchedule(H, items, initial_state=psi, target_state=psi)
 
 
@@ -436,7 +443,7 @@ def _write_json(path, payload):
 
 
 def _summary(sc, fidelity_=None, T=None, norm_drift=None, report=None):
-    infid = None if fidelity_ is None else max(0.0, 1.0 - fidelity_)
+    infid = None if fidelity_ is None else 1.0 - fidelity_
     return {
         "fidelity": fidelity_,
         "infidelity": infid,
@@ -505,7 +512,7 @@ def cmd_simulate(sc, out_dir):
                             "samples_per_segment"],
                         tol=sc.integrator["tol"])
     fid = fidelity(traj.final_state, s.target_state)
-    T = s.t_final - s.t_origin
+    T = s.duration
     report = {
         "events": [{"t": t, "type": kind, "detail": detail}
                    for t, kind, detail in traj.events],
@@ -529,7 +536,7 @@ def cmd_optimize(sc, out_dir):
         _problem_factory(name, sc.parameters, n_steps=act["n_steps"])
     report = {"problem": name, "mode": act["mode"]}
     if act["mode"] == "evaluate":
-        params = crab.REFERENCE_PARAMS[name]
+        params = _reference_point(problem)
     elif act["mode"] == "refine":
         params, _ = crab.refine(search_problem,
                                 crab.REFERENCE_PARAMS[name])
@@ -672,17 +679,17 @@ def _apply_overrides(sc, args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            out_dir = Path(args.out or ".")
-            return cmd_verify(args.criterion, out_dir)
-        sc = _apply_overrides(load_config(args.config), args)
-        _expect(sc.action["kind"] == args.command, "action.kind",
-                f"the config asks for {sc.action['kind']!r}, but the "
-                f"command is {args.command!r}")
-        out_dir = Path(sc.output["dir"])
-        handler = {"spectrum": cmd_spectrum, "simulate": cmd_simulate,
-                   "optimize": cmd_optimize, "route": cmd_route}
-        return handler[args.command](sc, out_dir)
+        # an overflowed number is a numerical failure, never a result
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "verify":
+                return cmd_verify(args.criterion, Path(args.out or "."))
+            sc = _apply_overrides(load_config(args.config), args)
+            _expect(sc.action["kind"] == args.command, "action.kind",
+                    f"the config asks for {sc.action['kind']!r}, but the "
+                    f"command is {args.command!r}")
+            handler = {"spectrum": cmd_spectrum, "simulate": cmd_simulate,
+                       "optimize": cmd_optimize, "route": cmd_route}
+            return handler[args.command](sc, Path(sc.output["dir"]))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -304,12 +304,11 @@ def verify_infidelity(problem, p):
 
 def _infidelity(problem, p, n_steps):
     if p.horizon == 0:
-        fid = fidelity(problem.initial_state, problem.target_state)
-        return max(0.0, 1.0 - fid)
+        return 1.0 - fidelity(problem.initial_state, problem.target_state)
     H = assemble_hamiltonian(problem, p)
     psi = evolve_timedep_fixed(H, problem.initial_state, 0.0, p.horizon,
                                n_steps)
-    return max(0.0, 1.0 - fidelity(psi, problem.target_state))
+    return 1.0 - fidelity(psi, problem.target_state)
 
 
 def pulse_table(problem, p):

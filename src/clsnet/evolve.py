@@ -23,15 +23,16 @@ falls below 1e-17, and no step calls eigh.  A step acts through the
 couplings alone, so a state they annihilate (say an antisymmetric
 dimer under symmetric driving) is left alone exactly.
 
-A :class:`ProtocolSchedule` is an ordered timeline of instantaneous
-events (phase flips on the state, sign flips on couplings, each
-applied by the flip itself and checked when the schedule is built)
-and evolution segments.  Segments may carry their own pulsed Hamiltonian;
-pulses inside a segment run on a segment-local clock starting at 0.
-When a segment with its own Hamiltonian ends, the snapshot of that
-Hamiltonian at the segment's end becomes the working Hamiltonian for
-whatever follows, so reconfigurations (e.g. swapping which couplings
-are active) are expressed by consecutive segments.
+A :class:`ProtocolSchedule` is an ordered sequence of instantaneous
+flips (phase flips on the state, sign flips on couplings, each applied
+by the flip itself) and evolution segments.  No item carries a time:
+the clock starts at 0, each segment advances it by its duration, and a
+flip acts at the instant between two segments.  Pulses inside a
+segment run on a segment-local clock starting at 0.  When a segment
+with its own Hamiltonian ends, its end snapshot becomes the working
+Hamiltonian for whatever follows, so reconfigurations (e.g. swapping
+which couplings are active) are expressed by consecutive segments.
+A fidelity lies in [0, 1], or computing it raises.
 """
 
 from __future__ import annotations
@@ -276,8 +277,9 @@ def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
     deviates by at most tol*(t1-t0); otherwise n grows by the
     fourth-order error model (at least doubling) and the pair reruns.
     Returns (final, samples) of the finer run, with ``n_chunks``
-    evenly spaced samples.  Raises RuntimeError past _N_MAX steps, or
-    before integrating when the budget tol*(t1-t0) exceeds _BUDGET_MAX.
+    evenly spaced samples.  Raises RuntimeError before a finer run past
+    _N_MAX steps, or before integrating when the budget tol*(t1-t0)
+    exceeds _BUDGET_MAX.
     """
     budget = tol * (t1 - t0)
     if budget > _BUDGET_MAX:
@@ -286,9 +288,9 @@ def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
     n = _CAL_STEPS
     while True:
         n = -(-n // n_chunks) * n_chunks
-        if n > _N_MAX:
+        if 2 * n > _N_MAX:
             raise RuntimeError(
-                f"step size underflow: {n} steps needed for tol={tol:g} "
+                f"step size underflow: {2 * n} steps needed for tol={tol:g} "
                 f"over [{t0:g}, {t1:g}] exceeds the {_N_MAX} ceiling")
         coarse, _ = _cf4_run(H, psi0, t0, t1, n)
         fine, samples = _cf4_run(H, psi0, t0, t1, 2 * n,
@@ -314,19 +316,23 @@ def evolve_timedep(H, psi0, t0, t1, tol):
 
 
 def fidelity(psi, phi):
-    """Squared overlap |<phi|psi>|^2; insensitive to global phases."""
+    """Squared overlap |<phi|psi>|^2 in [0, 1], insensitive to global
+    phases: round-off above 1 is clamped, a non-finite overlap raises
+    FloatingPointError."""
     psi = np.asarray(psi)
     phi = np.asarray(phi)
     if psi.shape != phi.shape:
         raise ValueError(f"dimension mismatch: {psi.shape} vs {phi.shape}")
-    return float(abs(np.vdot(phi, psi)) ** 2)
+    overlap = float(abs(np.vdot(phi, psi)) ** 2)
+    if not math.isfinite(overlap):
+        raise FloatingPointError(f"non-finite overlap {overlap}")
+    return min(1.0, overlap)
 
 
 @dataclass(frozen=True)
 class PhaseFlip:
     """Instantaneous sign flip of the state amplitude on one site."""
 
-    time: float
     site: int
 
     def apply(self, psi):
@@ -343,7 +349,6 @@ class PhaseFlip:
 class HoppingFlip:
     """Instantaneous sign flip of one coupling (and its mirror)."""
 
-    time: float
     entry: tuple
 
     def __post_init__(self):
@@ -361,7 +366,7 @@ class HoppingFlip:
 
 @dataclass(frozen=True)
 class Segment:
-    """Evolution interval.  ``H`` overrides the working Hamiltonian.
+    """Evolution over ``duration``.  ``H`` overrides the working Hamiltonian.
 
     With H=None the segment evolves under the schedule's working
     Hamiltonian (base plus accumulated coupling flips).  A segment
@@ -369,29 +374,24 @@ class Segment:
     end snapshot becomes the working Hamiltonian afterwards.
     """
 
-    t_start: float
-    t_end: float
+    duration: float
     H: Optional[TimedHamiltonian] = None
 
     def __post_init__(self):
-        if not self.t_end > self.t_start:
+        if not self.duration > 0:
             raise ValueError("segment must have positive duration")
-
-    @property
-    def duration(self):
-        return self.t_end - self.t_start
 
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """Time-ordered flips and segments over a static base Hamiltonian.
+    """Ordered flips and segments over a static base Hamiltonian.
 
+    The clock starts at 0 and each segment advances it by its duration.
     ``initial_state`` and ``target_state`` declare what the schedule is
     meant to do; executing it is the job of :func:`run_schedule`.
-    Construction validates chronology (each segment starts where the
-    previous one ended; flips sit at segment boundaries) and rejects
-    same-time events acting on the same site or entry, flips outside
-    the base (IndexError) and segments of another size (ValueError).
+    Construction rejects two flips of one kind on the same site or
+    entry between the same two segments, flips outside the base
+    (IndexError) and segments of another size (ValueError).
     """
 
     base: TimedHamiltonian
@@ -405,34 +405,22 @@ class ProtocolSchedule:
         items = tuple(self.items)
         object.__setattr__(self, "items", items)
         n = self.base.n_sites
-        t_now = None
         touched = set()
         for item in items:
             if isinstance(item, Segment):
                 if item.H is not None and item.H.n_sites != n:
                     raise ValueError(f"segment H has {item.H.n_sites} sites, "
                                      f"the base {n}")
-                if t_now is not None and abs(item.t_start - t_now) > 1e-9:
-                    raise ValueError(
-                        f"segment starting at {item.t_start} does not begin at "
-                        f"the current schedule time {t_now}")
-                t_now = item.t_end
+                touched.clear()
             elif isinstance(item, (PhaseFlip, HoppingFlip)):
-                if t_now is None:
-                    t_now = item.time
-                elif abs(item.time - t_now) > 1e-9:
-                    raise ValueError(
-                        f"event at t={item.time} is not at a segment boundary "
-                        f"(schedule time {t_now})")
                 sites = (item.site,) if isinstance(item, PhaseFlip) \
                     else item.entry
                 if not all(0 <= i < n for i in sites):
                     raise IndexError(f"{item!r} acts outside sites 0..{n - 1}")
-                key = (round(item.time, 10), type(item), sites)
-                if key in touched:
-                    raise ValueError(
-                        f"conflicting events at t={item.time} on {item!r}")
-                touched.add(key)
+                if item in touched:
+                    raise ValueError(f"conflicting flips {item!r} between "
+                                     "two segments")
+                touched.add(item)
             else:
                 raise TypeError(f"unknown schedule item {item!r}")
         for state in (self.initial_state, self.target_state):
@@ -440,18 +428,10 @@ class ProtocolSchedule:
                 raise ValueError("declared state has wrong dimension")
 
     @property
-    def t_origin(self):
-        if not self.items:
-            return 0.0
-        first = self.items[0]
-        return first.t_start if isinstance(first, Segment) else first.time
-
-    @property
-    def t_final(self):
-        t = self.t_origin
-        for item in self.items:
-            t = max(t, item.t_end if isinstance(item, Segment) else item.time)
-        return t
+    def duration(self):
+        """Sum of the segment durations: where the clock ends."""
+        return sum((item.duration for item in self.items
+                    if isinstance(item, Segment)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -518,16 +498,17 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
             kept.append(np.array(psi, dtype=complex))
 
     working = np.array(s.base.base)
-    put(s.t_origin, psi)
+    clock = 0.0
+    put(clock, psi)
     for item in s.items:
         if isinstance(item, PhaseFlip):
             psi = item.apply(psi)
-            events.append((item.time, "phase-flip", f"site={item.site}"))
-            put(item.time, psi)
+            events.append((clock, "phase-flip", f"site={item.site}"))
+            put(clock, psi)
         elif isinstance(item, HoppingFlip):
             item.negate(working)
             i, j = item.entry
-            events.append((item.time, "hopping-flip", f"entry=({i},{j})"))
+            events.append((clock, "hopping-flip", f"entry=({i},{j})"))
         else:
             n_chunks = samples_per_segment - 1
             taus = item.duration * np.arange(1, n_chunks + 1) / n_chunks
@@ -539,10 +520,11 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
                                         n_chunks)
                 states = np.asarray(samples)
             for tau, state in zip(taus, states):
-                put(item.t_start + tau, state)
+                put(clock + tau, state)
             psi = states[-1].copy()
-            events.append((item.t_start, "segment",
-                           f"t={item.t_start:g}..{item.t_end:g}"))
+            end = clock + item.duration
+            events.append((clock, "segment", f"t={clock:g}..{end:g}"))
+            clock = end
             if item.H is not None:
                 working = evaluate_at(item.H, item.duration)
     return Trajectory(np.asarray(times), np.asarray(kept), tuple(events))
@@ -559,38 +541,28 @@ def end_hamiltonian(s):
     return working
 
 
-def _mirror_pulses(H, duration):
-    overrides = {entry: TimeMirrored(p, duration)
-                 for entry, p in H.overrides.items()}
-    return TimedHamiltonian(np.array(H.base), overrides)
+def _mirrored(seg):
+    """``seg`` with its pulses replayed backwards."""
+    if seg.H is None:
+        return seg
+    overrides = {entry: TimeMirrored(p, seg.duration)
+                 for entry, p in seg.H.overrides.items()}
+    return Segment(seg.duration, TimedHamiltonian(np.array(seg.H.base),
+                                                  overrides))
 
 
 def reverse_schedule(s):
     """Schedule that runs ``s`` backwards in time.
 
-    Items are reversed and re-anchored on the mirrored clock
-    t -> t_origin + t_final - t; pulses inside segments are replayed
+    Items run in reverse order; pulses inside segments are replayed
     backwards.  The base is the Hamiltonian ``s`` ends with.  For real
     Hamiltonians, running the reverse schedule on the conjugated final
     state and conjugating the result recovers the initial state.
     """
-    t_lo, t_hi = s.t_origin, s.t_final
-
-    def m(t):
-        return t_lo + t_hi - t
-
-    items = []
-    for item in reversed(s.items):
-        if isinstance(item, PhaseFlip):
-            items.append(PhaseFlip(m(item.time), item.site))
-        elif isinstance(item, HoppingFlip):
-            items.append(HoppingFlip(m(item.time), item.entry))
-        else:
-            H_rev = None if item.H is None else _mirror_pulses(item.H, item.duration)
-            items.append(Segment(m(item.t_end), m(item.t_start), H_rev))
     return ProtocolSchedule(
         TimedHamiltonian(end_hamiltonian(s)),
-        tuple(items),
+        tuple(_mirrored(it) if isinstance(it, Segment) else it
+              for it in reversed(s.items)),
         initial_state=s.target_state,
         target_state=s.initial_state,
     )

@@ -39,7 +39,6 @@ __all__ = [
     "build_star",
     "build_seven",
     "build_dll",
-    "attach_pulse",
     "static_matrix",
     "evaluate_at",
     "evaluate_grid",
@@ -285,7 +284,7 @@ class TimedHamiltonian:
     override maps an entry (i, j) with i <= j to a :class:`Pulse`; the
     entry and its mirror take the pulse value instead of the base
     value.  Entries without an override are constant in time.
-    Instances are immutable; :func:`attach_pulse` returns a new one.
+    Instances are immutable.
     """
 
     base: np.ndarray
@@ -467,18 +466,6 @@ def build_dll(cells_x, cells_y, J, v):
 
     graph = SiteGraph(n, tuple(sorted(set(edges))), tuple(labels))
     return graph, TimedHamiltonian(_unit_matrix(n, graph.edges, J, v), {})
-
-
-def attach_pulse(H, entry, p):
-    """New Hamiltonian with ``entry`` (and its mirror) driven by ``p``.
-
-    The original Hamiltonian is unchanged.  Raises IndexError for an
-    out-of-bounds entry.
-    """
-    key = _normalize_entry(entry, H.n_sites)
-    overrides = dict(H.overrides)
-    overrides[key] = p
-    return TimedHamiltonian(np.array(H.base), overrides)
 
 
 def static_matrix(H):

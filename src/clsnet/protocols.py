@@ -251,16 +251,15 @@ def build_schedule(variant, params, **options):
             if in_site not in (0, 1) or out_site not in out_pair:
                 raise ValueError(f"{'star' if star else 'seven-site'} flips "
                                  "must hit one site of each dimer")
-            items = (PhaseFlip(0.0, in_site), Segment(0.0, T),
-                     PhaseFlip(T, out_site))
+            items = (PhaseFlip(in_site), Segment(T), PhaseFlip(out_site))
         else:
             pairs = _STAR_HOPPING_PAIRS if star else _SEVEN_HOPPING_PAIRS
             pair = options.get("pair", next(iter(pairs)))
             if pair not in pairs:
                 raise ValueError(f"unknown hopping pair {pair!r}")
             a, b = pairs[pair]
-            items = (HoppingFlip(0.0, a), HoppingFlip(0.0, b), Segment(0.0, T),
-                     HoppingFlip(T, a), HoppingFlip(T, b))
+            items = (HoppingFlip(a), HoppingFlip(b), Segment(T),
+                     HoppingFlip(a), HoppingFlip(b))
         return ProtocolSchedule(base, items,
                                 initial_state=cls_state(params.graph, "I"),
                                 target_state=cls_state(params.graph, "F"))
@@ -269,26 +268,26 @@ def build_schedule(variant, params, **options):
     H_in = build_star([params.Jp, params.Jp, 0.0, 0.0], v)
     H_out = build_star([0.0, 0.0, params.Jp, params.Jp], v)
     if variant == "generation":
-        items = [Segment(0.0, T)]
+        items = [Segment(T)]
         target = cls_state("star", "L")
         if options.get("final_flip", True):
-            items.append(PhaseFlip(T, 1))
+            items.append(PhaseFlip(1))
             target = items[-1].apply(target)
         return ProtocolSchedule(H_in, tuple(items),
                                 initial_state=cls_state("star", "c"),
                                 target_state=target)
 
     if variant == "reverse-generation":
-        items = (PhaseFlip(0.0, 1), Segment(0.0, T))
+        items = (PhaseFlip(1), Segment(T))
         return ProtocolSchedule(H_in, items,
                                 initial_state=cls_state("star", "I"),
                                 target_state=cls_state("star", "c"))
 
     items = (
-        PhaseFlip(0.0, options.get("in_site", 1)),
-        Segment(0.0, T),
-        Segment(T, 2 * T, H_out),
-        PhaseFlip(2 * T, options.get("out_site", 4)),
+        PhaseFlip(options.get("in_site", 1)),
+        Segment(T),
+        Segment(T, H_out),
+        PhaseFlip(options.get("out_site", 4)),
     )
     return ProtocolSchedule(H_in, items,
                             initial_state=cls_state("star", "I"),

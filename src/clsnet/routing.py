@@ -132,7 +132,7 @@ class Timeline:
 
     @cached_property
     def busy(self):
-        """Per route, the (center, t_begin, t_end) of each jump."""
+        """Per route, the (center, t0, t1) window of each jump."""
         return tuple(tuple((j.star.center, t0, t1) for j, t0, t1, _ in
                            _shifted(_jump_holds(plan), start))
                      for plan, start in zip(self.routes, self.starts))
@@ -254,7 +254,7 @@ def build_ramp(H, entries, direction, dt):
             raise ValueError("cannot ramp a diagonal entry")
         overrides[e] = _ramp_slice(float(H.base[e]), 0.0, dt, direction,
                                    0.0, dt)
-    return Segment(0.0, dt, TimedHamiltonian(H.base, overrides))
+    return Segment(dt, TimedHamiltonian(H.base, overrides))
 
 
 def dimer_adjacency(graph):
@@ -332,11 +332,14 @@ def _jump_holds(plan):
 def _shifted(jumps, start):
     """:func:`_jump_holds` ``jumps`` run from ``start``: (jump, t0, t1,
     holds), t0 = start + r0 and t1 = start + r1.  Raises ValueError
-    unless the flips at t0 + dt and t1 - dt stay T apart to 1e-9 in
-    floating point; a huge dt breaks it."""
+    unless, in floating point, both ramps last and the flips at t0 + dt
+    and t1 - dt stay T apart to 1e-9; a huge or tiny dt breaks it."""
     out = []
     for j, r0, r1, holds in jumps:
         t0, t1 = start + r0, start + r1
+        if not (t0 < t0 + j.dt and t1 - j.dt < t1):
+            raise ValueError(f"dt={j.dt!r} vanishes beside t={t0:g}: a "
+                             "ramp of the jump would take no time")
         gap = (t1 - j.dt) - (t0 + j.dt)
         if not abs(gap - j.params.T) <= 1e-9 * j.params.T:
             raise ValueError(f"dt={j.dt!r} leaves the flips of a jump at "
@@ -413,11 +416,11 @@ def verify_timeline(tl):
     return True
 
 
-def _moved(flip, time, sites):
-    """Star-protocol ``flip`` at ``time`` on the lattice sites ``sites[k]``."""
+def _moved(flip, sites):
+    """Star-protocol ``flip`` on the lattice sites ``sites[k]``."""
     if isinstance(flip, PhaseFlip):
-        return PhaseFlip(time, sites[flip.site])
-    return HoppingFlip(time, (sites[flip.entry[0]], sites[flip.entry[1]]))
+        return PhaseFlip(sites[flip.site])
+    return HoppingFlip((sites[flip.entry[0]], sites[flip.entry[1]]))
 
 
 def timeline_schedule(graph, H, tl):
@@ -428,13 +431,13 @@ def timeline_schedule(graph, H, tl):
     window and up over the last, exact linear slices shared by ramps
     with one key; the static stretches run on the working Hamiltonian.
     In between run the flips of ``build_schedule(variant, params)``,
-    star site k moved to ``StarView.sites[k]``, time 0 to the end of
-    the down-ramp and T to the start of the up-ramp.  The rule covers
-    couplings: a state resting in a dimer that another route jumps
-    through is not protected.
+    star site k moved to ``StarView.sites[k]``: those before its
+    segment at the end of the down-ramp, the rest at the start of the
+    up-ramp.  The rule covers couplings: a state resting in a dimer that
+    another route jumps through is not protected.
     """
     verify_timeline(tl)
-    ramps, flips, star_flips = [], {}, {}
+    ramps, flips, star_items = [], {}, {}
     for plan, start in zip(tl.routes, tl.starts):
         for j, t0, t1, _ in _shifted(_jump_holds(plan), start):
             sv = j.star
@@ -443,12 +446,14 @@ def timeline_schedule(graph, H, tl):
                 ramps.append((t0, down_end, sv.boundary_entries, "down"))
                 ramps.append((up_start, t1, sv.boundary_entries, "up"))
             key = (j.variant, j.params)
-            if key not in star_flips:
-                star_flips[key] = [f for f in build_schedule(*key).items
-                                   if not isinstance(f, Segment)]
-            for f in star_flips[key]:
-                t = down_end if f.time == 0.0 else up_start
-                flips.setdefault(t, []).append(_moved(f, t, sv.sites))
+            if key not in star_items:
+                star_items[key] = build_schedule(*key).items
+            t = down_end
+            for f in star_items[key]:
+                if isinstance(f, Segment):
+                    t = up_start
+                else:
+                    flips.setdefault(t, []).append(_moved(f, sv.sites))
 
     bounds = {0.0, tl.end}
     bounds.update(t for r in ramps for t in r[:2])
@@ -471,7 +476,7 @@ def timeline_schedule(graph, H, tl):
         if b2 is None or b2 == b:
             continue
         if not active[k]:
-            items.append(Segment(b, b2))
+            items.append(Segment(b2 - b))
             continue
         overrides = {}
         for r0, r1, entries, kind in active[k]:
@@ -480,7 +485,7 @@ def timeline_schedule(graph, H, tl):
                 if e not in overrides:
                     overrides[e] = _ramp_slice(float(H.base[e]), r0, r1,
                                                kind, b, b2)
-        items.append(Segment(b, b2, TimedHamiltonian(M, overrides)))
+        items.append(Segment(b2 - b, TimedHamiltonian(M, overrides)))
         # exact at a ramp's end; mid-ramp values stay overridden
         for e, pulse in overrides.items():
             M[e] = M[e[::-1]] = pulse.end
@@ -488,8 +493,7 @@ def timeline_schedule(graph, H, tl):
 
 
 def _unit_fidelity(psi, target):
-    # min() drops the last-ulp rounding of a unit vector's overlap
-    return min(1.0, fidelity(psi / np.linalg.norm(psi), target))
+    return fidelity(psi / np.linalg.norm(psi), target)
 
 
 def simulate_route(graph, H, tl, tol=1e-11):

@@ -5,14 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from clsnet import cli
 from clsnet.cli import ConfigError, ScenarioConfig, parse_config
+from clsnet.lattice import build_dll
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -270,9 +273,10 @@ def _one_jump_route(tmp_path, dt):
     })
 
 
-@pytest.mark.parametrize("dt", [1e17, 1e300])
+@pytest.mark.parametrize("dt", [1e17, 1e300, 1e-17])
 def test_route_dt_that_collapses_the_transfer_exits_2(tmp_path, capsys, dt):
-    # start + 2 dt + T rounds T away, so both flips would fall on one time
+    # start + 2 dt + T rounds T away, so both flips would fall on one
+    # time; or T + dt rounds dt away, so a ramp would take no time
     assert cli.main(["route", "--config", _one_jump_route(tmp_path, dt)]) == 2
     assert f"config error: dt={dt!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -425,6 +429,35 @@ def test_optimize_evaluate_reference_parameters(tmp_path):
     table = (out / "pulses.csv").read_text().splitlines()
     assert table[0].startswith("t, J_")
     assert len(table) == 202
+
+
+def test_reference_pulse_runs_at_configured_J(tmp_path):
+    # evaluate and the optimized schedule both put the reference
+    # amplitudes and frequencies at parameters.J, not at the J the
+    # reference was made at
+    actions = {
+        "optimize": {"kind": "optimize", "problem": "star-transfer",
+                     "mode": "evaluate"},
+        "simulate": {"kind": "simulate", "schedule": {
+            "variant": "optimized", "problem": "star-transfer"}},
+    }
+    fid = {}
+    for J in (0.25, 0.5):
+        for command, action in actions.items():
+            out = tmp_path / f"{command}-{J}"
+            path = write_config(tmp_path, {
+                "system": {"kind": "star"}, "parameters": {"J": J},
+                "action": action, "output": {"dir": str(out)}})
+            assert cli.main([command, "--config", path]) == 0
+            summary = load_summary(out)
+            fid[command, J] = summary["fidelity"]
+            if command == "optimize":
+                assert summary["report"]["params"]["floor"] == J
+    assert 1.0 - fid["optimize", 0.25] < 1e-4
+    assert 1.0 - fid["optimize", 0.5] > 0.5
+    for J in (0.25, 0.5):
+        assert fid["simulate", J] == pytest.approx(fid["optimize", J],
+                                                   abs=1e-6)
 
 
 def test_optimize_seed_determinism(tmp_path):
@@ -647,3 +680,158 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (out / "summary.json").exists()
+
+
+# ------------------------------------------------- config-space property
+
+_NUMBER = st.one_of(st.floats(-4.0, 4.0),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_INDEX = st.one_of(st.integers(-3, 8), st.integers(-10**15, 10**15))
+_PROBLEMS = {"star": ("star-transfer", "star-creation"),
+             "seven": ("seven-transfer", "seven-creation")}
+
+
+def _schedule(draw, kind):
+    variant = draw(st.sampled_from(
+        ("phase-flip-transfer", "hopping-flip-transfer", "optimized", "hold")
+        + (("generation", "reverse-generation", "piecewise-transfer")
+           if kind == "star" else ())))
+    if variant == "optimized":
+        return {"variant": variant,
+                "problem": draw(st.sampled_from(_PROBLEMS[kind]))}
+    if variant == "hold":
+        return {"variant": variant, "T": abs(draw(_NUMBER))}
+    if variant in ("generation", "reverse-generation", "piecewise-transfer"):
+        return {"variant": variant, "branch": draw(st.sampled_from((1, 2))),
+                "k1p": draw(_INDEX), "k2p": draw(_INDEX)}
+    keys = ("k1", "k2") if kind == "star" else ("k",)
+    return dict({"variant": variant}, **{k: draw(_INDEX) for k in keys})
+
+
+def _route_requests(draw, cells_x, cells_y):
+    dimers = st.sampled_from(build_dll(cells_x, cells_y, 1.0, 0.0)[0].dimers())
+    requests = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = {"source": list(draw(dimers)),
+             "destination": list(draw(dimers))}
+        if draw(st.booleans()):
+            r["variant"] = draw(st.sampled_from(("phase-flip-transfer",
+                                                 "hopping-flip-transfer")))
+        if draw(st.booleans()):
+            r["dt"] = abs(draw(_NUMBER)) or 1.0
+        requests.append(r)
+    return requests
+
+
+@st.composite
+def _configs(draw):
+    """(command, config) from the grammar parse_config accepts, sized
+    only for speed: cells <= 3, n_restarts <= 2, max_evals <= 50,
+    n_steps <= 64."""
+    kind = draw(st.sampled_from(("star", "seven", "dll")))
+    system = {"kind": kind}
+    if kind == "dll":
+        system.update(cells_x=draw(st.integers(1, 3)),
+                      cells_y=draw(st.integers(1, 3)))
+    params = {k: draw(_NUMBER) for k in ("J", "v") if draw(st.booleans())}
+    if kind != "dll":
+        if draw(st.booleans()):
+            params["couplings"] = draw(st.lists(
+                _NUMBER, min_size=4 if kind == "star" else 6,
+                max_size=4 if kind == "star" else 6))
+        extra = "J_prime" if kind == "star" else "J_inner"
+        if draw(st.booleans()):
+            params[extra] = draw(_NUMBER)
+    command = draw(st.sampled_from(
+        ("route", "spectrum") if kind == "dll"
+        else ("simulate", "optimize", "spectrum")))
+    doc = {"system": system, "parameters": params}
+    if command == "spectrum":
+        doc["action"] = {"kind": "spectrum"}
+    elif command == "route":
+        doc["action"] = {"kind": "route", "requests": _route_requests(
+            draw, system["cells_x"], system["cells_y"])}
+    elif command == "simulate":
+        doc["action"] = {"kind": "simulate",
+                         "schedule": _schedule(draw, kind)}
+    else:
+        mode = draw(st.sampled_from(("evaluate", "refine", "search")))
+        action = {"kind": "optimize", "mode": mode,
+                  "problem": draw(st.sampled_from(_PROBLEMS[kind])),
+                  "n_steps": draw(st.integers(8, 64))}
+        if mode == "search":
+            action.update(n_restarts=draw(st.integers(1, 2)),
+                          max_evals=draw(st.integers(10, 50)))
+            doc["seed"] = draw(st.integers(0, 2**32))
+        doc["action"] = action
+    if draw(st.booleans()):
+        doc["integrator"] = {
+            "tol": draw(st.floats(1e-14, 1e-6)),
+            "samples_per_segment": draw(st.integers(2, 40))}
+    return command, doc
+
+
+def _fidelities(summary):
+    yield summary["fidelity"]
+    for route in summary["report"].get("routes", ()):
+        yield route["fidelity"]
+        yield from (j["fidelity"] for j in route["per_jump"])
+
+
+def _star_simulate(schedule, **params):
+    return "simulate", {"system": {"kind": "star"}, "parameters": params,
+                        "action": {"kind": "simulate", "schedule": schedule}}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_configs())
+# overflowed couplings: NaN fidelities and infinite eigenvalues
+@example(case=_star_simulate({"variant": "hold", "T": 1.0},
+                             couplings=[1e308] * 4))
+@example(case=("spectrum", {"system": {"kind": "star"},
+                            "parameters": {"couplings": [1e308] * 4},
+                            "action": {"kind": "spectrum"}}))
+@example(case=("optimize", {
+    "system": {"kind": "seven"}, "parameters": {"J": 1e200},
+    "action": {"kind": "optimize", "problem": "seven-creation",
+               "mode": "search", "n_restarts": 1, "max_evals": 20},
+    "seed": 1}))
+# round-off that put a fidelity above 1
+@example(case=("simulate", {
+    "system": {"kind": "seven"},
+    "parameters": {"J": 3.0, "v": -195.40312197264132, "J_inner": 0.5},
+    "action": {"kind": "simulate",
+               "schedule": {"variant": "hold", "T": 1.0}}}))
+@example(case=_star_simulate({"variant": "generation", "branch": 1,
+                              "k1p": 1, "k2p": 0}, J_prime=1e300))
+@example(case=_star_simulate({"variant": "generation", "branch": 1,
+                              "k1p": 1, "k2p": 0}, J_prime=1e-300))
+# a flip index whose sector phases miss, and a jump window that collapses
+@example(case=_star_simulate({"variant": "phase-flip-transfer",
+                              "k1": 0, "k2": 10**12}))
+@example(case=("route", {
+    "system": {"kind": "dll", "cells_x": 1, "cells_y": 1},
+    "action": {"kind": "route", "requests": [
+        {"source": [1, 2], "destination": [3, 4], "dt": 1e300}]}}))
+# ramps that round to no time put two flips of one site together
+@example(case=("route", {
+    "system": {"kind": "dll", "cells_x": 1, "cells_y": 2},
+    "action": {"kind": "route", "requests": [
+        {"source": [1, 2], "destination": [6, 7], "dt": 8e-82}]}}))
+def test_every_config_exits_honestly(case):
+    # exit 0 finished, 2 a bad config, 3 a numerical failure; nothing
+    # escapes (warnings are errors here), and an exit-0 summary holds
+    # only finite numbers and fidelities in [0, 1]
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(dict(doc, output={"dir": str(out)})))
+        code = cli.main([command, "--config", str(path)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            text = (out / "summary.json").read_text()
+            assert "NaN" not in text and "Infinity" not in text
+            for f in _fidelities(json.loads(text)):
+                assert f is None or 0.0 <= f <= 1.0

@@ -26,7 +26,6 @@ from clsnet.lattice import (
     TablePulse,
     TimedHamiltonian,
     TimeMirrored,
-    attach_pulse,
     build_dll,
     build_seven,
     build_star,
@@ -56,10 +55,9 @@ def star_quarter():
 
 
 def crab_star_hamiltonian():
-    H = star_quarter()
-    for entry, (x, xp, om) in STAR_PULSES.items():
-        H = attach_pulse(H, entry, CrabTransferPulse(0.25, x, xp, om, env_div=2.0))
-    return H
+    return TimedHamiltonian(star_quarter().base, {
+        entry: CrabTransferPulse(0.25, x, xp, om, env_div=2.0)
+        for entry, (x, xp, om) in STAR_PULSES.items()})
 
 
 class TestEvolveStatic:
@@ -115,7 +113,8 @@ class TestEvolveStatic:
             evolve_static(M, np.array([1.0, 0, 0]), 1.0)
 
     def test_rejects_pulsed_hamiltonian(self):
-        H = attach_pulse(star_quarter(), (0, 2), LinearRamp(0.25, 0.25, 1.0))
+        H = TimedHamiltonian(star_quarter().base,
+                             {(0, 2): LinearRamp(0.25, 0.25, 1.0)})
         with pytest.raises(ValueError):
             evolve_static(H, I_STATE, 1.0)
 
@@ -123,8 +122,8 @@ class TestEvolveStatic:
 class TestEvolveTimedep:
     def test_constant_pulses_reduce_to_static(self):
         H = star_quarter()
-        Hp = attach_pulse(H, (0, 2), LinearRamp(0.25, 0.25, 1.0))
-        Hp = attach_pulse(Hp, (2, 3), LinearRamp(0.25, 0.25, 1.0))
+        Hp = TimedHamiltonian(H.base, {(0, 2): LinearRamp(0.25, 0.25, 1.0),
+                                       (2, 3): LinearRamp(0.25, 0.25, 1.0)})
         psi_t = evolve_timedep(Hp, L_STATE, 0.0, 2 * np.pi, tol=1e-12)
         psi_s = scipy.linalg.expm(-2j * np.pi * H.base) @ L_STATE
         assert np.linalg.norm(psi_t - psi_s) < 1e-10
@@ -156,8 +155,8 @@ class TestEvolveTimedep:
 
     def test_long_segment(self):
         def ramp(T):
-            return attach_pulse(star_quarter(), (0, 2),
-                                LinearRamp(0.25, 0.75, T))
+            return TimedHamiltonian(star_quarter().base,
+                                    {(0, 2): LinearRamp(0.25, 0.75, T)})
 
         # a budget tol*T of 1 accepts any convergence pair: refused
         # before integrating
@@ -209,11 +208,20 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity(np.ones(3) / np.sqrt(3), np.ones(4) / 2)
 
+    def test_round_off_above_one_clamped(self):
+        psi = np.array([1.0 + 1e-15, 0.0])
+        assert fidelity(psi, np.array([1.0, 0.0])) == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_overlap_refused(self, bad):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            fidelity(np.array([bad, 0.0]), np.array([1.0, 0.0]))
+
 
 def phase_flip_schedule(T=2 * np.pi):
     return ProtocolSchedule(
         star_quarter(),
-        (PhaseFlip(0.0, 1), Segment(0.0, T), PhaseFlip(T, 4)),
+        (PhaseFlip(1), Segment(T), PhaseFlip(4)),
         initial_state=I_STATE,
         target_state=F_STATE,
     )
@@ -222,9 +230,9 @@ def phase_flip_schedule(T=2 * np.pi):
 def hopping_flip_schedule(T=2 * np.pi):
     return ProtocolSchedule(
         star_quarter(),
-        (HoppingFlip(0.0, (0, 2)), HoppingFlip(0.0, (2, 3)),
-         Segment(0.0, T),
-         HoppingFlip(T, (0, 2)), HoppingFlip(T, (2, 3))),
+        (HoppingFlip((0, 2)), HoppingFlip((2, 3)),
+         Segment(T),
+         HoppingFlip((0, 2)), HoppingFlip((2, 3))),
         initial_state=I_STATE,
         target_state=F_STATE,
     )
@@ -271,7 +279,7 @@ class TestRunSchedule:
 
     def test_pulsed_segment_matches_direct_evolution(self):
         H = crab_star_hamiltonian()
-        s = ProtocolSchedule(star_quarter(), (Segment(0.0, 2 * np.pi, H),))
+        s = ProtocolSchedule(star_quarter(), (Segment(2 * np.pi, H),))
         traj = run_schedule(s, I_STATE, tol=1e-11)
         direct = evolve_timedep(H, I_STATE, 0.0, 2 * np.pi, tol=1e-11)
         assert np.linalg.norm(traj.final_state - direct) < 1e-9
@@ -280,12 +288,10 @@ class TestRunSchedule:
         # equal pulses on both input-dimer couplings keep the stored
         # state decoupled no matter how wild the drive; the couplings
         # annihilate it, so every step leaves it alone to round-off
-        H = star_quarter()
         drive = TablePulse((0.0, 1.0, 2.5, 4.0, 2 * np.pi),
                            (0.25, 1.3, -0.7, 2.1, 0.25))
-        for entry in ((0, 2), (1, 2)):
-            H = attach_pulse(H, entry, drive)
-        s = ProtocolSchedule(star_quarter(), (Segment(0.0, 2 * np.pi, H),))
+        H = TimedHamiltonian(star_quarter().base, {(0, 2): drive, (1, 2): drive})
+        s = ProtocolSchedule(star_quarter(), (Segment(2 * np.pi, H),))
         traj = run_schedule(s, I_STATE, samples_per_segment=65, tol=1e-11)
         amp = traj.states @ I_STATE
         leak = np.linalg.norm(traj.states - amp[:, None] * I_STATE, axis=1)
@@ -295,7 +301,7 @@ class TestRunSchedule:
     def test_time_reversal_roundtrip(self):
         s = ProtocolSchedule(
             star_quarter(),
-            (PhaseFlip(0.0, 1), Segment(0.0, 2 * np.pi, crab_star_hamiltonian())),
+            (PhaseFlip(1), Segment(2 * np.pi, crab_star_hamiltonian())),
         )
         fwd = run_schedule(s, I_STATE, tol=1e-11)
         rev = reverse_schedule(s)
@@ -307,14 +313,14 @@ class TestRunSchedule:
         tol = 1e-11
         H = crab_star_hamiltonian()
         s = ProtocolSchedule(star_quarter(),
-                             (PhaseFlip(0.0, 1), Segment(0.0, 2 * np.pi, H)))
+                             (PhaseFlip(1), Segment(2 * np.pi, H)))
         block = run_schedule(s, np.column_stack([I_STATE, L_STATE]), tol=tol)
         assert block.states.shape[1:] == (5, 2)
         for k, psi in enumerate((I_STATE, L_STATE)):
             single = run_schedule(s, psi, tol=tol)
             np.testing.assert_array_equal(block.times, single.times)
             dev = np.linalg.norm(block.states[:, :, k] - single.states, axis=1)
-            assert np.max(dev) <= tol * s.t_final
+            assert np.max(dev) <= tol * s.duration
 
     def test_ramp_segment_step_overhead(self, monkeypatch):
         # the integrator computes at most 3 steps per recorded step: the
@@ -346,56 +352,65 @@ class TestRunSchedule:
 class TestScheduleValidation:
     def test_conflicting_same_site_flips(self):
         with pytest.raises(ValueError, match="conflicting"):
-            ProtocolSchedule(star_quarter(),
-                             (PhaseFlip(0.0, 1), PhaseFlip(0.0, 1)))
+            ProtocolSchedule(star_quarter(), (PhaseFlip(1), PhaseFlip(1)))
 
     def test_conflicting_same_entry_flips(self):
         with pytest.raises(ValueError, match="conflicting"):
             ProtocolSchedule(star_quarter(),
-                             (HoppingFlip(0.0, (0, 2)), HoppingFlip(0.0, (2, 0))))
+                             (HoppingFlip((0, 2)), HoppingFlip((2, 0))))
 
     def test_distinct_targets_same_time_allowed(self):
-        ProtocolSchedule(star_quarter(),
-                         (PhaseFlip(0.0, 1), PhaseFlip(0.0, 4)))
+        ProtocolSchedule(star_quarter(), (PhaseFlip(1), PhaseFlip(4)))
 
-    def test_gap_between_segments_rejected(self):
-        with pytest.raises(ValueError):
-            ProtocolSchedule(star_quarter(),
-                             (Segment(0.0, 1.0), Segment(2.0, 3.0)))
+    def test_same_flip_apart_by_a_segment_allowed(self):
+        # a conflict is two flips of one kind on one site or entry
+        # between the same two segments; a segment separates them, and
+        # flips of different kinds never conflict
+        for flips in ((PhaseFlip(1), PhaseFlip(1)),
+                      (HoppingFlip((0, 2)), HoppingFlip((2, 0)))):
+            s = ProtocolSchedule(star_quarter(),
+                                 (flips[0], Segment(1.0), flips[1]))
+            assert s.duration == 1.0
+        ProtocolSchedule(star_quarter(), (PhaseFlip(2), HoppingFlip((0, 2))))
 
-    def test_event_inside_segment_rejected(self):
-        with pytest.raises(ValueError):
-            ProtocolSchedule(star_quarter(),
-                             (Segment(0.0, 2.0), PhaseFlip(1.0, 1)))
+    def test_duration_sums_segments(self):
+        s = ProtocolSchedule(star_quarter(), ())
+        assert s.duration == 0.0 and type(s.duration) is float
+        s = ProtocolSchedule(star_quarter(),
+                             (PhaseFlip(1), Segment(0.5), Segment(2.0),
+                              PhaseFlip(4)))
+        assert s.duration == 2.5
 
     def test_diagonal_hopping_flip_rejected(self):
         with pytest.raises(ValueError):
-            HoppingFlip(0.0, (2, 2))
+            HoppingFlip((2, 2))
 
     def test_zero_length_segment_rejected(self):
-        with pytest.raises(ValueError):
-            Segment(1.0, 1.0)
+        for duration in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                Segment(duration)
 
     # flip targets and segment sizes are checked when the schedule is
     # built, so end_hamiltonian and reverse_schedule never see them
     def test_hopping_flip_outside_base_rejected(self):
         with pytest.raises(IndexError):
-            ProtocolSchedule(star_quarter(), (HoppingFlip(0.0, (-1, 2)),
-                                              Segment(0.0, 1.0)))
+            ProtocolSchedule(star_quarter(), (HoppingFlip((-1, 2)),
+                                              Segment(1.0)))
 
     def test_phase_flip_outside_base_rejected(self):
         with pytest.raises(IndexError):
-            ProtocolSchedule(star_quarter(), (Segment(0.0, 1.0),
-                                              PhaseFlip(1.0, 7)))
+            ProtocolSchedule(star_quarter(), (Segment(1.0),
+                                              PhaseFlip(7)))
 
     def test_segment_of_other_size_rejected(self):
         root3 = np.sqrt(3.0)
         H7 = build_seven([1, 1, root3, root3, 1, 1], 0.0)
         with pytest.raises(ValueError, match="7 sites"):
-            ProtocolSchedule(star_quarter(), (Segment(0.0, 1.0, H7),))
+            ProtocolSchedule(star_quarter(), (Segment(1.0, H7),))
 
     def test_pulsed_base_rejected(self):
-        H = attach_pulse(star_quarter(), (0, 2), LinearRamp(0.25, 0.25, 1.0))
+        H = TimedHamiltonian(star_quarter().base,
+                             {(0, 2): LinearRamp(0.25, 0.25, 1.0)})
         with pytest.raises(ValueError):
             ProtocolSchedule(H, ())
 
@@ -407,15 +422,15 @@ class TestEndHamiltonian:
 
     def test_open_flip_stays(self):
         s = ProtocolSchedule(star_quarter(),
-                             (HoppingFlip(0.0, (0, 2)), Segment(0.0, 1.0)))
+                             (HoppingFlip((0, 2)), Segment(1.0)))
         M = end_hamiltonian(s)
         assert M[0, 2] == -0.25
         assert M[2, 0] == -0.25
 
     def test_segment_end_snapshot_becomes_working(self):
-        H = attach_pulse(star_quarter(), (0, 2),
-                         TablePulse((0.0, 1.0), (0.25, 0.9)))
-        s = ProtocolSchedule(star_quarter(), (Segment(0.0, 1.0, H),))
+        H = TimedHamiltonian(star_quarter().base,
+                             {(0, 2): TablePulse((0.0, 1.0), (0.25, 0.9))})
+        s = ProtocolSchedule(star_quarter(), (Segment(1.0, H),))
         assert end_hamiltonian(s)[0, 2] == pytest.approx(0.9)
 
 
@@ -561,22 +576,23 @@ class TestSublatticeExponential:
                                       "odd-cycle"])
     def test_non_chiral_refused(self, case):
         if case == "pulsed-diagonal":
-            H = attach_pulse(star_quarter(), (0, 2), LinearRamp(0.25, 0.25, 1.0))
-            H = attach_pulse(H, (2, 2), LinearRamp(0.5, 0.5, 1.0))
+            H = TimedHamiltonian(star_quarter().base,
+                                 {(0, 2): LinearRamp(0.25, 0.25, 1.0),
+                                  (2, 2): LinearRamp(0.5, 0.5, 1.0)})
             reason = r"diagonal entry \(2, 2\)"
         elif case == "non-uniform-diagonal":
-            H = attach_pulse(build_star([0.25] * 4, [0.5, 0.5, 0.4, 0.5, 0.5]),
-                             (0, 2), LinearRamp(0.25, 1.0, 1.0))
+            H = TimedHamiltonian(
+                build_star([0.25] * 4, [0.5, 0.5, 0.4, 0.5, 0.5]).base,
+                {(0, 2): LinearRamp(0.25, 1.0, 1.0)})
             reason = "on-site potential is not uniform"
         else:
             M = np.array(star_quarter().base)
             M[0, 1] = M[1, 0] = 0.25                  # triangle 0-1-2
-            H = attach_pulse(TimedHamiltonian(M), (0, 2),
-                             LinearRamp(0.25, 1.0, 1.0))
+            H = TimedHamiltonian(M, {(0, 2): LinearRamp(0.25, 1.0, 1.0)})
             reason = "odd cycle"
         with pytest.raises(ValueError, match=reason):
             evolve_timedep_fixed(H, L_STATE, 0.0, 1.0, 32)
-        s = ProtocolSchedule(TimedHamiltonian(H.base), (Segment(0.0, 1.0, H),))
+        s = ProtocolSchedule(TimedHamiltonian(H.base), (Segment(1.0, H),))
         with pytest.raises(ValueError, match=reason):
             run_schedule(s, L_STATE)
 
@@ -754,14 +770,14 @@ _MIRRORED = TimeMirrored(LinearRamp(0.25, 0.75, 5.0), 5.0)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(case=_pulsed_segments())
 # a mirrored pulse whose horizon is not the segment's duration
-@example(case=(attach_pulse(attach_pulse(star_quarter(), (0, 2), _MIRRORED),
-                            (1, 2), _MIRRORED),
+@example(case=(TimedHamiltonian(star_quarter().base,
+                                {(0, 2): _MIRRORED, (1, 2): _MIRRORED}),
                3.0, np.array([0.6, 0.0, 0.0, 0.8j, 0.0])))
 def test_pulsed_segment_properties(case):
     H, T, psi = case
     tol = 1e-10
     base = TimedHamiltonian(H.base)
-    s = ProtocolSchedule(base, (Segment(0.0, T, H),))
+    s = ProtocolSchedule(base, (Segment(T, H),))
     if (0, 0) in H.overrides:
         # a driven diagonal breaks the chiral split; the properties
         # below then run on the same draw without it
@@ -769,7 +785,7 @@ def test_pulsed_segment_properties(case):
             run_schedule(s, psi, samples_per_segment=_KNOTS + 1, tol=tol)
         H = TimedHamiltonian(H.base, {e: f for e, f in H.overrides.items()
                                       if e != (0, 0)})
-        s = ProtocolSchedule(base, (Segment(0.0, T, H),))
+        s = ProtocolSchedule(base, (Segment(T, H),))
     traj = run_schedule(s, psi, samples_per_segment=_KNOTS + 1, tol=tol)
     # unitarity
     assert traj.norm_drift <= 1e-10

@@ -12,7 +12,6 @@ from clsnet.lattice import (
     TablePulse,
     TimedHamiltonian,
     TimeMirrored,
-    attach_pulse,
     build_dll,
     build_seven,
     build_star,
@@ -71,7 +70,7 @@ class TestBuildSeven:
 
     def test_ramp_override_is_isolated(self):
         H = build_seven([1, 1, 0, 0, 1, 1], 0.0)
-        H = attach_pulse(H, (2, 3), LinearRamp(0.0, 1.0, 2 * np.pi))
+        H = TimedHamiltonian(H.base, {(2, 3): LinearRamp(0.0, 1.0, 2 * np.pi)})
         snap = evaluate_at(H, np.pi)
         assert snap[2, 3] == pytest.approx(0.5)
         assert snap[3, 2] == pytest.approx(0.5)
@@ -200,39 +199,42 @@ class TestPulses:
         assert rev.value(0.5) == pytest.approx(ramp.value(1.5))
 
 
+# a pulse is attached by the TimedHamiltonian constructor
 class TestAttachEvaluate:
     def test_attach_constant(self):
         H = build_star([0.25] * 4, 0.5)
-        H2 = attach_pulse(H, (0, 2), LinearRamp(0.25, 0.25, 1.0))
+        H2 = TimedHamiltonian(H.base, {(0, 2): LinearRamp(0.25, 0.25, 1.0)})
         for t in (0.0, 1.0, 100.0):
             assert evaluate_at(H2, t)[0, 2] == 0.25
 
     def test_attach_crab_floor_at_zero(self):
         H = build_star([0.25] * 4, 0.5)
-        H2 = attach_pulse(H, (0, 2),
-                          CrabTransferPulse(0.25, 0.5850, 2.9997, 1.4452))
+        H2 = TimedHamiltonian(H.base, {
+            (0, 2): CrabTransferPulse(0.25, 0.5850, 2.9997, 1.4452)})
         assert evaluate_at(H2, 0.0)[0, 2] == pytest.approx(0.25, abs=1e-15)
 
     def test_attach_ramp_endpoint(self):
         H = build_star([0.25] * 4, 0.5)
-        H2 = attach_pulse(H, (1, 2), LinearRamp(0.25, 0.0, 0.37))
+        H2 = TimedHamiltonian(H.base, {(1, 2): LinearRamp(0.25, 0.0, 0.37)})
         assert evaluate_at(H2, 0.37)[1, 2] == 0.0
         assert evaluate_at(H2, 0.37)[2, 1] == 0.0
 
     def test_attach_leaves_original(self):
         H = build_star([0.25] * 4, 0.5)
-        attach_pulse(H, (0, 2), LinearRamp(9.0, 9.0, 1.0))
+        H2 = TimedHamiltonian(H.base, {(0, 2): LinearRamp(9.0, 9.0, 1.0)})
         assert not H.overrides
         assert evaluate_at(H, 3.0)[0, 2] == 0.25
+        assert H2.base is not H.base and not H2.base.flags.writeable
 
     def test_attach_out_of_bounds(self):
         H = build_star([0.25] * 4, 0.5)
         with pytest.raises(IndexError):
-            attach_pulse(H, (0, 5), LinearRamp(1.0, 1.0, 1.0))
+            TimedHamiltonian(H.base, {(0, 5): LinearRamp(1.0, 1.0, 1.0)})
 
     def test_entry_normalized_to_mirror(self):
         H = build_star([0.25] * 4, 0.5)
-        H2 = attach_pulse(H, (2, 0), LinearRamp(0.9, 0.9, 1.0))
+        H2 = TimedHamiltonian(H.base, {(2, 0): LinearRamp(0.9, 0.9, 1.0)})
+        assert list(H2.overrides) == [(0, 2)]
         snap = evaluate_at(H2, 0.0)
         assert snap[0, 2] == 0.9 and snap[2, 0] == 0.9
 
@@ -242,13 +244,14 @@ class TestAttachEvaluate:
 
     def test_diagonal_override(self):
         H = build_star([0.25] * 4, 0.5)
-        H2 = attach_pulse(H, (2, 2), LinearRamp(0.5, 1.5, 1.0))
+        H2 = TimedHamiltonian(H.base, {(2, 2): LinearRamp(0.5, 1.5, 1.0)})
         assert evaluate_at(H2, 0.5)[2, 2] == pytest.approx(1.0)
 
     def test_grid_matches_pointwise(self):
         H = build_star([0.25] * 4, 0.5)
-        H = attach_pulse(H, (0, 2), CrabTransferPulse(0.25, 0.5850, 2.9997, 1.4452))
-        H = attach_pulse(H, (2, 3), LinearRamp(0.25, 0.0, 4.0))
+        H = TimedHamiltonian(H.base, {
+            (0, 2): CrabTransferPulse(0.25, 0.5850, 2.9997, 1.4452),
+            (2, 3): LinearRamp(0.25, 0.0, 4.0)})
         times = np.linspace(0.0, 2 * np.pi, 33)
         grid = evaluate_grid(H, times)
         for k, t in enumerate(times):
@@ -310,8 +313,9 @@ def _one_sampler_cases():
     g, H = build_dll(3, 3, 0.25, 0.5)
     star = extract_star(g, H, 20, dimer_in=(8, 9), dimer_out=(21, 22))
     cases["dll-ramp"] = build_ramp(H, star.boundary_entries, "down", 1.0).H
-    cases["table"] = attach_pulse(build_star([0.25] * 4, 0.5), (2, 3),
-                                  TablePulse((0.0, 1.0, 3.0), (0.25, 0.0, 0.5)))
+    cases["table"] = TimedHamiltonian(
+        build_star([0.25] * 4, 0.5).base,
+        {(2, 3): TablePulse((0.0, 1.0, 3.0), (0.25, 0.0, 0.5))})
     return cases
 
 
@@ -332,10 +336,11 @@ class TestInvariants:
     def test_symmetric_at_random_times(self):
         rng = np.random.default_rng(7)
         H = build_star([0.25] * 4, 0.5)
-        H = attach_pulse(H, (0, 2), CrabTransferPulse(0.25, 0.5850, 2.9997, 1.4452))
-        H = attach_pulse(H, (1, 2), CreationStarPulse(0.8292, 1.5246, 1.7638, 1.9434,
-                                                      3 * S2, np.pi))
-        H = attach_pulse(H, (2, 4), LinearRamp(0.25, 0.0, 1.0))
+        H = TimedHamiltonian(H.base, {
+            (0, 2): CrabTransferPulse(0.25, 0.5850, 2.9997, 1.4452),
+            (1, 2): CreationStarPulse(0.8292, 1.5246, 1.7638, 1.9434,
+                                      3 * S2, np.pi),
+            (2, 4): LinearRamp(0.25, 0.0, 1.0)})
         for t in rng.uniform(-1.0, 10.0, size=1000):
             snap = evaluate_at(H, t)
             np.testing.assert_array_equal(snap, snap.T)

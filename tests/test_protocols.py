@@ -150,31 +150,31 @@ def test_transfer_member_lookup():
 
 
 def test_phase_flip_converts_antisymmetric_to_symmetric():
-    psi = PhaseFlip(0.0, 1).apply(cls_state("star", "I"))
+    psi = PhaseFlip(1).apply(cls_state("star", "I"))
     assert_allclose(psi, cls_state("star", "L"), atol=1e-15)
 
 
 def test_phase_flip_is_involution():
     rng = np.random.default_rng(7)
     psi = rng.normal(size=5) + 1j * rng.normal(size=5)
-    flip = PhaseFlip(0.0, 3)
+    flip = PhaseFlip(3)
     assert_allclose(flip.apply(flip.apply(psi)), psi, atol=0)
 
 
 def test_phase_flip_leaves_other_amplitudes():
-    psi = PhaseFlip(0.0, 4).apply(cls_state("star", "I"))
+    psi = PhaseFlip(4).apply(cls_state("star", "I"))
     assert_allclose(psi, cls_state("star", "I"), atol=1e-15)
 
 
 def test_phase_flip_rejects_bad_site():
     with pytest.raises(IndexError):
-        PhaseFlip(0.0, 5).apply(cls_state("star", "I"))
+        PhaseFlip(5).apply(cls_state("star", "I"))
 
 
 def _flipped(M, *entries):
     M = np.array(M)
     for e in entries:
-        HoppingFlip(0.0, e).negate(M)
+        HoppingFlip(e).negate(M)
     return M
 
 
@@ -270,7 +270,7 @@ def test_seven_phase_flip_transfer():
     s = build_schedule("phase-flip-transfer",
                        SevenTransferParams(0, 1.0))
     assert s.base.n_sites == 7
-    assert_allclose(s.t_final, np.pi / ROOT2, rtol=1e-15)
+    assert_allclose(s.duration, np.pi / ROOT2, rtol=1e-15)
     fid, _ = _run_fidelity(s)
     assert fid >= 1 - 1e-12
 
@@ -328,7 +328,7 @@ def test_generation_roundtrip_is_identity():
 def test_piecewise_transfer_through_hub():
     p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
     s = build_schedule("piecewise-transfer", p)
-    assert_allclose(s.t_final, 2 * np.pi, rtol=1e-15)
+    assert_allclose(s.duration, 2 * np.pi, rtol=1e-15)
     fid, traj = _run_fidelity(s)
     assert fid >= 1 - 1e-12
     # the state really passes through the hub at the midpoint
@@ -379,7 +379,7 @@ def test_target_symmetry_helper_flags_broken_end():
 
     s = ProtocolSchedule(
         base,
-        (PhaseFlip(0.0, 1), Segment(0.0, p.T), PhaseFlip(p.T, 4)),
+        (PhaseFlip(1), Segment(p.T), PhaseFlip(4)),
         initial_state=cls_state("star", "I"),
         target_state=cls_state("star", "F"),
     )

@@ -123,7 +123,7 @@ def test_build_ramp_hits_exact_endpoints():
         assert M1[e] == 0.0
         assert evaluate_at(up.H, 0.0)[e] == 0.0
         assert evaluate_at(up.H, 0.7)[e] == J
-    assert (up.t_start, up.t_end) == (0.0, 0.7)
+    assert up.duration == 0.7
 
 
 def test_build_ramp_validates_input():
@@ -162,7 +162,7 @@ def test_asymmetric_ramp_leaks_population():
         (1, 5): LinearRamp(J, 0.0, dt),
         (2, 5): LinearRamp(J, 0.1 * J, dt),
     })
-    traj = run_schedule(ProtocolSchedule(H, (Segment(0.0, dt, Hr),)),
+    traj = run_schedule(ProtocolSchedule(H, (Segment(dt, Hr),)),
                         psi, tol=tol)
     inside = np.sum(np.abs(traj.final_state[[1, 2]]) ** 2)
     assert 1.0 - inside > 100 * tol * dt
@@ -393,42 +393,59 @@ def test_every_scheduled_timeline_builds(data):
     tl = schedule_multi(plans)
     verify_timeline(tl)
     s = timeline_schedule(g, H, tl)
-    # every jump's ramps start and end exactly on its busy interval
-    segments = [it for it in s.items if isinstance(it, Segment)]
-    by_start = {seg.t_start: seg for seg in segments}
-    by_end = {seg.t_end: seg for seg in segments}
+    # every jump's ramps start and end on its busy interval, exactly at
+    # the base couplings; segment windows come from the schedule clock
+    segments, clock = [], 0.0
+    for it in s.items:
+        if isinstance(it, Segment):
+            segments.append((clock, clock + it.duration, it))
+            clock += it.duration
+    assert clock == pytest.approx(tl.end, rel=1e-12)
+    seg_starts = np.array([a for a, _, _ in segments])
+    seg_ends = np.array([b for _, b, _ in segments])
     for plan, row in zip(tl.routes, tl.busy):
         for j, (c, t0, t1) in zip(plan.jumps, row):
             assert c == j.star.center
+            a0, _, first = segments[np.argmin(np.abs(seg_starts - t0))]
+            _, b1, last = segments[np.argmin(np.abs(seg_ends - t1))]
+            assert a0 == pytest.approx(t0, abs=1e-9)
+            assert b1 == pytest.approx(t1, abs=1e-9)
             for e in j.star.boundary_entries:
-                assert by_start[t0].H.overrides[e].start == H.base[e]
-                assert by_end[t1].H.overrides[e].end == H.base[e]
+                assert first.H.overrides[e].start == H.base[e]
+                assert last.H.overrides[e].end == H.base[e]
 
 
 @pytest.mark.parametrize("variant", TRANSFER_VARIANTS)
 def test_jump_flips_are_the_star_protocol_flips(variant):
     # each jump runs the isolated star's protocol: star site k is the
-    # jump's sites[k], time 0 the end of its down-ramp, T the start of
-    # its up-ramp
+    # jump's sites[k]; the flips before its segment act at the end of
+    # the down-ramp, those after it at the start of the up-ramp
     g, H = dll(3, 3)
     plan = plan_route(g, H, (16, 17), (26, 27), variant=variant)
     assert len(plan.jumps) == 2
     s = timeline_schedule(g, H, schedule_multi([plan]))
-    emitted = [f for f in s.items if not isinstance(f, Segment)]
-    expected, t0 = set(), 0.0
+    emitted, clock = [], 0.0
+    for it in s.items:
+        if isinstance(it, Segment):
+            clock += it.duration
+        else:
+            emitted.append((clock, it))
+    expected, t0 = [], 0.0
     for j in plan.jumps:
         t1 = t0 + j.duration
-        window = {0.0: t0 + j.dt, j.params.T: t1 - j.dt}
-        sites = j.star.sites
+        t, sites = t0 + j.dt, j.star.sites
         for f in build_schedule(variant, j.params).items:
-            if isinstance(f, PhaseFlip):
-                expected.add(PhaseFlip(window[f.time], sites[f.site]))
-            elif isinstance(f, HoppingFlip):
+            if isinstance(f, Segment):
+                t = t1 - j.dt
+            elif isinstance(f, PhaseFlip):
+                expected.append((t, PhaseFlip(sites[f.site])))
+            else:
                 i, k = f.entry
-                expected.add(HoppingFlip(window[f.time], (sites[i], sites[k])))
+                expected.append((t, HoppingFlip((sites[i], sites[k]))))
         t0 = t1
-    assert len(emitted) == len(expected)
-    assert set(emitted) == expected
+    assert [f for _, f in emitted] == [f for _, f in expected]
+    assert [t for t, _ in emitted] == \
+        pytest.approx([t for t, _ in expected], abs=1e-12)
 
 
 def test_verify_timeline_rejects_double_booked_star():
@@ -478,7 +495,7 @@ def test_timeline_schedule_restores_base_hamiltonian():
     tl = schedule_multi([plan])
     s = timeline_schedule(g, H, tl)
     assert np.allclose(end_hamiltonian(s), H.base, atol=1e-12)
-    assert s.t_final == pytest.approx(plan.duration)
+    assert s.duration == pytest.approx(plan.duration)
 
 
 def test_two_jump_route_passes_through_intermediate_dimer():
@@ -631,8 +648,8 @@ def _oracle_starts(plans):
 
 
 def _oracle_items(H, tl):
-    """timeline_schedule's items, as (flip) or (t_start, t_end, base,
-    override items) with base and overrides None on a static stretch."""
+    """timeline_schedule's items, as (flip) or (duration, base, override
+    items) with base and overrides None on a static stretch."""
     ramps, flips = [], {}
     for plan, start in zip(tl.routes, tl.starts):
         for j, t0, t1, _ in _oracle_jump_holds(plan, start):
@@ -640,11 +657,11 @@ def _oracle_items(H, tl):
             if j.star.boundary_entries:
                 ramps.append((t0, down_end, j.star.boundary_entries, "down"))
                 ramps.append((up_start, t1, j.star.boundary_entries, "up"))
-            for f in build_schedule(j.variant, j.params).items:
-                if not isinstance(f, Segment):
-                    t = down_end if f.time == 0.0 else up_start
-                    flips.setdefault(t, []).append(
-                        clsnet.routing._moved(f, t, j.star.sites))
+            star = build_schedule(j.variant, j.params).items
+            k = next(k for k, f in enumerate(star) if isinstance(f, Segment))
+            for t, fs in ((down_end, star[:k]), (up_start, star[k + 1:])):
+                flips.setdefault(t, []).extend(
+                    clsnet.routing._moved(f, j.star.sites) for f in fs)
     bounds = sorted({0.0, tl.end, *flips, *(t for r in ramps for t in r[:2])})
     M = np.array(H.base, dtype=float, copy=True)
     items = []
@@ -662,9 +679,9 @@ def _oracle_items(H, tl):
                 overrides.setdefault(e, clsnet.routing._ramp_slice(
                     float(H.base[e]), r0, r1, kind, b, b2))
         if not overrides:
-            items.append((b, b2, None, None))
+            items.append((b2 - b, None, None))
             continue
-        items.append((b, b2, M.copy(), list(overrides.items())))
+        items.append((b2 - b, M.copy(), list(overrides.items())))
         for e, pulse in overrides.items():
             M[e] = M[e[::-1]] = pulse.end
     return items
@@ -674,17 +691,16 @@ def _as_oracle_item(item):
     if not isinstance(item, Segment):
         return item
     if item.H is None:
-        return item.t_start, item.t_end, None, None
-    return (item.t_start, item.t_end, item.H.base,
-            list(item.H.overrides.items()))
+        return item.duration, None, None
+    return item.duration, item.H.base, list(item.H.overrides.items())
 
 
 def _same_item(got, want):
     if not isinstance(want, tuple):
         return type(got) is type(want) and got == want
-    return got[:2] == want[:2] and got[3] == want[3] and (
-        got[2] is None if want[2] is None
-        else np.array_equal(got[2], want[2]))
+    return got[0] == want[0] and got[2] == want[2] and (
+        got[1] is None if want[1] is None
+        else np.array_equal(got[1], want[1]))
 
 
 @pytest.mark.parametrize("cells", [2, 3, 4, 5, 6])
