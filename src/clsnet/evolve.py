@@ -8,7 +8,11 @@ is unitary up to roundoff.  States have shape (n,), or (n, k) for k
 columns propagated together.  A pulsed stretch to a tolerance runs a
 convergence pair of n and 2n steps, growing n until the worst column
 deviates by at most tol times the duration; the result and every
-sample come from the finer run of the accepted pair.
+sample come from the finer run of the accepted pair.  The first pair
+is cheap, 8 and 16 steps (rounded up to the sample grid): a state the
+couplings leave alone, such as a stored dimer under a symmetric ramp,
+passes it at round-off.  When it fails, its error is pre-asymptotic
+and sizes nothing: the pairs resume at 64 steps as if it had not run.
 
 A pulsed H must be chiral, as every network here is: bipartite (hubs
 and connectors couple only to dimer sites), with a uniform on-site
@@ -78,7 +82,8 @@ _X2 = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 
 _N_MAX = 1 << 23        # step ceiling; beyond this the request is reported
 _CHUNK = 4096           # steps exponentiated per batch (memory bound)
-_CAL_STEPS = 64         # coarse resolution of the first convergence pair
+_FIRST_STEPS = 8        # coarse resolution of the first convergence pair
+_CAL_STEPS = 64         # where the pairs resume after a failed first pair
 # largest budget tol*(t1-t0) a convergence pair can certify: two unit
 # columns differ by at most 2, so near 1 a pair passes whatever its error
 _BUDGET_MAX = 1e-3
@@ -272,20 +277,23 @@ def evolve_timedep_fixed(H, psi0, t0, t1, n_steps):
 def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
     """Propagate over [t0, t1] to ``tol`` per unit time by convergence pair.
 
-    Runs n and 2n steps from n = _CAL_STEPS, n a multiple of
-    ``n_chunks``, and accepts once the worst column of the two runs
-    deviates by at most tol*(t1-t0); otherwise n grows by the
-    fourth-order error model (at least doubling) and the pair reruns.
-    Returns (final, samples) of the finer run, with ``n_chunks``
-    evenly spaced samples.  Raises RuntimeError before a finer run past
-    _N_MAX steps, or before integrating when the budget tol*(t1-t0)
-    exceeds _BUDGET_MAX.
+    Runs n and 2n steps, n a multiple of ``n_chunks``, and accepts once
+    the worst column of the two runs deviates by at most tol*(t1-t0).
+    The first pair has n = _FIRST_STEPS.  If it fails below _CAL_STEPS,
+    its error is pre-asymptotic and the next pair has n = _CAL_STEPS;
+    after that n grows by the fourth-order error model (at least
+    doubling).  So a stretch whose first pair fails runs, after it,
+    exactly the pairs of a ladder started at _CAL_STEPS, and so does
+    every stretch with ``n_chunks`` >= _CAL_STEPS.  Returns (final,
+    samples) of the finer run, with ``n_chunks`` evenly spaced samples.
+    Raises RuntimeError before a finer run past _N_MAX steps, or before
+    integrating when the budget tol*(t1-t0) exceeds _BUDGET_MAX.
     """
     budget = tol * (t1 - t0)
     if budget > _BUDGET_MAX:
         raise RuntimeError(f"error budget tol*(t1-t0) = {budget:g} exceeds "
                            f"{_BUDGET_MAX:g}: no convergence pair bounds it")
-    n = _CAL_STEPS
+    n = _FIRST_STEPS
     while True:
         n = -(-n // n_chunks) * n_chunks
         if 2 * n > _N_MAX:
@@ -298,7 +306,10 @@ def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
         err = float(np.max(np.linalg.norm(coarse - fine, axis=0)))
         if err <= budget:
             return fine, samples
-        n = max(int(np.ceil(n * (err / (0.25 * budget)) ** 0.25)), 2 * n)
+        if n < _CAL_STEPS:
+            n = _CAL_STEPS
+        else:
+            n = max(int(np.ceil(n * (err / (0.25 * budget)) ** 0.25)), 2 * n)
 
 
 def evolve_timedep(H, psi0, t0, t1, tol):
@@ -491,7 +502,7 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
 
     def put(t, psi):
         # post-event samples overwrite a pre-event sample at the same time
-        if times and abs(t - times[-1]) <= 1e-12:
+        if times and t == times[-1]:
             kept[-1] = np.array(psi, dtype=complex)
         else:
             times.append(float(t))
@@ -512,6 +523,7 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
         else:
             n_chunks = samples_per_segment - 1
             taus = item.duration * np.arange(1, n_chunks + 1) / n_chunks
+            taus[-1] = item.duration  # the last sample sits on the clock
             if item.H is None or item.H.static:
                 M = working if item.H is None else np.asarray(item.H.base)
                 states = _static_samples(M, psi, taus)

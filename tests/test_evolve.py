@@ -168,6 +168,32 @@ class TestEvolveTimedep:
         ref = evolve_timedep_fixed(H, L_STATE, 0.0, 1e3, 1 << 17)
         assert np.linalg.norm(psi - ref) <= 5e-11
 
+    @pytest.mark.parametrize("n_chunks, first", [(1, 8), (32, 32), (64, None)])
+    def test_failed_first_pair_sizes_nothing(self, monkeypatch, n_chunks,
+                                             first):
+        # test_long_segment's ramp fails the first pair; after it the
+        # ladder runs, bit for bit, the pairs of one started at 64 steps
+        H = TimedHamiltonian(star_quarter().base,
+                             {(0, 2): LinearRamp(0.25, 0.75, 1e3)})
+        steps = []
+        cf4 = ev._cf4_run
+
+        def counted(H, psi0, t0, t1, n_steps, record_every=None):
+            steps.append(n_steps)
+            return cf4(H, psi0, t0, t1, n_steps, record_every)
+
+        monkeypatch.setattr(ev, "_cf4_run", counted)
+        psi, samples = ev._propagate(H, L_STATE, 0.0, 1e3, 1e-11, n_chunks)
+        ladder = steps[:]
+        steps.clear()
+        monkeypatch.setattr(ev, "_FIRST_STEPS", ev._CAL_STEPS)
+        ref, ref_samples = ev._propagate(H, L_STATE, 0.0, 1e3, 1e-11,
+                                         n_chunks)
+        assert ladder == ([first, 2 * first] if first else []) + steps
+        assert steps[:2] == [64, 128] and len(steps) > 2
+        np.testing.assert_array_equal(psi, ref)
+        np.testing.assert_array_equal(samples, ref_samples)
+
     def test_tol_range_enforced(self):
         H = crab_star_hamiltonian()
         with pytest.raises(ValueError):
@@ -270,6 +296,18 @@ class TestRunSchedule:
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(2 * np.pi)
+
+    def test_samples_merge_only_at_equal_times(self):
+        # 0.1 * 3 / 3 != 0.1: the last sample still sits on the clock, and
+        # the flip's sample replaces it; a 1e-13 segment keeps its samples
+        s = ProtocolSchedule(star_quarter(),
+                             (Segment(0.1), PhaseFlip(1), Segment(1e-13)))
+        traj = run_schedule(s, I_STATE, samples_per_segment=4)
+        assert traj.times.size == 7
+        assert traj.times[3] == 0.1 and traj.times[-1] == 0.1 + 1e-13
+        flipped = PhaseFlip(1).apply(evolve_static(star_quarter(), I_STATE,
+                                                   0.1))
+        np.testing.assert_allclose(traj.states[3], flipped, atol=1e-15)
 
     def test_events_recorded(self):
         traj = run_schedule(hopping_flip_schedule(), I_STATE)

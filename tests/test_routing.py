@@ -10,6 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
+import clsnet.evolve
 import clsnet.routing
 from clsnet.evolve import (
     HoppingFlip,
@@ -534,6 +535,65 @@ def test_simulate_route_runs_one_pass_per_timeline(monkeypatch):
     report = simulate_route(g, H, schedule_multi([r1, r2]))
     assert calls == [(g.n_sites, 2)]
     assert all(f >= 1.0 - 1e-8 for f in report.fidelities)
+
+
+@pytest.mark.parametrize("cells, requests, dt", [
+    # the one star of a cell has no boundary couplings, so no ramp ends
+    # where the first route's jump does
+    (1, [((1, 2), (3, 4)), ((3, 4), (1, 2))], 1.0),
+    # start times an ulp apart put two segment bounds 1.8e-15 apart
+    (3, [((41, 42), (3, 4)), ((11, 12), (38, 39))], 0.3),
+])
+def test_per_jump_states_read_at_their_exact_time(monkeypatch, cells,
+                                                  requests, dt):
+    seen = []
+
+    def captured(s, psi0, **kwargs):
+        seen.append(run_schedule(s, psi0, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(clsnet.routing, "run_schedule", captured)
+    g, H = dll(cells, cells)
+    tl = schedule_multi([plan_route(g, H, a, b, dt=dt) for a, b in requests])
+    report = simulate_route(g, H, tl)
+    times = set(seen[0].times.tolist())
+    ends = [t for row in report.per_jump for t, _ in row]
+    assert len(ends) == sum(len(plan.jumps) for plan in tl.routes)
+    assert all(t in times for t in ends)
+    assert all(f >= 1.0 - 1e-8 for _, f in report.per_jump[0])
+
+
+def test_stored_states_pass_the_first_pair(monkeypatch):
+    # on C12's three-jump route every ramp leaves the stored state alone,
+    # so each pulsed segment runs one (8, 16) pair and no more
+    steps = []
+    cf4 = clsnet.evolve._cf4_run
+
+    def counted(H, psi0, t0, t1, n_steps, record_every=None):
+        steps.append(n_steps)
+        return cf4(H, psi0, t0, t1, n_steps, record_every)
+
+    monkeypatch.setattr(clsnet.evolve, "_cf4_run", counted)
+    g, H = dll(3, 3)
+    tl = schedule_multi([plan_route(g, H, (1, 2), (36, 37), dt=1.0)])
+    pulsed = sum(isinstance(it, Segment) and it.H is not None
+                 and not it.H.static
+                 for it in timeline_schedule(g, H, tl).items)
+    report = simulate_route(g, H, tl)
+    assert pulsed >= 6
+    assert steps == [8, 16] * pulsed
+    assert report.fidelities[0] >= 1.0 - 1e-8
+
+
+def test_corner_to_corner_route_on_6x6():
+    # the longest planned route: 11 jumps across 180 sites
+    g, H = dll(6, 6)
+    plan = plan_route(g, H, (26, 27), (153, 154))
+    assert len(plan.jumps) == 11
+    report = simulate_route(g, H, schedule_multi([plan]))
+    assert report.fidelities[0] >= 1.0 - 1e-8
+    assert all(f >= 1.0 - 1e-8 for _, f in report.per_jump[0])
+    assert report.norm_drift <= 1e-10
 
 
 def test_concurrent_disjoint_routes_keep_unit_fidelity():
