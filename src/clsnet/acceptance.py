@@ -24,7 +24,7 @@ from .evolve import (
     fidelity,
     run_schedule,
 )
-from .lattice import TablePulse, TimedHamiltonian, LinearRamp, \
+from .lattice import CrabTransferPulse, TimedHamiltonian, LinearRamp, \
     build_dll, build_star, build_seven
 from .protocols import (
     TRANSFER_VARIANTS,
@@ -312,14 +312,13 @@ def _c10():
 def _c11():
     rng = np.random.default_rng(77)
     psi_I = cls_state("star", "I")
-    # (a) arbitrary shared driving of the dimer couplings
+    # (a) arbitrary shared driving: one random smooth pulse on both
     worst_sym = 1.0
     drifts = []
     T = 5.0
     for _ in range(3):
-        knots = tuple(np.linspace(0.0, T, 33))
-        vals = tuple(rng.uniform(0.0, 0.6, size=33))
-        pulse = TablePulse(knots, vals)
+        floor, x, xp = rng.uniform(0.05, 0.6), *rng.uniform(-1.5, 1.5, 2)
+        pulse = CrabTransferPulse(floor, x, xp, rng.uniform(0.5, 3.0))
         base = build_star([0.25] * 4, 0.5)
         H = TimedHamiltonian(base.base, {(0, 2): pulse, (1, 2): pulse})
         traj = run_schedule(ProtocolSchedule(base, (Segment(T, H),)), psi_I)

@@ -32,7 +32,6 @@ __all__ = [
     "CrabTransferPulse",
     "CreationStarPulse",
     "CreationSevenPulse",
-    "TablePulse",
     "TimeMirrored",
     "SiteGraph",
     "TimedHamiltonian",
@@ -162,34 +161,9 @@ class CreationSevenPulse(Pulse):
 
 
 @dataclass(frozen=True)
-class TablePulse(Pulse):
-    """Piecewise-linear interpolation through (time, value) samples.
-
-    Values are held constant outside the sampled range.
-    """
-
-    times: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.times) != len(self.values) or len(self.times) < 2:
-            raise ValueError("table needs matching times/values, at least 2 points")
-        if not np.all(np.isfinite(np.concatenate((self.times, self.values)))):
-            raise ValueError("table times and values must be finite")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("table times must be strictly increasing")
-
-    def _sample(self, t):
-        return np.interp(t, self.times, self.values)
-
-
-@dataclass(frozen=True)
 class TimeMirrored(Pulse):
-    """Adapter evaluating an inner pulse at (horizon - t).
-
-    Used to run a pulse profile in the opposite time direction, e.g.
-    to turn a decoupling profile into the matching coupling profile.
-    """
+    """An inner pulse at (horizon - t): its profile run backwards, e.g.
+    a decoupling profile turned into the matching coupling one."""
 
     inner: Pulse
     horizon: float
@@ -200,19 +174,10 @@ class TimeMirrored(Pulse):
 
 @dataclass(frozen=True)
 class SiteGraph:
-    """Static connectivity and site roles of a network.
-
-    Parameters
-    ----------
-    n_sites : int
-        Number of sites; indices are dense in [0, n_sites).
-    edges : tuple of (int, int)
-        Unordered coupling pairs, stored with i < j.
-    labels : tuple of str
-        Per-site role tag: 'dimer-upper', 'dimer-lower' or 'hub'.
-        Dimer partners are adjacent in index order, upper immediately
-        before lower.
-    """
+    """Static connectivity and site roles of a network: sites dense in
+    [0, n_sites), unordered coupling ``edges`` stored as (i, j) with
+    i < j, and one label per site, 'dimer-upper', 'dimer-lower' or
+    'hub' (dimer partners are adjacent in index order, upper first)."""
 
     n_sites: int
     edges: tuple
@@ -238,6 +203,11 @@ class SiteGraph:
             raise ValueError("one label per site required")
         object.__setattr__(self, "_adjacent", {
             i: tuple(sorted(v)) for i, v in adjacent.items()})
+        object.__setattr__(self, "_hash", hash(
+            (self.n_sites, self.edges, self.labels)))
+
+    def __hash__(self):
+        return self._hash
 
     def dimers(self):
         """All dimer pairs (upper, lower), in site-index order."""
@@ -384,39 +354,17 @@ def _unit_matrix(n, edges, J, v):
 
 
 def build_star(J, v):
-    """Five-site star Hamiltonian: four outer sites coupled to a hub.
-
-    Parameters
-    ----------
-    J : sequence of 4 floats
-        Couplings of outer sites (0, 1, 3, 4) to the hub, in the edge
-        order ``STAR_EDGES``.
-    v : sequence of 5 floats, or scalar
-        On-site potentials in site order (dimer, hub, dimer).
-
-    Returns
-    -------
-    TimedHamiltonian
-    """
+    """Five-site star: the four couplings ``J`` of outer sites 0, 1, 3, 4
+    to hub 2, in ``STAR_EDGES`` order, and on-site potentials ``v``
+    (scalar, or five in site order)."""
     return TimedHamiltonian(_unit_matrix(5, STAR_EDGES, J, v), {})
 
 
 def build_seven(J, v):
-    """Seven-site unit: dimer - connector - hub - connector - dimer.
-
-    Parameters
-    ----------
-    J : sequence of 6 floats
-        Couplings in the edge order ``SEVEN_EDGES``: dimer sites 0 and
-        1 to connector 2, connector 2 to hub 3, hub 3 to connector 4,
-        connector 4 to dimer sites 5 and 6.
-    v : sequence of 7 floats, or scalar
-        On-site potentials.
-
-    Returns
-    -------
-    TimedHamiltonian
-    """
+    """Seven-site unit, dimer - connector - hub - connector - dimer: the
+    six couplings ``J`` in ``SEVEN_EDGES`` order (dimer sites 0, 1 to
+    connector 2, 2 to hub 3, 3 to connector 4, 4 to dimer sites 5, 6)
+    and on-site potentials ``v`` (scalar, or seven)."""
     return TimedHamiltonian(_unit_matrix(7, SEVEN_EDGES, J, v), {})
 
 
@@ -428,19 +376,8 @@ def build_dll(cells_x, cells_y, J, v):
     (i, j) and (i+1, j); the vertical dimer to the hubs of (i, j) and
     (i, j+1).  Dimers on the right or top boundary keep only their
     single adjacent hub.  Dimer sites never couple to each other.
-
-    Parameters
-    ----------
-    cells_x, cells_y : int
-        Cell counts, both >= 1.
-    J : float
-        Uniform hub-dimer coupling.
-    v : float
-        Uniform on-site potential.
-
-    Returns
-    -------
-    (SiteGraph, TimedHamiltonian)
+    Returns (SiteGraph, TimedHamiltonian) for cell counts >= 1, a
+    uniform hub-dimer coupling J and a uniform on-site potential v.
     """
     if cells_x < 1 or cells_y < 1:
         raise ValueError("need at least one cell in each direction")

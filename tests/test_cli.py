@@ -570,6 +570,36 @@ def test_route_crossing_pair_reports_delay(tmp_path):
     assert summary["norm_drift"] <= 1e-10
 
 
+def test_route_summary_reports_leak_bounds(tmp_path):
+    # both routes run on their supports; each bound certifies its column
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {
+        "system": {"kind": "dll", "cells_x": 3, "cells_y": 3},
+        "parameters": {"J": 0.25, "v": 0.5},
+        "action": {"kind": "route", "requests": [
+            {"source": [16, 17], "destination": [26, 27]},
+            {"source": [8, 9], "destination": [23, 24]},
+        ]},
+        "output": {"dir": str(out)},
+    })
+    assert cli.main(["route", "--config", path]) == 0
+    routes = load_summary(out)["report"]["routes"]
+    assert [0.0 <= r["leak_bound"] <= 1e-12 for r in routes] == [True] * 2
+
+
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["--help"])
+        assert e.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: clsnet" in texts[0]
+    assert cli.main(["route", "--config", "no/such/file.json"]) == 2
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_route_jumps_with_different_ramp_times_run(tmp_path):
     # hubs 0 and 5 both ramp coupling (1, 5), on different profiles, so
     # the second route waits for the first to end; the scheduler used

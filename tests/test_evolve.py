@@ -23,7 +23,6 @@ from clsnet.evolve import (
 from clsnet.lattice import (
     CrabTransferPulse,
     LinearRamp,
-    TablePulse,
     TimedHamiltonian,
     TimeMirrored,
     build_dll,
@@ -326,8 +325,7 @@ class TestRunSchedule:
         # equal pulses on both input-dimer couplings keep the stored
         # state decoupled no matter how wild the drive; the couplings
         # annihilate it, so every step leaves it alone to round-off
-        drive = TablePulse((0.0, 1.0, 2.5, 4.0, 2 * np.pi),
-                           (0.25, 1.3, -0.7, 2.1, 0.25))
+        drive = CrabTransferPulse(0.25, 2.3, -1.7, 2.9)
         H = TimedHamiltonian(star_quarter().base, {(0, 2): drive, (1, 2): drive})
         s = ProtocolSchedule(star_quarter(), (Segment(2 * np.pi, H),))
         traj = run_schedule(s, I_STATE, samples_per_segment=65, tol=1e-11)
@@ -467,7 +465,7 @@ class TestEndHamiltonian:
 
     def test_segment_end_snapshot_becomes_working(self):
         H = TimedHamiltonian(star_quarter().base,
-                             {(0, 2): TablePulse((0.0, 1.0), (0.25, 0.9))})
+                             {(0, 2): LinearRamp(0.25, 0.9, 1.0)})
         s = ProtocolSchedule(star_quarter(), (Segment(1.0, H),))
         assert end_hamiltonian(s)[0, 2] == pytest.approx(0.9)
 
@@ -765,9 +763,8 @@ _KNOTS = 4
 
 @st.composite
 def _pulsed_segments(draw):
-    """A random LinearRamp/TablePulse/TimeMirrored segment on a star,
-    seven-site or 2x2 DLL base; sometimes with a driven diagonal, which
-    is refused."""
+    """A random LinearRamp/TimeMirrored segment on a star, seven-site or
+    2x2 DLL base; sometimes with a driven diagonal, which is refused."""
     H = _property_shape(draw(st.sampled_from(("star", "seven", "dll2"))))
     T = draw(st.floats(0.5, 3.0))
     level = st.floats(-1.5, 1.5)
@@ -778,23 +775,15 @@ def _pulsed_segments(draw):
         driven.append((0, 0))
     overrides = {}
     for entry in driven:
-        kind = draw(st.sampled_from(("ramp", "table", "mirrored")))
-        if kind == "ramp":
+        if draw(st.booleans()):
             overrides[entry] = LinearRamp(draw(level), draw(level), T)
-        elif kind == "mirrored":
+        else:
             # a horizon past T puts the inner ramp's end, a kink, at
-            # t = c T / _KNOTS, on the knot grid
+            # t = c T / _KNOTS, a step boundary of runs with _KNOTS + 1
+            # samples, where a kink costs no order
             c = draw(st.integers(1, _KNOTS - 1))
             overrides[entry] = TimeMirrored(
                 LinearRamp(draw(level), draw(level), T), T * (1 + c / _KNOTS))
-        else:
-            # knots on a grid of T / _KNOTS fall on step boundaries of
-            # runs with _KNOTS + 1 samples, where a kink costs no order
-            cuts = draw(st.lists(st.integers(1, _KNOTS - 1), min_size=1,
-                                 max_size=3, unique=True))
-            times = (0.0,) + tuple(T * c / _KNOTS for c in sorted(cuts)) + (T,)
-            overrides[entry] = TablePulse(
-                times, tuple(draw(level) for _ in times))
     psi = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * H.n_sites,
                                  max_size=2 * H.n_sites)))
     psi = psi[:H.n_sites] + 1j * psi[H.n_sites:]
@@ -841,7 +830,7 @@ def test_pulsed_segment_properties(case):
                         samples_per_segment=_KNOTS + 1, tol=tol)
     assert np.linalg.norm(np.conj(back.final_state) - psi) <= 2 * tol * T
     # an independent integrator at tighter tolerance, run knot to knot so
-    # that it never steps across a kink of a table
+    # that it never steps across the kink of a mirrored ramp
     ref = psi
     for k in range(_KNOTS):
         ref = solve_ivp(lambda t, y: -1j * (evaluate_at(H, t) @ y),

@@ -9,7 +9,6 @@ from clsnet.lattice import (
     Pulse,
     SEVEN_EDGES,
     STAR_EDGES,
-    TablePulse,
     TimedHamiltonian,
     TimeMirrored,
     build_dll,
@@ -172,25 +171,6 @@ class TestPulses:
         t = np.linspace(0.0, 2 * np.pi, 4001)
         assert p.value(t).min() < 0.0
 
-    def test_table_pulse_interpolates(self):
-        p = TablePulse((0.0, 1.0, 2.0), (0.0, 2.0, 0.0))
-        assert p.value(0.5) == pytest.approx(1.0)
-        assert p.value(-3.0) == 0.0
-        assert p.value(9.0) == 0.0
-
-    def test_table_pulse_validation(self):
-        with pytest.raises(ValueError):
-            TablePulse((0.0, 0.0), (1.0, 2.0))
-        with pytest.raises(ValueError):
-            TablePulse((0.0,), (1.0,))
-        # NaN fails every comparison, so it would pass the order check
-        with pytest.raises(ValueError, match="finite"):
-            TablePulse((0.0, np.nan, 1.0), (0.0, 0.1, 0.2))
-        with pytest.raises(ValueError, match="finite"):
-            TablePulse((0.0, 1.0), (0.0, np.inf))
-        with pytest.raises(ValueError, match="finite"):
-            TablePulse((-np.inf, 1.0), (0.0, 0.1))
-
     def test_time_mirrored(self):
         ramp = LinearRamp(1.0, 0.0, 2.0)
         rev = TimeMirrored(ramp, 2.0)
@@ -265,7 +245,6 @@ PULSES = {
     "creation-star": CreationStarPulse(0.8292, 1.5246, 1.7638, 1.9434,
                                        3 * S2, np.pi),
     "creation-seven": CreationSevenPulse(1 / (4 * S2), 6.9763, 2.1072, 1.7465),
-    "table": TablePulse((0.0, 1.0, 2.5), (0.3, -0.2, 0.7)),
     "mirrored": TimeMirrored(CreationStarPulse(0.8292, 1.5246, 1.7638, 1.9434,
                                                3 * S2, np.pi), np.pi),
 }
@@ -313,15 +292,12 @@ def _one_sampler_cases():
     g, H = build_dll(3, 3, 0.25, 0.5)
     star = extract_star(g, H, 20, dimer_in=(8, 9), dimer_out=(21, 22))
     cases["dll-ramp"] = build_ramp(H, star.boundary_entries, "down", 1.0).H
-    cases["table"] = TimedHamiltonian(
-        build_star([0.25] * 4, 0.5).base,
-        {(2, 3): TablePulse((0.0, 1.0, 3.0), (0.25, 0.0, 0.5))})
     return cases
 
 
 class TestOneSampler:
     @pytest.mark.parametrize("name", ["star-creation", "seven-creation",
-                                      "star-transfer", "dll-ramp", "table"])
+                                      "star-transfer", "dll-ramp"])
     def test_evaluate_at_is_grid_at_one_time(self, name):
         H = _one_sampler_cases()[name]
         times = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 300)

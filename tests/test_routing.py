@@ -52,6 +52,13 @@ def dll(nx, ny):
     return build_dll(nx, ny, J, V)
 
 
+@pytest.fixture
+def full_lattice(monkeypatch):
+    """simulate_route on its full-lattice path: the support walk declines
+    every timeline, as it does one with a driven entry inside a support."""
+    monkeypatch.setattr(clsnet.routing, "_walk_supports", lambda *a: None)
+
+
 # ---------------------------------------------------------------- stars
 
 
@@ -342,6 +349,27 @@ def test_schedule_shared_dimer_pair_builds():
     assert tl.starts[1] == r1.duration
 
 
+def test_shared_dimer_pair_falls_back_to_the_full_lattice(monkeypatch):
+    # route 1 jumps through (21, 22) while route 2's state rests there:
+    # its flips hit the resting dimer and its leak bound exceeds
+    # tol * end, so the whole timeline runs on the full lattice
+    passes = []
+
+    def counted(s, psi0, **kwargs):
+        passes.append(np.shape(psi0))
+        return run_schedule(s, psi0, **kwargs)
+
+    monkeypatch.setattr(clsnet.routing, "run_schedule", counted)
+    g, H = dll(3, 3)
+    tl = schedule_multi([plan_route(g, H, (16, 17), (26, 27)),
+                         plan_route(g, H, (21, 22), (23, 24))])
+    rep = simulate_route(g, H, tl)
+    assert passes == [(g.n_sites, 2)]
+    assert rep.leak_bound[1] > 1e-11 * tl.end
+    assert rep.leak_bound[0] <= 1e-12
+    assert rep.fidelities[1] == pytest.approx(0.5627, abs=1e-4)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the jump model covers couplings, not resting states: route 1 moves "
     "its state into (21, 22) while route 2's state rests there, and "
@@ -354,7 +382,7 @@ def test_shared_dimer_pair_keeps_both_states():
     assert all(f >= 1 - 1e-8 for f in rep.fidelities)
 
 
-def test_route_fidelities_never_exceed_one():
+def test_route_fidelities_never_exceed_one(full_lattice):
     # three concurrent routes on the 3x3 DLL: the propagated states
     # drift in norm by ~5e-14, which the reported fidelities used to
     # carry above 1 (1.0000000000000915 for the first route)
@@ -521,7 +549,8 @@ def test_crossing_routes_share_star_at_distinct_times():
     assert report.norm_drift <= 1e-10
 
 
-def test_simulate_route_runs_one_pass_per_timeline(monkeypatch):
+def test_simulate_route_runs_one_pass_per_timeline(monkeypatch,
+                                                   full_lattice):
     calls = []
 
     def counted(s, psi0, **kwargs):
@@ -544,8 +573,8 @@ def test_simulate_route_runs_one_pass_per_timeline(monkeypatch):
     # start times an ulp apart put two segment bounds 1.8e-15 apart
     (3, [((41, 42), (3, 4)), ((11, 12), (38, 39))], 0.3),
 ])
-def test_per_jump_states_read_at_their_exact_time(monkeypatch, cells,
-                                                  requests, dt):
+def test_per_jump_states_read_at_their_exact_time(monkeypatch, full_lattice,
+                                                  cells, requests, dt):
     seen = []
 
     def captured(s, psi0, **kwargs):
@@ -563,7 +592,7 @@ def test_per_jump_states_read_at_their_exact_time(monkeypatch, cells,
     assert all(f >= 1.0 - 1e-8 for _, f in report.per_jump[0])
 
 
-def test_stored_states_pass_the_first_pair(monkeypatch):
+def test_stored_states_pass_the_first_pair(monkeypatch, full_lattice):
     # on C12's three-jump route every ramp leaves the stored state alone,
     # so each pulsed segment runs one (8, 16) pair and no more
     steps = []
@@ -583,6 +612,106 @@ def test_stored_states_pass_the_first_pair(monkeypatch):
     assert pulsed >= 6
     assert steps == [8, 16] * pulsed
     assert report.fidelities[0] >= 1.0 - 1e-8
+
+
+def test_stored_states_run_no_integrator(monkeypatch):
+    # C12's three-jump route runs on its supports, where every segment is
+    # static: no pulsed step at all
+    steps = []
+    cf4 = clsnet.evolve._cf4_run
+
+    def counted(*args, **kwargs):
+        steps.append(args[4])
+        return cf4(*args, **kwargs)
+
+    monkeypatch.setattr(clsnet.evolve, "_cf4_run", counted)
+    g, H = dll(3, 3)
+    tl = schedule_multi([plan_route(g, H, (1, 2), (36, 37), dt=1.0)])
+    report = simulate_route(g, H, tl)
+    assert steps == []
+    assert report.fidelities[0] >= 1.0 - 1e-8
+    assert report.leak_bound[0] <= 1e-12
+
+
+def _full_lattice_report(g, H, tl, tol=1e-11):
+    """The oracle: every source as a column of one block in one
+    run_schedule pass over the whole lattice, read as simulate_route
+    reads it."""
+    n = g.n_sites
+    traj = run_schedule(timeline_schedule(g, H, tl), np.column_stack(
+        [dimer_state(n, p.source) for p in tl.routes]),
+        samples_per_segment=2, tol=tol)
+    at = {t: k for k, t in enumerate(traj.times)}
+
+    def unit(psi, pair):
+        return fidelity(psi / np.linalg.norm(psi), dimer_state(n, pair))
+
+    fids = tuple(unit(traj.final_state[:, r], p.destination)
+                 for r, p in enumerate(tl.routes))
+    per_jump = tuple(
+        tuple((t1, unit(traj.states[at[t1], :, r], j.star.dimer_out))
+              for j, (_, _, t1) in zip(p.jumps, row))
+        for r, (p, row) in enumerate(zip(tl.routes, tl.busy)))
+    return fids, per_jump, tuple(traj.final_state.T), traj.norm_drift
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_support_walk_matches_the_full_lattice_pass(data):
+    cells = data.draw(st.integers(2, 3), label="cells")
+    g, H = dll(cells, cells)
+    dimers = st.sampled_from(g.dimers())
+    requests = data.draw(st.lists(
+        st.tuples(dimers, dimers, st.sampled_from(TRANSFER_VARIANTS),
+                  st.sampled_from((0.5, 1.0, 2.0))),
+        min_size=1, max_size=4), label="requests")
+    tl = schedule_multi([plan_route(g, H, a, b, variant=v, dt=dt)
+                         for a, b, v, dt in requests])
+    passes = []
+
+    def counted(s, psi0, **kwargs):
+        passes.append(np.shape(psi0))
+        return run_schedule(s, psi0, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clsnet.routing, "run_schedule", counted)
+        rep = simulate_route(g, H, tl)
+    fids, per_jump, finals, drift = _full_lattice_report(g, H, tl)
+    assert len(rep.leak_bound) == len(tl.routes)
+    if passes:
+        # a fallback returns the full-lattice pass bit for bit
+        assert (rep.fidelities, rep.per_jump, rep.norm_drift) == \
+            (fids, per_jump, drift)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(rep.final_states, finals))
+        return
+    assert max(rep.leak_bound) <= 1e-12
+    assert np.allclose(rep.fidelities, fids, rtol=0, atol=1e-12)
+    for got, want in zip(rep.per_jump, per_jump):
+        assert [t for t, _ in got] == [t for t, _ in want]
+        assert np.allclose([f for _, f in got], [f for _, f in want],
+                           rtol=0, atol=1e-12)
+    for a, b in zip(rep.final_states, finals):
+        assert np.linalg.norm(a - b) <= 1e-12
+
+
+def test_each_route_runs_as_if_alone(monkeypatch):
+    # the paper's independent paths, by linearity: a route of a joint
+    # timeline that does not fall back ends as it would alone from the
+    # same start, up to the resting phase e^{-iv t} until the joint end
+    # no fallback: it would call run_schedule
+    monkeypatch.setattr(clsnet.routing, "run_schedule", None)
+    g, H = dll(3, 3)
+    plans = [plan_route(g, H, a, b) for a, b in
+             (((16, 17), (26, 27)), ((8, 9), (23, 24)), ((1, 2), (3, 4)))]
+    tl = schedule_multi(plans)
+    assert len(set(tl.starts)) < len(plans)  # some routes run at once
+    joint = simulate_route(g, H, tl)
+    for r, (plan, start) in enumerate(zip(plans, tl.starts)):
+        solo_tl = Timeline((plan,), (start,))
+        solo = simulate_route(g, H, solo_tl).final_states[0]
+        rest = np.exp(-1j * V * (tl.end - solo_tl.end))
+        assert np.linalg.norm(joint.final_states[r] - rest * solo) <= 1e-12
 
 
 def test_corner_to_corner_route_on_6x6():
@@ -858,6 +987,16 @@ def test_schedule_multi_builds_each_plans_holds_once(monkeypatch):
     assert built == Counter(id(p) for p in plans)
     # rejected delays were examined, each shifting the same holds
     assert len(shifted) > len(plans) and max(tl.starts) > 0.0
+
+
+def test_equal_graphs_share_hash_and_tables():
+    # the hash is taken once, at construction; equal lattices built
+    # apart hash and compare equal, so they share one set of tables
+    (g, _), (g2, _) = dll(4, 4), dll(4, 4)
+    assert g is not g2 and g == g2 and hash(g) == hash(g2)
+    assert hash(g) == hash((g.n_sites, g.edges, g.labels))
+    assert clsnet.routing._tables(g) is clsnet.routing._tables(g2)
+    assert dll(4, 3)[0] != g
 
 
 def test_dimer_adjacency_is_read_only():
