@@ -450,9 +450,6 @@ CRITERION_IDS = tuple(_REGISTRY)
 
 def run_criterion(cid, drifts=None):
     """Execute one criterion and wrap its checks in a report."""
-    if cid not in _REGISTRY:
-        raise KeyError(f"unknown criterion {cid!r}; known: "
-                       f"{', '.join(_REGISTRY)}")
     title, fn = _REGISTRY[cid]
     t0 = perf_counter()
     checks, drift = fn(drifts=drifts) if cid == "C13" else fn()
@@ -464,9 +461,6 @@ def run_criterion(cid, drifts=None):
 def run_all(ids=None):
     """Run the selected criteria (all by default), C13 fed by the rest."""
     selected = list(ids) if ids else list(CRITERION_IDS)
-    for cid in selected:
-        if cid not in _REGISTRY:
-            raise KeyError(f"unknown criterion {cid!r}")
     reports = []
     drifts = []
     for cid in selected:

@@ -19,12 +19,13 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cache
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,15 +53,6 @@ __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config",
            "cmd_spectrum", "cmd_simulate", "cmd_optimize", "cmd_route",
            "cmd_verify", "main"]
 
-_SYSTEMS = ("star", "seven", "dll")
-_ACTIONS = ("spectrum", "simulate", "optimize", "route")
-_SCHEDULE_VARIANTS = (*TRANSFER_VARIANTS, "generation", "reverse-generation",
-                      "piecewise-transfer", "optimized", "hold")
-_PROBLEMS = ("star-transfer", "star-creation", "seven-transfer",
-             "seven-creation")
-_OPT_MODES = ("evaluate", "refine", "search")
-
-
 class ConfigError(Exception):
     """Scenario config failed parsing or validation."""
 
@@ -87,14 +79,115 @@ class ScenarioConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
+# ------------------------------------------------------------- grammar
+
+_REQUIRED, _OMIT = object(), object()
+
+
+class _Key(NamedTuple):
+    """One config key.
+
+    ``type`` is float, int or str; ``"pair"`` (two site indices);
+    ``"couplings"`` (one finite number per network edge); the name of
+    a ``_GRAMMAR`` section, or ``[name]`` for a non-empty list of
+    them; or a dict of choices, each mapped to the conditions it
+    needs.  ``default`` may be a function of the choices made so far.
+    ``bounds`` are (operator, value) pairs.  ``only`` lists conditions
+    ``(choice, *accepted values)``; a choice is named by its key, a
+    ``kind`` by its section.
+    """
+
+    type: object
+    default: object = _REQUIRED
+    bounds: tuple = ()
+    only: tuple = ()
+
+
+def _reference_J(ctx):
+    """J of an action that starts from a reference pulse: the J that
+    pulse was made at.  Otherwise the star's."""
+    if "problem" in ctx and ctx.get("mode") != "search":
+        return crab.REFERENCE_PARAMS[ctx["problem"]].floor
+    return 0.25
+
+
+_STAR, _SEVEN, _DLL = ((("system", k),) for k in ("star", "seven", "dll"))
+_STAR_SEVEN = (("system", "star", "seven"),)
+_TRANSFER = ("variant", *TRANSFER_VARIANTS)
+_GENERATION = ("variant", "generation", "reverse-generation",
+               "piecewise-transfer")
+_OPTIMIZE = (("action", "optimize"),)
+_SEARCH = _OPTIMIZE + (("mode", "search"),)
+_PROBLEMS = {name: (("system", name.split("-")[0]),)
+             for name in crab.REFERENCE_PARAMS}
+
+_GRAMMAR = {
+    # the action before the parameters: a reference pulse sets J's default
+    "config": {
+        "system": _Key("system"),
+        "action": _Key("action"),
+        "parameters": _Key("parameters", {}),
+        "integrator": _Key("integrator", {}),
+        "seed": _Key(int, None),
+        "output": _Key("output", {}),
+    },
+    "system": {
+        "kind": _Key({"star": (), "seven": (), "dll": ()}),
+        "cells_x": _Key(int, bounds=((">=", 1),), only=_DLL),
+        "cells_y": _Key(int, bounds=((">=", 1),), only=_DLL),
+    },
+    "action": {
+        "kind": _Key({"spectrum": (), "simulate": _STAR_SEVEN,
+                      "optimize": _STAR_SEVEN, "route": _DLL}),
+        "schedule": _Key("schedule", only=(("action", "simulate"),)),
+        "problem": _Key(_PROBLEMS, only=_OPTIMIZE),
+        "mode": _Key(dict.fromkeys(("evaluate", "refine", "search"), ()),
+                     "evaluate", only=_OPTIMIZE),
+        "n_restarts": _Key(int, 32, ((">=", 1),), _SEARCH),
+        "max_evals": _Key(int, 20000, ((">=", 10),), _SEARCH),
+        "n_steps": _Key(int, _OMIT, ((">=", 8),), _OPTIMIZE),
+        "requests": _Key(["request"], only=(("action", "route"),)),
+    },
+    "schedule": {
+        "variant": _Key({**dict.fromkeys(TRANSFER_VARIANTS, _STAR_SEVEN),
+                         **dict.fromkeys(_GENERATION[1:], _STAR),
+                         "optimized": (), "hold": _STAR_SEVEN}),
+        "k1": _Key(int, only=(_TRANSFER, *_STAR)),
+        "k2": _Key(int, bounds=((">=", 0),), only=(_TRANSFER, *_STAR)),
+        "k": _Key(int, bounds=((">=", 0),), only=(_TRANSFER, *_SEVEN)),
+        "branch": _Key(int, bounds=((">=", 1), ("<=", 2)),
+                       only=(_GENERATION,)),
+        "k1p": _Key(int, only=(_GENERATION,)),
+        "k2p": _Key(int, only=(_GENERATION,)),
+        "problem": _Key(_PROBLEMS, only=(("variant", "optimized"),)),
+        "T": _Key(float, 0.0, ((">=", 0),), (("variant", "hold"),)),
+    },
+    "request": {
+        "source": _Key("pair"),
+        "destination": _Key("pair"),
+        "variant": _Key(dict.fromkeys(TRANSFER_VARIANTS, ()),
+                        "phase-flip-transfer"),
+        "dt": _Key(float, 1.0, ((">", 0),)),
+    },
+    "parameters": {
+        "J": _Key(float, _reference_J),
+        "v": _Key(float, 0.5),
+        "couplings": _Key("couplings", _OMIT, only=_STAR_SEVEN),
+        "J_prime": _Key(float, _OMIT, only=_STAR),
+        "J_inner": _Key(float, _OMIT, only=_SEVEN),
+    },
+    "integrator": {
+        "tol": _Key(float, 1e-11, ((">=", 1e-14), ("<=", 1e-6))),
+        "samples_per_segment": _Key(int, 33, ((">=", 2),)),
+    },
+    "output": {"dir": _Key(str, ".")},
+}
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
 def _expect(cond, where, msg):
     if not cond:
         raise ConfigError(f"{where}: {msg}")
-
-
-def _only_keys(d, allowed, where):
-    extra = sorted(set(d) - set(allowed))
-    _expect(not extra, where, f"unknown keys {extra}")
 
 
 def _is_finite_number(v):
@@ -103,177 +196,79 @@ def _is_finite_number(v):
         and math.isfinite(v)
 
 
-def _number(d, key, where, default=None, required=False):
-    if key not in d:
-        _expect(not required, where, f"missing required key {key!r}")
-        return default
-    v = d[key]
-    _expect(_is_finite_number(v), where, f"{key} must be a finite number")
-    return float(v)
+def _is_integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _integer(d, key, where, default=None, required=False, minimum=None):
-    if key not in d:
-        _expect(not required, where, f"missing required key {key!r}")
-        return default
-    v = d[key]
-    _expect(isinstance(v, int) and not isinstance(v, bool), where,
-            f"{key} must be an integer")
-    if minimum is not None:
-        _expect(v >= minimum, where, f"{key} must be >= {minimum}")
-    return v
+def _refusal(conditions, ctx):
+    """Why the choices in ``ctx`` rule out what ``conditions`` guard,
+    or None when they allow it."""
+    for choice, *accepted in conditions:
+        if ctx.get(choice) not in accepted:
+            return (f"does not run on {ctx.get(choice)} {choice}s, only on "
+                    f"{' or '.join(accepted)} {choice}s")
+    return None
 
 
-def _site_pair(obj, where):
-    _expect(isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool)
-                    for x in obj),
-            where, "expected a pair of site indices")
-    return [int(obj[0]), int(obj[1])]
-
-
-def _parse_system(raw):
-    _expect(isinstance(raw, dict), "system", "must be an object")
-    kind = raw.get("kind")
-    _expect(kind in _SYSTEMS, "system.kind", f"must be one of {_SYSTEMS}")
-    if kind == "dll":
-        _only_keys(raw, ("kind", "cells_x", "cells_y"), "system")
-        cx = _integer(raw, "cells_x", "system", required=True, minimum=1)
-        cy = _integer(raw, "cells_y", "system", required=True, minimum=1)
-        return {"kind": "dll", "cells_x": cx, "cells_y": cy}
-    _only_keys(raw, ("kind",), "system")
-    return {"kind": kind}
-
-
-def _parse_parameters(raw, system):
-    _expect(isinstance(raw, dict), "parameters", "must be an object")
-    kind = system["kind"]
-    allowed = {"star": ("J", "v", "couplings", "J_prime"),
-               "seven": ("J", "v", "couplings", "J_inner"),
-               "dll": ("J", "v")}[kind]
-    _only_keys(raw, allowed, "parameters")
+def _walk(raw, where, section, ctx):
+    """Check ``raw`` against ``_GRAMMAR[section]`` and fill in its
+    defaults; ``ctx`` collects the choices made so far."""
+    _expect(isinstance(raw, dict), where, "must be an object")
+    table = _GRAMMAR[section]
+    _expect(set(raw) <= set(table), where,
+            f"unknown keys {sorted(set(raw) - set(table))}")
     out = {}
-    out["J"] = _number(raw, "J", "parameters", default=0.25)
-    out["v"] = _number(raw, "v", "parameters", default=0.5)
-    if "couplings" in raw:
-        want = 4 if kind == "star" else 6
-        cs = raw["couplings"]
-        _expect(isinstance(cs, list) and len(cs) == want
-                and all(_is_finite_number(x) for x in cs),
-                "parameters.couplings",
-                f"must be a list of {want} finite numbers")
-        out["couplings"] = [float(x) for x in cs]
-    for key in ("J_prime", "J_inner"):
-        if key in raw:
-            out[key] = _number(raw, key, "parameters")
+    for key, rule in table.items():
+        why = _refusal(rule.only, ctx)
+        if why:
+            _expect(key not in raw, where, f"{key} {why}")
+            continue
+        v = raw.get(key, rule.default)
+        v = v(ctx) if callable(v) else v
+        if v is not _OMIT:
+            _expect(v is not _REQUIRED, where, f"missing required key {key!r}")
+            out[key] = _value(v, rule, key, where, ctx)
+            if isinstance(rule.type, dict):
+                ctx[section if key == "kind" else key] = out[key]
     return out
 
 
-def _problem(raw, kind, where):
-    problem = raw.get("problem")
-    _expect(problem in _PROBLEMS, where, f"problem must be one of {_PROBLEMS}")
-    _expect(problem.split("-")[0] == kind, where,
-            f"problem {problem} does not run on a {kind} system")
-    return problem
-
-
-def _parse_schedule(raw, system):
-    _expect(isinstance(raw, dict), "action.schedule", "must be an object")
-    variant = raw.get("variant")
-    _expect(variant in _SCHEDULE_VARIANTS, "action.schedule.variant",
-            f"must be one of {_SCHEDULE_VARIANTS}")
-    where = "action.schedule"
-    kind = system["kind"]
-    out = {"variant": variant}
-    if variant in TRANSFER_VARIANTS:
-        _expect(kind in ("star", "seven"), where,
-                f"{variant} needs a star or seven system, not {kind}")
-        if kind == "star":
-            _only_keys(raw, ("variant", "k1", "k2"), where)
-            out["k1"] = _integer(raw, "k1", where, required=True)
-            out["k2"] = _integer(raw, "k2", where, required=True, minimum=0)
-        else:
-            _only_keys(raw, ("variant", "k"), where)
-            out["k"] = _integer(raw, "k", where, required=True, minimum=0)
-    elif variant in ("generation", "reverse-generation",
-                     "piecewise-transfer"):
-        _expect(kind == "star", where, f"{variant} needs a star system")
-        _only_keys(raw, ("variant", "branch", "k1p", "k2p"), where)
-        out["branch"] = _integer(raw, "branch", where, required=True)
-        _expect(out["branch"] in (1, 2), where, "branch must be 1 or 2")
-        out["k1p"] = _integer(raw, "k1p", where, required=True)
-        out["k2p"] = _integer(raw, "k2p", where, required=True)
-    elif variant == "optimized":
-        _only_keys(raw, ("variant", "problem"), where)
-        out["problem"] = _problem(raw, kind, where)
-    else:  # hold
-        _expect(kind in ("star", "seven"), where,
-                "hold needs a star or seven system")
-        _only_keys(raw, ("variant", "T"), where)
-        T = _number(raw, "T", where, default=0.0)
-        _expect(T >= 0.0, where, "T must be >= 0")
-        out["T"] = T
-    return out
-
-
-def _parse_action(raw, system, seed):
-    _expect(isinstance(raw, dict), "action", "must be an object")
-    kind = raw.get("kind")
-    _expect(kind in _ACTIONS, "action.kind", f"must be one of {_ACTIONS}")
-    if kind == "spectrum":
-        _only_keys(raw, ("kind",), "action")
-        return {"kind": "spectrum"}
-    if kind == "simulate":
-        _only_keys(raw, ("kind", "schedule"), "action")
-        _expect("schedule" in raw, "action", "simulate needs a schedule")
-        return {"kind": "simulate",
-                "schedule": _parse_schedule(raw["schedule"], system)}
-    if kind == "optimize":
-        _only_keys(raw, ("kind", "problem", "mode", "n_restarts",
-                         "max_evals", "n_steps"), "action")
-        problem = _problem(raw, system["kind"], "action.problem")
-        mode = raw.get("mode", "evaluate")
-        _expect(mode in _OPT_MODES, "action.mode",
-                f"must be one of {_OPT_MODES}")
-        out = {"kind": "optimize", "problem": problem, "mode": mode}
-        if mode != "search":
-            for key in ("n_restarts", "max_evals"):
-                _expect(key not in raw, "action",
-                        f"{key} only applies to search mode")
-        else:
-            _expect(seed is not None, "seed",
-                    "a search action draws random bases; set a seed")
-            out["n_restarts"] = _integer(raw, "n_restarts", "action",
-                                         default=32, minimum=1)
-            out["max_evals"] = _integer(raw, "max_evals", "action",
-                                        default=20000, minimum=10)
-        if raw.get("n_steps") is not None:
-            out["n_steps"] = _integer(raw, "n_steps", "action", minimum=8)
-        return out
-    # route
-    _only_keys(raw, ("kind", "requests"), "action")
-    _expect(system["kind"] == "dll", "action",
-            "route actions need a dll system")
-    reqs = raw.get("requests")
-    _expect(isinstance(reqs, list) and reqs, "action.requests",
-            "must be a non-empty list")
-    parsed = []
-    for i, r in enumerate(reqs):
-        where = f"action.requests[{i}]"
-        _expect(isinstance(r, dict), where, "must be an object")
-        _only_keys(r, ("source", "destination", "variant", "dt"), where)
-        item = {
-            "source": _site_pair(r.get("source"), where + ".source"),
-            "destination": _site_pair(r.get("destination"),
-                                      where + ".destination"),
-            "variant": r.get("variant", "phase-flip-transfer"),
-            "dt": _number(r, "dt", where, default=1.0),
-        }
-        _expect(item["variant"] in TRANSFER_VARIANTS,
-                where, "unknown transfer variant")
-        _expect(item["dt"] > 0, where, "dt must be positive")
-        parsed.append(item)
-    return {"kind": "route", "requests": parsed}
+def _value(v, rule, key, where, ctx):
+    """``v`` checked against ``rule`` and normalized."""
+    t, path = rule.type, key if where == "config" else f"{where}.{key}"
+    if v is None and rule.default is None:
+        return None  # null is accepted only where it is the default
+    if isinstance(t, dict):
+        _expect(isinstance(v, str) and v in t, path,
+                f"must be one of {tuple(t)}")
+        why = _refusal(t[v], ctx)
+        _expect(not why, path, f"{v} {why}")
+        return v
+    if isinstance(t, list):
+        _expect(isinstance(v, list) and v, path, "must be a non-empty list")
+        return [_walk(x, f"{path}[{i}]", t[0], ctx) for i, x in enumerate(v)]
+    if t in _GRAMMAR:
+        return _walk(v, path, t, ctx)
+    if t == "couplings":
+        n = 4 if ctx["system"] == "star" else 6
+        _expect(isinstance(v, list) and len(v) == n
+                and all(map(_is_finite_number, v)), path,
+                f"must be a list of {n} finite numbers")
+        return [float(x) for x in v]
+    if t == "pair":
+        _expect(isinstance(v, list) and len(v) == 2
+                and all(map(_is_integer, v)), path,
+                "expected a pair of site indices")
+        return list(v)
+    if t is str:
+        _expect(isinstance(v, str), path, "must be a string")
+        return v
+    _expect(_is_finite_number(v) if t is float else _is_integer(v), where,
+            f"{key} must be " + ("a finite number" if t is float
+                                 else "an integer"))
+    for op, bound in rule.bounds:
+        _expect(_OPS[op](v, bound), where, f"{key} must be {op} {bound}")
+    return float(v) if t is float else v
 
 
 def parse_config(text, source="config"):
@@ -287,40 +282,12 @@ def parse_config(text, source="config"):
     except json.JSONDecodeError as e:
         raise ConfigError(
             f"{source}:{e.lineno}:{e.colno}: {e.msg}") from e
-    _expect(isinstance(raw, dict), "config", "top level must be an object")
-    _only_keys(raw, ("system", "parameters", "action", "integrator",
-                     "seed", "output"), "config")
-    _expect("system" in raw, "config", "missing required section system")
-    _expect("action" in raw, "config", "missing required section action")
-    system = _parse_system(raw["system"])
-    parameters = _parse_parameters(raw.get("parameters", {}), system)
-
-    seed = raw.get("seed")
-    if seed is not None:
-        _expect(isinstance(seed, int) and not isinstance(seed, bool),
-                "seed", "must be an integer")
-
-    integ = raw.get("integrator", {})
-    _expect(isinstance(integ, dict), "integrator", "must be an object")
-    _only_keys(integ, ("tol", "samples_per_segment"), "integrator")
-    tol = _number(integ, "tol", "integrator", default=1e-11)
-    _expect(1e-14 <= tol <= 1e-6, "integrator.tol",
-            "must lie in [1e-14, 1e-6]")
-    spp = _integer(integ, "samples_per_segment", "integrator", default=33,
-                   minimum=2)
-
-    out = raw.get("output", {})
-    _expect(isinstance(out, dict), "output", "must be an object")
-    _only_keys(out, ("dir",), "output")
-    out_dir = out.get("dir", ".")
-    _expect(isinstance(out_dir, str), "output.dir", "must be a string")
-
-    action = _parse_action(raw["action"], system, seed)
-    return ScenarioConfig(system=system, parameters=parameters,
-                          action=action,
-                          integrator={"tol": tol,
-                                      "samples_per_segment": spp},
-                          seed=seed, output={"dir": out_dir})
+    ctx = {}
+    sc = ScenarioConfig(**_walk(raw, "config", "config", ctx))
+    _expect(ctx.get("mode") != "search" or sc.seed is not None
+            and sc.seed >= 0, "seed",
+            "a search action draws random bases; set a seed >= 0")
+    return sc
 
 
 def load_config(path):
@@ -611,11 +578,10 @@ def cmd_route(sc, out_dir):
 
 
 def cmd_verify(criterion, out_dir):
-    ids = [criterion] if criterion else None
-    try:
-        reports = acceptance.run_all(ids)
-    except KeyError as e:
-        raise ConfigError(str(e.args[0])) from e
+    _expect(criterion in (None, *acceptance.CRITERION_IDS), "--criterion",
+            f"unknown criterion {criterion!r}; known: "
+            f"{', '.join(acceptance.CRITERION_IDS)}")
+    reports = acceptance.run_all([criterion] if criterion else None)
     table = []
     for r in reports:
         print(r.line())

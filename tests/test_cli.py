@@ -53,31 +53,6 @@ def test_parse_fills_defaults():
     assert sc.output == {"dir": "."}
 
 
-def test_parse_emit_round_trip(tmp_path):
-    docs = [
-        star_transfer_doc(tmp_path),
-        {"system": {"kind": "seven"},
-         "parameters": {"J": 1.0, "v": 0.0},
-         "action": {"kind": "spectrum"}},
-        {"system": {"kind": "dll", "cells_x": 3, "cells_y": 3},
-         "parameters": {"J": 0.25, "v": 0.5},
-         "action": {"kind": "route",
-                    "requests": [{"source": [16, 17],
-                                  "destination": [26, 27]}]},
-         "seed": 4},
-        {"system": {"kind": "star"},
-         "action": {"kind": "optimize", "problem": "star-creation",
-                    "mode": "search", "n_restarts": 4, "max_evals": 500},
-         "seed": 9},
-    ]
-    for doc in docs:
-        sc = parse_config(json.dumps(doc))
-        # the path --seed/--tol/--out overrides take
-        again = parse_config(json.dumps(sc.as_dict()))
-        assert again == sc
-        assert again.digest() == sc.digest()
-
-
 def test_digest_ignores_output_dir_only():
     base = {"system": {"kind": "star"}, "action": {"kind": "spectrum"}}
     a = parse_config(json.dumps(dict(base, output={"dir": "a"})))
@@ -143,6 +118,16 @@ def test_digest_ignores_output_dir_only():
       "action": {"kind": "route", "requests": [
           {"source": [True, 2], "destination": [6, 7]}]}},
      "action.requests[0].source: expected a pair of site indices"),
+    # numpy draws from no negative seed
+    ({"system": {"kind": "star"},
+      "action": {"kind": "optimize", "problem": "star-transfer",
+                 "mode": "search"}, "seed": -1},
+     "seed: a search action draws random bases; set a seed >= 0"),
+    # null is the default of seed alone
+    ({"system": {"kind": "star"},
+      "action": {"kind": "optimize", "problem": "star-transfer",
+                 "n_steps": None}},
+     "action: n_steps must be an integer"),
 ])
 def test_parse_rejects_bad_sections(doc, fragment):
     with pytest.raises(ConfigError, match=re.escape(fragment)):
@@ -460,6 +445,30 @@ def test_reference_pulse_runs_at_configured_J(tmp_path):
                                                    abs=1e-6)
 
 
+@pytest.mark.parametrize("problem", ["seven-transfer", "seven-creation"])
+def test_reference_pulse_defaults_to_its_own_J(tmp_path, problem):
+    # with no parameters.J, evaluate and the optimized simulate variant
+    # run the seven-site reference pulse at the J it was made at, not
+    # at the star's 0.25
+    J = 1 / (4 * np.sqrt(2.0))
+    summaries = {}
+    for command, action in (
+            ("optimize", {"kind": "optimize", "problem": problem,
+                          "mode": "evaluate"}),
+            ("simulate", {"kind": "simulate", "schedule": {
+                "variant": "optimized", "problem": problem}})):
+        out = tmp_path / command
+        path = write_config(tmp_path, {
+            "system": {"kind": "seven"}, "action": action,
+            "output": {"dir": str(out)}}, name=f"{command}.json")
+        assert cli.main([command, "--config", path]) == 0
+        summaries[command] = summary = load_summary(out)
+        assert summary["parameters"]["J"] == J
+    assert summaries["optimize"]["infidelity"] <= 1e-6
+    assert summaries["optimize"]["report"]["params"]["floor"] == J
+    assert summaries["simulate"]["fidelity"] >= 1 - 1e-6
+
+
 def test_optimize_seed_determinism(tmp_path):
     doc = {
         "system": {"kind": "star"},
@@ -653,6 +662,19 @@ def test_verify_unknown_criterion(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 2
 
 
+def test_verify_criterion_key_error_is_not_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    from clsnet import acceptance
+
+    def broken():
+        return {}["missing"]
+
+    monkeypatch.setitem(acceptance._REGISTRY, "C1", ("broken", broken))
+    with pytest.raises(KeyError, match="missing"):
+        cli.main(["verify", "--criterion", "C1", "--out", str(tmp_path)])
+    assert "config error" not in capsys.readouterr().err
+
+
 def test_verify_names_failed_criterion_on_fault(tmp_path, capsys,
                                                 monkeypatch):
     import clsnet.evolve as evolve
@@ -717,88 +739,94 @@ def test_console_entry_point(tmp_path):
 _NUMBER = st.one_of(st.floats(-4.0, 4.0),
                     st.floats(allow_nan=False, allow_infinity=False))
 _INDEX = st.one_of(st.integers(-3, 8), st.integers(-10**15, 10**15))
-_PROBLEMS = {"star": ("star-transfer", "star-creation"),
-             "seven": ("seven-transfer", "seven-creation")}
+# speed limits; a key listed here is always drawn
+_LIMITS = {"cells_x": st.integers(1, 3), "cells_y": st.integers(1, 3),
+           "n_restarts": st.integers(1, 2), "max_evals": st.integers(10, 50),
+           "n_steps": st.integers(8, 64),
+           "samples_per_segment": st.integers(2, 40),
+           "seed": st.integers(0, 2**32)}
 
 
-def _schedule(draw, kind):
-    variant = draw(st.sampled_from(
-        ("phase-flip-transfer", "hopping-flip-transfer", "optimized", "hold")
-        + (("generation", "reverse-generation", "piecewise-transfer")
-           if kind == "star" else ())))
-    if variant == "optimized":
-        return {"variant": variant,
-                "problem": draw(st.sampled_from(_PROBLEMS[kind]))}
-    if variant == "hold":
-        return {"variant": variant, "T": abs(draw(_NUMBER))}
-    if variant in ("generation", "reverse-generation", "piecewise-transfer"):
-        return {"variant": variant, "branch": draw(st.sampled_from((1, 2))),
-                "k1p": draw(_INDEX), "k2p": draw(_INDEX)}
-    keys = ("k1", "k2") if kind == "star" else ("k",)
-    return dict({"variant": variant}, **{k: draw(_INDEX) for k in keys})
+def _number(rule):
+    """A number inside the key's bounds: a range where they close it,
+    else a _NUMBER or an _INDEX."""
+    bounds = dict(rule.bounds)
+    if ">=" in bounds and "<=" in bounds:
+        make = st.floats if rule.type is float else st.integers
+        return make(bounds[">="], bounds["<="])
+    return (_NUMBER if rule.type is float else _INDEX).filter(
+        lambda x: all(cli._OPS[op](x, b) for op, b in rule.bounds))
 
 
-def _route_requests(draw, cells_x, cells_y):
-    dimers = st.sampled_from(build_dll(cells_x, cells_y, 1.0, 0.0)[0].dimers())
-    requests = []
-    for _ in range(draw(st.integers(1, 3))):
-        r = {"source": list(draw(dimers)),
-             "destination": list(draw(dimers))}
-        if draw(st.booleans()):
-            r["variant"] = draw(st.sampled_from(("phase-flip-transfer",
-                                                 "hopping-flip-transfer")))
-        if draw(st.booleans()):
-            r["dt"] = abs(draw(_NUMBER)) or 1.0
-        requests.append(r)
-    return requests
+def _branches(section, ctx):
+    """Every system, action and schedule variant the grammar allows
+    together below ``section``, named as parse_config names them; a
+    problem, a mode and a route's request variants are left to the
+    draw."""
+    ways = [ctx]
+    for key, rule in cli._GRAMMAR[section].items():
+        t, name = rule.type, section if key == "kind" else key
+        more = []
+        for c in ways:
+            if cli._refusal(rule.only, c):
+                more.append(c)
+            elif isinstance(t, dict) and key in ("kind", "variant"):
+                more += [dict(c, **{name: v}) for v in t
+                         if not cli._refusal(t[v], c)]
+            elif isinstance(t, str) and t in cli._GRAMMAR:
+                more += _branches(t, c)
+            else:
+                more.append(c)
+        ways = more
+    return ways
+
+
+# a draw picks a branch first, so each is drawn about as often
+_BRANCHES = _branches("config", {})
+
+
+def _value(draw, rule, key, section, ctx, branch):
+    t, name = rule.type, section if key == "kind" else key
+    if isinstance(t, dict):
+        v = branch[name] if name in branch else draw(st.sampled_from(
+            [c for c in t if not cli._refusal(t[c], ctx)]))
+    elif isinstance(t, list):
+        return [_section(draw, t[0], ctx, branch)
+                for _ in range(draw(st.integers(1, 3)))]
+    elif t in cli._GRAMMAR:
+        return _section(draw, t, ctx, branch)
+    elif t == "pair":
+        graph = build_dll(ctx["cells_x"], ctx["cells_y"], 1.0, 0.0)[0]
+        return list(draw(st.sampled_from(graph.dimers())))
+    elif t == "couplings":
+        n = 4 if ctx["system"] == "star" else 6
+        return draw(st.lists(_NUMBER, min_size=n, max_size=n))
+    else:
+        v = draw(_LIMITS.get(key, _number(rule)))
+    # the choices, as parse_config names them, and the cells of a pair
+    ctx[name] = v
+    return v
+
+
+def _section(draw, section, ctx, branch):
+    doc = {}
+    for key, rule in cli._GRAMMAR[section].items():
+        # output.dir is the test's to set
+        if cli._refusal(rule.only, ctx) or rule.type is str:
+            continue
+        chosen = branch.get(section if key == "kind" else key, rule.default)
+        if rule.default is cli._REQUIRED or key in _LIMITS or \
+                chosen != rule.default or draw(st.booleans()):
+            doc[key] = _value(draw, rule, key, section, ctx, branch)
+    return doc
 
 
 @st.composite
 def _configs(draw):
-    """(command, config) from the grammar parse_config accepts, sized
-    only for speed: cells <= 3, n_restarts <= 2, max_evals <= 50,
-    n_steps <= 64."""
-    kind = draw(st.sampled_from(("star", "seven", "dll")))
-    system = {"kind": kind}
-    if kind == "dll":
-        system.update(cells_x=draw(st.integers(1, 3)),
-                      cells_y=draw(st.integers(1, 3)))
-    params = {k: draw(_NUMBER) for k in ("J", "v") if draw(st.booleans())}
-    if kind != "dll":
-        if draw(st.booleans()):
-            params["couplings"] = draw(st.lists(
-                _NUMBER, min_size=4 if kind == "star" else 6,
-                max_size=4 if kind == "star" else 6))
-        extra = "J_prime" if kind == "star" else "J_inner"
-        if draw(st.booleans()):
-            params[extra] = draw(_NUMBER)
-    command = draw(st.sampled_from(
-        ("route", "spectrum") if kind == "dll"
-        else ("simulate", "optimize", "spectrum")))
-    doc = {"system": system, "parameters": params}
-    if command == "spectrum":
-        doc["action"] = {"kind": "spectrum"}
-    elif command == "route":
-        doc["action"] = {"kind": "route", "requests": _route_requests(
-            draw, system["cells_x"], system["cells_y"])}
-    elif command == "simulate":
-        doc["action"] = {"kind": "simulate",
-                         "schedule": _schedule(draw, kind)}
-    else:
-        mode = draw(st.sampled_from(("evaluate", "refine", "search")))
-        action = {"kind": "optimize", "mode": mode,
-                  "problem": draw(st.sampled_from(_PROBLEMS[kind])),
-                  "n_steps": draw(st.integers(8, 64))}
-        if mode == "search":
-            action.update(n_restarts=draw(st.integers(1, 2)),
-                          max_evals=draw(st.integers(10, 50)))
-            doc["seed"] = draw(st.integers(0, 2**32))
-        doc["action"] = action
-    if draw(st.booleans()):
-        doc["integrator"] = {
-            "tol": draw(st.floats(1e-14, 1e-6)),
-            "samples_per_segment": draw(st.integers(2, 40))}
-    return command, doc
+    """(command, config) drawn by walking parse_config's grammar, with
+    its choices and bounds, sized only for speed by _LIMITS."""
+    doc = _section(draw, "config", {}, draw(st.sampled_from(_BRANCHES)))
+    return doc["action"]["kind"], doc
 
 
 def _fidelities(summary):
@@ -808,8 +836,8 @@ def _fidelities(summary):
         yield from (j["fidelity"] for j in route["per_jump"])
 
 
-def _star_simulate(schedule, **params):
-    return "simulate", {"system": {"kind": "star"}, "parameters": params,
+def _simulate(schedule, system="star", **params):
+    return "simulate", {"system": {"kind": system}, "parameters": params,
                         "action": {"kind": "simulate", "schedule": schedule}}
 
 
@@ -817,8 +845,8 @@ def _star_simulate(schedule, **params):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_configs())
 # overflowed couplings: NaN fidelities and infinite eigenvalues
-@example(case=_star_simulate({"variant": "hold", "T": 1.0},
-                             couplings=[1e308] * 4))
+@example(case=_simulate({"variant": "hold", "T": 1.0},
+                        couplings=[1e308] * 4))
 @example(case=("spectrum", {"system": {"kind": "star"},
                             "parameters": {"couplings": [1e308] * 4},
                             "action": {"kind": "spectrum"}}))
@@ -833,13 +861,13 @@ def _star_simulate(schedule, **params):
     "parameters": {"J": 3.0, "v": -195.40312197264132, "J_inner": 0.5},
     "action": {"kind": "simulate",
                "schedule": {"variant": "hold", "T": 1.0}}}))
-@example(case=_star_simulate({"variant": "generation", "branch": 1,
-                              "k1p": 1, "k2p": 0}, J_prime=1e300))
-@example(case=_star_simulate({"variant": "generation", "branch": 1,
-                              "k1p": 1, "k2p": 0}, J_prime=1e-300))
+@example(case=_simulate({"variant": "generation", "branch": 1,
+                         "k1p": 1, "k2p": 0}, J_prime=1e300))
+@example(case=_simulate({"variant": "generation", "branch": 1,
+                         "k1p": 1, "k2p": 0}, J_prime=1e-300))
 # a flip index whose sector phases miss, and a jump window that collapses
-@example(case=_star_simulate({"variant": "phase-flip-transfer",
-                              "k1": 0, "k2": 10**12}))
+@example(case=_simulate({"variant": "phase-flip-transfer",
+                         "k1": 0, "k2": 10**12}))
 @example(case=("route", {
     "system": {"kind": "dll", "cells_x": 1, "cells_y": 1},
     "action": {"kind": "route", "requests": [
@@ -849,6 +877,24 @@ def _star_simulate(schedule, **params):
     "system": {"kind": "dll", "cells_x": 1, "cells_y": 2},
     "action": {"kind": "route", "requests": [
         {"source": [1, 2], "destination": [6, 7], "dt": 8e-82}]}}))
+# ordinary configs on branches a derandomized run need not reach
+@example(case=_simulate({"variant": "generation", "branch": 2,
+                         "k1p": 0, "k2p": 1}))
+@example(case=_simulate({"variant": "hold", "T": 2.0}))
+@example(case=_simulate({"variant": "phase-flip-transfer", "k": 1},
+                        system="seven"))
+@example(case=_simulate({"variant": "optimized",
+                         "problem": "seven-transfer"}, system="seven"))
+@example(case=("optimize", {
+    "system": {"kind": "star"},
+    "action": {"kind": "optimize", "problem": "star-creation",
+               "mode": "refine", "n_steps": 64}}))
+@example(case=("spectrum", {"system": {"kind": "seven"},
+                            "parameters": {"J_inner": 0.5},
+                            "action": {"kind": "spectrum"}}))
+@example(case=("spectrum", {"system": {"kind": "dll", "cells_x": 2,
+                                       "cells_y": 3},
+                            "action": {"kind": "spectrum"}}))
 def test_every_config_exits_honestly(case):
     # exit 0 finished, 2 a bad config, 3 a numerical failure; nothing
     # escapes (warnings are errors here), and an exit-0 summary holds
@@ -865,3 +911,13 @@ def test_every_config_exits_honestly(case):
             assert "NaN" not in text and "Infinity" not in text
             for f in _fidelities(json.loads(text)):
                 assert f is None or 0.0 <= f <= 1.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_configs())
+def test_parse_emit_round_trip(case):
+    # the path --seed/--tol/--out overrides take; every draw parses
+    sc = parse_config(json.dumps(case[1]))
+    again = parse_config(json.dumps(sc.as_dict()))
+    assert again == sc
+    assert again.digest() == sc.digest()
