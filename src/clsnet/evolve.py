@@ -32,10 +32,13 @@ flips (phase flips on the state, sign flips on couplings, each applied
 by the flip itself) and evolution segments.  No item carries a time:
 the clock starts at 0, each segment advances it by its duration, and a
 flip acts at the instant between two segments.  Pulses inside a
-segment run on a segment-local clock starting at 0.  When a segment
-with its own Hamiltonian ends, its end snapshot becomes the working
-Hamiltonian for whatever follows, so reconfigurations (e.g. swapping
-which couplings are active) are expressed by consecutive segments.
+segment run on a segment-local clock starting at 0.  The static matrix
+in force starts as the base; a hopping flip negates its entry, and a
+segment with its own Hamiltonian leaves its end snapshot behind, so
+reconfigurations (e.g. swapping which couplings are active) are
+expressed by consecutive segments.  :meth:`ProtocolSchedule.walk` is
+the one place that applies this rule; running a schedule, its end
+Hamiltonian and the routing support walk all read it.
 A fidelity lies in [0, 1], or computing it raises.
 """
 
@@ -99,13 +102,11 @@ def evolve_static(H, psi0, t):
 
 
 def _static_samples(M, psi0, durations):
-    """States after each duration in ``durations`` under static M."""
+    """States after each duration in ``durations`` under static M: one
+    per duration, each shaped as ``psi0``, (n,) or (n, k)."""
     w, V = np.linalg.eigh(M)
-    coef = (V.conj().T @ np.asarray(psi0, dtype=complex)).T
     phases = np.exp(-1j * np.multiply.outer(np.asarray(durations, float), w))
-    if coef.ndim == 2:
-        phases = phases[:, None, :]
-    return np.moveaxis((phases * coef) @ V.T, -1, 1)
+    return (V * phases[:, None]) @ (V.conj().T @ np.asarray(psi0, complex))
 
 
 def _chain_product(stack):
@@ -379,10 +380,9 @@ class HoppingFlip:
 class Segment:
     """Evolution over ``duration``.  ``H`` overrides the working Hamiltonian.
 
-    With H=None the segment evolves under the schedule's working
-    Hamiltonian (base plus accumulated coupling flips).  A segment
-    with its own H runs the pulses on a clock starting at 0, and its
-    end snapshot becomes the working Hamiltonian afterwards.
+    With H=None the segment evolves under the static matrix in force
+    (see :meth:`ProtocolSchedule.walk`).  A segment with its own H runs
+    the pulses on a clock starting at 0.
     """
 
     duration: float
@@ -443,6 +443,23 @@ class ProtocolSchedule:
         """Sum of the segment durations: where the clock ends."""
         return sum((item.duration for item in self.items
                     if isinstance(item, Segment)), 0.0)
+
+    def walk(self):
+        """Yield (t, item, M) per item: the clock t at which the item acts
+        and the static matrix M in force once it has acted.  M starts as
+        the base; a hopping flip negates its entry on a copy, and a
+        segment with its own H leaves ``evaluate_at(H, duration)``, so a
+        matrix once yielded never changes."""
+        M, t = self.base.base, 0.0
+        for item in self.items:
+            if isinstance(item, HoppingFlip):
+                M = M.copy()
+                item.negate(M)
+            elif isinstance(item, Segment) and item.H is not None:
+                M = evaluate_at(item.H, item.duration)
+            yield t, item, M
+            if isinstance(item, Segment):
+                t += item.duration
 
 
 @dataclass(frozen=True)
@@ -508,16 +525,13 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
             times.append(float(t))
             kept.append(np.array(psi, dtype=complex))
 
-    working = np.array(s.base.base)
-    clock = 0.0
-    put(clock, psi)
-    for item in s.items:
+    put(0.0, psi)
+    for clock, item, M in s.walk():
         if isinstance(item, PhaseFlip):
             psi = item.apply(psi)
             events.append((clock, "phase-flip", f"site={item.site}"))
             put(clock, psi)
         elif isinstance(item, HoppingFlip):
-            item.negate(working)
             i, j = item.entry
             events.append((clock, "hopping-flip", f"entry=({i},{j})"))
         else:
@@ -525,7 +539,6 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
             taus = item.duration * np.arange(1, n_chunks + 1) / n_chunks
             taus[-1] = item.duration  # the last sample sits on the clock
             if item.H is None or item.H.static:
-                M = working if item.H is None else np.asarray(item.H.base)
                 states = _static_samples(M, psi, taus)
             else:
                 _, samples = _propagate(item.H, psi, 0.0, item.duration, tol,
@@ -534,23 +547,14 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
             for tau, state in zip(taus, states):
                 put(clock + tau, state)
             psi = states[-1].copy()
-            end = clock + item.duration
-            events.append((clock, "segment", f"t={clock:g}..{end:g}"))
-            clock = end
-            if item.H is not None:
-                working = evaluate_at(item.H, item.duration)
+            events.append((clock, "segment",
+                           f"t={clock:g}..{clock + item.duration:g}"))
     return Trajectory(np.asarray(times), np.asarray(kept), tuple(events))
 
 
 def end_hamiltonian(s):
     """Static matrix the schedule leaves behind after its last item."""
-    working = np.array(s.base.base)
-    for item in s.items:
-        if isinstance(item, HoppingFlip):
-            item.negate(working)
-        elif isinstance(item, Segment) and item.H is not None:
-            working = evaluate_at(item.H, item.duration)
-    return working
+    return np.array([s.base.base, *(M for *_, M in s.walk())][-1])
 
 
 def _mirrored(seg):

@@ -42,10 +42,11 @@ from .evolve import (
     PhaseFlip,
     ProtocolSchedule,
     Segment,
+    _static_samples,
     fidelity,
     run_schedule,
 )
-from .lattice import LinearRamp, TimedHamiltonian, evaluate_at
+from .lattice import LinearRamp, TimedHamiltonian
 from .protocols import TRANSFER_VARIANTS, StarTransferParams, \
     build_schedule, transfer_member_for
 from .spectral import dimer_state
@@ -136,11 +137,16 @@ class Timeline:
     starts: tuple
 
     @cached_property
+    def jumps(self):
+        """Per route, its jumps' (jump, t0, t1, holds) from its start."""
+        return tuple(tuple(_shifted(_jump_holds(plan), start))
+                     for plan, start in zip(self.routes, self.starts))
+
+    @cached_property
     def busy(self):
         """Per route, the (center, t0, t1) window of each jump."""
-        return tuple(tuple((j.star.center, t0, t1) for j, t0, t1, _ in
-                           _shifted(_jump_holds(plan), start))
-                     for plan, start in zip(self.routes, self.starts))
+        return tuple(tuple((j.star.center, t0, t1) for j, t0, t1, _ in row)
+                     for row in self.jumps)
 
     @property
     def end(self):
@@ -416,8 +422,8 @@ def verify_timeline(tl):
     hold a coupling at overlapping times other than as ramps with the
     same window and ramp time."""
     index = {}
-    for r, (plan, start) in enumerate(zip(tl.routes, tl.starts)):
-        clash = _admit(index, _shifted(_jump_holds(plan), start), r)
+    for r, jumps in enumerate(tl.jumps):
+        clash = _admit(index, jumps, r)
         if clash is not None:
             c, a0, a1, e, (c2, b0, b1, _, r2) = clash
             what = f"occupy star {c}" if c == c2 else f"hold coupling {e}"
@@ -449,8 +455,8 @@ def timeline_schedule(graph, H, tl):
     """
     verify_timeline(tl)
     ramps, flips, star_items, bounds = [], {}, {}, {0.0}
-    for plan, start in zip(tl.routes, tl.starts):
-        for j, t0, t1, _ in _shifted(_jump_holds(plan), start):
+    for row in tl.jumps:
+        for j, t0, t1, _ in row:
             sv = j.star
             bounds.add(t1)
             down_end, up_start = t0 + j.dt, t1 - j.dt
@@ -526,10 +532,9 @@ def _walk_supports(tl, windows, schedule, psi):
                 return list(star.sites if t0 < b2 else star.dimer_in)
         return list(tl.routes[r].destination)
 
-    psi, leak, reads = psi + 0j, np.zeros(k), {}
+    psi, leak, reads, foreign = psi + 0j, np.zeros(k), {}, False
     norms = [np.linalg.norm(psi, axis=0)]
-    foreign, working, clock = False, np.array(schedule.base.base), 0.0
-    for item in schedule.items:
+    for clock, item, M in schedule.walk():
         if not isinstance(item, Segment):
             on = {item.site} if isinstance(item, PhaseFlip) else {*item.entry}
             # a route's own flips act inside its star; two sites: a rest
@@ -537,12 +542,9 @@ def _walk_supports(tl, windows, schedule, psi):
                            (support(r, clock, clock) for r in range(k)))
             if isinstance(item, PhaseFlip):
                 psi = item.apply(psi)
-            else:
-                item.negate(working)
             continue
         d, end = item.duration, clock + item.duration
         taus = np.append(d * _GL_X, d)
-        M = working if item.H is None else item.H.base
         for r in range(k):
             S = support(r, clock, end)
             cols = np.repeat(M[:, S][None], len(taus), axis=0)
@@ -553,9 +555,7 @@ def _walk_supports(tl, windows, schedule, psi):
                             return None
                         cols[:, a, S.index(b)] = pulse.value(taus)
             # H[S, S] is static here: one spectral step on at most 5 sites
-            w, V = np.linalg.eigh(M[np.ix_(S, S)])
-            states = (V * np.exp(-1j * np.outer(taus, w))[:, None]) @ \
-                (V.T @ psi[S, r])
+            states = _static_samples(M[np.ix_(S, S)], psi[S, r], taus)
             cols[:, S] = 0.0
             rates = np.linalg.norm(cols @ states[..., None], axis=(1, 2))
             # the Duhamel integral, and the norm dropped outside S
@@ -566,8 +566,6 @@ def _walk_supports(tl, windows, schedule, psi):
         norms.append(np.linalg.norm(psi, axis=0))
         if end in ends:
             reads[end] = psi.copy()
-        working = working if item.H is None else evaluate_at(item.H, d)
-        clock = end
     drift = float(np.max(np.abs(np.array(norms) - 1.0), initial=0.0))
     return psi, reads, drift, tuple(leak.tolist()), foreign
 
@@ -592,9 +590,7 @@ def simulate_route(graph, H, tl, tol=1e-11):
     the final states, the largest norm drift over segment ends and the
     leak bounds."""
     n = graph.n_sites
-    windows = [[(t0, t1, j.star) for j, t0, t1, _ in
-                _shifted(_jump_holds(plan), start)]
-               for plan, start in zip(tl.routes, tl.starts)]
+    windows = [[(t0, t1, j.star) for j, t0, t1, _ in row] for row in tl.jumps]
     schedule = timeline_schedule(graph, H, tl)
     psi0 = np.reshape([dimer_state(n, plan.source) for plan in tl.routes],
                       (-1, n)).T

@@ -32,6 +32,7 @@ from clsnet.lattice import (
     evaluate_grid,
 )
 from clsnet.lattice import _sample_block
+from clsnet.protocols import GenerationParams, build_schedule
 from clsnet.routing import build_ramp, extract_star
 
 S2 = np.sqrt(2.0)
@@ -468,6 +469,51 @@ class TestEndHamiltonian:
                              {(0, 2): LinearRamp(0.25, 0.9, 1.0)})
         s = ProtocolSchedule(star_quarter(), (Segment(1.0, H),))
         assert end_hamiltonian(s)[0, 2] == pytest.approx(0.9)
+
+
+def _walk_schedules():
+    """A hopping-flip transfer, piecewise-transfer (a static-H segment)
+    and a pulsed ramp between flips and plain segments."""
+    ramp = TimedHamiltonian(star_quarter().base,
+                            {(0, 2): LinearRamp(0.25, 0.9, 1.0)})
+    ramped = ProtocolSchedule(star_quarter(), (
+        HoppingFlip((2, 3)), Segment(0.4), Segment(1.0, ramp),
+        PhaseFlip(1), HoppingFlip((2, 4)), Segment(0.3), Segment(0.7)))
+    piecewise = build_schedule("piecewise-transfer",
+                               GenerationParams(2, 0, 1, 3 * S2 / 4))
+    return {"hopping": hopping_flip_schedule(), "piecewise": piecewise,
+            "ramped": ramped}
+
+
+class TestWalk:
+    @pytest.mark.parametrize("name", ["hopping", "piecewise", "ramped"])
+    def test_walk_threads_the_matrix_in_force(self, name):
+        s = _walk_schedules()[name]
+        # each matrix is copied the moment it is yielded
+        steps = [(t, item, M, np.array(M)) for t, item, M in s.walk()]
+        assert [item for _, item, _, _ in steps] == list(s.items)
+        clock, prev = 0.0, s.base.base
+        for t, item, M, snap in steps:
+            assert t == clock
+            if isinstance(item, HoppingFlip):
+                expected = np.array(prev)
+                item.negate(expected)
+                np.testing.assert_array_equal(snap, expected)
+            elif isinstance(item, Segment) and item.H is not None:
+                np.testing.assert_array_equal(
+                    snap, evaluate_at(item.H, item.duration))
+                if item.H.static:
+                    np.testing.assert_array_equal(snap, item.H.base)
+            else:
+                np.testing.assert_array_equal(snap, prev)
+            if isinstance(item, Segment):
+                clock += item.duration
+            prev = snap
+        assert clock == s.duration
+        np.testing.assert_array_equal(prev, end_hamiltonian(s))
+        # walking on never changes a matrix already yielded
+        for _, _, M, snap in steps:
+            np.testing.assert_array_equal(M, snap)
 
 
 class TestTrajectoryType:

@@ -139,6 +139,15 @@ def test_runtime_imports_only_stdlib_and_numpy():
     assert not foreign
 
 
+def test_only_evolve_rebuilds_the_matrix_in_force():
+    # ProtocolSchedule.walk owns the rule for the static matrix in
+    # force; no other module takes a segment's end snapshot itself
+    callers = {name for name, tree in _source_trees()
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and ast.unparse(node.func).split(".")[-1] == "evaluate_at"}
+    assert callers == {"evolve.py"}
+
+
 # ROADMAP's cap on src/clsnet, counted as ``wc -l`` counts: newlines
 LINE_CAP = 3893
 
