@@ -283,15 +283,26 @@ class TimedHamiltonian:
     def static(self):
         return not self.overrides
 
+    @classmethod
+    def _trusted(cls, base, overrides, **cached):
+        """The one constructor that skips ``__post_init__``, for a float
+        ``base`` its caller knows finite and symmetric and ``overrides``
+        keyed by (i, j), i <= j.  A writeable ``base`` is wrapped as a
+        read-only copy; ``cached`` presets cached properties."""
+        if base.flags.writeable:
+            base = base.copy()
+            base.setflags(write=False)
+        H = object.__new__(cls)
+        H.__dict__.update(base=base, overrides=overrides, **cached)
+        return H
+
     def _with_pulses(self, overrides):
         """Same base and driven entries, other pulses: an unvalidated
         copy sharing the base and its chiral split."""
         if overrides.keys() != self.overrides.keys():
             raise ValueError("pulses must drive the same entries")
-        H = object.__new__(TimedHamiltonian)
-        H.__dict__.update(base=self.base, overrides=dict(overrides),
-                          _sublattices=self._sublattices)
-        return H
+        return TimedHamiltonian._trusted(self.base, dict(overrides),
+                                         _sublattices=self._sublattices)
 
     @cached_property
     def _sublattices(self):

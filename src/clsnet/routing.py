@@ -247,6 +247,23 @@ def _ramp_slice(base_v, r0, r1, direction, b, b2):
     return LinearRamp(base_v * s, base_v * s2, b2 - b)
 
 
+def _ramp_overrides(base, ramps, b, b2):
+    """Entry -> its :func:`_ramp_slice` over [b, b2] for the entries of
+    ``ramps`` (r0, r1, entries, direction), the first ramp naming an
+    entry winning.  One slice per (r0, r1, direction) and base value,
+    shared by the entries that have it."""
+    overrides, shared = {}, {}
+    for r0, r1, entries, direction in ramps:
+        for e in entries:
+            if e not in overrides:
+                key = (r0, r1, direction, float(base[e]))
+                if key not in shared:
+                    shared[key] = _ramp_slice(key[3], r0, r1, direction,
+                                              b, b2)
+                overrides[e] = shared[key]
+    return overrides
+
+
 def build_ramp(H, entries, direction, dt):
     """Linear ramp segment over [0, dt] for the given entries.
 
@@ -264,12 +281,10 @@ def build_ramp(H, entries, direction, dt):
     entries = [tuple(sorted(e)) for e in entries]
     if len(set(entries)) != len(entries):
         raise ValueError("duplicate ramp entries")
-    overrides = {}
-    for e in entries:
-        if e[0] == e[1]:
-            raise ValueError("cannot ramp a diagonal entry")
-        overrides[e] = _ramp_slice(float(H.base[e]), 0.0, dt, direction,
-                                   0.0, dt)
+    if any(e[0] == e[1] for e in entries):
+        raise ValueError("cannot ramp a diagonal entry")
+    overrides = _ramp_overrides(H.base, [(0.0, dt, entries, direction)],
+                                0.0, dt)
     return Segment(dt, TimedHamiltonian(H.base, overrides))
 
 
@@ -452,6 +467,11 @@ def timeline_schedule(graph, H, tl):
     up-ramp.  The rule covers couplings: a state resting in a dimer that
     another route jumps through is not protected.  Every jump's window
     end is a segment bound.
+
+    A ramped segment's base is a read-only copy of the working matrix,
+    not re-validated: it starts as the validated ``H.base`` and changes
+    only by hopping-flip negations and mirrored writes of slice ends,
+    which keep it finite and symmetric.
     """
     verify_timeline(tl)
     ramps, flips, star_items, bounds = [], {}, {}, {0.0}
@@ -495,14 +515,9 @@ def timeline_schedule(graph, H, tl):
         if not active[k]:
             items.append(Segment(b2 - b))
             continue
-        overrides = {}
-        for r0, r1, entries, kind in active[k]:
-            for e in entries:
-                # verify_timeline let only equal-key ramps share an entry
-                if e not in overrides:
-                    overrides[e] = _ramp_slice(float(H.base[e]), r0, r1,
-                                               kind, b, b2)
-        items.append(Segment(b2 - b, TimedHamiltonian(M, overrides)))
+        # verify_timeline let only equal-key ramps share an entry
+        overrides = _ramp_overrides(H.base, active[k], b, b2)
+        items.append(Segment(b2 - b, TimedHamiltonian._trusted(M, overrides)))
         # exact at a ramp's end; mid-ramp values stay overridden
         for e, pulse in overrides.items():
             M[e] = M[e[::-1]] = pulse.end

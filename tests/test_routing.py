@@ -26,6 +26,7 @@ from clsnet.lattice import (
     SiteGraph,
     TimedHamiltonian,
     LinearRamp,
+    _check_hermitian,
     build_dll,
     evaluate_at,
 )
@@ -145,6 +146,20 @@ def test_build_ramp_validates_input():
         build_ramp(H, ((1, 5), (5, 1)), "down", 1.0)
     with pytest.raises(ValueError, match="diagonal"):
         build_ramp(H, ((3, 3),), "down", 1.0)
+
+
+def test_build_ramp_shares_one_pulse_per_base_value():
+    g, H = dll(2, 2)
+    sv = extract_star(g, H, 0)
+    first, rest = sv.boundary_entries[0], sv.boundary_entries[1:]
+    M = np.array(H.base, copy=True)
+    M[first] = M[first[::-1]] = 2 * J
+    pulses = build_ramp(TimedHamiltonian(M), sv.boundary_entries,
+                        "down", 0.7).H.overrides
+    assert pulses[first] == LinearRamp(2 * J, 0.0, 0.7)
+    # equal base values, one profile: the same pulse object
+    assert len(rest) > 1 and all(pulses[e] is pulses[rest[0]] for e in rest)
+    assert pulses[rest[0]] == LinearRamp(J, 0.0, 0.7)
 
 
 def test_symmetric_ramp_preserves_stored_state():
@@ -836,9 +851,9 @@ def _oracle_starts(plans):
     return tuple(starts)
 
 
-def _oracle_items(H, tl):
-    """timeline_schedule's items, as (flip) or (duration, base, override
-    items) with base and overrides None on a static stretch."""
+def _oracle_timeline(tl):
+    """The ramps (r0, r1, entries, kind), flips by time and sorted
+    segment bounds of timeline_schedule(tl)."""
     ramps, flips = [], {}
     for plan, start in zip(tl.routes, tl.starts):
         for j, t0, t1, _ in _oracle_jump_holds(plan, start):
@@ -852,6 +867,13 @@ def _oracle_items(H, tl):
                 flips.setdefault(t, []).extend(
                     clsnet.routing._moved(f, j.star.sites) for f in fs)
     bounds = sorted({0.0, tl.end, *flips, *(t for r in ramps for t in r[:2])})
+    return ramps, flips, bounds
+
+
+def _oracle_items(H, tl):
+    """timeline_schedule's items, as (flip) or (duration, base, override
+    items) with base and overrides None on a static stretch."""
+    ramps, flips, bounds = _oracle_timeline(tl)
     M = np.array(H.base, dtype=float, copy=True)
     items = []
     for b, b2 in zip(bounds, bounds[1:] + [None]):
@@ -931,7 +953,13 @@ def test_planner_output_matches_oracle(data):
              for a, b, v, dt in requests]
     tl = schedule_multi(plans)
     assert tl.starts == _oracle_starts(plans)
-    got = [_as_oracle_item(it) for it in timeline_schedule(g, H, tl).items]
+    items = timeline_schedule(g, H, tl).items
+    # ramped segment bases skip TimedHamiltonian's checks, so recheck
+    for it in items:
+        if isinstance(it, Segment) and it.H is not None:
+            assert not it.H.base.flags.writeable
+            _check_hermitian(it.H.base, "segment base", "symmetric")
+    got = [_as_oracle_item(it) for it in items]
     want = _oracle_items(H, tl)
     assert len(got) == len(want)
     assert all(_same_item(a, b) for a, b in zip(got, want))
@@ -987,6 +1015,32 @@ def test_schedule_multi_builds_each_plans_holds_once(monkeypatch):
     assert built == Counter(id(p) for p in plans)
     # rejected delays were examined, each shifting the same holds
     assert len(shifted) > len(plans) and max(tl.starts) > 0.0
+
+
+def test_timeline_schedule_builds_one_slice_per_ramp_and_segment(
+        monkeypatch):
+    g, H = dll(6, 6)
+    rng = np.random.default_rng(16)
+    dimers = g.dimers()
+    plans = [plan_route(g, H, *(dimers[k] for k in
+                                rng.choice(len(dimers), 2, replace=False)),
+                        dt=float(rng.choice([1.0, 2.0])))
+             for _ in range(50)]
+    tl = schedule_multi(plans)
+    ramps, _, bounds = _oracle_timeline(tl)
+    pairs = sum(r[0] < b2 and b < r[1]
+                for b, b2 in zip(bounds, bounds[1:]) for r in ramps)
+    calls, ramp_slice = [], clsnet.routing._ramp_slice
+
+    def counted(*args):
+        calls.append(args)
+        return ramp_slice(*args)
+
+    monkeypatch.setattr(clsnet.routing, "_ramp_slice", counted)
+    timeline_schedule(g, H, tl)
+    # every entry of a ramp shares its slice: one per (ramp, segment),
+    # not one per entry
+    assert 0 < len(calls) <= pairs
 
 
 def test_equal_graphs_share_hash_and_tables():
