@@ -50,7 +50,7 @@ print("\neast hubs: ", [j.star.center for j in east.jumps])
 print("north hubs:", [j.star.center for j in north.jumps])
 
 tl = schedule_multi([east, north])
-print("start times:", tl.starts)
+print("start times:", [float(s) for s in tl.starts])
 verify_timeline(tl)  # raises if two routes held a coupling at once
 
 rep = simulate_route(graph, H, tl)

@@ -23,6 +23,7 @@ import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -390,7 +391,7 @@ def _build_protocol_schedule(sc):
 
 
 def _plain(obj):
-    """Recursively convert numpy containers to plain JSON types."""
+    """Recursively convert numpy containers and Fractions to JSON types."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -401,7 +402,7 @@ def _plain(obj):
         return _plain(obj.item())
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    return float(obj) if isinstance(obj, Fraction) else obj
 
 
 def _write_json(path, payload):

@@ -14,11 +14,12 @@ and ramp time (one profile).
 
 All planning and scheduling here is deterministic: shortest routes in
 the dimer-adjacency graph with lexicographic tie-breaks, greedy
-earliest-start scheduling in request order.
+earliest-start scheduling in request order, on times that stay exact
+until emitted, as ints of 2**-1074 s: every float is a whole number.
 
 Each ``SiteGraph`` gets its dimer tables (hubs, each hub's dimers, the
 dimer adjacency, the edge index) once, on first use, and planning reads
-them.  Each plan's holds are built once and shifted per start examined.
+them.  Scheduling builds each plan's holds once, not once per delay.
 
 Simulation runs each route's column only where its stored state lives,
 its dimer or, over a jump window, its star; a Duhamel leak bound
@@ -32,6 +33,7 @@ import math
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
@@ -116,12 +118,8 @@ class RoutePlan:
     destination: tuple
 
     def __post_init__(self):
-        prev = self.source
-        for j in self.jumps:
-            if j.star.dimer_in != prev:
-                raise ValueError("jumps do not chain source to destination")
-            prev = j.star.dimer_out
-        if prev != self.destination:
+        ins = [j.star.dimer_in for j in self.jumps] + [self.destination]
+        if ins != [self.source] + [j.star.dimer_out for j in self.jumps]:
             raise ValueError("jumps do not chain source to destination")
 
     @property
@@ -129,24 +127,57 @@ class RoutePlan:
         return sum(j.duration for j in self.jumps)
 
 
+# a time is an int of ticks; one tick, the finest float step, is 2**-1074
+_ONE = 1 << 1074
+
+
+def _ticks(t):
+    """The exact tick count of a float or of a dyadic Fraction."""
+    n, d = t.as_integer_ratio()
+    return n * _ONE // d
+
+
 @dataclass(frozen=True)
 class Timeline:
-    """Scheduled routes and their start times."""
+    """Scheduled routes and their exact start times."""
 
     routes: tuple
     starts: tuple
 
     @cached_property
     def jumps(self):
-        """Per route, its jumps' (jump, t0, t1, holds) from its start."""
-        return tuple(tuple(_shifted(_jump_holds(plan), start))
-                     for plan, start in zip(self.routes, self.starts))
+        """Per route, its jumps' (jump, t0, t1, holds) from its start,
+        t0 = start + r0 and t1 = start + r1 in ticks."""
+        return tuple(tuple((j, s + r0, s + r1, h)
+                           for j, r0, r1, h in _jump_holds(plan))
+                     for plan, s in zip(self.routes, map(_ticks, self.starts)))
+
+    @cached_property
+    def _at(self):
+        """Float image of a tick count on the emitted clock, the grid of
+        2**m ticks (ties up) for an end of m + 53 bits, on which sums and
+        differences are exact.  Raises ValueError where on it a huge or
+        tiny dt collapses a ramp or moves the flips off T apart by 1e-9."""
+        rows = [x for row in self.jumps for x in row]
+        m = max(max((x[2] for x in rows), default=0).bit_length() - 53, 0)
+
+        def at(t):
+            return math.ldexp((t + (1 << m >> 1)) >> m, m - 1074)
+        for j, t0, t1, _ in rows:
+            dt, T = _ticks(j.dt), j.params.T
+            a, b, c, d = map(at, (t0, t0 + dt, t1 - dt, t1))
+            if not (a < b and c < d and abs(c - b - T) <= 1e-9 * T):
+                raise ValueError(f"dt={j.dt!r} collapses the jump at t={a:g}"
+                                 f": ramps of {b - a:g} and {d - c:g}, flips "
+                                 f"{c - b:g} apart, not T={T:g}")
+        return at
 
     @cached_property
     def busy(self):
-        """Per route, the (center, t0, t1) window of each jump."""
-        return tuple(tuple((j.star.center, t0, t1) for j, t0, t1, _ in row)
-                     for row in self.jumps)
+        """Per route, the (center, t0, t1) window of each jump, on the
+        emitted clock."""
+        return tuple(tuple((j.star.center, self._at(t0), self._at(t1))
+                           for j, t0, t1, _ in row) for row in self.jumps)
 
     @property
     def end(self):
@@ -211,11 +242,9 @@ def extract_star(graph, H, center, dimer_in=None, dimer_out=None):
     adjacent = tables.hub_dimers.get(center, ())
     if len(adjacent) < 2:
         raise ValueError(f"hub {center} has fewer than two adjacent dimers")
-    if dimer_in is None:
-        dimer_in = adjacent[0]
-    if dimer_out is None:
-        dimer_out = next(d for d in adjacent if d != tuple(dimer_in))
-    dimer_in, dimer_out = tuple(dimer_in), tuple(dimer_out)
+    dimer_in = adjacent[0] if dimer_in is None else tuple(dimer_in)
+    dimer_out = next(d for d in adjacent if d != dimer_in) \
+        if dimer_out is None else tuple(dimer_out)
     for d in (dimer_in, dimer_out):
         if d not in adjacent:
             raise ValueError(f"dimer {d} is not adjacent to hub {center}")
@@ -311,26 +340,18 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
     if src == dst:
         return RoutePlan((), src, dst)
 
-    parent = {src: None}
-    frontier = [src]
-    while frontier and dst not in parent:
+    # each dimer reached, with the (dimer, hub, dimer) moves reaching it
+    paths, frontier = {src: ()}, [src]
+    while frontier and dst not in paths:
         nxt = []
         for d in frontier:
             for h, d2 in adj[d]:
-                if d2 not in parent:
-                    parent[d2] = (d, h)
+                if d2 not in paths:
+                    paths[d2] = paths[d] + ((d, h, d2),)
                     nxt.append(d2)
         frontier = nxt
-    if dst not in parent:
+    if dst not in paths:
         raise ValueError(f"no route from {src} to {dst}")
-
-    chain = []
-    d = dst
-    while parent[d] is not None:
-        prev, hub = parent[d]
-        chain.append((prev, hub, d))
-        d = prev
-    chain.reverse()
 
     vals, diag = H.base[tables.edge_index], np.diag(H.base)
     if vals.size == 0 or np.ptp(vals) > 1e-12 or np.ptp(diag) > 1e-12:
@@ -340,19 +361,19 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
     jumps = tuple(
         Jump(extract_star(graph, H, hub, dimer_in=a, dimer_out=b),
              variant, dt, params)
-        for a, hub, b in chain)
+        for a, hub, b in paths[dst])
     return RoutePlan(jumps, src, dst)
 
 
 def _jump_holds(plan):
     """Per jump of ``plan``: (jump, r0, r1, holds) relative to its
-    start, the one jump model of scheduling, checking and building.
-    r0 sums the durations of the earlier jumps, r1 = r0 + duration;
+    start in ticks, the one jump model of scheduling, checking and
+    building.  r0 sums 2 dt + T of the earlier jumps, r1 = r0 + 2 dt + T;
     ``holds`` are the (entry, ramped) couplings held all of the window:
     the spokes exclusively, the boundary entries as a ramp."""
-    out, r0 = [], 0.0
+    out, r0 = [], 0
     for j in plan.jumps:
-        r1 = r0 + j.duration
+        r1 = r0 + 2 * _ticks(j.dt) + _ticks(j.params.T)
         holds = tuple((e, False) for e in j.star.spokes) + \
             tuple((e, True) for e in j.star.boundary_entries)
         out.append((j, r0, r1, holds))
@@ -360,38 +381,25 @@ def _jump_holds(plan):
     return out
 
 
-def _shifted(jumps, start):
-    """:func:`_jump_holds` ``jumps`` run from ``start``: (jump, t0, t1,
-    holds), t0 = start + r0 and t1 = start + r1.  Raises ValueError
-    unless, in floating point, both ramps last and the flips at t0 + dt
-    and t1 - dt stay T apart to 1e-9; a huge or tiny dt breaks it."""
-    out = []
-    for j, r0, r1, holds in jumps:
-        t0, t1 = start + r0, start + r1
-        if not (t0 < t0 + j.dt and t1 - j.dt < t1):
-            raise ValueError(f"dt={j.dt!r} vanishes beside t={t0:g}: a "
-                             "ramp of the jump would take no time")
-        gap = (t1 - j.dt) - (t0 + j.dt)
-        if not abs(gap - j.params.T) <= 1e-9 * j.params.T:
-            raise ValueError(f"dt={j.dt!r} leaves the flips of a jump at "
-                             f"t={t0:g} {gap:g} apart, not T={j.params.T:g}")
-        out.append((j, t0, t1, holds))
-    return out
-
-
-def _admit(index, jumps, route):
-    """Add the holds of the shifted ``jumps`` to ``index`` (entry ->
-    holds as (center, t0, t1, key, route), key None for a spoke) unless
-    one clashes: windows overlap on one entry, other than two ramps with
-    the same key.  Returns the first clash as (center, t0, t1, entry,
-    held), or None."""
+def _admit(index, jumps, route, delay=0):
+    """Add the holds of ``jumps`` run from ``delay`` to ``index`` (entry
+    -> holds as (center, t0, t1, key, route), key None for a spoke)
+    unless one clashes: windows overlap on one entry, other than two
+    ramps with the same key (t0, t1, dt).  Returns None, or the first
+    clash (center, t0, t1, entry, held) and the next delay worth trying,
+    all before it clashing with ``held``: the jump starting with it, if
+    their ramps could then share a key, else at its end."""
+    jumps = [(j, delay + r0, delay + r1, h) for j, r0, r1, h in jumps]
     for j, t0, t1, holds in jumps:
         key = (t0, t1, j.dt)
         for e, ramped in holds:
             for held in index.get(e, ()):
-                if held[1] < t1 and t0 < held[2] and \
-                        (not ramped or key != held[3]):
-                    return j.star.center, t0, t1, e, held
+                _, h0, h1, hkey, _ = held
+                if h0 < t1 and t0 < h1 and (not ramped or key != hkey):
+                    share = ramped and hkey and t0 < h0 and \
+                        hkey[2] == j.dt and h1 - h0 == t1 - t0
+                    return (j.star.center, t0, t1, e, held), \
+                        delay + (h0 if share else h1) - t0
     for j, t0, t1, holds in jumps:
         key = (t0, t1, j.dt)
         for e, ramped in holds:
@@ -407,29 +415,19 @@ def schedule_multi(routes):
     smallest delay at which none of its jumps' holds (spokes alone,
     boundary couplings as a ramp) clashes with a hold committed on the
     same coupling.  Ramps with equal window and ramp time share one
-    profile, so routes may run concurrently through adjacent stars.
+    profile, so routes run concurrently through adjacent stars, and a
+    jump may start on exactly a held ramp's window.  Relaxation from 0
+    finds the exact delay (a ``Fraction``): each clash names the next.
     """
-    index = {}
-    starts = []
+    index, starts = {}, []
     for r, plan in enumerate(routes):
-        jumps = _jump_holds(plan)
-        candidates = {0.0}
-        for _, r0, _, holds in jumps:
-            for e, _ in holds:
-                for held in index.get(e, ()):
-                    # (t1 - r0) + r0 may round below the hold's end t1;
-                    # step up to the first delay starting the jump at t1
-                    delay = held[2] - r0
-                    while delay + r0 < held[2]:
-                        delay = math.nextafter(delay, math.inf)
-                    candidates.add(max(delay, 0.0))
-        for delay in sorted(candidates):
-            if _admit(index, _shifted(jumps, delay), r) is None:
-                break
-        else:  # the latest candidate clears every hold, so never here
-            raise AssertionError("no admissible delay")
-        starts.append(delay)
-    return Timeline(routes=tuple(routes), starts=tuple(starts))
+        jumps, delay = _jump_holds(plan), 0
+        while (clash := _admit(index, jumps, r, delay)) is not None:
+            delay = clash[1]
+        starts.append(Fraction(delay, _ONE))
+    tl = Timeline(routes=tuple(routes), starts=tuple(starts))
+    tl._at  # the emitted clock refuses a dt that vanishes on it
+    return tl
 
 
 def verify_timeline(tl):
@@ -438,12 +436,11 @@ def verify_timeline(tl):
     same window and ramp time."""
     index = {}
     for r, jumps in enumerate(tl.jumps):
-        clash = _admit(index, jumps, r)
-        if clash is not None:
-            c, a0, a1, e, (c2, b0, b1, _, r2) = clash
+        if (clash := _admit(index, jumps, r)) is not None:
+            c, a0, a1, e, (c2, b0, b1, _, r2) = clash[0]
             what = f"occupy star {c}" if c == c2 else f"hold coupling {e}"
             raise ValueError(f"routes {r2} and {r} both {what} during "
-                             f"[{max(a0, b0)}, {min(a1, b1)}]")
+                             f"[{tl._at(max(a0, b0))}, {tl._at(min(a1, b1))}]")
     return True
 
 
@@ -466,7 +463,7 @@ def timeline_schedule(graph, H, tl):
     segment at the end of the down-ramp, the rest at the start of the
     up-ramp.  The rule covers couplings: a state resting in a dimer that
     another route jumps through is not protected.  Every jump's window
-    end is a segment bound.
+    end is a segment bound, and every bound a time on the emitted clock.
 
     A ramped segment's base is a read-only copy of the working matrix,
     not re-validated: it starts as the validated ``H.base`` and changes
@@ -477,9 +474,10 @@ def timeline_schedule(graph, H, tl):
     ramps, flips, star_items, bounds = [], {}, {}, {0.0}
     for row in tl.jumps:
         for j, t0, t1, _ in row:
-            sv = j.star
+            sv, dt = j.star, _ticks(j.dt)
+            t0, t1, down_end, up_start = map(tl._at, (t0, t1, t0 + dt,
+                                                      t1 - dt))
             bounds.add(t1)
-            down_end, up_start = t0 + j.dt, t1 - j.dt
             if sv.boundary_entries:
                 ramps.append((t0, down_end, sv.boundary_entries, "down"))
                 ramps.append((up_start, t1, sv.boundary_entries, "up"))
@@ -605,7 +603,8 @@ def simulate_route(graph, H, tl, tol=1e-11):
     the final states, the largest norm drift over segment ends and the
     leak bounds."""
     n = graph.n_sites
-    windows = [[(t0, t1, j.star) for j, t0, t1, _ in row] for row in tl.jumps]
+    windows = [[(tl._at(t0), tl._at(t1), j.star) for j, t0, t1, _ in row]
+               for row in tl.jumps]
     schedule = timeline_schedule(graph, H, tl)
     psi0 = np.reshape([dimer_state(n, plan.source) for plan in tl.routes],
                       (-1, n)).T

@@ -3,6 +3,7 @@
 import math
 import weakref
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -352,6 +353,41 @@ def test_schedule_survives_delay_round_off():
     verify_timeline(tl)
 
 
+def test_schedule_starts_a_ramp_on_a_held_ramps_window():
+    # at delay 0 route 3 (hub 10, dt 2) clashes with route 2 (hub 15,
+    # dt 2, window [8.28, 18.57]) on couplings (10, 11) and (10, 12),
+    # which both ramp; started with route 2 it ramps them along route
+    # 2's profile.  Relaxing to the end of each clashing hold alone
+    # would start it at 18.57
+    g, H = dll(2, 2)
+    phase, hopping = TRANSFER_VARIANTS
+    plans = [plan_route(g, H, a, b, variant=v, dt=dt)
+             for a, b, v, dt in (((16, 17), (8, 9), phase, 1.0),
+                                 ((18, 19), (11, 12), phase, 2.0),
+                                 ((13, 14), (3, 4), hopping, 2.0))]
+    tl = schedule_multi(plans)
+    assert tl.starts == (0, plans[0].duration, plans[0].duration)
+    assert tl.busy[2][0][1:] == tl.busy[1][0][1:] == \
+        (8.283185307179586, 18.566370614359172)
+    rep = simulate_route(g, H, tl)
+    assert all(f >= 1 - 1e-8 for f in rep.fidelities)
+
+
+def test_concurrent_starts_emit_no_sliver_segment():
+    # routes 2 and 3 start together; float start arithmetic put them at
+    # 13.366370614359173 and 13.366370614359175, and the schedule had
+    # segments of 1.8e-15
+    g, H = dll(2, 2)
+    plans = [plan_route(g, H, a, b, dt=0.2) for a, b in
+             (((18, 19), (1, 2)), ((8, 9), (1, 2)), ((13, 14), (8, 9)))]
+    tl = schedule_multi(plans)
+    assert tl.starts[1] == tl.starts[2]
+    assert float(tl.starts[1]) == 13.366370614359173
+    items = timeline_schedule(g, H, tl).items
+    assert min(it.duration for it in items if isinstance(it, Segment)) \
+        >= 1e-9
+
+
 def test_schedule_shared_dimer_pair_builds():
     # route 2 rests in (21, 22), which route 1 passes through; both
     # route 1's jumps hold couplings of route 2's jump at hub 20, so it
@@ -445,6 +481,8 @@ def test_every_scheduled_timeline_builds(data):
             segments.append((clock, clock + it.duration, it))
             clock += it.duration
     assert clock == pytest.approx(tl.end, rel=1e-12)
+    # distinct bounds lie apart: no sliver segment between them
+    assert all(b - a >= 1e-9 * tl.end for a, b, _ in segments)
     seg_starts = np.array([a for a, _, _ in segments])
     seg_ends = np.array([b for _, b, _ in segments])
     for plan, row in zip(tl.routes, tl.busy):
@@ -809,16 +847,16 @@ def _oracle_star(g, center, dimer_in, dimer_out):
 
 
 def _oracle_jump_holds(plan, start):
-    out, r0 = [], 0.0
+    """Each jump's (jump, t0, t1, holds) run from ``start``, in exact
+    Fractions: t1 = t0 + 2 dt + T."""
+    out, t0 = [], Fraction(start)
     for j in plan.jumps:
-        r1 = r0 + j.duration
-        t0, t1 = start + r0, start + r1
-        assert abs((t1 - j.dt) - (t0 + j.dt) - j.params.T) <= \
-            1e-9 * j.params.T
+        dt = Fraction(j.dt)
+        t1 = t0 + 2 * dt + Fraction(j.params.T)
         holds = [(e, None) for e in j.star.spokes]
-        holds += [(e, (t0, t1, j.dt)) for e in j.star.boundary_entries]
+        holds += [(e, (t0, t1, dt)) for e in j.star.boundary_entries]
         out.append((j, t0, t1, holds))
-        r0 = r1
+        t0 = t1
     return out
 
 
@@ -835,29 +873,32 @@ def _oracle_admit(index, jumps):
 
 
 def _oracle_starts(plans):
+    """Brute force on the exact clock: the smallest admissible delay is
+    0, a delay that starts a jump where a hold on one of its couplings
+    ends, or one that starts it where a held ramp starts; try them all
+    in order."""
     index, starts = {}, []
     for plan in plans:
-        candidates = {0.0}
-        for _, r0, _, holds in _oracle_jump_holds(plan, 0.0):
+        candidates = {Fraction(0)}
+        for _, r0, _, holds in _oracle_jump_holds(plan, 0):
             for e, _ in holds:
-                for _, h1, _ in index.get(e, ()):
-                    delay = h1 - r0
-                    while delay + r0 < h1:
-                        delay = math.nextafter(delay, math.inf)
-                    candidates.add(max(delay, 0.0))
+                for h0, h1, key in index.get(e, ()):
+                    candidates.add(h1 - r0)
+                    if key is not None:
+                        candidates.add(h0 - r0)
         starts.append(next(
             d for d in sorted(candidates)
-            if _oracle_admit(index, _oracle_jump_holds(plan, d))))
+            if d >= 0 and _oracle_admit(index, _oracle_jump_holds(plan, d))))
     return tuple(starts)
 
 
 def _oracle_timeline(tl):
     """The ramps (r0, r1, entries, kind), flips by time and sorted
-    segment bounds of timeline_schedule(tl)."""
-    ramps, flips = [], {}
+    segment bounds of timeline_schedule(tl), all exact."""
+    ramps, flips, end = [], {}, Fraction(0)
     for plan, start in zip(tl.routes, tl.starts):
         for j, t0, t1, _ in _oracle_jump_holds(plan, start):
-            down_end, up_start = t0 + j.dt, t1 - j.dt
+            down_end, up_start = t0 + Fraction(j.dt), t1 - Fraction(j.dt)
             if j.star.boundary_entries:
                 ramps.append((t0, down_end, j.star.boundary_entries, "down"))
                 ramps.append((up_start, t1, j.star.boundary_entries, "up"))
@@ -866,33 +907,48 @@ def _oracle_timeline(tl):
             for t, fs in ((down_end, star[:k]), (up_start, star[k + 1:])):
                 flips.setdefault(t, []).extend(
                     clsnet.routing._moved(f, j.star.sites) for f in fs)
-    bounds = sorted({0.0, tl.end, *flips, *(t for r in ramps for t in r[:2])})
+            end = max(end, t1)
+    bounds = sorted({Fraction(0), end, *flips,
+                     *(t for r in ramps for t in r[:2])})
     return ramps, flips, bounds
 
 
 def _oracle_items(H, tl):
     """timeline_schedule's items, as (flip) or (duration, base, override
-    items) with base and overrides None on a static stretch."""
+    items) with base and overrides None on a static stretch.  Each exact
+    bound is emitted as the nearest multiple (ties up) of the ulp of the
+    end's binade, and a duration is the difference of two such floats."""
     ramps, flips, bounds = _oracle_timeline(tl)
+    end = bounds[-1]
+    p = end.numerator.bit_length() - end.denominator.bit_length()
+    p -= Fraction(2) ** p > end  # now 2**p <= end < 2**(p + 1)
+    ulp = Fraction(2) ** max(p - 52, -1074)
+
+    def at(t):
+        return float(math.floor(t / ulp + Fraction(1, 2)) * ulp)
+
+    # ramp ends are bounds; compare their places, not their Fractions
+    place = {b: k for k, b in enumerate(bounds)}
+    spans = [(place[r[0]], place[r[1]], r) for r in ramps]
     M = np.array(H.base, dtype=float, copy=True)
     items = []
-    for b, b2 in zip(bounds, bounds[1:] + [None]):
+    for k, (b, b2) in enumerate(zip(bounds, bounds[1:] + [None])):
         for f in flips.get(b, ()):
             items.append(f)
             if isinstance(f, HoppingFlip):
                 f.negate(M)
-        if b2 is None:
+        if b2 is None or at(b2) == at(b):
             continue
         overrides = {}
-        for r0, r1, entries, kind in (r for r in ramps
-                                      if r[0] < b2 and b < r[1]):
+        for r0, r1, entries, kind in (r for lo, hi, r in spans
+                                      if lo <= k < hi):
             for e in entries:
                 overrides.setdefault(e, clsnet.routing._ramp_slice(
-                    float(H.base[e]), r0, r1, kind, b, b2))
+                    float(H.base[e]), at(r0), at(r1), kind, at(b), at(b2)))
         if not overrides:
-            items.append((b2 - b, None, None))
+            items.append((at(b2) - at(b), None, None))
             continue
-        items.append((b2 - b, M.copy(), list(overrides.items())))
+        items.append((at(b2) - at(b), M.copy(), list(overrides.items())))
         for e, pulse in overrides.items():
             M[e] = M[e[::-1]] = pulse.end
     return items
@@ -991,30 +1047,33 @@ def test_plan_route_builds_dimer_tables_once_per_graph(monkeypatch):
     assert counts == [len(g.dimers())] * 2
 
 
-def test_schedule_multi_builds_each_plans_holds_once(monkeypatch):
+def test_schedule_multi_builds_holds_per_plan_not_per_delay(monkeypatch):
     g, H = dll(3, 3)
     rng = np.random.default_rng(15)
     dimers = g.dimers()
     plans = [plan_route(g, H, *(dimers[k] for k in
                                 rng.choice(len(dimers), 2, replace=False)))
              for _ in range(50)]
-    built, shifted = Counter(), []
-    holds, shift = clsnet.routing._jump_holds, clsnet.routing._shifted
+    built, scans = Counter(), []
+    holds, admit = clsnet.routing._jump_holds, clsnet.routing._admit
 
     def counted_holds(plan):
         built[id(plan)] += 1
         return holds(plan)
 
-    def counted_shift(jumps, start):
-        shifted.append(start)
-        return shift(jumps, start)
+    def counted_admit(*args):
+        scans.append(args)
+        return admit(*args)
 
     monkeypatch.setattr(clsnet.routing, "_jump_holds", counted_holds)
-    monkeypatch.setattr(clsnet.routing, "_shifted", counted_shift)
+    monkeypatch.setattr(clsnet.routing, "_admit", counted_admit)
     tl = schedule_multi(plans)
-    assert built == Counter(id(p) for p in plans)
-    # rejected delays were examined, each shifting the same holds
-    assert len(shifted) > len(plans) and max(tl.starts) > 0.0
+    # once to schedule, once for the jumps of the returned timeline,
+    # which its clock checks and every later use reads; the delays
+    # examined build none
+    assert len(scans) > len(plans) and max(tl.starts) > 0
+    timeline_schedule(g, H, tl)
+    assert built == Counter(2 * [id(p) for p in plans])
 
 
 def test_timeline_schedule_builds_one_slice_per_ramp_and_segment(
