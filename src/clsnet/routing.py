@@ -14,8 +14,7 @@ and ramp time (one profile).
 
 All planning and scheduling here is deterministic: shortest routes in
 the dimer-adjacency graph with lexicographic tie-breaks, greedy
-earliest-start scheduling in request order, on times that stay exact
-until emitted, as ints of 2**-1074 s: every float is a whole number.
+earliest-start scheduling in request order, on exact times.
 
 Each ``SiteGraph`` gets its dimer tables (hubs, each hub's dimers, the
 dimer adjacency, the edge index) once, on first use, and planning reads
@@ -118,8 +117,12 @@ class RoutePlan:
     destination: tuple
 
     def __post_init__(self):
-        ins = [j.star.dimer_in for j in self.jumps] + [self.destination]
-        if ins != [self.source] + [j.star.dimer_out for j in self.jumps]:
+        prev = self.source
+        for j in self.jumps:
+            if j.star.dimer_in != prev:
+                raise ValueError("jumps do not chain source to destination")
+            prev = j.star.dimer_out
+        if prev != self.destination:
             raise ValueError("jumps do not chain source to destination")
 
     @property
@@ -146,26 +149,32 @@ class Timeline:
 
     @cached_property
     def jumps(self):
-        """Per route, its jumps' (jump, t0, t1, holds) from its start,
-        t0 = start + r0 and t1 = start + r1 in ticks."""
-        return tuple(tuple((j, s + r0, s + r1, h)
-                           for j, r0, r1, h in _jump_holds(plan))
-                     for plan, s in zip(self.routes, map(_ticks, self.starts)))
+        """Per route, its jumps' (jump, t0, t1, holds) in ticks."""
+        return tuple(_shifted(_jump_holds(plan), _ticks(start))
+                     for plan, start in zip(self.routes, self.starts))
 
     @cached_property
     def _at(self):
-        """Float image of a tick count on the emitted clock, the grid of
-        2**m ticks (ties up) for an end of m + 53 bits, on which sums and
-        differences are exact.  Raises ValueError where on it a huge or
-        tiny dt collapses a ramp or moves the flips off T apart by 1e-9."""
-        rows = [x for row in self.jumps for x in row]
-        m = max(max((x[2] for x in rows), default=0).bit_length() - 53, 0)
-
-        def at(t):
-            return math.ldexp((t + (1 << m >> 1)) >> m, m - 1074)
-        for j, t0, t1, _ in rows:
-            dt, T = _ticks(j.dt), j.params.T
-            a, b, c, d = map(at, (t0, t0 + dt, t1 - dt, t1))
+        """Float image of each jump instant (t0, t0 + dt, t1 - dt, t1) on
+        the emitted clock: the grid of 2**m ticks (ties up) for an end of
+        m + 53 bits, on which sums and differences are exact.  An instant
+        less than a step after the last one kept emits as it, so sums of
+        dt that agree in decimal (0.7 + 0.3, 0.5 + 0.5) leave no sliver.
+        Raises ValueError where a jump collapses on this clock, naming
+        the largest such dt (a huge one coarsens the clock for all): a
+        ramp takes no time, or the flips are not T apart to 1e-9, as past
+        the largest float, where images are inf."""
+        rows = [(j, t0, t0 + _ticks(j.dt), t1 - _ticks(j.dt), t1)
+                for row in self.jumps for j, t0, t1, _ in row]
+        m = max(max((r[4] for r in rows), default=0).bit_length() - 53, 0)
+        at, kept, image, step = {}, 0, 0.0, 2.0 ** (m - 1074)
+        for t in sorted({t for r in rows for t in r[1:]}):
+            if t - kept >= 1 << m:
+                kept, image = t, ((t + (1 << m >> 1)) >> m) * step
+            at[t] = image
+        for j, *instants in sorted(rows, key=lambda r: -r[0].dt):
+            a, b, c, d = (at[t] for t in instants)
+            T = j.params.T
             if not (a < b and c < d and abs(c - b - T) <= 1e-9 * T):
                 raise ValueError(f"dt={j.dt!r} collapses the jump at t={a:g}"
                                  f": ramps of {b - a:g} and {d - c:g}, flips "
@@ -174,9 +183,8 @@ class Timeline:
 
     @cached_property
     def busy(self):
-        """Per route, the (center, t0, t1) window of each jump, on the
-        emitted clock."""
-        return tuple(tuple((j.star.center, self._at(t0), self._at(t1))
+        """Per route, the (center, t0, t1) window of each jump."""
+        return tuple(tuple((j.star.center, self._at[t0], self._at[t1])
                            for j, t0, t1, _ in row) for row in self.jumps)
 
     @property
@@ -242,9 +250,11 @@ def extract_star(graph, H, center, dimer_in=None, dimer_out=None):
     adjacent = tables.hub_dimers.get(center, ())
     if len(adjacent) < 2:
         raise ValueError(f"hub {center} has fewer than two adjacent dimers")
-    dimer_in = adjacent[0] if dimer_in is None else tuple(dimer_in)
-    dimer_out = next(d for d in adjacent if d != dimer_in) \
-        if dimer_out is None else tuple(dimer_out)
+    if dimer_in is None:
+        dimer_in = adjacent[0]
+    if dimer_out is None:
+        dimer_out = next(d for d in adjacent if d != tuple(dimer_in))
+    dimer_in, dimer_out = tuple(dimer_in), tuple(dimer_out)
     for d in (dimer_in, dimer_out):
         if d not in adjacent:
             raise ValueError(f"dimer {d} is not adjacent to hub {center}")
@@ -381,15 +391,19 @@ def _jump_holds(plan):
     return out
 
 
-def _admit(index, jumps, route, delay=0):
-    """Add the holds of ``jumps`` run from ``delay`` to ``index`` (entry
-    -> holds as (center, t0, t1, key, route), key None for a spoke)
-    unless one clashes: windows overlap on one entry, other than two
-    ramps with the same key (t0, t1, dt).  Returns None, or the first
-    clash (center, t0, t1, entry, held) and the next delay worth trying,
-    all before it clashing with ``held``: the jump starting with it, if
+def _shifted(jumps, start):
+    """``jumps`` of :func:`_jump_holds` run from ``start``, in ticks."""
+    return tuple((j, start + r0, start + r1, h) for j, r0, r1, h in jumps)
+
+
+def _admit(index, jumps, route):
+    """Add the holds of the shifted ``jumps`` to ``index`` (entry ->
+    holds as (center, t0, t1, key, route), key None for a spoke) unless
+    one clashes: windows overlap on one entry, other than two ramps with
+    the same key (t0, t1, dt).  Returns None, or the first clash (center,
+    t0, t1, entry, held) and how much later to start next, every start
+    before that clashing with ``held``: the jump starting with it, if
     their ramps could then share a key, else at its end."""
-    jumps = [(j, delay + r0, delay + r1, h) for j, r0, r1, h in jumps]
     for j, t0, t1, holds in jumps:
         key = (t0, t1, j.dt)
         for e, ramped in holds:
@@ -399,7 +413,7 @@ def _admit(index, jumps, route, delay=0):
                     share = ramped and hkey and t0 < h0 and \
                         hkey[2] == j.dt and h1 - h0 == t1 - t0
                     return (j.star.center, t0, t1, e, held), \
-                        delay + (h0 if share else h1) - t0
+                        (h0 if share else h1) - t0
     for j, t0, t1, holds in jumps:
         key = (t0, t1, j.dt)
         for e, ramped in holds:
@@ -419,14 +433,16 @@ def schedule_multi(routes):
     jump may start on exactly a held ramp's window.  Relaxation from 0
     finds the exact delay (a ``Fraction``): each clash names the next.
     """
-    index, starts = {}, []
+    index, starts, rows = {}, [], []
     for r, plan in enumerate(routes):
         jumps, delay = _jump_holds(plan), 0
-        while (clash := _admit(index, jumps, r, delay)) is not None:
-            delay = clash[1]
+        while (clash := _admit(index, _shifted(jumps, delay), r)) is not None:
+            delay += clash[1]
         starts.append(Fraction(delay, _ONE))
+        rows.append(_shifted(jumps, delay))
     tl = Timeline(routes=tuple(routes), starts=tuple(starts))
-    tl._at  # the emitted clock refuses a dt that vanishes on it
+    vars(tl)["jumps"] = tuple(rows)  # as admitted: no holds built twice
+    tl._at  # the emitted clock refuses a dt that collapses a jump on it
     return tl
 
 
@@ -440,7 +456,7 @@ def verify_timeline(tl):
             c, a0, a1, e, (c2, b0, b1, _, r2) = clash[0]
             what = f"occupy star {c}" if c == c2 else f"hold coupling {e}"
             raise ValueError(f"routes {r2} and {r} both {what} during "
-                             f"[{tl._at(max(a0, b0))}, {tl._at(min(a1, b1))}]")
+                             f"[{tl._at[max(a0, b0)]}, {tl._at[min(a1, b1)]}]")
     return True
 
 
@@ -471,13 +487,12 @@ def timeline_schedule(graph, H, tl):
     which keep it finite and symmetric.
     """
     verify_timeline(tl)
-    ramps, flips, star_items, bounds = [], {}, {}, {0.0}
+    ramps, flips, star_items = [], {}, {}
     for row in tl.jumps:
         for j, t0, t1, _ in row:
             sv, dt = j.star, _ticks(j.dt)
-            t0, t1, down_end, up_start = map(tl._at, (t0, t1, t0 + dt,
-                                                      t1 - dt))
-            bounds.add(t1)
+            t0, t1, down_end, up_start = (tl._at[t] for t in (
+                t0, t1, t0 + dt, t1 - dt))
             if sv.boundary_entries:
                 ramps.append((t0, down_end, sv.boundary_entries, "down"))
                 ramps.append((up_start, t1, sv.boundary_entries, "up"))
@@ -491,9 +506,7 @@ def timeline_schedule(graph, H, tl):
                 else:
                     flips.setdefault(t, []).append(_moved(f, sv.sites))
 
-    bounds.update(t for r in ramps for t in r[:2])
-    bounds.update(flips)
-    bounds = sorted(bounds)
+    bounds = sorted({0.0, *tl._at.values()})
 
     # ramp ends are bounds: a ramp spans segments pos[start]..pos[end]-1
     pos = {t: k for k, t in enumerate(bounds)}
@@ -603,7 +616,7 @@ def simulate_route(graph, H, tl, tol=1e-11):
     the final states, the largest norm drift over segment ends and the
     leak bounds."""
     n = graph.n_sites
-    windows = [[(tl._at(t0), tl._at(t1), j.star) for j, t0, t1, _ in row]
+    windows = [[(tl._at[t0], tl._at[t1], j.star) for j, t0, t1, _ in row]
                for row in tl.jumps]
     schedule = timeline_schedule(graph, H, tl)
     psi0 = np.reshape([dimer_state(n, plan.source) for plan in tl.routes],
