@@ -22,13 +22,12 @@ them.  Scheduling builds each plan's holds once, not once per delay.
 
 Simulation runs each route's column only where its stored state lives,
 its dimer or, over a jump window, its star; a Duhamel leak bound
-certifies it, and the full-lattice run replaces it where a bound or a
-clash says so (see :func:`simulate_route`).
+certifies it, and the full-lattice run replaces it where a bound is
+over its budget (see :func:`simulate_route`).
 """
 
 from __future__ import annotations
 
-import math
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .evolve import (
     PhaseFlip,
     ProtocolSchedule,
     Segment,
+    _BUDGET_MAX,
     _static_samples,
     fidelity,
     run_schedule,
@@ -198,7 +198,7 @@ class RouteReport:
     largest deviation from 1 of any column's norm over the samples at
     segment ends, the only ones the simulation takes.  ``leak_bound``
     is, per route, the support walk's bound on its column's distance
-    from the full-lattice one (inf where the walk could not run)."""
+    from the full-lattice one, finite for every timeline."""
 
     fidelities: tuple
     per_jump: tuple
@@ -547,8 +547,8 @@ _GL_X, _GL_W = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
 def _walk_supports(tl, windows, schedule, psi):
     """The (n, k) block ``psi`` walked through ``schedule`` on the
     routes' supports: (final block, block at each jump end, drift, leak
-    bounds, whether a flip hit a resting dimer); None when a driven
-    entry lies inside a support."""
+    bounds).  Route r's bound covers all of H(t) - H[S, S] on its column:
+    couplings out of S, and drives of entries inside S."""
     k, ends = psi.shape[1], {t1 for w in windows for _, t1, _ in w}
 
     def support(r, b, b2):
@@ -558,14 +558,10 @@ def _walk_supports(tl, windows, schedule, psi):
                 return list(star.sites if t0 < b2 else star.dimer_in)
         return list(tl.routes[r].destination)
 
-    psi, leak, reads, foreign = psi + 0j, np.zeros(k), {}, False
+    psi, leak, reads = psi + 0j, np.zeros(k), {}
     norms = [np.linalg.norm(psi, axis=0)]
     for clock, item, M in schedule.walk():
         if not isinstance(item, Segment):
-            on = {item.site} if isinstance(item, PhaseFlip) else {*item.entry}
-            # a route's own flips act inside its star; two sites: a rest
-            foreign |= any(len(S) == 2 and not on.isdisjoint(S) for S in
-                           (support(r, clock, clock) for r in range(k)))
             if isinstance(item, PhaseFlip):
                 psi = item.apply(psi)
             continue
@@ -577,12 +573,11 @@ def _walk_supports(tl, windows, schedule, psi):
             for (i, j), pulse in (item.H.overrides if item.H else {}).items():
                 for a, b in ((i, j), (j, i)):
                     if b in S:
-                        if a in S:
-                            return None
                         cols[:, a, S.index(b)] = pulse.value(taus)
-            # H[S, S] is static here: one spectral step on at most 5 sites
-            states = _static_samples(M[np.ix_(S, S)], psi[S, r], taus)
-            cols[:, S] = 0.0
+            # the walk's static block: one spectral step on at most 5 sites
+            MS = M[np.ix_(S, S)]
+            states = _static_samples(MS, psi[S, r], taus)
+            cols[:, S] -= MS
             rates = np.linalg.norm(cols @ states[..., None], axis=(1, 2))
             # the Duhamel integral, and the norm dropped outside S
             leak[r] += d * (_GL_W @ rates[:-1]) + \
@@ -593,7 +588,7 @@ def _walk_supports(tl, windows, schedule, psi):
         if end in ends:
             reads[end] = psi.copy()
     drift = float(np.max(np.abs(np.array(norms) - 1.0), initial=0.0))
-    return psi, reads, drift, tuple(leak.tolist()), foreign
+    return psi, reads, drift, tuple(leak.tolist())
 
 
 def simulate_route(graph, H, tl, tol=1e-11):
@@ -606,10 +601,10 @@ def simulate_route(graph, H, tl, tol=1e-11):
     segment, so a segment is one spectral step on at most 5 sites.  By
     Duhamel's formula the column is within ``leak_bound[r]`` of the
     full-lattice one: the 8-node Gauss-Legendre integral of
-    ||H(t)[S^c, S] psi_S(t)|| per segment plus the norm dropped where S
-    shrinks.  When a bound exceeds tol times the timeline's end (or that
-    exceeds 1e-3), a flip hits a resting route's dimer or a driven entry
-    lies inside S, the k sources run as one (n, k) block in one
+    ||(H(t) - H[S, S]) psi_S(t)|| per segment (couplings out of S and
+    drives inside it) plus the norm dropped where S shrinks.  Unless
+    every bound is within tol times the timeline's end, itself within
+    ``_BUDGET_MAX``, the k sources run as one (n, k) block in one
     :func:`run_schedule` pass over the full lattice instead.  Returns
     per-route fidelities of the normalized states to the destination
     CLS, per jump the same at its window end (read at its exact time),
@@ -621,16 +616,12 @@ def simulate_route(graph, H, tl, tol=1e-11):
     schedule = timeline_schedule(graph, H, tl)
     psi0 = np.reshape([dimer_state(n, plan.source) for plan in tl.routes],
                       (-1, n)).T
-    walked = _walk_supports(tl, windows, schedule, psi0)
-    # as for a convergence pair, a threshold above 1e-3 certifies nothing
-    if walked is not None and not walked[4] and \
-            max(walked[3], default=0.0) <= tol * tl.end <= 1e-3:
-        finals, reads, drift, leaks, _ = walked
-    else:
+    finals, reads, drift, leaks = _walk_supports(tl, windows, schedule, psi0)
+    # as for a convergence pair, a budget above _BUDGET_MAX certifies nothing
+    if not max(leaks, default=0.0) <= tol * tl.end <= _BUDGET_MAX:
         traj = run_schedule(schedule, psi0, samples_per_segment=2, tol=tol)
         finals, drift = traj.final_state, traj.norm_drift
         reads = dict(zip(traj.times, traj.states))
-        leaks = (math.inf,) * len(windows) if walked is None else walked[3]
     fids = tuple(_unit_fidelity(f, dimer_state(n, plan.destination))
                  for f, plan in zip(finals.T, tl.routes))
     per_jump = tuple(

@@ -580,20 +580,31 @@ def test_route_crossing_pair_reports_delay(tmp_path):
 
 
 def test_route_summary_reports_leak_bounds(tmp_path):
-    # both routes run on their supports; each bound certifies its column
-    out = tmp_path / "out"
-    path = write_config(tmp_path, {
-        "system": {"kind": "dll", "cells_x": 3, "cells_y": 3},
-        "parameters": {"J": 0.25, "v": 0.5},
-        "action": {"kind": "route", "requests": [
-            {"source": [16, 17], "destination": [26, 27]},
-            {"source": [8, 9], "destination": [23, 24]},
-        ]},
-        "output": {"dir": str(out)},
-    })
-    assert cli.main(["route", "--config", path]) == 0
-    routes = load_summary(out)["report"]["routes"]
+    # with (8, 9) both routes run on their supports and each bound
+    # certifies its column; with (21, 22) route 1 jumps through the dimer
+    # where route 2's state rests, and route 2's bound sends the set to
+    # the full lattice
+    reports = []
+    for second in ([8, 9], [21, 22]):
+        out = tmp_path / f"out{second[0]}"
+        path = write_config(tmp_path, {
+            "system": {"kind": "dll", "cells_x": 3, "cells_y": 3},
+            "parameters": {"J": 0.25, "v": 0.5},
+            "action": {"kind": "route", "requests": [
+                {"source": [16, 17], "destination": [26, 27]},
+                {"source": second, "destination": [23, 24]},
+            ]},
+            "output": {"dir": str(out)},
+        })
+        assert cli.main(["route", "--config", path]) == 0
+        reports.append(load_summary(out)["report"])
+    routes = reports[0]["routes"]
     assert [0.0 <= r["leak_bound"] <= 1e-12 for r in routes] == [True] * 2
+    routes = reports[1]["routes"]
+    tol = 1e-11  # the integrator's default
+    assert all(np.isfinite(r["leak_bound"]) for r in routes)
+    assert routes[1]["leak_bound"] > tol * reports[1]["makespan"]
+    assert 0.0 <= routes[0]["leak_bound"] <= 1e-12
 
 
 def test_parser_is_built_once_per_process(capsys):

@@ -156,3 +156,18 @@ def test_source_stays_under_the_line_cap():
     lines = sum(path.read_bytes().count(b"\n")
                 for path in (ROOT / "src" / "clsnet").glob("*.py"))
     assert lines <= LINE_CAP
+
+
+def test_every_traced_attribute_resolves():
+    # bench/tracing.py wraps (module, attribute) pairs by getattr, and
+    # the suite does not import the bench: a name a refactor drops from
+    # a module would break only a traced benchmark run
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign) and
+                   [ast.unparse(t) for t in node.targets] == ["_TARGETS"])
+    pairs = [(row.elts[0].id, row.elts[1].value) for row in targets.elts]
+    assert pairs
+    missing = [(m, a) for m, a in pairs
+               if not hasattr(importlib.import_module(f"clsnet.{m}"), a)]
+    assert not missing

@@ -56,9 +56,11 @@ def dll(nx, ny):
 
 @pytest.fixture
 def full_lattice(monkeypatch):
-    """simulate_route on its full-lattice path: the support walk declines
-    every timeline, as it does one with a driven entry inside a support."""
-    monkeypatch.setattr(clsnet.routing, "_walk_supports", lambda *a: None)
+    """simulate_route on its full-lattice path: the support walk reports
+    an infinite leak bound for every route, which no budget admits."""
+    monkeypatch.setattr(clsnet.routing, "_walk_supports",
+                        lambda tl, windows, schedule, psi:
+                        (None, None, None, (math.inf,) * len(windows)))
 
 
 # ---------------------------------------------------------------- stars
@@ -714,6 +716,23 @@ def test_stored_states_run_no_integrator(monkeypatch):
     assert report.leak_bound[0] <= 1e-12
 
 
+def test_leak_bound_covers_a_drive_inside_a_support():
+    # no planned timeline drives an entry inside a support, so by hand:
+    # over a jump window on the 1x1 DLL, whose star is the whole lattice,
+    # a ramp switches off the spoke (0, 1), which the walk holds at its
+    # end value 0 over the segment.  (A drive inside a resting dimer
+    # closes an odd cycle, which run_schedule refuses.)
+    g, H = dll(1, 1)
+    plan = plan_route(g, H, (1, 2), (3, 4))
+    ramp = TimedHamiltonian(H.base, {(0, 1): LinearRamp(J, 0.0, 2.0)})
+    s = ProtocolSchedule(TimedHamiltonian(H.base), (Segment(2.0, ramp),))
+    psi0 = dimer_state(g.n_sites, (1, 2))[:, None]
+    final, _, _, (bound,) = clsnet.routing._walk_supports(
+        Timeline((plan,), (0,)), [[(0.0, 2.0, plan.jumps[0].star)]], s, psi0)
+    full = run_schedule(s, psi0, tol=1e-11).final_state
+    assert bound >= np.linalg.norm(final[:, 0] - full[:, 0]) > 0.0
+
+
 def _full_lattice_report(g, H, tl, tol=1e-11):
     """The oracle: every source as a column of one block in one
     run_schedule pass over the whole lattice, read as simulate_route
@@ -736,6 +755,27 @@ def _full_lattice_report(g, H, tl, tol=1e-11):
     return fids, per_jump, tuple(traj.final_state.T), traj.norm_drift
 
 
+def _flip_hits_a_resting_dimer(g, H, tl):
+    """Whether a flip of the timeline's schedule acts on a site of a
+    dimer where some route's state rests at that instant."""
+    rests = []  # (dimer, from, to), closed: a route rests at its ends
+    for plan, row in zip(tl.routes, tl.busy):
+        t = 0.0
+        for j, (_, t0, t1) in zip(plan.jumps, row):
+            rests.append((j.star.dimer_in, t, t0))
+            t = t1
+        rests.append((plan.destination, t, math.inf))
+    clock = 0.0
+    for it in timeline_schedule(g, H, tl).items:
+        if isinstance(it, Segment):
+            clock += it.duration
+            continue
+        on = {it.site} if isinstance(it, PhaseFlip) else {*it.entry}
+        if any(a <= clock <= b and not on.isdisjoint(d) for d, a, b in rests):
+            return True
+    return False
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_support_walk_matches_the_full_lattice_pass(data):
@@ -744,7 +784,7 @@ def test_support_walk_matches_the_full_lattice_pass(data):
     dimers = st.sampled_from(g.dimers())
     requests = data.draw(st.lists(
         st.tuples(dimers, dimers, st.sampled_from(TRANSFER_VARIANTS),
-                  st.sampled_from((0.5, 1.0, 2.0))),
+                  st.sampled_from((0.2, 0.3, 0.5, 0.7, 1.0, 2.0))),
         min_size=1, max_size=4), label="requests")
     tl = schedule_multi([plan_route(g, H, a, b, variant=v, dt=dt)
                          for a, b, v, dt in requests])
@@ -759,6 +799,9 @@ def test_support_walk_matches_the_full_lattice_pass(data):
         rep = simulate_route(g, H, tl)
     fids, per_jump, finals, drift = _full_lattice_report(g, H, tl)
     assert len(rep.leak_bound) == len(tl.routes)
+    assert all(map(math.isfinite, rep.leak_bound))
+    # a flip on another route's resting dimer leaks past the budget
+    assert passes or not _flip_hits_a_resting_dimer(g, H, tl)
     if passes:
         # a fallback returns the full-lattice pass bit for bit
         assert (rep.fidelities, rep.per_jump, rep.norm_drift) == \
