@@ -285,13 +285,9 @@ class TimedHamiltonian:
 
     @classmethod
     def _trusted(cls, base, overrides, **cached):
-        """The one constructor that skips ``__post_init__``, for a float
-        ``base`` its caller knows finite and symmetric and ``overrides``
-        keyed by (i, j), i <= j.  A writeable ``base`` is wrapped as a
-        read-only copy; ``cached`` presets cached properties."""
-        if base.flags.writeable:
-            base = base.copy()
-            base.setflags(write=False)
+        """The one constructor that skips ``__post_init__``, sharing the
+        read-only ``base`` of a validated instance; ``overrides`` are keyed
+        by (i, j), i <= j, and ``cached`` presets cached properties."""
         H = object.__new__(cls)
         H.__dict__.update(base=base, overrides=overrides, **cached)
         return H
@@ -445,7 +441,7 @@ def evaluate_grid(H, times):
 
 def _sample_block(H, times, rows, cols):
     """C-contiguous stack of the blocks H(t)[rows][:, cols] at ``times``,
-    shape (len(times), len(rows), len(cols)).  Each pulse is sampled
+    shape (len(times), len(rows), len(cols)).  Equal pulses are sampled
     once, and no n x n snapshot is formed."""
     times = np.asarray(times, dtype=float)
     block = H.base[np.ix_(rows, cols)]
@@ -453,8 +449,9 @@ def _sample_block(H, times, rows, cols):
     out[:] = block
     at_row = dict(zip(rows.tolist(), range(len(rows))))
     at_col = dict(zip(cols.tolist(), range(len(cols))))
+    sampled = {p: p._sample(times) for p in set(H.overrides.values())}
     for (i, j), pulse in H.overrides.items():
-        vals = pulse._sample(times)
+        vals = sampled[pulse]
         for r, c in ((i, j), (j, i)):
             if r in at_row and c in at_col:
                 out[:, at_row[r], at_col[c]] = vals

@@ -17,7 +17,7 @@ the dimer-adjacency graph with lexicographic tie-breaks, greedy
 earliest-start scheduling in request order, on exact times.
 
 Each ``SiteGraph`` gets its dimer tables (hubs, each hub's dimers, the
-dimer adjacency, the edge index) once, on first use, and planning reads
+dimer adjacency, the edge index, each star) once, and planning reads
 them.  Scheduling builds each plan's holds once, not once per delay.
 
 Simulation runs each route's column only where its stored state lives,
@@ -212,10 +212,10 @@ def _dimer_hubs(graph, pair):
     return tuple(sorted(shared - set(pair)))
 
 
-# per graph, on its first use: hubs, hub -> its dimers, the read-only
-# dimer adjacency and the edge index; keyed weakly, so an entry goes
-# with the graph that built it, and equal graphs share it meanwhile
-_Tables = namedtuple("_Tables", "hubs hub_dimers adjacency edge_index")
+# per graph: hubs, hub -> its dimers, the read-only dimer adjacency, the
+# edge index and extract_star's stars by (hub, dimer_in, dimer_out); keyed
+# weakly, so an entry goes with its graph, and equal graphs share it
+_Tables = namedtuple("_Tables", "hubs hub_dimers adjacency edge_index stars")
 _TABLES = weakref.WeakKeyDictionary()
 
 
@@ -234,7 +234,7 @@ def _tables(graph):
             graph.hubs(),
             {h: tuple(sorted(ds)) for h, ds in hub_dimers.items()},
             MappingProxyType({d: tuple(sorted(v)) for d, v in adj.items()}),
-            tuple(np.array(graph.edges, dtype=int).reshape(-1, 2).T))
+            tuple(np.array(graph.edges, dtype=int).reshape(-1, 2).T), {})
     return tables
 
 
@@ -260,20 +260,17 @@ def extract_star(graph, H, center, dimer_in=None, dimer_out=None):
             raise ValueError(f"dimer {d} is not adjacent to hub {center}")
     if dimer_in == dimer_out:
         raise ValueError("input and output dimers must differ")
+    if (star := tables.stars.get((center, dimer_in, dimer_out))) is not None:
+        return star
 
     sites = {center, *dimer_in, *dimer_out}
-    inside, boundary = set(), []
-    for a in sites:
-        for b in graph.neighbors(a):
-            e = (a, b) if a < b else (b, a)
-            if b in sites:
-                inside.add(e)
-            else:
-                boundary.append(e)
-    star = StarView(center, dimer_in, dimer_out, tuple(sorted(boundary)))
+    edges = {tuple(sorted((a, b))) for a in sites for b in graph.neighbors(a)}
+    inside = {e for e in edges if e[0] in sites and e[1] in sites}
+    star = StarView(center, dimer_in, dimer_out, tuple(sorted(edges - inside)))
     # the induced subgraph must be the star: four spokes, nothing else
     if inside != set(star.spokes):
         raise ValueError("induced subgraph around the hub is not a star")
+    tables.stars[center, dimer_in, dimer_out] = star
     return star
 
 
@@ -481,10 +478,10 @@ def timeline_schedule(graph, H, tl):
     another route jumps through is not protected.  Every jump's window
     end is a segment bound, and every bound a time on the emitted clock.
 
-    A ramped segment's base is a read-only copy of the working matrix,
-    not re-validated: it starts as the validated ``H.base`` and changes
-    only by hopping-flip negations and mirrored writes of slice ends,
-    which keep it finite and symmetric.
+    Every ramped segment shares the validated, read-only ``H.base``; its
+    overrides are its ramp slices and, under them, the entries held off
+    the base: a ramp's end at 0 and a flipped spoke, each a constant
+    ``LinearRamp`` built when its entry changes.
     """
     verify_timeline(tl)
     ramps, flips, star_items = [], {}, {}
@@ -514,24 +511,28 @@ def timeline_schedule(graph, H, tl):
     for r in ramps:
         for k in range(pos[r[0]], pos[r[1]]):
             active[k].append(r)
-    M = np.array(H.base, dtype=float, copy=True)
-    items = []
-    for k, (b, b2) in enumerate(zip(bounds, bounds[1:] + [None])):
+
+    held, items = {}, []  # entry -> a constant pulse, where off H.base
+    def hold(e, v):
+        held.pop(e, None)
+        if v != H.base[e]:
+            held[e] = LinearRamp(v, v, 1.0)  # v exactly, at every t
+    for k, (b, b2) in enumerate(zip(bounds, bounds[1:])):
         for f in flips.get(b, ()):
             items.append(f)
             if isinstance(f, HoppingFlip):
-                f.negate(M)
-        if b2 is None or b2 == b:
-            continue
+                e = f.entry
+                hold(e, -(held[e].end if e in held else float(H.base[e])))
         if not active[k]:
             items.append(Segment(b2 - b))
             continue
         # verify_timeline let only equal-key ramps share an entry
         overrides = _ramp_overrides(H.base, active[k], b, b2)
-        items.append(Segment(b2 - b, TimedHamiltonian._trusted(M, overrides)))
-        # exact at a ramp's end; mid-ramp values stay overridden
-        for e, pulse in overrides.items():
-            M[e] = M[e[::-1]] = pulse.end
+        items.append(Segment(b2 - b, TimedHamiltonian._trusted(
+            H.base, {**held, **overrides})))
+        # a ramp ends exactly at 0, held, or at its base value, dropped
+        for e in {e for r in active[k] if r[1] == b2 for e in r[2]}:
+            hold(e, overrides[e].end)
     return ProtocolSchedule(TimedHamiltonian(H.base, {}), tuple(items))
 
 
@@ -567,13 +568,15 @@ def _walk_supports(tl, windows, schedule, psi):
             continue
         d, end = item.duration, clock + item.duration
         taus = np.append(d * _GL_X, d)
+        pulses = item.H.overrides if item.H else {}
+        vals = {p: p.value(taus) for p in set(pulses.values())}
         for r in range(k):
             S = support(r, clock, end)
             cols = np.repeat(M[:, S][None], len(taus), axis=0)
-            for (i, j), pulse in (item.H.overrides if item.H else {}).items():
+            for (i, j), pulse in pulses.items():
                 for a, b in ((i, j), (j, i)):
                     if b in S:
-                        cols[:, a, S.index(b)] = pulse.value(taus)
+                        cols[:, a, S.index(b)] = vals[pulse]
             # the walk's static block: one spectral step on at most 5 sites
             MS = M[np.ix_(S, S)]
             states = _static_samples(MS, psi[S, r], taus)

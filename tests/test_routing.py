@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 import clsnet.evolve
@@ -21,13 +21,13 @@ from clsnet.evolve import (
     end_hamiltonian,
     evolve_static,
     fidelity,
+    reverse_schedule,
     run_schedule,
 )
 from clsnet.lattice import (
     SiteGraph,
     TimedHamiltonian,
     LinearRamp,
-    _check_hermitian,
     build_dll,
     evaluate_at,
 )
@@ -985,8 +985,8 @@ def _oracle_timeline(tl):
 
 
 def _oracle_items(H, tl):
-    """timeline_schedule's items, as (flip) or (duration, base, override
-    items) with base and overrides None on a static stretch.  Each exact
+    """timeline_schedule's items, as (flip) or (duration, working matrix,
+    ramp slices) with both None on a static stretch.  Each exact
     bound is emitted as the nearest multiple (ties up) of the ulp of the
     end's binade, a bound less than one ulp after the last one kept as
     that one, and a duration is the difference of two such floats."""
@@ -1027,20 +1027,33 @@ def _oracle_items(H, tl):
     return items
 
 
-def _as_oracle_item(item):
-    if not isinstance(item, Segment):
-        return item
-    if item.H is None:
-        return item.duration, None, None
-    return item.duration, item.H.base, list(item.H.overrides.items())
-
-
-def _same_item(got, want):
+def _same_item(H, got, want):
+    """``got``, an item of timeline_schedule, is the oracle's ``want``.
+    A ramped segment shares ``H.base``, its ramp slices are the
+    oracle's, and its other overrides are constants, each off the base,
+    that written onto ``H.base`` give the oracle's working matrix bit for
+    bit (where a slice overrides both, the matrices are not compared)."""
     if not isinstance(want, tuple):
         return type(got) is type(want) and got == want
-    return got[0] == want[0] and got[2] == want[2] and (
-        got[1] is None if want[1] is None
-        else np.array_equal(got[1], want[1]))
+    duration, M, slices = want
+    if not isinstance(got, Segment) or got.duration != duration:
+        return False
+    if M is None:
+        return got.H is None
+    slices = dict(slices)
+    pulses = got.H.overrides
+    held = {e: p for e, p in pulses.items() if e not in slices}
+    if got.H.base is not H.base or \
+            {e: pulses.get(e) for e in slices} != slices or \
+            not all(type(p) is LinearRamp and p.start == p.end != H.base[e]
+                    for e, p in held.items()):
+        return False
+    got_M, want_M = H.base.copy(), M.copy()
+    for e, p in held.items():
+        got_M[e] = got_M[e[::-1]] = p.end
+    for e in slices:
+        got_M[e] = got_M[e[::-1]] = want_M[e] = want_M[e[::-1]] = 0.0
+    return got_M.tobytes() == want_M.tobytes()
 
 
 @pytest.mark.parametrize("cells", [2, 3, 4, 5, 6])
@@ -1082,16 +1095,58 @@ def test_planner_output_matches_oracle(data):
              for a, b, v, dt in requests]
     tl = schedule_multi(plans)
     assert tl.starts == _oracle_starts(plans)
-    items = timeline_schedule(g, H, tl).items
-    # ramped segment bases skip TimedHamiltonian's checks, so recheck
-    for it in items:
-        if isinstance(it, Segment) and it.H is not None:
-            assert not it.H.base.flags.writeable
-            _check_hermitian(it.H.base, "segment base", "symmetric")
-    got = [_as_oracle_item(it) for it in items]
+    got = timeline_schedule(g, H, tl).items
     want = _oracle_items(H, tl)
     assert len(got) == len(want)
-    assert all(_same_item(a, b) for a, b in zip(got, want))
+    assert all(_same_item(H, a, b) for a, b in zip(got, want))
+
+
+def _ramped(items):
+    return [it for it in items if isinstance(it, Segment) and it.H]
+
+
+def test_ramped_segments_share_the_lattice_base():
+    # no matrix per segment: each ramped segment names the entries held
+    # off the lattice's one base matrix instead of copying it
+    g, H = dll(6, 6)
+    rng = np.random.default_rng(17)
+    dimers = g.dimers()
+    plans = [plan_route(g, H, *(dimers[k] for k in
+                                rng.choice(len(dimers), 2, replace=False)),
+                        dt=float(rng.choice([1.0, 2.0])))
+             for _ in range(50)]
+    ramped = _ramped(timeline_schedule(g, H, schedule_multi(plans)).items)
+    assert len(ramped) > 100
+    assert all(it.H.base is H.base for it in ramped)
+
+
+def _holds_a_flipped_spoke(H, items):
+    """Some ramped segment holds an entry at minus its base value: a
+    spoke hopping-flipped while another route ramps."""
+    return any(type(p) is LinearRamp and p.start == p.end == -H.base[e]
+               for it in _ramped(items) for e, p in it.H.overrides.items())
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(data=st.data())
+def test_timeline_schedule_runs_backwards_to_its_sources(data):
+    cells = data.draw(st.integers(2, 3), label="cells")
+    g, H = dll(cells, cells)
+    dimers = st.sampled_from(g.dimers())
+    requests = data.draw(st.lists(
+        st.tuples(dimers, dimers, st.sampled_from(TRANSFER_VARIANTS),
+                  st.sampled_from((0.5, 1.0, 2.0))),
+        min_size=2, max_size=4), label="requests")
+    plans = [plan_route(g, H, a, b, variant=v, dt=dt)
+             for a, b, v, dt in requests]
+    s = timeline_schedule(g, H, schedule_multi(plans))
+    assume(_holds_a_flipped_spoke(H, s.items))
+    psi0 = np.array([dimer_state(g.n_sites, p.source) for p in plans]).T
+    final = run_schedule(s, psi0, samples_per_segment=2).final_state
+    back = run_schedule(reverse_schedule(s), final.conj(),
+                        samples_per_segment=2).final_state.conj()
+    assert np.abs(back - psi0).max() <= 1e-10
 
 
 # --------------------------------------------------- work done per plan
@@ -1118,6 +1173,29 @@ def test_plan_route_builds_dimer_tables_once_per_graph(monkeypatch):
             plan_route(g, H, g.dimers()[a], g.dimers()[b])
         counts.append(len(calls))
     assert counts == [len(g.dimers())] * 2
+
+
+def test_plan_route_builds_each_star_once(monkeypatch):
+    g, H = dll(6, 6)
+    built, star_view = Counter(), clsnet.routing.StarView
+
+    def counted(center, dimer_in, dimer_out, boundary):
+        built[center, dimer_in, dimer_out] += 1
+        return star_view(center, dimer_in, dimer_out, boundary)
+
+    monkeypatch.setattr(clsnet.routing, "StarView", counted)
+    monkeypatch.setattr(clsnet.routing, "_TABLES",
+                        weakref.WeakKeyDictionary())
+    rng = np.random.default_rng(14)
+    dimers = g.dimers()
+    plans = [plan_route(g, H, *(dimers[k] for k in
+                                rng.choice(len(dimers), 2, replace=False)))
+             for _ in range(50)]
+    used = Counter((j.star.center, j.star.dimer_in, j.star.dimer_out)
+                   for p in plans for j in p.jumps)
+    assert sum(used.values()) > len(used)  # some star serves two jumps
+    assert built == Counter(dict.fromkeys(used, 1))
+    assert extract_star(g, H, 0) is extract_star(g, H, 0, *g.dimers()[:2])
 
 
 def test_schedule_multi_builds_each_plans_holds_once(monkeypatch):
