@@ -278,25 +278,30 @@ def parse_config(text, source="config"):
     Raises ConfigError with a line-anchored message on malformed JSON
     and a key-path message on schema violations.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"{source}:{e.lineno}:{e.colno}: {e.msg}") from e
-    ctx = {}
-    sc = ScenarioConfig(**_walk(raw, "config", "config", ctx))
-    _expect(ctx.get("mode") != "search" or sc.seed is not None
+    sc = _parse(text, source)
+    _expect(sc.action.get("mode") != "search" or sc.seed is not None
             and sc.seed >= 0, "seed",
             "a search action draws random bases; set a seed >= 0")
     return sc
 
 
 def load_config(path):
+    """The scenario at ``path``, checked as parse_config checks it but
+    for a search's seed: the CLI's --seed may still supply that."""
     try:
         text = Path(path).read_text()
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
-    return parse_config(text, source=str(path))
+    return _parse(text, source=str(path))
+
+
+def _parse(text, source):
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            f"{source}:{e.lineno}:{e.colno}: {e.msg}") from e
+    return ScenarioConfig(**_walk(raw, "config", "config", {}))
 
 
 # ------------------------------------------------------------- builders

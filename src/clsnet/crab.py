@@ -75,22 +75,6 @@ _CHANNELS = {
     "seven-creation": ((1, (0, 2)), (2, (1, 2)), (3, (2, 3))),
 }
 
-# (len(x), len(xp), len(omega)) per ansatz kind
-_ARITY = {
-    "star-transfer": (4, 4, 4),
-    "seven-transfer": (4, 4, 4),
-    "star-creation": (1, 1, 2),
-    "seven-creation": (2, 2, 2),
-}
-
-# pulse duration T per ansatz kind
-_HORIZON = {
-    "star-transfer": 2 * np.pi,
-    "seven-transfer": 4 * np.pi,
-    "star-creation": np.pi,
-    "seven-creation": 2 * np.pi,
-}
-
 # the simplex stops once every vertex lies this close to the best one
 _SPREAD_TOL = 1e-12
 
@@ -122,9 +106,12 @@ class CrabParams:
             raise ValueError("horizon must be nonnegative")
 
 
+def _arity(p):
+    return len(p.x), len(p.xp), len(p.omega)
+
+
 def _check_arity(kind, p):
-    want = _ARITY[kind]
-    got = (len(p.x), len(p.xp), len(p.omega))
+    want, got = _arity(REFERENCE_PARAMS[kind]), _arity(p)
     if got != want:
         raise ValueError(f"{kind} expects arity {want}, got {got}")
 
@@ -145,8 +132,8 @@ class OptResult:
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """A pulse-design task: evolve ``initial_state`` for the kind's
-    horizon under the kind's ansatz and hit ``target_state``."""
+    """A pulse-design task: evolve ``initial_state`` to ``target_state``
+    under the kind's ansatz; REFERENCE_PARAMS[kind] fixes horizon and arity."""
 
     kind: str
     initial_state: np.ndarray
@@ -158,11 +145,11 @@ class ControlProblem:
 
     @property
     def arity(self):
-        return _ARITY[self.kind]
+        return _arity(REFERENCE_PARAMS[self.kind])
 
     @property
     def horizon(self):
-        return _HORIZON[self.kind]
+        return REFERENCE_PARAMS[self.kind].horizon
 
     def make_params(self, x, xp, omega):
         p = CrabParams(x=tuple(np.atleast_1d(x)), xp=tuple(np.atleast_1d(xp)),
@@ -288,8 +275,9 @@ def assemble_hamiltonian(problem, p):
         pulse = _pulse_for(kind, n, p)
         overrides[entry] = TimeMirrored(pulse, p.horizon) \
             if kind == "star-creation" else pulse
-    skeleton = _skeleton(kind, p.floor, problem.v, problem.extra)
-    return skeleton._with_pulses(overrides)
+    sk = _skeleton(kind, p.floor, problem.v, problem.extra)
+    return TimedHamiltonian._trusted(sk.base, overrides,
+                                     _sublattices=sk._sublattices)
 
 
 def infidelity_objective(problem, p):

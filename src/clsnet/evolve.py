@@ -554,17 +554,19 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
 
 def end_hamiltonian(s):
     """Static matrix the schedule leaves behind after its last item."""
-    return np.array([s.base.base, *(M for *_, M in s.walk())][-1])
+    M = s.base.base
+    for *_, M in s.walk():
+        pass
+    return np.array(M)
 
 
 def _mirrored(seg):
-    """``seg`` with its pulses replayed backwards."""
+    """``seg`` with its pulses replayed backwards, on the same base."""
     if seg.H is None:
         return seg
-    overrides = {entry: TimeMirrored(p, seg.duration)
-                 for entry, p in seg.H.overrides.items()}
-    return Segment(seg.duration, TimedHamiltonian(np.array(seg.H.base),
-                                                  overrides))
+    return Segment(seg.duration, TimedHamiltonian._trusted(seg.H.base, {
+        entry: TimeMirrored(p, seg.duration)
+        for entry, p in seg.H.overrides.items()}))
 
 
 def reverse_schedule(s):

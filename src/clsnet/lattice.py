@@ -292,14 +292,6 @@ class TimedHamiltonian:
         H.__dict__.update(base=base, overrides=overrides, **cached)
         return H
 
-    def _with_pulses(self, overrides):
-        """Same base and driven entries, other pulses: an unvalidated
-        copy sharing the base and its chiral split."""
-        if overrides.keys() != self.overrides.keys():
-            raise ValueError("pulses must drive the same entries")
-        return TimedHamiltonian._trusted(self.base, dict(overrides),
-                                         _sublattices=self._sublattices)
-
     @cached_property
     def _sublattices(self):
         """Chiral split of the sites: (order, p) with sublattice A first.

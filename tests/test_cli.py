@@ -507,6 +507,32 @@ def test_optimize_seed_override_changes_digest(tmp_path):
     assert a["digest"] != b["digest"]
 
 
+def test_seed_flag_supplies_a_search_seed(tmp_path, capsys):
+    # --seed overrides the config seed, so it also stands in for a
+    # missing one; the file's other faults are still its own
+    doc = {
+        "system": {"kind": "star"},
+        "action": {"kind": "optimize", "problem": "star-transfer",
+                   "mode": "search", "n_restarts": 1, "max_evals": 200,
+                   "n_steps": 64},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    seedless = write_config(tmp_path, doc, "seedless.json")
+    assert cli.main(["optimize", "--config", seedless]) == 2
+    assert "seed: a search action draws random bases; set a seed >= 0" \
+        in capsys.readouterr().err
+    assert cli.main(["optimize", "--config", seedless, "--seed", "5"]) == 0
+    flagged = (tmp_path / "out" / "summary.json").read_bytes()
+    seeded = write_config(tmp_path, dict(doc, seed=5), "seeded.json")
+    assert cli.main(["optimize", "--config", seeded]) == 0
+    assert (tmp_path / "out" / "summary.json").read_bytes() == flagged
+    assert json.loads(flagged)["seed"] == 5
+    broken = write_config(tmp_path, dict(doc, seed=1.5), "broken.json")
+    capsys.readouterr()
+    assert cli.main(["optimize", "--config", broken, "--seed", "5"]) == 2
+    assert "config: seed must be an integer" in capsys.readouterr().err
+
+
 def test_optimize_search_32_restarts(tmp_path):
     # reduced-resolution search, winner re-propagated at the
     # problem's native resolution by cmd_optimize itself

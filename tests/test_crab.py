@@ -334,12 +334,6 @@ def test_search_colours_one_skeleton(monkeypatch):
     assert res.evaluations > 200 and len(calls) == 1
 
 
-def test_skeleton_refuses_other_entries():
-    H = assemble_hamiltonian(star_transfer(), REFERENCE_PARAMS["star-transfer"])
-    with pytest.raises(ValueError, match="same entries"):
-        H._with_pulses(dict(list(H.overrides.items())[:3]))
-
-
 def test_refinement_recovers_deep_minimum():
     # rounded print -> 1e-8 scale; local refinement goes much deeper
     prob = star_creation()

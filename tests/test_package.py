@@ -148,6 +148,21 @@ def test_only_evolve_rebuilds_the_matrix_in_force():
     assert callers == {"evolve.py"}
 
 
+def test_trusted_shares_a_validated_base():
+    # TimedHamiltonian._trusted skips validation, so the base it gets
+    # must be the ``base`` of an instance that was validated: never a
+    # matrix built or copied at the call
+    calls = [(name, node) for name, tree in _source_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func).endswith("TimedHamiltonian._trusted")]
+    assert calls
+    for name, call in calls:
+        base = call.args[0] if call.args else \
+            next(k.value for k in call.keywords if k.arg == "base")
+        assert isinstance(base, ast.Attribute) and base.attr == "base", \
+            f"{name}:{call.lineno} passes {ast.unparse(base)}"
+
+
 # ROADMAP's cap on src/clsnet, counted as ``wc -l`` counts: newlines
 LINE_CAP = 3893
 

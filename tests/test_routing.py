@@ -1,6 +1,9 @@
 """Routing: star extraction, ramps, planning, scheduling, simulation."""
 
+import functools
+import hashlib
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -1105,9 +1108,15 @@ def _ramped(items):
     return [it for it in items if isinstance(it, Segment) and it.H]
 
 
-def test_ramped_segments_share_the_lattice_base():
-    # no matrix per segment: each ramped segment names the entries held
-    # off the lattice's one base matrix instead of copying it
+# sha256 of the matrices reverse_schedule(_fifty_requests()[1]).walk()
+# yields, as a reversal that copied and re-validated each base gave them
+REVERSED_WALK_SHA256 = \
+    "6affd76892875cd29df3e4dd8ca4557028ddc142b8d3093e39e465196c3ad9f5"
+
+
+@functools.cache
+def _fifty_requests():
+    """(H, schedule) of 50 random requests on the 6x6 DLL."""
     g, H = dll(6, 6)
     rng = np.random.default_rng(17)
     dimers = g.dimers()
@@ -1115,9 +1124,42 @@ def test_ramped_segments_share_the_lattice_base():
                                 rng.choice(len(dimers), 2, replace=False)),
                         dt=float(rng.choice([1.0, 2.0])))
              for _ in range(50)]
-    ramped = _ramped(timeline_schedule(g, H, schedule_multi(plans)).items)
+    return H, timeline_schedule(g, H, schedule_multi(plans))
+
+
+def test_ramped_segments_share_the_lattice_base():
+    # no matrix per segment: each ramped segment names the entries held
+    # off the lattice's one base matrix instead of copying it
+    H, s = _fifty_requests()
+    ramped = _ramped(s.items)
     assert len(ramped) > 100
     assert all(it.H.base is H.base for it in ramped)
+
+
+def test_reversed_segments_share_the_lattice_base():
+    H, s = _fifty_requests()
+    r = reverse_schedule(s)
+    ramped = _ramped(r.items)
+    assert len(ramped) == len(_ramped(s.items))
+    assert all(it.H.base is H.base for it in ramped)
+    # the matrices in force, pinned to the bits of the copying reversal
+    digest = hashlib.sha256()
+    for *_, M in r.walk():
+        digest.update(M.tobytes())
+    assert digest.hexdigest() == REVERSED_WALK_SHA256
+
+
+def test_end_hamiltonian_keeps_one_matrix():
+    _, s = _fifty_requests()
+    tracemalloc.start()
+    try:
+        E = end_hamiltonian(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6  # a list of every walk matrix peaked near 51 MB
+    *_, (*_, last) = s.walk()
+    assert np.array_equal(E, last)
 
 
 def _holds_a_flipped_spoke(H, items):
