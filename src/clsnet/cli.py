@@ -22,7 +22,7 @@ import math
 import operator
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -75,7 +75,7 @@ class ScenarioConfig:
     def digest(self):
         # output.dir says where results go, not what is computed, so
         # runs that differ only in destination share a digest
-        keyed = {k: v for k, v in self.as_dict().items() if k != "output"}
+        keyed = {k: v for k, v in vars(self).items() if k != "output"}
         text = json.dumps(keyed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -288,11 +288,14 @@ def parse_config(text, source="config"):
 def load_config(path):
     """The scenario at ``path``, checked as parse_config checks it but
     for a search's seed: the CLI's --seed may still supply that."""
+    return _parse(_read(path), source=str(path))
+
+
+def _read(path):
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
-    return _parse(text, source=str(path))
 
 
 def _parse(text, source):
@@ -640,15 +643,20 @@ def _build_parser():
     return p
 
 
-def _apply_overrides(sc, args):
-    changed = sc.as_dict()
-    if args.seed is not None:
-        changed["seed"] = args.seed
-    if args.tol is not None:
-        changed["integrator"] = dict(changed["integrator"], tol=args.tol)
-    if args.out is not None:
-        changed["output"] = {"dir": args.out}
-    return parse_config(json.dumps(changed), source="<overrides>")
+def _apply_overrides(args):
+    """The scenario at --config under the command line's overrides:
+    --seed and --tol re-walk it, --out (a str, all output.dir asks) is
+    set as it is, and parse_config's search-seed check runs once."""
+    if args.seed is None and args.tol is None:
+        sc = parse_config(_read(args.config), source=str(args.config))
+    else:
+        changed = load_config(args.config).as_dict()
+        if args.seed is not None:
+            changed["seed"] = args.seed
+        if args.tol is not None:
+            changed["integrator"] = dict(changed["integrator"], tol=args.tol)
+        sc = parse_config(json.dumps(changed), source="<overrides>")
+    return sc if args.out is None else replace(sc, output={"dir": args.out})
 
 
 def main(argv=None):
@@ -658,7 +666,7 @@ def main(argv=None):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             if args.command == "verify":
                 return cmd_verify(args.criterion, Path(args.out or "."))
-            sc = _apply_overrides(load_config(args.config), args)
+            sc = _apply_overrides(args)
             _expect(sc.action["kind"] == args.command, "action.kind",
                     f"the config asks for {sc.action['kind']!r}, but the "
                     f"command is {args.command!r}")

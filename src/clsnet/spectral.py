@@ -144,32 +144,44 @@ def dimer_state(n_sites, pair, antisymmetric=True):
 
 
 def _candidate_supports(M, max_size, tau):
-    """Supports S of size 2..max_size, in size-then-lexicographic order,
-    on which H[S^c, S] has a singular value <= tau.  Its Gram matrix,
-    (M^H M)[S, S] - M[S, S]^H M[S, S], is formed for all S of a size
-    at once."""
+    """Supports S of size 2..max_size on which H[S^c, S] has a singular
+    value <= tau, as one index array per size, rows in lexicographic
+    order.  Its Gram matrix is (M^H M)[S, S] - M[S, S]^H M[S, S]; a
+    pair's [[a, b], [b*, d]] has its smallest eigenvalue in closed form,
+    larger supports take one batched eigvalsh per size."""
     MM = M.conj().T @ M
     out = []
     for size in range(2, max_size + 1):
-        S = np.array(list(combinations(range(len(M)), size)), np.intp)
-        rows, cols = S[:, :, None], S[:, None, :]
-        inner = M[rows, cols]
-        gram = MM[rows, cols] - inner.conj().transpose(0, 2, 1) @ inner
-        keep = np.linalg.eigvalsh(gram)[:, 0] <= tau * tau
-        out.extend(map(tuple, S[keep].tolist()))
+        if size == 2:
+            i, j = np.triu_indices(len(M), 1)
+            mii, mji, mij, mjj = M[i, i], M[j, i], M[i, j], M[j, j]
+            a = (MM[i, i] - (mii.conj() * mii + mji.conj() * mji)).real
+            d = (MM[j, j] - (mij.conj() * mij + mjj.conj() * mjj)).real
+            b = MM[i, j] - (mii.conj() * mij + mji.conj() * mjj)
+            low = (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
+            S = np.column_stack([i, j])
+        else:
+            S = np.array(list(combinations(range(len(M)), size)), np.intp)
+            rows, cols = S[:, :, None], S[:, None, :]
+            inner = M[rows, cols]
+            gram = MM[rows, cols] - inner.conj().transpose(0, 2, 1) @ inner
+            low = np.linalg.eigvalsh(gram)[:, 0]
+        out.append(S[low <= tau * tau])
     return out
 
 
 def find_cls(H, max_support):
     """Compact localized eigenvectors with support size <= max_support.
 
-    The rank condition picks candidate supports once per H: S is kept
-    when H[S^c, S] has a singular value <= tau = 2 ||H|| sqrt(_FLAT_TOL)
-    + n CLUSTER_GAP.  A unit cluster vector u with weight >= 1 - _FLAT_TOL
-    on S has |(H - E) u| <= n CLUSTER_GAP and |u off S| <= sqrt(_FLAT_TOL),
-    so H[S^c, S] u_S meets tau: no support the projector test accepts is
-    dropped.  Each degenerate cluster scans the candidates in order of
-    increasing size (lexicographic within a size).  A support qualifies
+    The rank condition picks candidate supports once per H, pairs in
+    closed form: S is kept when H[S^c, S] has a singular value <= tau
+    = 2 ||H|| sqrt(_FLAT_TOL) + n CLUSTER_GAP.  A unit cluster vector u
+    with weight >= 1 - _FLAT_TOL on S has |(H - E) u| <= n CLUSTER_GAP
+    and |u off S| <= sqrt(_FLAT_TOL), so H[S^c, S] u_S meets tau: no
+    support the projector test accepts is dropped.  Each degenerate
+    cluster weighs all candidates of a size in one gather and scans
+    those that reach 1 - _FLAT_TOL in order of increasing size
+    (lexicographic within a size).  A support qualifies
     when the cluster projector restricted to it has a unit eigenvalue;
     the unit eigenspace is then deflated against states already
     accepted in the cluster so the returned list is mutually orthogonal.
@@ -189,32 +201,32 @@ def find_cls(H, max_support):
         Vc = spec.eigenvectors[:, list(cluster)]
         weight = np.einsum("ij,ij->i", Vc, Vc.conj()).real
         accepted = []
-        for S in candidates:
-            idx = list(S)
-            if weight[idx].sum() < 1 - _FLAT_TOL:
-                continue
-            sub = Vc[idx, :]
-            lam, U = np.linalg.eigh(sub @ sub.conj().T)
-            inside = lam >= 1 - _FLAT_TOL
-            if not inside.any():
-                continue
-            B = np.zeros((n, int(inside.sum())), dtype=Vc.dtype)
-            B[idx, :] = U[:, inside]
-            if accepted:
-                # project onto the null space of the accepted states
-                K = np.column_stack(accepted).conj().T @ B
-                _, sv, vh = np.linalg.svd(K, full_matrices=True)
-                B = B @ vh[int(np.sum(sv > 1e-8)):].conj().T
-            for vec in B.T:
-                vec = vec / np.linalg.norm(vec)
-                energy = float((vec.conj() @ M @ vec).real)
-                vec = np.where(np.abs(vec) < SUPPORT_THRESHOLD, 0.0, vec)
-                vec = vec / np.linalg.norm(vec)
-                if np.linalg.norm(M @ vec - energy * vec) > 1e-10:
+        for supports in candidates:
+            # a NaN weight is not below the bound: the projector decides
+            heavy = ~(weight[supports].sum(axis=1) < 1 - _FLAT_TOL)
+            for idx in supports[heavy].tolist():
+                sub = Vc[idx, :]
+                lam, U = np.linalg.eigh(sub @ sub.conj().T)
+                inside = lam >= 1 - _FLAT_TOL
+                if not inside.any():
                     continue
-                support = tuple(np.flatnonzero(np.abs(vec) > 0.0))
-                found.append(CompactState(vec, support, energy))
-                accepted.append(vec)
+                B = np.zeros((n, int(inside.sum())), dtype=Vc.dtype)
+                B[idx, :] = U[:, inside]
+                if accepted:
+                    # project onto the null space of the accepted states
+                    K = np.column_stack(accepted).conj().T @ B
+                    _, sv, vh = np.linalg.svd(K, full_matrices=True)
+                    B = B @ vh[int(np.sum(sv > 1e-8)):].conj().T
+                for vec in B.T:
+                    vec = vec / np.linalg.norm(vec)
+                    energy = float((vec.conj() @ M @ vec).real)
+                    vec = np.where(np.abs(vec) < SUPPORT_THRESHOLD, 0.0, vec)
+                    vec = vec / np.linalg.norm(vec)
+                    if np.linalg.norm(M @ vec - energy * vec) > 1e-10:
+                        continue
+                    support = tuple(np.flatnonzero(np.abs(vec) > 0.0))
+                    found.append(CompactState(vec, support, energy))
+                    accepted.append(vec)
     return found
 
 

@@ -1,5 +1,6 @@
 """Command-line driver: config schema, outputs, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -313,6 +314,29 @@ def test_spectrum_seven_sqrt3(tmp_path):
     s2 = np.sqrt(2.0)
     want = np.sort([0.0, 0.0, 0.0, s2, -s2, 2 * s2, -2 * s2])
     assert np.allclose(np.sort(rep["eigenvalues"]), want, atol=1e-12)
+
+
+# sha256 of summary.json from ``clsnet spectrum --out`` on the L x L DLL
+# at the benchmark's J = 0.25, v = 0.5, as written when find_cls still
+# sent every pair through a batched eigvalsh; eigh's rounding is part
+# of it, so another LAPACK build may need a new pin
+SPECTRUM_SHA256 = {
+    3: "5667b793de42c52c94045721194f19dcb953a32d5ff5432790d25656ddf1a683",
+    6: "40ebb3cbdab53db1e1ad0bb0a8bf9d51bc8ef522a35c1a598b887b4256d81465",
+}
+
+
+@pytest.mark.parametrize("cells", sorted(SPECTRUM_SHA256))
+def test_spectrum_summary_is_pinned(tmp_path, cells):
+    path = write_config(tmp_path, {
+        "system": {"kind": "dll", "cells_x": cells, "cells_y": cells},
+        "parameters": {"J": 0.25, "v": 0.5},
+        "action": {"kind": "spectrum"},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["spectrum", "--config", path, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "summary.json").read_bytes())
+    assert digest.hexdigest() == SPECTRUM_SHA256[cells]
 
 
 # --------------------------------------------------------- simulate

@@ -173,16 +173,49 @@ def test_source_stays_under_the_line_cap():
     assert lines <= LINE_CAP
 
 
-def test_every_traced_attribute_resolves():
-    # bench/tracing.py wraps (module, attribute) pairs by getattr, and
-    # the suite does not import the bench: a name a refactor drops from
-    # a module would break only a traced benchmark run
+@functools.cache
+def _traced_targets():
+    """(module, attribute, span name) of each row of bench/tracing.py's
+    ``_TARGETS``, read from its source: the suite does not import the
+    bench."""
     tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
     targets = next(node.value for node in tree.body
                    if isinstance(node, ast.Assign) and
                    [ast.unparse(t) for t in node.targets] == ["_TARGETS"])
-    pairs = [(row.elts[0].id, row.elts[1].value) for row in targets.elts]
+    return [(row.elts[0].id, row.elts[1].value, row.elts[2].value)
+            for row in targets.elts]
+
+
+def test_every_traced_attribute_resolves():
+    # bench/tracing.py wraps (module, attribute) pairs by getattr: a
+    # name a refactor drops from a module would break only a traced
+    # benchmark run
+    pairs = [(m, a) for m, a, _ in _traced_targets()]
     assert pairs
     missing = [(m, a) for m, a in pairs
                if not hasattr(importlib.import_module(f"clsnet.{m}"), a)]
     assert not missing
+
+
+def test_every_traced_span_is_called():
+    # a wrapper sees only calls that look the attribute up where it is
+    # wrapped: by its bare name inside clsnet/<module>.py, or as
+    # <module>.<attribute> in the package or the bench.  A span none of
+    # whose pairs is called that way stays empty, and a traced run with
+    # an empty span has no measurement for its layer
+    bare, dotted = {}, set()
+    for path in sorted((ROOT / "src" / "clsnet").glob("*.py")) + \
+            sorted((ROOT / "bench").glob("*.py")):
+        where = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                bare.setdefault(where, set()).add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.value, ast.Name):
+                dotted.add((node.value.id, node.attr))
+    spans = {}
+    for m, a, name in _traced_targets():
+        called = a in bare.get(f"src/clsnet/{m}.py", ()) or (m, a) in dotted
+        spans[name] = spans.get(name, False) or called
+    assert spans
+    assert [name for name, called in spans.items() if not called] == []

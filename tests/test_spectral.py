@@ -10,6 +10,7 @@ from clsnet.spectral import (
     CompactState,
     PartitionBlocks,
     Spectrum,
+    _candidate_supports,
     commutes_with_permutation,
     dimer_state,
     equitable_blocks_star,
@@ -316,10 +317,91 @@ def test_find_cls_dll_6x6_eigh_count(monkeypatch):
         return eigh(a, *args, **kw)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # pairs come in closed form: no batched eigvalsh over 16,110 pairs
+    batched = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kw):
+        batched.append(np.shape(a))
+        return eigvalsh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     states = find_cls(H, 2)
     assert len(calls) <= 100
+    assert not batched
     assert len(states) == 72
     assert {s.support for s in states} == set(graph.dimers())
+
+
+def eigvalsh_pairs(M, tau):
+    """Pairs kept by a batched eigvalsh of their 2x2 Gram matrices, the
+    test the closed form replaces, in lexicographic order."""
+    MM = M.conj().T @ M
+    S = np.array(list(combinations(range(len(M)), 2)), np.intp)
+    rows, cols = S[:, :, None], S[:, None, :]
+    inner = M[rows, cols]
+    gram = MM[rows, cols] - inner.conj().transpose(0, 2, 1) @ inner
+    return S[np.linalg.eigvalsh(gram)[:, 0] <= tau * tau]
+
+
+def perturbed_dll_ensemble():
+    """The matrices TestFindClsOracle.test_perturbed_dll_ensemble draws."""
+    rng = np.random.default_rng(2018)
+    for trial in range(48):
+        cells = 2 + trial % 2
+        graph, H = build_dll(cells, cells, 1.0, 0.0)
+        M = np.array(H.base)
+        site = graph.dimers()[rng.integers(len(graph.dimers()))][0]
+        other = rng.choice(np.flatnonzero(M[site]))
+        dJ, dv = rng.choice([-1, 1], 2) * 10.0 ** rng.uniform(-14, -3, 2)
+        M[site, other] += dJ
+        M[other, site] = M[site, other]
+        M[site, site] += dv
+        yield M
+
+
+def isolated_site_hermitian(seed, n=9):
+    """Random complex Hermitian matrix with one site coupled to none."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    M = A + A.conj().T
+    k = rng.integers(n)
+    M[k, :] = M[:, k] = 0.0
+    M[k, k] = rng.normal()
+    return M
+
+
+PAIR_CASES = {
+    **{f"dll{L}-J{J}-v{v}": (lambda L=L, J=J, v=v: build_dll(L, L, J, v)[1])
+       for L in range(2, 7) for J, v in ((0.25, 0.5), (1.0, 0.0))},
+    **{f"star-{k}": f for k, f in TUNED_STARS.items()},
+    "seven-sqrt3": lambda: build_seven([1, 1, S3, S3, 1, 1], 0.0),
+    **{f"isolated-site-{seed}": (lambda seed=seed:
+                                 isolated_site_hermitian(seed))
+       for seed in range(8)},
+}
+
+
+def assert_pairs_match_eigvalsh(H):
+    M = static_matrix(H)
+    w = np.linalg.eigh(M)[0]
+    tau = 2 * np.abs(w).max() * np.sqrt(1e-12) + len(M) * CLUSTER_GAP
+    (pairs,) = _candidate_supports(M, 2, tau)
+    np.testing.assert_array_equal(pairs, eigvalsh_pairs(M, tau))
+    return len(pairs)
+
+
+class TestPairClosedForm:
+    """_candidate_supports keeps, in the same order, exactly the pairs
+    a batched eigvalsh of their Gram matrices keeps."""
+
+    @pytest.mark.parametrize("case", sorted(PAIR_CASES))
+    def test_matches_eigvalsh(self, case):
+        assert assert_pairs_match_eigvalsh(PAIR_CASES[case]()) > 0
+
+    def test_perturbed_dll_ensemble(self):
+        for M in perturbed_dll_ensemble():
+            assert_pairs_match_eigvalsh(M)
 
 
 class TestDimerState:
