@@ -16,9 +16,9 @@ All planning and scheduling here is deterministic: shortest routes in
 the dimer-adjacency graph with lexicographic tie-breaks, greedy
 earliest-start scheduling in request order, on exact times.
 
-Each ``SiteGraph`` gets its dimer tables (hubs, each hub's dimers, the
-dimer adjacency, the edge index, each star) once, and planning reads
-them.  Scheduling builds each plan's holds once, not once per delay.
+Each ``SiteGraph`` gets its dimer tables (hubs, dimers per hub, dimer
+adjacency, edge index, stars, the last H's transfer member) once, and
+scheduling keeps each coupling's holds sorted by start.
 
 Simulation runs each route's column only where its stored state lives,
 its dimer or, over a jump window, its star; a Duhamel leak bound
@@ -29,6 +29,7 @@ over its budget (see :func:`simulate_route`).
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left, insort
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,36 +38,17 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .evolve import (
-    HoppingFlip,
-    PhaseFlip,
-    ProtocolSchedule,
-    Segment,
-    _BUDGET_MAX,
-    _static_samples,
-    fidelity,
-    run_schedule,
-)
+from .evolve import HoppingFlip, PhaseFlip, ProtocolSchedule, Segment, \
+    _BUDGET_MAX, _static_samples, fidelity, run_schedule
 from .lattice import LinearRamp, TimedHamiltonian
 from .protocols import TRANSFER_VARIANTS, StarTransferParams, \
     build_schedule, transfer_member_for
 from .spectral import dimer_state
 
-__all__ = [
-    "StarView",
-    "Jump",
-    "RoutePlan",
-    "Timeline",
-    "RouteReport",
-    "extract_star",
-    "build_ramp",
-    "dimer_adjacency",
-    "plan_route",
-    "schedule_multi",
-    "verify_timeline",
-    "timeline_schedule",
-    "simulate_route",
-]
+__all__ = ["StarView", "Jump", "RoutePlan", "Timeline", "RouteReport",
+           "extract_star", "build_ramp", "dimer_adjacency", "plan_route",
+           "schedule_multi", "verify_timeline", "timeline_schedule",
+           "simulate_route"]
 
 
 @dataclass(frozen=True)
@@ -191,6 +173,29 @@ class Timeline:
     def end(self):
         return max((iv[2] for row in self.busy for iv in row), default=0.0)
 
+    @cached_property
+    def _verified(self):
+        """:func:`verify_timeline`'s verdict, kept once True: each coupling's
+        holds, sorted by start, swept against the one ending last so far."""
+        by_entry = {}
+        for r, row in enumerate(self.jumps):
+            for j, t0, t1, holds in row:
+                for e, ramped in holds:
+                    by_entry.setdefault(e, []).append(
+                        (t0, t1, j.dt if ramped else None, j.star.center, r))
+        for e, held in by_entry.items():
+            last, *rest = sorted(held, key=lambda h: h[0])
+            for h in rest:
+                if h[0] < last[1] and (h[2] is None or h[:3] != last[:3]):
+                    what = f"occupy star {h[3]}" if h[3] == last[3] else \
+                        f"hold coupling {e}"
+                    r2, r = sorted((last[4], h[4]))
+                    raise ValueError(f"routes {r2} and {r} both {what} during "
+                                     f"[{self._at[h[0]]}, "
+                                     f"{self._at[min(h[1], last[1])]}]")
+                last = h if h[1] > last[1] else last
+        return True
+
 
 @dataclass(frozen=True)
 class RouteReport:
@@ -213,9 +218,9 @@ def _dimer_hubs(graph, pair):
 
 
 # per graph: hubs, hub -> its dimers, the read-only dimer adjacency, the
-# edge index and extract_star's stars by (hub, dimer_in, dimer_out); keyed
-# weakly, so an entry goes with its graph, and equal graphs share it
-_Tables = namedtuple("_Tables", "hubs hub_dimers adjacency edge_index stars")
+# edge index, extract_star's stars by (hub, dimer_in, dimer_out) and the
+# last H planned [weakref, member]; keyed weakly, equal graphs sharing it
+_Tables = namedtuple("_Tables", "hubs hub_dimers adjacency edge_index stars member")
 _TABLES = weakref.WeakKeyDictionary()
 
 
@@ -234,7 +239,8 @@ def _tables(graph):
             graph.hubs(),
             {h: tuple(sorted(ds)) for h, ds in hub_dimers.items()},
             MappingProxyType({d: tuple(sorted(v)) for d, v in adj.items()}),
-            tuple(np.array(graph.edges, dtype=int).reshape(-1, 2).T), {})
+            tuple(np.array(graph.edges, dtype=int).reshape(-1, 2).T), {},
+            [lambda: None, None])
     return tables
 
 
@@ -283,16 +289,16 @@ def _ramp_slice(base_v, r0, r1, direction, b, b2):
     return LinearRamp(base_v * s, base_v * s2, b2 - b)
 
 
-def _ramp_overrides(base, ramps, b, b2):
+def _ramp_overrides(ramps, b, b2):
     """Entry -> its :func:`_ramp_slice` over [b, b2] for the entries of
-    ``ramps`` (r0, r1, entries, direction), the first ramp naming an
-    entry winning.  One slice per (r0, r1, direction) and base value,
-    shared by the entries that have it."""
+    ``ramps`` (r0, r1, ((entry, base value), ...), direction), the first
+    ramp naming an entry winning.  One slice per (r0, r1, direction) and
+    base value, shared by the entries that have it."""
     overrides, shared = {}, {}
     for r0, r1, entries, direction in ramps:
-        for e in entries:
+        for e, v in entries:
             if e not in overrides:
-                key = (r0, r1, direction, float(base[e]))
+                key = (r0, r1, direction, v)
                 if key not in shared:
                     shared[key] = _ramp_slice(key[3], r0, r1, direction,
                                               b, b2)
@@ -319,8 +325,8 @@ def build_ramp(H, entries, direction, dt):
         raise ValueError("duplicate ramp entries")
     if any(e[0] == e[1] for e in entries):
         raise ValueError("cannot ramp a diagonal entry")
-    overrides = _ramp_overrides(H.base, [(0.0, dt, entries, direction)],
-                                0.0, dt)
+    overrides = _ramp_overrides([(0.0, dt, [(e, float(H.base[e])) for e in
+                                            entries], direction)], 0.0, dt)
     return Segment(dt, TimedHamiltonian(H.base, overrides))
 
 
@@ -360,11 +366,14 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
     if dst not in paths:
         raise ValueError(f"no route from {src} to {dst}")
 
-    vals, diag = H.base[tables.edge_index], np.diag(H.base)
-    if vals.size == 0 or np.ptp(vals) > 1e-12 or np.ptp(diag) > 1e-12:
-        raise ValueError("route planning needs uniform couplings and "
-                         "potentials")
-    params = transfer_member_for(float(vals[0]), float(diag[0]))
+    ref, params = tables.member  # checked once per H, which is immutable
+    if ref() is not H:
+        vals, diag = H.base[tables.edge_index], np.diag(H.base)
+        if vals.size == 0 or np.ptp(vals) > 1e-12 or np.ptp(diag) > 1e-12:
+            raise ValueError("route planning needs uniform couplings and "
+                             "potentials")
+        params = transfer_member_for(float(vals[0]), float(diag[0]))
+        tables.member[:] = weakref.ref(H), params
     jumps = tuple(
         Jump(extract_star(graph, H, hub, dimer_in=a, dimer_out=b),
              variant, dt, params)
@@ -393,30 +402,24 @@ def _shifted(jumps, start):
     return tuple((j, start + r0, start + r1, h) for j, r0, r1, h in jumps)
 
 
-def _admit(index, jumps, route):
-    """Add the holds of the shifted ``jumps`` to ``index`` (entry ->
-    holds as (center, t0, t1, key, route), key None for a spoke) unless
-    one clashes: windows overlap on one entry, other than two ramps with
-    the same key (t0, t1, dt).  Returns None, or the first clash (center,
-    t0, t1, entry, held) and how much later to start next, every start
-    before that clashing with ``held``: the jump starting with it, if
-    their ramps could then share a key, else at its end."""
-    for j, t0, t1, holds in jumps:
-        key = (t0, t1, j.dt)
+def _clash(index, jumps, delay):
+    """How much later than ``delay`` to try the ``jumps`` of
+    :func:`_jump_holds` next, 0 if none clashes with ``index`` (entry ->
+    its admitted holds (t0, t1, dt), dt None for a spoke, sorted).  They
+    are disjoint but for ramps of one key, so only the last to start
+    before a hold ends can overlap it.  Every start before the next
+    clashes with that held: the jump starting with it, if their ramps
+    could share a key, else at its end."""
+    for j, r0, r1, holds in jumps:
+        t0, t1 = delay + r0, delay + r1
         for e, ramped in holds:
-            for held in index.get(e, ()):
-                _, h0, h1, hkey, _ = held
-                if h0 < t1 and t0 < h1 and (not ramped or key != hkey):
-                    share = ramped and hkey and t0 < h0 and \
-                        hkey[2] == j.dt and h1 - h0 == t1 - t0
-                    return (j.star.center, t0, t1, e, held), \
-                        (h0 if share else h1) - t0
-    for j, t0, t1, holds in jumps:
-        key = (t0, t1, j.dt)
-        for e, ramped in holds:
-            index.setdefault(e, []).append(
-                (j.star.center, t0, t1, key if ramped else None, route))
-    return None
+            if k := bisect_left(held := index.get(e, ()), (t1,)):
+                h0, h1, dt = held[k - 1]
+                if t0 < h1 and not (ramped and (h0, h1, dt) == (t0, t1, j.dt)):
+                    share = ramped and dt == j.dt and t0 < h0 and \
+                        h1 - h0 == t1 - t0
+                    return (h0 if share else h1) - t0
+    return 0
 
 
 def schedule_multi(routes):
@@ -430,13 +433,17 @@ def schedule_multi(routes):
     jump may start on exactly a held ramp's window.  Relaxation from 0
     finds the exact delay (a ``Fraction``): each clash names the next.
     """
-    index, starts, rows = {}, [], []
-    for r, plan in enumerate(routes):
+    index, starts, rows = {}, [], []  # entry -> its admitted holds
+    for plan in routes:
         jumps, delay = _jump_holds(plan), 0
-        while (clash := _admit(index, _shifted(jumps, delay), r)) is not None:
-            delay += clash[1]
+        while step := _clash(index, jumps, delay):
+            delay += step
         starts.append(Fraction(delay, _ONE))
-        rows.append(_shifted(jumps, delay))
+        rows.append(row := _shifted(jumps, delay))
+        for j, t0, t1, holds in row:
+            for e, ramped in holds:
+                insort(index.setdefault(e, []),
+                       (t0, t1, j.dt if ramped else None))
     tl = Timeline(routes=tuple(routes), starts=tuple(starts))
     vars(tl)["jumps"] = tuple(rows)  # as admitted: no holds built twice
     tl._at  # the emitted clock refuses a dt that collapses a jump on it
@@ -446,15 +453,9 @@ def schedule_multi(routes):
 def verify_timeline(tl):
     """Recheck, from the routes and start times, that no two routes
     hold a coupling at overlapping times other than as ramps with the
-    same window and ramp time."""
-    index = {}
-    for r, jumps in enumerate(tl.jumps):
-        if (clash := _admit(index, jumps, r)) is not None:
-            c, a0, a1, e, (c2, b0, b1, _, r2) = clash[0]
-            what = f"occupy star {c}" if c == c2 else f"hold coupling {e}"
-            raise ValueError(f"routes {r2} and {r} both {what} during "
-                             f"[{tl._at[max(a0, b0)]}, {tl._at[min(a1, b1)]}]")
-    return True
+    same window and ramp time.  The first call that passes keeps its
+    verdict on ``tl``; a clash raises on every call."""
+    return tl._verified
 
 
 def _moved(flip, sites):
@@ -467,13 +468,13 @@ def _moved(flip, sites):
 def timeline_schedule(graph, H, tl):
     """One global schedule executing every route of the timeline.
 
-    Checks the timeline with :func:`verify_timeline` first.  Each jump
-    ramps its boundary couplings down over the first ``dt`` of its
-    window and up over the last, exact linear slices shared by ramps
-    with one key; the static stretches run on the working Hamiltonian.
-    In between run the flips of ``build_schedule(variant, params)``,
-    star site k moved to ``StarView.sites[k]``: those before its
-    segment at the end of the down-ramp, the rest at the start of the
+    Checks the timeline with :func:`verify_timeline` first, free once it
+    has passed.  Each jump ramps its boundary couplings down over the
+    first ``dt`` of its window and up over the last, exact linear slices
+    shared by ramps with one key; the static stretches run on the working
+    Hamiltonian.  In between run the flips of ``build_schedule(variant,
+    params)``, star site k moved to ``StarView.sites[k]``: those before
+    its segment at the end of the down-ramp, the rest at the start of the
     up-ramp.  The rule covers couplings: a state resting in a dimer that
     another route jumps through is not protected.  Every jump's window
     end is a segment bound, and every bound a time on the emitted clock.
@@ -481,7 +482,8 @@ def timeline_schedule(graph, H, tl):
     Every ramped segment shares the validated, read-only ``H.base``; its
     overrides are its ramp slices and, under them, the entries held off
     the base: a ramp's end at 0 and a flipped spoke, each a constant
-    ``LinearRamp`` built when its entry changes.
+    ``LinearRamp``, one per value.  A star's base values are read once
+    per jump, as floats carried with its ramps.
     """
     verify_timeline(tl)
     ramps, flips, star_items = [], {}, {}
@@ -490,9 +492,8 @@ def timeline_schedule(graph, H, tl):
             sv, dt = j.star, _ticks(j.dt)
             t0, t1, down_end, up_start = (tl._at[t] for t in (
                 t0, t1, t0 + dt, t1 - dt))
-            if sv.boundary_entries:
-                ramps.append((t0, down_end, sv.boundary_entries, "down"))
-                ramps.append((up_start, t1, sv.boundary_entries, "up"))
+            if ends := tuple((e, H.base.item(e)) for e in sv.boundary_entries):
+                ramps += [(t0, down_end, ends, "down"), (up_start, t1, ends, "up")]
             key = (j.variant, j.params)
             if key not in star_items:
                 star_items[key] = build_schedule(*key).items
@@ -512,26 +513,27 @@ def timeline_schedule(graph, H, tl):
         for k in range(pos[r[0]], pos[r[1]]):
             active[k].append(r)
 
-    held, items = {}, []  # entry -> a constant pulse, where off H.base
+    held, const, items = {}, {}, []  # entry -> a constant, where off base
     def hold(e, v):
         held.pop(e, None)
-        if v != H.base[e]:
-            held[e] = LinearRamp(v, v, 1.0)  # v exactly, at every t
+        if v != H.base.item(e):  # v exactly, at every t; 0.0 and -0.0 apart
+            key = v or str(v)
+            held[e] = const.get(key) or const.setdefault(key, LinearRamp(v, v, 1.0))
     for k, (b, b2) in enumerate(zip(bounds, bounds[1:])):
         for f in flips.get(b, ()):
             items.append(f)
             if isinstance(f, HoppingFlip):
                 e = f.entry
-                hold(e, -(held[e].end if e in held else float(H.base[e])))
+                hold(e, -(held[e].end if e in held else H.base.item(e)))
         if not active[k]:
             items.append(Segment(b2 - b))
             continue
         # verify_timeline let only equal-key ramps share an entry
-        overrides = _ramp_overrides(H.base, active[k], b, b2)
+        overrides = _ramp_overrides(active[k], b, b2)
         items.append(Segment(b2 - b, TimedHamiltonian._trusted(
             H.base, {**held, **overrides})))
         # a ramp ends exactly at 0, held, or at its base value, dropped
-        for e in {e for r in active[k] if r[1] == b2 for e in r[2]}:
+        for e in {e for r in active[k] if r[1] == b2 for e, _ in r[2]}:
             hold(e, overrides[e].end)
     return ProtocolSchedule(TimedHamiltonian(H.base, {}), tuple(items))
 

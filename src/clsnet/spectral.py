@@ -212,9 +212,8 @@ def find_cls(H, max_support):
                     continue
                 B = np.zeros((n, int(inside.sum())), dtype=Vc.dtype)
                 B[idx, :] = U[:, inside]
-                if accepted:
-                    # project onto the null space of the accepted states
-                    K = np.column_stack(accepted).conj().T @ B
+                if accepted:  # project onto the accepted states' null space
+                    K = Ah @ B
                     _, sv, vh = np.linalg.svd(K, full_matrices=True)
                     B = B @ vh[int(np.sum(sv > 1e-8)):].conj().T
                 for vec in B.T:
@@ -227,6 +226,7 @@ def find_cls(H, max_support):
                     support = tuple(np.flatnonzero(np.abs(vec) > 0.0))
                     found.append(CompactState(vec, support, energy))
                     accepted.append(vec)
+                    Ah = np.column_stack(accepted).conj().T  # once per state
     return found
 
 

@@ -1,5 +1,6 @@
 """Routing: star extraction, ramps, planning, scheduling, simulation."""
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -34,7 +35,8 @@ from clsnet.lattice import (
     build_dll,
     evaluate_at,
 )
-from clsnet.protocols import TRANSFER_VARIANTS, build_schedule
+from clsnet.protocols import TRANSFER_VARIANTS, build_schedule, \
+    transfer_member_for
 from clsnet.routing import (
     RoutePlan,
     StarView,
@@ -292,6 +294,24 @@ def test_plan_route_requires_uniform_lattice():
     M[0, 1] = M[1, 0] = 2 * J
     with pytest.raises(ValueError, match="uniform"):
         plan_route(g, TimedHamiltonian(M), (1, 2), (3, 4))
+
+
+def test_plan_route_checks_each_hamiltonian_it_is_given():
+    # the transfer member is kept per graph for the last H planned on it;
+    # another H, uniform or not, is checked and gets its own member
+    g, H = dll(2, 2)
+    assert plan_route(g, H, (1, 2), (3, 4)).jumps[0].params == \
+        transfer_member_for(J, V)
+    M = np.array(H.base)
+    M[0, 1] = M[1, 0] = 2 * J
+    with pytest.raises(ValueError, match="route planning needs uniform "
+                                         "couplings and potentials"):
+        plan_route(g, TimedHamiltonian(M), (1, 2), (3, 4))
+    _, H2 = build_dll(2, 2, J, 1.5)
+    member = plan_route(g, H2, (1, 2), (3, 4)).jumps[0].params
+    assert member == transfer_member_for(J, 1.5) != transfer_member_for(J, V)
+    assert plan_route(g, H, (1, 2), (3, 4)).jumps[0].params == \
+        transfer_member_for(J, V)
 
 
 # ----------------------------------------------------------- scheduling
@@ -579,6 +599,27 @@ def test_verify_timeline_rejects_ramps_on_different_profiles():
     tl = Timeline(routes=(r1, r2), starts=(0.0, 0.0))
     with pytest.raises(ValueError, match=r"both hold coupling \(1, 5\)"):
         verify_timeline(tl)
+
+
+def test_verify_timeline_keeps_only_a_passing_verdict():
+    g, H = dll(3, 3)
+    r = plan_route(g, H, (16, 17), (21, 22))
+    # schedule_multi leaves the check to verify_timeline
+    tl = schedule_multi([r, r])
+    assert tl.starts[1] > 0 and "_verified" not in vars(tl)
+    assert verify_timeline(tl) and vars(tl)["_verified"] is True
+    # a clash is never kept: every call, and every build, raises again
+    r1 = plan_route(g, H, (3, 4), (1, 2), dt=1.0)
+    r2 = plan_route(g, H, (6, 7), (8, 9), dt=2.0)
+    for bad, what in ((dataclasses.replace(tl, starts=(0.0, 0.0)),
+                       "both occupy star 20"),
+                      (Timeline(routes=(r1, r2), starts=(0.0, 0.0)),
+                       r"both hold coupling \(1, 5\)")):
+        for check in (verify_timeline, verify_timeline,
+                      lambda t: timeline_schedule(g, H, t)):
+            with pytest.raises(ValueError, match=what):
+                check(bad)
+        assert "_verified" not in vars(bad)
 
 
 def test_route_plan_rejects_broken_chain():
@@ -1248,18 +1289,18 @@ def test_schedule_multi_builds_each_plans_holds_once(monkeypatch):
                                 rng.choice(len(dimers), 2, replace=False)))
              for _ in range(50)]
     built, scans = Counter(), []
-    holds, admit = clsnet.routing._jump_holds, clsnet.routing._admit
+    holds, clash = clsnet.routing._jump_holds, clsnet.routing._clash
 
     def counted_holds(plan):
         built[id(plan)] += 1
         return holds(plan)
 
-    def counted_admit(*args):
+    def counted_clash(*args):
         scans.append(args)
-        return admit(*args)
+        return clash(*args)
 
     monkeypatch.setattr(clsnet.routing, "_jump_holds", counted_holds)
-    monkeypatch.setattr(clsnet.routing, "_admit", counted_admit)
+    monkeypatch.setattr(clsnet.routing, "_clash", counted_clash)
     tl = schedule_multi(plans)
     assert built == Counter(id(p) for p in plans)
     # rejected delays were examined, each scanning the same holds; the
