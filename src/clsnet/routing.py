@@ -469,7 +469,8 @@ def timeline_schedule(graph, H, tl):
     """One global schedule executing every route of the timeline.
 
     Checks the timeline with :func:`verify_timeline` first, free once it
-    has passed.  Each jump ramps its boundary couplings down over the
+    has passed; ``H`` is the schedule's base, so a pulsed ``H`` raises
+    ValueError.  Each jump ramps its boundary couplings down over the
     first ``dt`` of its window and up over the last, exact linear slices
     shared by ramps with one key; the static stretches run on the working
     Hamiltonian.  In between run the flips of ``build_schedule(variant,
@@ -535,7 +536,7 @@ def timeline_schedule(graph, H, tl):
         # a ramp ends exactly at 0, held, or at its base value, dropped
         for e in {e for r in active[k] if r[1] == b2 for e, _ in r[2]}:
             hold(e, overrides[e].end)
-    return ProtocolSchedule(TimedHamiltonian(H.base, {}), tuple(items))
+    return ProtocolSchedule(H, tuple(items))
 
 
 def _unit_fidelity(psi, target):

@@ -2,9 +2,10 @@
 
 Each test executes its criterion through :mod:`clsnet.acceptance`,
 prints the one-line verdict (visible with ``pytest -s`` or on
-failure), and asserts the whole criterion passed.  C13 consumes the
-norm drifts collected from the evolution-heavy criteria that ran
-before it, matching what ``clsnet verify`` does.
+failure), and asserts the whole criterion passed.  Every criterion
+checks its own norm drift and runtime through ``run_criterion``, as
+``clsnet verify`` does; C13 checks fixed-seed determinism alone.  The
+harness tests at the end drive ``run_criterion`` with fake criteria.
 """
 
 from clsnet import acceptance
@@ -12,9 +13,9 @@ from clsnet import acceptance
 _reports = {}
 
 
-def _run(cid, **kw):
+def _run(cid):
     if cid not in _reports:
-        _reports[cid] = acceptance.run_criterion(cid, **kw)
+        _reports[cid] = acceptance.run_criterion(cid)
     report = _reports[cid]
     print()
     print(report.line())
@@ -85,7 +86,56 @@ def test_c12_fidelities_never_exceed_one():
     assert all(f <= 1.0 for f in fids)
 
 
-def test_c13_norm_and_determinism():
-    drifts = [r.norm_drift for cid, r in _reports.items()
-              if cid != "C13" and r.norm_drift is not None]
-    _assert_passed(_run("C13", drifts=drifts or None))
+def test_c13_fixed_seed_determinism():
+    _assert_passed(_run("C13"))
+
+
+# ------------------------------------------------------------- harness
+
+
+def test_norm_drift_is_checked_where_a_drift_is_reported():
+    carrying = {cid for cid in acceptance.CRITERION_IDS
+                if any(c.name == "norm drift" for c in _run(cid).checks)}
+    assert carrying == {"C1", "C2", "C3", "C4", "C5", "C8", "C11", "C12"}
+
+
+def _fake(monkeypatch, drift, runtime=None):
+    monkeypatch.setitem(acceptance._REGISTRY, "CX",
+                        ("fake", lambda: ([], drift)))
+    monkeypatch.setitem(acceptance._RUNTIME_LIMIT, "CX", runtime)
+    return acceptance.run_criterion("CX")
+
+
+def test_drift_above_the_bound_fails_its_criterion(monkeypatch):
+    assert _fake(monkeypatch, 1e-10).passed
+    report = _fake(monkeypatch, 1e-9)
+    assert not report.passed
+    assert [(c.name, c.value) for c in report.checks if not c.ok] == \
+        [("norm drift", 1e-9)]
+    assert report.norm_drift == 1e-9
+
+
+def test_runtime_is_checked_on_the_harness_clock(monkeypatch):
+    monkeypatch.setattr(acceptance, "perf_counter", iter([0.0, 2.0]).__next__)
+    report = _fake(monkeypatch, None, runtime=1.0)
+    assert not report.passed
+    assert [(c.name, c.value, c.bound) for c in report.checks] == \
+        [("runtime", 2.0, "< 1 s")]
+    assert report.elapsed == 2.0
+
+
+def test_c13_runs_no_other_criterion(monkeypatch):
+    called = []
+    for cid in acceptance.CRITERION_IDS:
+        if cid == "C13":
+            continue
+        title, fn = acceptance._REGISTRY[cid]
+
+        def spy(cid=cid):
+            called.append(cid)
+            return [], None
+        monkeypatch.setitem(acceptance._REGISTRY, cid, (title, spy))
+        monkeypatch.setattr(acceptance, fn.__name__, spy)
+    report = acceptance.run_criterion("C13")
+    assert called == []
+    assert report.passed and report.norm_drift is None

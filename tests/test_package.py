@@ -163,6 +163,30 @@ def test_trusted_shares_a_validated_base():
             f"{name}:{call.lineno} passes {ast.unparse(base)}"
 
 
+def test_only_run_criterion_times_and_looks_up_criteria():
+    # criteria only compute: run_criterion alone times them and applies
+    # the suite-wide bounds, so no criterion keeps a stopwatch or re-runs
+    # another through the registry
+    tree = ast.parse((ROOT / "src" / "clsnet" / "acceptance.py").read_text())
+    owners = {"perf_counter": set(), "_REGISTRY": set()}
+    for node in tree.body:
+        # a def by its name, a module-level assignment by its target
+        owner = getattr(node, "name", None) or \
+            ast.unparse(getattr(node, "targets", [node])[0])
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                name = n.id
+            elif isinstance(n, ast.Attribute):
+                name = n.attr
+            else:
+                continue
+            if name in owners:
+                owners[name].add(owner)
+    assert owners == {"perf_counter": {"run_criterion"},
+                      "_REGISTRY": {"_criterion", "CRITERION_IDS",
+                                    "run_criterion"}}
+
+
 # ROADMAP's cap on src/clsnet, counted as ``wc -l`` counts: newlines
 LINE_CAP = 3893
 

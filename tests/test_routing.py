@@ -654,6 +654,18 @@ def test_timeline_schedule_restores_base_hamiltonian():
     assert s.duration == pytest.approx(plan.duration)
 
 
+def test_pulsed_lattice_hamiltonian_is_refused():
+    # the schedule's base is H itself: a drive on H is never dropped
+    # in favour of its static base
+    g, H = dll(2, 2)
+    tl = schedule_multi([plan_route(g, H, (1, 2), (3, 4))])
+    pulsed = TimedHamiltonian(H.base, {(0, 1): LinearRamp(J, 5.0, 1.0)})
+    for run in (timeline_schedule, simulate_route):
+        with pytest.raises(ValueError, match="pulse-free"):
+            run(g, pulsed, tl)
+    assert timeline_schedule(g, H, tl).base is H
+
+
 def test_two_jump_route_passes_through_intermediate_dimer():
     g, H = dll(3, 1)
     plan = plan_route(g, H, (1, 2), (11, 12))
