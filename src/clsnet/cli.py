@@ -21,7 +21,7 @@ import json
 import math
 import operator
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -343,10 +343,8 @@ def _build_dll(sc):
 
 
 @_as_config_error()
-def _problem_factory(name, p, n_steps=None):
+def _problem_factory(name, p):
     kw = {"J": p["J"], "v": p["v"]}
-    if n_steps is not None:
-        kw["n_steps"] = n_steps
     if name == "seven-transfer" and "J_inner" in p:
         kw["J_inner"] = p["J_inner"]
     factory = {"star-transfer": crab.star_transfer,
@@ -460,14 +458,12 @@ def cmd_spectrum(sc, out_dir):
     states = find_cls(H, 2)
     kind = sc.system["kind"]
     blocks = None
-    try:
+    with suppress(ValueError):  # no block split: blocks stay None
         if kind in ("star", "seven"):
             pb = equitable_blocks_star(H) if kind == "star" \
                 else nonequitable_blocks_seven(H)
             blocks = [sorted(np.linalg.eigvalsh(b).tolist())
                       for b in pb.blocks]
-    except ValueError:
-        blocks = None
     report = {
         "eigenvalues": spec.eigenvalues,
         "cls": [{"support": list(s.support),
@@ -509,8 +505,8 @@ def cmd_optimize(sc, out_dir):
     act = sc.action
     name = act["problem"]
     problem = _problem_factory(name, sc.parameters)
-    search_problem = problem if "n_steps" not in act else \
-        _problem_factory(name, sc.parameters, n_steps=act["n_steps"])
+    search_problem = replace(problem, n_steps=act.get("n_steps",
+                                                     problem.n_steps))
     report = {"problem": name, "mode": act["mode"]}
     if act["mode"] == "evaluate":
         params = _reference_point(problem)
@@ -529,9 +525,7 @@ def cmd_optimize(sc, out_dir):
             "log": list(res.log),
         }
     infid = crab.verify_infidelity(problem, params)
-    report["params"] = {"x": list(params.x), "xp": list(params.xp),
-                        "omega": list(params.omega),
-                        "floor": params.floor, "horizon": params.horizon}
+    report["params"] = asdict(params)
     times, table = crab.pulse_table(problem, params)
     lines = ["t, " + ", ".join(f"J_{n}" for n in sorted(table))]
     for i, t in enumerate(times):
@@ -572,8 +566,8 @@ def cmd_route(sc, out_dir):
         })
     report = {
         "routes": routes,
-        "busy": [[{"star": c, "t0": a, "t1": b} for c, a, b in row]
-                 for row in tl.busy],
+        "busy": [[{"star": j.star.center, "t0": t0, "t1": t1}
+                  for j, t0, *_, t1 in row] for row in tl.windows],
         "delays_inserted": [s for s in tl.starts if s > 0],
         "makespan": tl.end,
     }
@@ -591,21 +585,15 @@ def cmd_verify(criterion, out_dir):
             f"unknown criterion {criterion!r}; known: "
             f"{', '.join(acceptance.CRITERION_IDS)}")
     reports = acceptance.run_all([criterion] if criterion else None)
-    table = []
     for r in reports:
         print(r.line())
         for c in r.checks:
             mark = "ok " if c.ok else "FAIL"
             print(f"    {mark} {c.name}: {c.value!r} (want {c.bound})")
-        table.append({
-            "cid": r.cid, "title": r.title, "passed": r.passed,
-            "elapsed": r.elapsed, "norm_drift": r.norm_drift,
-            "checks": [{"name": c.name, "ok": c.ok, "value": c.value,
-                        "bound": c.bound} for c in r.checks],
-        })
     all_passed = all(r.passed for r in reports)
     _write_json(out_dir / "verify.json",
-                {"passed": all_passed, "criteria": table})
+                {"passed": all_passed,
+                 "criteria": [asdict(r) for r in reports]})
     if not all_passed:
         failed = ", ".join(r.cid for r in reports if not r.passed)
         print(f"FAILED: {failed}")

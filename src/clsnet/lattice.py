@@ -293,6 +293,13 @@ class TimedHamiltonian:
         return H
 
     @cached_property
+    def _eigh(self):
+        """Read-only eigh of the base, a static instance's spectrum."""
+        w, V = np.linalg.eigh(self.base)
+        w.flags.writeable = V.flags.writeable = False
+        return w, V
+
+    @cached_property
     def _sublattices(self):
         """Chiral split of the sites: (order, p) with sublattice A first.
 

@@ -239,18 +239,19 @@ def build_schedule(variant, params, **options):
     if unknown:
         raise TypeError(f"{variant} takes no options {sorted(unknown)}")
 
-    v, T = params.v, params.T
+    v, T, star = params.v, params.T, params.graph == "star"
+    if "in_site" in allowed:  # one phase flip on each dimer
+        out_pair = (3, 4) if star else (5, 6)
+        in_site = options.get("in_site", 1)
+        out_site = options.get("out_site", out_pair[1])
+        if in_site not in (0, 1) or out_site not in out_pair:
+            raise ValueError(f"{'star' if star else 'seven-site'} flips "
+                             "must hit one site of each dimer")
     if variant in TRANSFER_VARIANTS:
-        J, star = params.J, params.graph == "star"
+        J = params.J
         base = build_star([J] * 4, v) if star else \
             build_seven([J, J, np.sqrt(3.0) * J, np.sqrt(3.0) * J, J, J], v)
         if variant == "phase-flip-transfer":
-            out_pair = (3, 4) if star else (5, 6)
-            in_site = options.get("in_site", 1)
-            out_site = options.get("out_site", out_pair[1])
-            if in_site not in (0, 1) or out_site not in out_pair:
-                raise ValueError(f"{'star' if star else 'seven-site'} flips "
-                                 "must hit one site of each dimer")
             items = (PhaseFlip(in_site), Segment(T), PhaseFlip(out_site))
         else:
             pairs = _STAR_HOPPING_PAIRS if star else _SEVEN_HOPPING_PAIRS
@@ -270,7 +271,9 @@ def build_schedule(variant, params, **options):
     if variant == "generation":
         items = [Segment(T)]
         target = cls_state("star", "L")
-        if options.get("final_flip", True):
+        if not isinstance(flip := options.get("final_flip", True), bool):
+            raise ValueError(f"final_flip must be True or False, not {flip!r}")
+        if flip:
             items.append(PhaseFlip(1))
             target = items[-1].apply(target)
         return ProtocolSchedule(H_in, tuple(items),
@@ -283,12 +286,8 @@ def build_schedule(variant, params, **options):
                                 initial_state=cls_state("star", "I"),
                                 target_state=cls_state("star", "c"))
 
-    items = (
-        PhaseFlip(options.get("in_site", 1)),
-        Segment(T),
-        Segment(T, H_out),
-        PhaseFlip(options.get("out_site", 4)),
-    )
+    items = (PhaseFlip(in_site), Segment(T), Segment(T, H_out),
+             PhaseFlip(out_site))
     return ProtocolSchedule(H_in, items,
                             initial_state=cls_state("star", "I"),
                             target_state=cls_state("star", "F"))

@@ -136,42 +136,40 @@ class Timeline:
                      for plan, start in zip(self.routes, self.starts))
 
     @cached_property
-    def _at(self):
-        """Float image of each jump instant (t0, t0 + dt, t1 - dt, t1) on
-        the emitted clock: the grid of 2**m ticks (ties up) for an end of
-        m + 53 bits, on which sums and differences are exact.  An instant
-        less than a step after the last one kept emits as it, so sums of
-        dt that agree in decimal (0.7 + 0.3, 0.5 + 0.5) leave no sliver.
-        Raises ValueError where a jump collapses on this clock, naming
-        the largest such dt (a huge one coarsens the clock for all): a
-        ramp takes no time, or the flips are not T apart to 1e-9, as past
-        the largest float, where images are inf."""
-        rows = [(j, t0, t0 + _ticks(j.dt), t1 - _ticks(j.dt), t1)
-                for row in self.jumps for j, t0, t1, _ in row]
-        m = max(max((r[4] for r in rows), default=0).bit_length() - 53, 0)
+    def windows(self):
+        """Per route, each jump's (jump, t0, t0 + dt, t1 - dt, t1) as
+        floats on the emitted clock: the grid of 2**m ticks (ties up)
+        for an end of m + 53 bits, on which sums and differences are
+        exact.  An instant less than a step after the last one kept
+        emits as it, so sums of dt that agree in decimal (0.7 + 0.3,
+        0.5 + 0.5) leave no sliver.  Raises ValueError where a jump
+        collapses on this clock, naming the largest such dt (a huge one
+        coarsens the clock for all): a ramp takes no time, or the flips
+        are not T apart to 1e-9, as past the largest float, where images
+        are inf."""
+        rows = [[(j, t0, t0 + (d := _ticks(j.dt)), t1 - d, t1)
+                 for j, t0, t1, _ in row] for row in self.jumps]
+        ticks = sorted({t for row in rows for r in row for t in r[1:]})
+        m = max(max(ticks, default=0).bit_length() - 53, 0)
         at, kept, image, step = {}, 0, 0.0, 2.0 ** (m - 1074)
-        for t in sorted({t for r in rows for t in r[1:]}):
+        for t in ticks:
             if t - kept >= 1 << m:
                 kept, image = t, ((t + (1 << m >> 1)) >> m) * step
             at[t] = image
-        for j, *instants in sorted(rows, key=lambda r: -r[0].dt):
-            a, b, c, d = (at[t] for t in instants)
+        windows = tuple(tuple((j, *(at[t] for t in r)) for j, *r in row)
+                        for row in rows)
+        for j, a, b, c, d in sorted((w for row in windows for w in row),
+                                    key=lambda w: -w[0].dt):
             T = j.params.T
             if not (a < b and c < d and abs(c - b - T) <= 1e-9 * T):
                 raise ValueError(f"dt={j.dt!r} collapses the jump at t={a:g}"
                                  f": ramps of {b - a:g} and {d - c:g}, flips "
                                  f"{c - b:g} apart, not T={T:g}")
-        return at
-
-    @cached_property
-    def busy(self):
-        """Per route, the (center, t0, t1) window of each jump."""
-        return tuple(tuple((j.star.center, self._at[t0], self._at[t1])
-                           for j, t0, t1, _ in row) for row in self.jumps)
+        return windows
 
     @property
     def end(self):
-        return max((iv[2] for row in self.busy for iv in row), default=0.0)
+        return max((w[4] for row in self.windows for w in row), default=0.0)
 
     @cached_property
     def _verified(self):
@@ -191,8 +189,8 @@ class Timeline:
                         f"hold coupling {e}"
                     r2, r = sorted((last[4], h[4]))
                     raise ValueError(f"routes {r2} and {r} both {what} during "
-                                     f"[{self._at[h[0]]}, "
-                                     f"{self._at[min(h[1], last[1])]}]")
+                                     f"[{h[0] / _ONE}, "
+                                     f"{min(h[1], last[1]) / _ONE}]")
                 last = h if h[1] > last[1] else last
         return True
 
@@ -446,7 +444,7 @@ def schedule_multi(routes):
                        (t0, t1, j.dt if ramped else None))
     tl = Timeline(routes=tuple(routes), starts=tuple(starts))
     vars(tl)["jumps"] = tuple(rows)  # as admitted: no holds built twice
-    tl._at  # the emitted clock refuses a dt that collapses a jump on it
+    tl.windows  # the emitted clock refuses a dt that collapses a jump on it
     return tl
 
 
@@ -488,11 +486,9 @@ def timeline_schedule(graph, H, tl):
     """
     verify_timeline(tl)
     ramps, flips, star_items = [], {}, {}
-    for row in tl.jumps:
-        for j, t0, t1, _ in row:
-            sv, dt = j.star, _ticks(j.dt)
-            t0, t1, down_end, up_start = (tl._at[t] for t in (
-                t0, t1, t0 + dt, t1 - dt))
+    for row in tl.windows:
+        for j, t0, down_end, up_start, t1 in row:
+            sv = j.star
             if ends := tuple((e, H.base.item(e)) for e in sv.boundary_entries):
                 ramps += [(t0, down_end, ends, "down"), (up_start, t1, ends, "up")]
             key = (j.variant, j.params)
@@ -505,7 +501,8 @@ def timeline_schedule(graph, H, tl):
                 else:
                     flips.setdefault(t, []).append(_moved(f, sv.sites))
 
-    bounds = sorted({0.0, *tl._at.values()})
+    bounds = sorted({0.0, *(t for row in tl.windows for w in row
+                           for t in w[1:])})
 
     # ramp ends are bounds: a ramp spans segments pos[start]..pos[end]-1
     pos = {t: k for k, t in enumerate(bounds)}
@@ -548,18 +545,18 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _GL_X, _GL_W = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
 
 
-def _walk_supports(tl, windows, schedule, psi):
+def _walk_supports(tl, schedule, psi):
     """The (n, k) block ``psi`` walked through ``schedule`` on the
-    routes' supports: (final block, block at each jump end, drift, leak
-    bounds).  Route r's bound covers all of H(t) - H[S, S] on its column:
-    couplings out of S, and drives of entries inside S."""
-    k, ends = psi.shape[1], {t1 for w in windows for _, t1, _ in w}
+    supports of ``tl``'s routes: (final block, block at each jump end,
+    drift, leak bounds).  Route r's bound covers all of H(t) - H[S, S]
+    on its column: couplings out of S, and drives of entries inside S."""
+    k, ends = psi.shape[1], {w[4] for row in tl.windows for w in row}
 
     def support(r, b, b2):
         """Route r's star if a window of it meets [b, b2], else its dimer."""
-        for t0, t1, star in windows[r]:
+        for j, t0, *_, t1 in tl.windows[r]:
             if b < t1:
-                return list(star.sites if t0 < b2 else star.dimer_in)
+                return list(j.star.sites if t0 < b2 else j.star.dimer_in)
         return list(tl.routes[r].destination)
 
     psi, leak, reads = psi + 0j, np.zeros(k), {}
@@ -618,12 +615,10 @@ def simulate_route(graph, H, tl, tol=1e-11):
     the final states, the largest norm drift over segment ends and the
     leak bounds."""
     n = graph.n_sites
-    windows = [[(tl._at[t0], tl._at[t1], j.star) for j, t0, t1, _ in row]
-               for row in tl.jumps]
     schedule = timeline_schedule(graph, H, tl)
     psi0 = np.reshape([dimer_state(n, plan.source) for plan in tl.routes],
                       (-1, n)).T
-    finals, reads, drift, leaks = _walk_supports(tl, windows, schedule, psi0)
+    finals, reads, drift, leaks = _walk_supports(tl, schedule, psi0)
     # as for a convergence pair, a budget above _BUDGET_MAX certifies nothing
     if not max(leaks, default=0.0) <= tol * tl.end <= _BUDGET_MAX:
         traj = run_schedule(schedule, psi0, samples_per_segment=2, tol=tol)
@@ -633,6 +628,6 @@ def simulate_route(graph, H, tl, tol=1e-11):
                  for f, plan in zip(finals.T, tl.routes))
     per_jump = tuple(
         tuple((t1, _unit_fidelity(reads[t1][:, r],
-                                  dimer_state(n, star.dimer_out)))
-              for _, t1, star in w) for r, w in enumerate(windows))
+                                  dimer_state(n, j.star.dimer_out)))
+              for j, *_, t1 in row) for r, row in enumerate(tl.windows))
     return RouteReport(fids, per_jump, tuple(finals.T), drift, leaks)

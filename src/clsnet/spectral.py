@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .lattice import SEVEN_EDGES, static_matrix
+from .lattice import SEVEN_EDGES, TimedHamiltonian, static_matrix
 
 __all__ = [
     "SUPPORT_THRESHOLD",
@@ -116,9 +116,9 @@ class PartitionBlocks:
 
 
 def spectrum(H):
-    """Hermitian eigendecomposition wrapped as a :class:`Spectrum`."""
+    """Eigendecomposition as a :class:`Spectrum`, once per TimedHamiltonian."""
     M = static_matrix(H)
-    w, V = np.linalg.eigh(M)
+    w, V = H._eigh if isinstance(H, TimedHamiltonian) else np.linalg.eigh(M)
     return Spectrum(w, V)
 
 
@@ -192,7 +192,7 @@ def find_cls(H, max_support):
         raise ValueError("max_support must be at least 2")
     M = static_matrix(H)
     n = M.shape[0]
-    spec = spectrum(M)
+    spec = spectrum(H)
     tau = (2 * np.abs(spec.eigenvalues).max(initial=0.0) * np.sqrt(_FLAT_TOL)
            + n * CLUSTER_GAP)
     candidates = _candidate_supports(M, min(max_support, n), tau)

@@ -187,6 +187,22 @@ def test_only_run_criterion_times_and_looks_up_criteria():
                                     "run_criterion"}}
 
 
+def test_only_the_timeline_converts_to_ticks():
+    # planning reads exact ticks and everything after it reads
+    # Timeline.windows, so a jump's times are converted in three places:
+    # its holds, its route's start and its one emitted record
+    tree = ast.parse((ROOT / "src" / "clsnet" / "routing.py").read_text())
+    scopes = [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+    scopes += [(f"{c.name}.{f.name}", f) for c in tree.body
+               if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, ast.FunctionDef)]
+    scopes += [("<module>", n) for n in tree.body
+               if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    callers = {name for name, node in scopes for n in ast.walk(node)
+               if isinstance(n, ast.Call) and ast.unparse(n.func) == "_ticks"}
+    assert callers == {"_jump_holds", "Timeline.jumps", "Timeline.windows"}
+
+
 # ROADMAP's cap on src/clsnet, counted as ``wc -l`` counts: newlines
 LINE_CAP = 3893
 

@@ -336,6 +336,26 @@ def test_piecewise_transfer_through_hub():
     assert abs(traj.states[mid][2]) > 1 - 1e-6
 
 
+@pytest.mark.parametrize("options", [{"in_site": 2}, {"out_site": 1},
+                                     {"in_site": 3, "out_site": 4}])
+def test_piecewise_transfer_flips_one_site_of_each_dimer(options):
+    # as in a phase-flip transfer: a flip on the hub or on the wrong
+    # dimer leaves the state orthogonal to its target
+    p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+    with pytest.raises(ValueError,
+                       match="star flips must hit one site of each dimer"):
+        build_schedule("piecewise-transfer", p, **options)
+    s = build_schedule("piecewise-transfer", p, in_site=0, out_site=3)
+    assert _run_fidelity(s)[0] >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("flag", ["no", None, 1, 0.0])
+def test_generation_final_flip_is_true_or_false(flag):
+    p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
+    with pytest.raises(ValueError, match="final_flip must be True or False"):
+        build_schedule("generation", p, final_flip=flag)
+
+
 def test_piecewise_halves_match_direct_transfer_time():
     p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
     t = StarTransferParams(1, 0, 0.25)

@@ -8,6 +8,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,8 +65,8 @@ def full_lattice(monkeypatch):
     """simulate_route on its full-lattice path: the support walk reports
     an infinite leak bound for every route, which no budget admits."""
     monkeypatch.setattr(clsnet.routing, "_walk_supports",
-                        lambda tl, windows, schedule, psi:
-                        (None, None, None, (math.inf,) * len(windows)))
+                        lambda tl, schedule, psi:
+                        (None, None, None, (math.inf,) * len(tl.windows)))
 
 
 # ---------------------------------------------------------------- stars
@@ -370,11 +371,12 @@ def test_schedule_survives_delay_round_off():
     # below t1 for them, which used to leave no admissible delay
     first = _StubPlan(((20, 115.68140899333461),))
     second = _StubPlan(((5, 24.84955592153876), (20, 8.283185307179593)))
-    assert Timeline((second,), (0.0,)).busy[0][1] == \
+    j, t0, *_, t1 = Timeline((second,), (0.0,)).windows[0][1]
+    assert (j.star.center, t0, t1) == \
         (20, 24.84955592153876, 33.13274122871835)
     tl = schedule_multi([first, second])
     assert tl.starts[0] == 0.0
-    assert tl.busy[1][1][1] >= 115.68140899333461
+    assert tl.windows[1][1][1] >= 115.68140899333461
     verify_timeline(tl)
 
 
@@ -392,7 +394,7 @@ def test_schedule_starts_a_ramp_on_a_held_ramps_window():
                                  ((13, 14), (3, 4), hopping, 2.0))]
     tl = schedule_multi(plans)
     assert tl.starts == (0, plans[0].duration, plans[0].duration)
-    assert tl.busy[2][0][1:] == tl.busy[1][0][1:] == \
+    assert tl.windows[2][0][1::3] == tl.windows[1][0][1::3] == \
         (8.283185307179586, 18.566370614359172)
     rep = simulate_route(g, H, tl)
     assert all(f >= 1 - 1e-8 for f in rep.fidelities)
@@ -507,8 +509,36 @@ def test_timeline_busy_follows_starts():
     g, H = dll(1, 1)
     r = plan_route(g, H, (1, 2), (3, 4))
     tl = Timeline(routes=(r,), starts=(5.0,))
-    assert tl.busy == (((r.jumps[0].star.center, 5.0, 5.0 + r.duration),),)
+    assert [[(j.star.center, t0, t1) for j, t0, *_, t1 in row]
+            for row in tl.windows] == \
+        [[(r.jumps[0].star.center, 5.0, 5.0 + r.duration)]]
     assert tl.end == 5.0 + r.duration
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_window_instants_are_segment_bounds(data):
+    # Timeline.windows is the one emitted view of a timeline: each
+    # jump's t0, t0 + dt, t1 - dt and t1 are bounds of its schedule,
+    # exactly, and the latest t1 is the schedule's duration
+    cells = data.draw(st.integers(2, 3), label="cells")
+    g, H = dll(cells, cells)
+    dimers = st.sampled_from(g.dimers())
+    requests = data.draw(st.lists(
+        st.tuples(dimers, dimers, st.sampled_from(TRANSFER_VARIANTS),
+                  st.sampled_from((0.2, 0.3, 0.5, 0.7, 1.0, 2.0))),
+        min_size=1, max_size=5), label="requests")
+    tl = schedule_multi([plan_route(g, H, a, b, variant=v, dt=dt)
+                         for a, b, v, dt in requests])
+    s = timeline_schedule(g, H, tl)
+    bounds = {0.0, *accumulate(it.duration for it in s.items
+                               if isinstance(it, Segment))}
+    assert len(tl.windows) == len(tl.routes)
+    for plan, row in zip(tl.routes, tl.windows):
+        assert [w[0] for w in row] == list(plan.jumps)
+        for _, *instants in row:
+            assert set(instants) <= bounds
+    assert tl.end == s.duration
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -538,9 +568,9 @@ def test_every_scheduled_timeline_builds(data):
     assert all(b - a >= 1e-9 * tl.end for a, b, _ in segments)
     seg_starts = np.array([a for a, _, _ in segments])
     seg_ends = np.array([b for _, b, _ in segments])
-    for plan, row in zip(tl.routes, tl.busy):
-        for j, (c, t0, t1) in zip(plan.jumps, row):
-            assert c == j.star.center
+    for plan, row in zip(tl.routes, tl.windows):
+        for j, (w, t0, *_, t1) in zip(plan.jumps, row):
+            assert w.star.center == j.star.center
             a0, _, first = segments[np.argmin(np.abs(seg_starts - t0))]
             _, b1, last = segments[np.argmin(np.abs(seg_ends - t1))]
             assert a0 == pytest.approx(t0, abs=1e-9)
@@ -784,7 +814,7 @@ def test_leak_bound_covers_a_drive_inside_a_support():
     s = ProtocolSchedule(TimedHamiltonian(H.base), (Segment(2.0, ramp),))
     psi0 = dimer_state(g.n_sites, (1, 2))[:, None]
     final, _, _, (bound,) = clsnet.routing._walk_supports(
-        Timeline((plan,), (0,)), [[(0.0, 2.0, plan.jumps[0].star)]], s, psi0)
+        Timeline((plan,), (0,)), s, psi0)
     full = run_schedule(s, psi0, tol=1e-11).final_state
     assert bound >= np.linalg.norm(final[:, 0] - full[:, 0]) > 0.0
 
@@ -806,8 +836,8 @@ def _full_lattice_report(g, H, tl, tol=1e-11):
                  for r, p in enumerate(tl.routes))
     per_jump = tuple(
         tuple((t1, unit(traj.states[at[t1], :, r], j.star.dimer_out))
-              for j, (_, _, t1) in zip(p.jumps, row))
-        for r, (p, row) in enumerate(zip(tl.routes, tl.busy)))
+              for j, *_, t1 in row)
+        for r, row in enumerate(tl.windows))
     return fids, per_jump, tuple(traj.final_state.T), traj.norm_drift
 
 
@@ -815,9 +845,9 @@ def _flip_hits_a_resting_dimer(g, H, tl):
     """Whether a flip of the timeline's schedule acts on a site of a
     dimer where some route's state rests at that instant."""
     rests = []  # (dimer, from, to), closed: a route rests at its ends
-    for plan, row in zip(tl.routes, tl.busy):
+    for plan, row in zip(tl.routes, tl.windows):
         t = 0.0
-        for j, (_, t0, t1) in zip(plan.jumps, row):
+        for j, t0, *_, t1 in row:
             rests.append((j.star.dimer_in, t, t0))
             t = t1
         rests.append((plan.destination, t, math.inf))
@@ -936,8 +966,8 @@ def test_simulation_is_deterministic():
 def test_jump_duration_and_busy_accounting():
     g, H = dll(2, 1)
     plan = plan_route(g, H, (1, 2), (6, 7), dt=0.5)
-    (center, b0, b1), = Timeline((plan,), (0.0,)).busy[0]
-    assert center == 5
+    (j, b0, *_, b1), = Timeline((plan,), (0.0,)).windows[0]
+    assert j.star.center == 5
     assert b0 == 0.0
     assert b1 == pytest.approx(1.0 + 2 * np.pi)
     assert plan.duration == b1

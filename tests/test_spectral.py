@@ -3,7 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from clsnet.lattice import build_dll, build_seven, build_star, static_matrix
+from clsnet.lattice import TimedHamiltonian, build_dll, build_seven, \
+    build_star, static_matrix
 from clsnet.spectral import (
     CLUSTER_GAP,
     SUPPORT_THRESHOLD,
@@ -302,6 +303,28 @@ class TestFindClsOracle:
             M[other, site] = M[site, other]
             M[site, site] += dv
             assert_matches_oracle(M, 2)
+
+
+def test_spectrum_and_find_cls_share_one_eigh(monkeypatch):
+    # clsnet spectrum asks for spectrum(H) and then find_cls(H, 2): an
+    # immutable TimedHamiltonian is diagonalized once, read-only
+    H = TimedHamiltonian(build_dll(3, 3, 0.25, 0.5)[1].base)
+    full, eigh = [], np.linalg.eigh
+
+    def counting_eigh(a, *args, **kw):
+        if np.shape(a) == H.base.shape:
+            full.append(a)
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    spec = spectrum(H)
+    assert len(find_cls(H, 2)) == 18
+    assert len(full) == 1
+    w, V = eigh(H.base)
+    assert np.array_equal(spec.eigenvalues, w)
+    assert np.array_equal(spec.eigenvectors, V)
+    with pytest.raises(ValueError):
+        spec.eigenvalues[0] = 0.0
 
 
 def test_find_cls_dll_6x6_eigh_count(monkeypatch):
