@@ -69,9 +69,6 @@ class ScenarioConfig:
     seed: Optional[int]
     output: dict
 
-    def as_dict(self):
-        return asdict(self)
-
     def digest(self):
         # output.dir says where results go, not what is computed, so
         # runs that differ only in destination share a digest
@@ -638,7 +635,7 @@ def _apply_overrides(args):
     if args.seed is None and args.tol is None:
         sc = parse_config(_read(args.config), source=str(args.config))
     else:
-        changed = load_config(args.config).as_dict()
+        changed = asdict(load_config(args.config))
         if args.seed is not None:
             changed["seed"] = args.seed
         if args.tol is not None:

@@ -19,13 +19,11 @@ and connectors couple only to dimer sites), with a uniform on-site
 potential and no driven diagonal; any other raises ValueError.  The
 integrator samples only the coupling block C(t) from the smaller
 sublattice (p = 1 on the star, 2 on the seven-site unit, 9 on the 3x3
-DLL) and exponentiates through the p x p Gram matrix C C^T.  The Gram
-functions cos(sqrt X), sin(sqrt X)/sqrt X and (cos(sqrt X) - 1)/X of
-X = h^2 C C^T are closed forms for p <= 2; for p > 2 they are Taylor
-series with double-angle recovery, cut where the first dropped term
-falls below 1e-17, and no step calls eigh.  A step acts through the
-couplings alone, so a state they annihilate (say an antisymmetric
-dimer under symmetric driving) is left alone exactly.
+DLL) and exponentiates through the eigenpairs of the p x p Gram matrix
+C C^T: closed forms for p <= 2, and for p > 2 one batched eigh of the
+Gram stack per call; no step forms an n x n exponential.  A step acts
+through the couplings alone, so a state they annihilate (say an
+antisymmetric dimer under symmetric driving) is left alone exactly.
 
 A :class:`ProtocolSchedule` is an ordered sequence of instantaneous
 flips (phase flips on the state, sign flips on couplings, each applied
@@ -123,40 +121,6 @@ def _chain_product(stack):
     return stack[0]
 
 
-def _gram_functions(X):
-    """c = cos(sqrt X), s = sin(sqrt X)/sqrt X, f = (cos(sqrt X) - 1)/X.
-
-    X is a (k, p, p) stack, scaled by 4^-sigma to ||X||_inf <= 1/2.  Horner
-    runs s = sum (-X)^j/(2j+1)! and f = -sum (-X)^j/(2j+2)! over j < m,
-    the least m whose first dropped term r^m/(2m+1)! at the scaled norm
-    r is below 1e-17 (m <= 9).  Then sigma double-angle steps
-    c <- 2c^2 - 1, s <- s c, f <- f (c + 1)/2 undo the scaling (Higham &
-    Smith, Numer. Algorithms 34, 13 (2003)); they run on d = c - I =
-    X f, so small angles keep their relative accuracy.
-    """
-    r = float(np.abs(X).sum(axis=2).max(initial=0.0))
-    if not np.isfinite(r):
-        raise FloatingPointError("non-finite couplings in a pulsed step")
-    # r < 2^e, so r / 4^sigma < 2^(e - 2 sigma) <= 1/2
-    sigma = (math.frexp(r)[1] + 2) // 2 if r > 0.5 else 0
-    r, X = r / 4.0 ** sigma, X / 4.0 ** sigma
-    m = 1
-    while r ** m / math.factorial(2 * m + 1) >= 1e-17:
-        m += 1
-    eye = np.eye(X.shape[1])
-    s = np.broadcast_to(eye / math.factorial(2 * m - 1), X.shape)
-    f = np.broadcast_to(eye / -math.factorial(2 * m), X.shape)
-    for j in range(m - 2, -1, -1):
-        s = eye / math.factorial(2 * j + 1) - X @ s
-        f = eye / -math.factorial(2 * j + 2) - X @ f
-    d = X @ f
-    for _ in range(sigma):
-        s = s + s @ d
-        f = f + 0.5 * (f @ d)
-        d = 2.0 * (d @ d) + 4.0 * d
-    return eye + d, s, f
-
-
 def _sublattice_exponentials(C, h):
     """Real-frame exponentials of the chiral generators K = [[0, C], [C^T, 0]].
 
@@ -171,26 +135,18 @@ def _sublattice_exponentials(C, h):
     no accuracy.  Returns the real (k, p+q, p+q) stack F exp(-i h K)
     F^-1 in the frame F = diag(1_A, -i 1_B): there the off-diagonal
     blocks are S and -S^T with S = h s C, so products of steps stay
-    real.  For p <= 2 the functions come from the closed-form eigenpairs
-    C C^T = W diag(s^2) W^T; larger p uses the Taylor series of
-    :func:`_gram_functions` with double-angle recovery.
+    real.  The functions come from the eigenpairs C C^T = W diag(s^2)
+    W^T: in closed form for p <= 2, from one batched eigh of the Gram
+    stack for p > 2, which first refuses non-finite couplings.
     """
     k, p, q = C.shape
     n = p + q
     Ct = np.ascontiguousarray(C.swapaxes(1, 2))
     gram = C @ Ct
     R = np.empty((k, n, n))
-    if p > 2:
-        c, s, f = _gram_functions(h * h * gram)
-        R[:, :p, :p] = c
-        np.matmul(h * s, C, out=R[:, :p, p:])
-        np.negative(R[:, :p, p:].swapaxes(1, 2), out=R[:, p:, :p])
-        np.matmul(Ct, (h * h) * f @ C, out=R[:, p:, p:])
-        R.reshape(k, n * n)[:, p * (n + 1)::n + 1] += 1.0
-        return R
     if p == 1:
         lam, W = gram[:, 0], np.ones((k, 1, 1))
-    else:
+    elif p == 2:
         # the Jacobi rotation W = [[c, -s], [s, c]] diagonalizes [[a, b], [b, d]]
         a, b, d = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
         theta = 0.5 * np.arctan2(2.0 * b, a - d)
@@ -198,6 +154,10 @@ def _sublattice_exponentials(C, h):
         lam = np.stack([0.5 * (a + d) + r, 0.5 * (a + d) - r], axis=1)
         c, s = np.cos(theta), np.sin(theta)
         W = np.stack([c, -s, s, c], axis=1).reshape(k, 2, 2)
+    elif not np.isfinite(gram).all():
+        raise FloatingPointError("non-finite couplings in a pulsed step")
+    else:
+        lam, W = np.linalg.eigh(gram)
     hs = h * np.sqrt(np.maximum(lam, 0.0))
     Wt = np.ascontiguousarray(W.swapaxes(1, 2))
     WtC = Wt @ C

@@ -244,7 +244,10 @@ def build_schedule(variant, params, **options):
         out_pair = (3, 4) if star else (5, 6)
         in_site = options.get("in_site", 1)
         out_site = options.get("out_site", out_pair[1])
-        if in_site not in (0, 1) or out_site not in out_pair:
+        # a bool would index the state as a mask, a float fail there
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer))
+               for i in (in_site, out_site)) or in_site not in (0, 1) \
+                or out_site not in out_pair:
             raise ValueError(f"{'star' if star else 'seven-site'} flips "
                              "must hit one site of each dimer")
     if variant in TRANSFER_VARIANTS:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -979,6 +980,6 @@ def test_every_config_exits_honestly(case):
 def test_parse_emit_round_trip(case):
     # the path --seed/--tol/--out overrides take; every draw parses
     sc = parse_config(json.dumps(case[1]))
-    again = parse_config(json.dumps(sc.as_dict()))
+    again = parse_config(json.dumps(asdict(sc)))
     assert again == sc
     assert again.digest() == sc.digest()

@@ -587,33 +587,38 @@ class TestSublatticeExponential:
         rng = np.random.default_rng(7)
         C = _coupling_stack(rng, 24, np.asarray(mask, float))
         if C.shape[1] > 2:
-            # at h = 3, ||X||_inf > 8 for X = h^2 C C^T: sigma >= 2 levels
+            # at h = 3, ||X||_inf > 8 for X = h^2 C C^T: the angles
+            # sqrt X reach well past pi/2
             X = 9.0 * (C @ C.swapaxes(1, 2))
             assert np.abs(X).sum(axis=2).max() > 8.0
         for h in (1e-3, 0.05, 0.7, 3.0):
             _assert_matches_expm(C, h, 0.5)
 
     @pytest.mark.parametrize("edge", ["zero", "zero-row", "tiny", "isolated"])
-    def test_series_edges(self, edge, monkeypatch):
-        # p > 2 takes cos, sinc and (cos - 1)/X of the Gram matrix from
-        # series with double-angle recovery, never from eigh
-        def refuse(M):
-            raise AssertionError("eigh called for p > 2")
-
+    def test_general_path_edges(self, edge):
+        # p > 2 takes the Gram eigenpairs from eigh: zero, repeated and
+        # tiny eigenvalues still give cos, sinc and (cos - 1)/X to round-off
         C = _coupling_stack(np.random.default_rng(11), 6, _dll_mask(3))
         if edge == "zero":
             C[:] = 0.0
         elif edge == "zero-row":
             C[:, 4] = 0.0
         elif edge == "tiny":
-            # s^2 near 1e-18 in a stack whose other members set sigma
+            # s^2 near 1e-18 in a stack whose other members are of order 1
             C[::2] *= 1e-9 / np.abs(C[::2]).max()
         else:
             C[:, :, 7] = 0.0                          # B site 7 decoupled
-        with monkeypatch.context() as patched:
-            patched.setattr(np.linalg, "eigh", refuse)
-            for h in (1e-3, 0.05, 0.7, 3.0):
-                _assert_matches_expm(C, h, 0.5)
+        for h in (1e-3, 0.05, 0.7, 3.0):
+            _assert_matches_expm(C, h, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_general_path_refuses_non_finite(self, bad):
+        C = _coupling_stack(np.random.default_rng(11), 6, _dll_mask(3))
+        C[2, 4, 1] = bad
+        # inf * 0 in the Gram product warns before the kernel refuses
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite couplings"):
+            ev._sublattice_exponentials(C, 0.1)
 
     def test_tiny_singular_values(self):
         # s^2 near round-off: the entire functions of s^2 stay accurate
@@ -774,15 +779,23 @@ class TestNoFullExponential:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         return shapes
 
-    def test_dll_ramp_calls_no_eigh(self, monkeypatch):
-        # p = 9: the Gram functions come from series, not eigenpairs
+    def test_dll_ramp_calls_gram_eigh_only(self, monkeypatch):
+        # p = 9: one eigh per kernel call, on the (k, 9, 9) Gram stack,
+        # never on a 45 x 45 matrix
         seg = _dll_ramp_segment()
         s = ProtocolSchedule(TimedHamiltonian(seg.H.base), (seg,))
         psi0 = np.zeros(seg.H.n_sites)
         psi0[[8, 9]] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        kernel, calls = ev._sublattice_exponentials, []
+
+        def counted(C, h):
+            calls.append(len(C))
+            return kernel(C, h)
+
+        monkeypatch.setattr(ev, "_sublattice_exponentials", counted)
         shapes = self._spy(monkeypatch)
         traj = run_schedule(s, psi0)
-        assert shapes == []
+        assert calls and shapes == [(k, 9, 9) for k in calls]
         assert fidelity(traj.final_state, psi0) >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("problem", [crab.star_creation,

@@ -22,10 +22,10 @@ MODULES = ("lattice", "spectral", "evolve", "protocols", "crab", "routing",
            "cli", "acceptance")
 
 
-def _public_top_level(module):
+def _top_level(tree):
     """Functions, classes and constants a module defines, not imports."""
     names = set()
-    for node in ast.parse(inspect.getsource(module)).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
@@ -34,14 +34,16 @@ def _public_top_level(module):
         elif isinstance(node, ast.AnnAssign) and \
                 isinstance(node.target, ast.Name):
             names.add(node.target.id)
-    return {n for n in names if not n.startswith("_")}
+    return names
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_lists_exactly_the_public_names(name):
     module = importlib.import_module(f"clsnet.{name}")
     assert len(module.__all__) == len(set(module.__all__))
-    assert set(module.__all__) == _public_top_level(module)
+    public = {n for n in _top_level(ast.parse(inspect.getsource(module)))
+              if not n.startswith("_")}
+    assert set(module.__all__) == public
 
 
 @functools.cache
@@ -77,6 +79,25 @@ def test_every_public_name_has_a_caller(name):
     seen = _references()
     unused = {n for n in module.__all__ if not seen[n]} - KEPT_WITHOUT_CALLER
     assert not unused
+
+
+def _registered(node):
+    """Whether ``node`` is a criterion that ``@_criterion(...)`` registers."""
+    return any(isinstance(d, ast.Call) and ast.unparse(d.func) == "_criterion"
+               for d in getattr(node, "decorator_list", ()))
+
+
+def test_every_private_name_is_read():
+    # a private helper nothing reads is dead code; a registered criterion
+    # is read through the registry
+    seen = _references()
+    unread = []
+    for name, tree in _source_trees():
+        registered = {n.name for n in tree.body if _registered(n)}
+        unread += [(name, n) for n in _top_level(tree) - registered
+                   if n.startswith("_") and not n.startswith("__")
+                   and not seen[n]]
+    assert not unread
 
 
 # parameters kept unread: bench/ passes them positionally

@@ -349,6 +349,22 @@ def test_piecewise_transfer_flips_one_site_of_each_dimer(options):
     assert _run_fidelity(s)[0] >= 1 - 1e-12
 
 
+@pytest.mark.parametrize("variant, params", [
+    ("phase-flip-transfer", StarTransferParams(1, 0, 0.25)),
+    ("piecewise-transfer", GenerationParams(2, 0, 1, 3 * ROOT2 / 4))])
+@pytest.mark.parametrize("options", [{"in_site": True}, {"in_site": False},
+                                     {"in_site": 1.0}, {"out_site": 4.0},
+                                     {"in_site": np.bool_(True)}])
+def test_flip_sites_are_integers(variant, params, options):
+    # True equals 1 and 1.0 is in (0, 1), but a bool site would flip the
+    # state as a mask and a float site cannot index it
+    with pytest.raises(ValueError,
+                       match="star flips must hit one site of each dimer"):
+        build_schedule(variant, params, **options)
+    s = build_schedule(variant, params, in_site=np.int64(0), out_site=3)
+    assert _run_fidelity(s)[0] >= 1 - 1e-12
+
+
 @pytest.mark.parametrize("flag", ["no", None, 1, 0.0])
 def test_generation_final_flip_is_true_or_false(flag):
     p = GenerationParams(2, 0, 1, 3 * ROOT2 / 4)
