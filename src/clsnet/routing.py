@@ -17,8 +17,8 @@ the dimer-adjacency graph with lexicographic tie-breaks, greedy
 earliest-start scheduling in request order, on exact times.
 
 Each ``SiteGraph`` gets its dimer tables (hubs, dimers per hub, dimer
-adjacency, edge index, stars, the last H's transfer member) once, and
-scheduling keeps each coupling's holds sorted by start.
+adjacency, edge index, stars, the last H's transfer member) once;
+holds stay sorted per coupling, and ramp ends are swept once each.
 
 Simulation runs each route's column only where its stored state lives,
 its dimer or, over a jump window, its star; a Duhamel leak bound
@@ -287,21 +287,12 @@ def _ramp_slice(base_v, r0, r1, direction, b, b2):
     return LinearRamp(base_v * s, base_v * s2, b2 - b)
 
 
-def _ramp_overrides(ramps, b, b2):
-    """Entry -> its :func:`_ramp_slice` over [b, b2] for the entries of
-    ``ramps`` (r0, r1, ((entry, base value), ...), direction), the first
-    ramp naming an entry winning.  One slice per (r0, r1, direction) and
-    base value, shared by the entries that have it."""
-    overrides, shared = {}, {}
-    for r0, r1, entries, direction in ramps:
-        for e, v in entries:
-            if e not in overrides:
-                key = (r0, r1, direction, v)
-                if key not in shared:
-                    shared[key] = _ramp_slice(key[3], r0, r1, direction,
-                                              b, b2)
-                overrides[e] = shared[key]
-    return overrides
+def _by_value(H, entries):
+    """``entries`` grouped by base value: value -> its entries, in order."""
+    groups = {}
+    for e in entries:
+        groups.setdefault(H.base.item(e), []).append(e)
+    return groups
 
 
 def build_ramp(H, entries, direction, dt):
@@ -323,8 +314,10 @@ def build_ramp(H, entries, direction, dt):
         raise ValueError("duplicate ramp entries")
     if any(e[0] == e[1] for e in entries):
         raise ValueError("cannot ramp a diagonal entry")
-    overrides = _ramp_overrides([(0.0, dt, [(e, float(H.base[e])) for e in
-                                            entries], direction)], 0.0, dt)
+    overrides = {}
+    for v, es in _by_value(H, entries).items():
+        overrides.update(dict.fromkeys(es, _ramp_slice(v, 0.0, dt, direction,
+                                                       0.0, dt)))
     return Segment(dt, TimedHamiltonian(H.base, overrides))
 
 
@@ -348,6 +341,8 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
         raise ValueError("source and destination must be lattice dimers")
     if variant not in TRANSFER_VARIANTS:
         raise ValueError(f"unknown transfer variant {variant!r}")
+    if isinstance(dt, bool) or not 0 < dt < np.inf:  # NaN fails this too
+        raise ValueError(f"dt must be a positive finite number, not {dt!r}")
     if src == dst:
         return RoutePlan((), src, dst)
 
@@ -481,16 +476,18 @@ def timeline_schedule(graph, H, tl):
     Every ramped segment shares the validated, read-only ``H.base``; its
     overrides are its ramp slices and, under them, the entries held off
     the base: a ramp's end at 0 and a flipped spoke, each a constant
-    ``LinearRamp``, one per value.  A star's base values are read once
-    per jump, as floats carried with its ramps.
+    ``LinearRamp``, one per value.  One sweep over the bounds opens each
+    ramp (one per key, its entries grouped by base value once per jump)
+    at its start and closes it at its end: a segment takes one slice per
+    open ramp and base value, a closing ramp one held update per value.
     """
     verify_timeline(tl)
-    ramps, flips, star_items = [], {}, {}
+    ramps, flips, star_items = {}, {}, {}  # ramp -> base value -> entries
     for row in tl.windows:
         for j, t0, down_end, up_start, t1 in row:
-            sv = j.star
-            if ends := tuple((e, H.base.item(e)) for e in sv.boundary_entries):
-                ramps += [(t0, down_end, ends, "down"), (up_start, t1, ends, "up")]
+            for v, es in _by_value(H, j.star.boundary_entries).items():
+                for r in ((t0, down_end, "down"), (up_start, t1, "up")):
+                    ramps.setdefault(r, {}).setdefault(v, []).extend(es)
             key = (j.variant, j.params)
             if key not in star_items:
                 star_items[key] = build_schedule(*key).items
@@ -499,40 +496,45 @@ def timeline_schedule(graph, H, tl):
                 if isinstance(f, Segment):
                     t = up_start
                 else:
-                    flips.setdefault(t, []).append(_moved(f, sv.sites))
+                    flips.setdefault(t, []).append(_moved(f, j.star.sites))
 
     bounds = sorted({0.0, *(t for row in tl.windows for w in row
                            for t in w[1:])})
-
-    # ramp ends are bounds: a ramp spans segments pos[start]..pos[end]-1
-    pos = {t: k for k, t in enumerate(bounds)}
-    active = [[] for _ in bounds]
+    opening, closing = {}, {}  # ramp ends are bounds
     for r in ramps:
-        for k in range(pos[r[0]], pos[r[1]]):
-            active[k].append(r)
+        opening.setdefault(r[0], []).append(r)
+        closing.setdefault(r[1], []).append(r)
 
-    held, const, items = {}, {}, []  # entry -> a constant, where off base
-    def hold(e, v):
-        held.pop(e, None)
-        if v != H.base.item(e):  # v exactly, at every t; 0.0 and -0.0 apart
-            key = v or str(v)
-            held[e] = const.get(key) or const.setdefault(key, LinearRamp(v, v, 1.0))
-    for k, (b, b2) in enumerate(zip(bounds, bounds[1:])):
+    held, const, items, active = {}, {}, [], {}  # entry -> a constant
+    def hold(es, v, base):  # ``es`` at v exactly, where off their base
+        if v != base:
+            key = v or str(v)  # 0.0 and -0.0 apart
+            held.update(dict.fromkeys(es, const.get(key) or const.setdefault(
+                key, LinearRamp(v, v, 1.0))))
+        else:
+            for e in es:
+                held.pop(e, None)
+    for b, b2 in zip(bounds, bounds[1:]):
         for f in flips.get(b, ()):
             items.append(f)
             if isinstance(f, HoppingFlip):
-                e = f.entry
-                hold(e, -(held[e].end if e in held else H.base.item(e)))
-        if not active[k]:
+                e, base = f.entry, H.base.item(f.entry)
+                hold((e,), -(held[e].end if e in held else base), base)
+        active.update((r, ramps[r]) for r in opening.get(b, ()))
+        if not active:
             items.append(Segment(b2 - b))
             continue
-        # verify_timeline let only equal-key ramps share an entry
-        overrides = _ramp_overrides(active[k], b, b2)
-        items.append(Segment(b2 - b, TimedHamiltonian._trusted(
-            H.base, {**held, **overrides})))
-        # a ramp ends exactly at 0, held, or at its base value, dropped
-        for e in {e for r in active[k] if r[1] == b2 for e, _ in r[2]}:
-            hold(e, overrides[e].end)
+        # verify_timeline let only equal-key ramps, merged, share an entry
+        overrides = dict(held)
+        for r, groups in active.items():
+            for v, es in groups.items():
+                overrides.update(dict.fromkeys(es, _ramp_slice(v, *r, b, b2)))
+        items.append(Segment(b2 - b, TimedHamiltonian._trusted(H.base,
+                                                               overrides)))
+        # down ends at exactly 0 with v's sign, held; up at v, dropped
+        for r in closing.get(b2, ()):
+            for v, es in active.pop(r).items():
+                hold(es, 0.0 * v if r[2] == "down" else v, v)
     return ProtocolSchedule(H, tuple(items))
 
 

@@ -178,15 +178,15 @@ def find_cls(H, max_support):
     = 2 ||H|| sqrt(_FLAT_TOL) + n CLUSTER_GAP.  A unit cluster vector u
     with weight >= 1 - _FLAT_TOL on S has |(H - E) u| <= n CLUSTER_GAP
     and |u off S| <= sqrt(_FLAT_TOL), so H[S^c, S] u_S meets tau: no
-    support the projector test accepts is dropped.  Each degenerate
-    cluster weighs all candidates of a size in one gather and scans
-    those that reach 1 - _FLAT_TOL in order of increasing size
-    (lexicographic within a size).  A support qualifies
-    when the cluster projector restricted to it has a unit eigenvalue;
-    the unit eigenspace is then deflated against states already
-    accepted in the cluster so the returned list is mutually orthogonal.
-    Amplitudes below SUPPORT_THRESHOLD are zeroed exactly and every
-    state is re-verified as an eigenvector afterwards.
+    support the projector test accepts is dropped.  Candidates are taken
+    by increasing size, lexicographically within one; per degenerate
+    cluster and size, one gather weighs them and one batched eigh gives
+    the projector's eigenpairs on those reaching 1 - _FLAT_TOL.  A
+    support qualifies when its projector has a unit eigenvalue; that
+    eigenspace is deflated (SVD) against the cluster's accepted states if
+    one is nonzero on the support, else all are exactly orthogonal to it,
+    so the returned list is mutually orthogonal.  Amplitudes below
+    SUPPORT_THRESHOLD are zeroed exactly; each state is re-verified.
     """
     if max_support < 2:
         raise ValueError("max_support must be at least 2")
@@ -200,21 +200,20 @@ def find_cls(H, max_support):
     for cluster in spec.clusters():
         Vc = spec.eigenvectors[:, list(cluster)]
         weight = np.einsum("ij,ij->i", Vc, Vc.conj()).real
-        accepted = []
+        Ah, a = np.empty((len(cluster), n), Vc.dtype), 0  # A^H, A: accepted
         for supports in candidates:
             # a NaN weight is not below the bound: the projector decides
-            heavy = ~(weight[supports].sum(axis=1) < 1 - _FLAT_TOL)
-            for idx in supports[heavy].tolist():
-                sub = Vc[idx, :]
-                lam, U = np.linalg.eigh(sub @ sub.conj().T)
+            heavy = supports[~(weight[supports].sum(axis=1) < 1 - _FLAT_TOL)]
+            sub = Vc[heavy]
+            lams, Us = np.linalg.eigh(sub @ sub.conj().transpose(0, 2, 1))
+            for idx, lam, U in zip(heavy.tolist(), lams, Us):
                 inside = lam >= 1 - _FLAT_TOL
                 if not inside.any():
                     continue
                 B = np.zeros((n, int(inside.sum())), dtype=Vc.dtype)
                 B[idx, :] = U[:, inside]
-                if accepted:  # project onto the accepted states' null space
-                    K = Ah @ B
-                    _, sv, vh = np.linalg.svd(K, full_matrices=True)
+                if Ah[:a, idx].any():  # project onto Ah's null space
+                    _, sv, vh = np.linalg.svd(Ah[:a] @ B, full_matrices=True)
                     B = B @ vh[int(np.sum(sv > 1e-8)):].conj().T
                 for vec in B.T:
                     vec = vec / np.linalg.norm(vec)
@@ -225,8 +224,7 @@ def find_cls(H, max_support):
                         continue
                     support = tuple(np.flatnonzero(np.abs(vec) > 0.0))
                     found.append(CompactState(vec, support, energy))
-                    accepted.append(vec)
-                    Ah = np.column_stack(accepted).conj().T  # once per state
+                    Ah[a], a = vec.conj(), a + 1
     return found
 
 

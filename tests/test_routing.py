@@ -315,6 +315,26 @@ def test_plan_route_checks_each_hamiltonian_it_is_given():
         transfer_member_for(J, V)
 
 
+@pytest.mark.parametrize("dt", [True, math.nan, math.inf, -1.0, 0.0])
+def test_plan_route_refuses_a_dt_it_cannot_schedule(dt):
+    # True planned and ran as a 1.0 ramp, NaN failed in schedule_multi
+    # converting to a ratio, inf raised OverflowError
+    g, H = dll(2, 2)
+    with pytest.raises(ValueError, match=r"^dt must be"):
+        plan_route(g, H, (1, 2), (3, 4), dt=dt)
+
+
+def test_plan_route_takes_int_and_tiny_dt():
+    # an int is a number of time units; a tiny positive dt plans, and
+    # the emitted clock refuses the jump it collapses
+    g, H = dll(2, 2)
+    assert plan_route(g, H, (1, 2), (3, 4), dt=1) == \
+        plan_route(g, H, (1, 2), (3, 4), dt=1.0)
+    plan = plan_route(g, H, (1, 2), (3, 4), dt=1e-320)
+    with pytest.raises(ValueError, match=r"^dt=1e-320 collapses"):
+        schedule_multi([plan])
+
+
 # ----------------------------------------------------------- scheduling
 
 
@@ -1185,6 +1205,32 @@ def test_planner_output_matches_oracle(data):
     want = _oracle_items(H, tl)
     assert len(got) == len(want)
     assert all(_same_item(H, a, b) for a, b in zip(got, want))
+
+
+def test_timeline_schedule_mixed_base_values_match_oracle():
+    # planning needs a uniform lattice, the schedule's base does not:
+    # a star's boundary entries of different base values take their own
+    # slices, and a ramp down from a negative value holds -0.0
+    g, H = dll(4, 4)
+    rng = np.random.default_rng(30)
+    dimers = g.dimers()
+    plans = [plan_route(g, H, *(dimers[k] for k in
+                                rng.choice(len(dimers), 2, replace=False)),
+                        dt=float(rng.choice([1.0, 2.0])))
+             for _ in range(30)]
+    tl = schedule_multi(plans)
+    M = np.array(H.base)
+    for e in g.edges:
+        M[e] = M[e[::-1]] = rng.choice([J, -J, 0.4, -0.7])
+    Hm = TimedHamiltonian(M)
+    got = timeline_schedule(g, Hm, tl).items
+    want = _oracle_items(Hm, tl)
+    assert len(got) == len(want)
+    assert all(_same_item(Hm, a, b) for a, b in zip(got, want))
+    held = [p for it in _ramped(got) for p in it.H.overrides.values()
+            if p.start == p.end == 0.0]
+    assert any(math.copysign(1.0, p.end) < 0 for p in held)
+    assert any(math.copysign(1.0, p.end) > 0 for p in held)
 
 
 def _ramped(items):

@@ -328,10 +328,11 @@ def test_spectrum_and_find_cls_share_one_eigh(monkeypatch):
 
 
 def test_find_cls_dll_6x6_eigh_count(monkeypatch):
-    # candidate supports come once per H, so the projector eigh runs
-    # only on the ~100 kept pairs per cluster that pass the weight
-    # filter, not on all 16,110 pairs of every cluster
+    # candidate supports come once per H, and each cluster takes one
+    # batched projector eigh over its heavy pairs, not one eigh per
+    # heavy pair (76 calls) or one per pair of all 16,110
     graph, H = build_dll(6, 6, 1.0, 0.0)
+    clusters = spectrum(H).clusters()  # the full eigh, kept on H
     calls = []
     eigh = np.linalg.eigh
 
@@ -350,10 +351,48 @@ def test_find_cls_dll_6x6_eigh_count(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     states = find_cls(H, 2)
-    assert len(calls) <= 100
+    assert len(calls) <= len(clusters)  # one support size, 2
     assert not batched
     assert len(states) == 72
     assert {s.support for s in states} == set(graph.dimers())
+
+
+def svd_calls(monkeypatch, H, max_support):
+    """find_cls(H, max_support) and how many SVDs it took."""
+    calls, svd = [], np.linalg.svd
+
+    def counting_svd(*args, **kw):
+        calls.append(args)
+        return svd(*args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    states = find_cls(H, max_support)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return states, len(calls)
+
+
+def test_find_cls_deflates_only_where_supports_overlap(monkeypatch):
+    # an accepted state is exactly zero off its support, so it is
+    # exactly orthogonal to a candidate whose support it misses: the
+    # 6x6 DLL's 72 disjoint dimer states take 4 SVDs, not 75
+    graph, H = build_dll(6, 6, 0.25, 0.5)
+    states, n_svd = svd_calls(monkeypatch, H, 2)
+    assert n_svd <= 4
+    assert {s.support for s in states} == set(graph.dimers())
+
+
+@pytest.mark.parametrize("H, max_support", [
+    (build_star([0.25] * 4, 0.5), 4),
+    (build_seven([1, 1, S3, S3, 1, 1], 0.0), 5),
+], ids=["uniform-star", "seven-sqrt3"])
+def test_find_cls_deflates_overlapping_supports(monkeypatch, H,
+                                                max_support):
+    # overlapping candidates are still projected off the accepted
+    # states, bit for bit as the exhaustive scan does it
+    states, n_svd = svd_calls(monkeypatch, H, max_support)
+    assert n_svd >= 1
+    assert [(s.support, s.energy, s.vector.tobytes()) for s in states] == \
+        exhaustive_find_cls(H, max_support)
 
 
 def eigvalsh_pairs(M, tau):
