@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from clsnet import cli
 from clsnet.cli import ConfigError, ScenarioConfig, parse_config
 from clsnet.lattice import build_dll
+from clsnet.routing import dimer_adjacency
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -700,6 +701,108 @@ def test_route_rejects_unknown_sites(tmp_path, capsys):
     })
     assert cli.main(["route", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _request(src, dst, **keys):
+    return {"source": list(src), "destination": list(dst), **keys}
+
+
+def _drawn_route_sets(count=10):
+    """Sets of two single jumps on the 3x3 DLL, no dimer repeated, with
+    ramp times 1 and 2 in a drawn order: the shape of a dll-routing set."""
+    g, _ = build_dll(3, 3, 0.25, 0.5)
+    adj = dimer_adjacency(g)
+    jumps = [(s, d) for s in g.dimers() for _, d in adj[s]]
+    rng = np.random.default_rng(2026)
+    sets = {}
+    for k in range(count):
+        used, requests = set(), []
+        for dt in rng.permutation((1, 2)):
+            free = [j for j in jumps if not used & set(j)]
+            src, dst = free[rng.integers(len(free))]
+            used |= {src, dst}
+            requests.append(_request(src, dst, dt=int(dt)))
+        sets[f"drawn-{k}"] = (3, requests)
+    return sets
+
+
+# (cells, requests) per pinned `clsnet route` scenario at J = 0.25, v = 0.5
+ROUTE_SCENARIOS = {
+    "crossing": (3, [_request((16, 17), (26, 27)),
+                     _request((8, 9), (23, 24))]),
+    # route 1 jumps through the dimer where route 2's state rests: the
+    # one scenario that falls back to the full lattice
+    "resting-state": (3, [_request((16, 17), (26, 27)),
+                          _request((21, 22), (23, 24))]),
+    "single-jump": (1, [_request((1, 2), (3, 4))]),
+    "four-requests": (3, [_request((16, 17), (26, 27), dt=2),
+                          _request((8, 9), (38, 39), dt=2),
+                          _request((3, 4), (1, 2), dt=1),
+                          _request((6, 7), (8, 9), dt=2)]),
+    "dt-0.2": (2, [_request((1, 2), (6, 7), dt=0.2),
+                   _request((3, 4), (8, 9), dt=0.2)]),
+    "hopping-flip": (3, [_request((16, 17), (26, 27), dt=2),
+                         _request((8, 9), (38, 39), dt=2,
+                                  variant="hopping-flip-transfer")]),
+    **_drawn_route_sets(),
+}
+
+# sha256 of summary.json from ``clsnet route --out`` on each scenario, as
+# written when the support walk still took an n x n snapshot per ramped
+# segment and one eigh per (route, segment); eigh's rounding is part of
+# it, so another LAPACK build may need new pins
+ROUTE_SHA256 = {
+    "crossing":
+        "e63aa8b7f7d788b95cfa3575e261ff3017c2ea517cbc650f3164775e8ff91ba6",
+    "resting-state":
+        "387340ca9841dedee3313f35dc7965480892b882a99abf292995a6f3c70372ea",
+    "single-jump":
+        "0858b94093dd40d6fe1c6d6e0c629eae6580c1acf6ada314151303d1fc06cbf1",
+    "four-requests":
+        "d429f5d2a5da63a8953b4f66474fbb8d2fd37d88f9a59e13c47dd52834d15448",
+    "dt-0.2":
+        "61bb9ee227d372fb6b93cb0dca78799e74e369e1d91808ff29f349e2970a8098",
+    "hopping-flip":
+        "d379108c0e2d811873a9dc63bb81184ff854e85eed2803b18f779feac0ce07f4",
+    "drawn-0":
+        "9ae3b8634553fa91b2e400d8802de72fe795cc06c0e9fc58d42af1096cf04a4b",
+    "drawn-1":
+        "24d5ed477c99fc97d2b4ff0a7f3b0840a750bab8c92f4cbd0183ac890b73f9e8",
+    "drawn-2":
+        "e15636036187e792a80d82d88ef69e4df919fd848191fb45bb06ce8802002482",
+    "drawn-3":
+        "d7636b941ddcc9eb58654825524e43076d5e9c221c852c1f4ea9ea69abe3115f",
+    "drawn-4":
+        "bcaf7a1647583ad04d485bfcfe5507dcfa71c73c5aaa36149b1052d4c6d7b9d7",
+    "drawn-5":
+        "4d71e830290a7205a758b0cf95ca56be75fcbebffd0041caadfc789f7bfba52e",
+    "drawn-6":
+        "e630bdeec95d9311af7f17d4e685efad702bc7a66d84b8836611fb3b79c43856",
+    "drawn-7":
+        "eb32e5682c1c440dae643a91dde847255f0abe84b72765f5a3fc09ec4d173d3c",
+    "drawn-8":
+        "acc15c3076a5e6c3e5570cf20d8f1d0e82eaaef7ee1862862882d7468d8f23bf",
+    "drawn-9":
+        "1e93288db7e16c03ac3606a0bbf47e70da813b72cc54710aef7d6ed79b863ce4",
+}
+
+
+def test_route_digests_cover_every_scenario():
+    assert ROUTE_SHA256.keys() == ROUTE_SCENARIOS.keys()
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_SHA256))
+def test_route_summary_is_pinned(tmp_path, name):
+    cells, requests = ROUTE_SCENARIOS[name]
+    path = write_config(tmp_path, {
+        "system": {"kind": "dll", "cells_x": cells, "cells_y": cells},
+        "parameters": {"J": 0.25, "v": 0.5},
+        "action": {"kind": "route", "requests": requests},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["route", "--config", path, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "summary.json").read_bytes())
+    assert digest.hexdigest() == ROUTE_SHA256[name]
 
 
 # ----------------------------------------------------------- verify
