@@ -35,8 +35,8 @@ in force starts as the base; a hopping flip negates its entry, and a
 segment with its own Hamiltonian leaves its end snapshot behind, so
 reconfigurations (e.g. swapping which couplings are active) are
 expressed by consecutive segments.  :meth:`ProtocolSchedule.walk` is
-the one place that applies this rule; running a schedule, its end
-Hamiltonian and the routing support walk all read it.
+the one place that applies this rule for running a schedule and its end
+Hamiltonian; the routing support walk keeps it from its own samples.
 A fidelity lies in [0, 1], or computing it raises.
 """
 
@@ -99,10 +99,10 @@ def evolve_static(H, psi0, t):
     return _static_samples(static_matrix(H), psi0, [float(t)])[0]
 
 
-def _static_samples(M, psi0, durations):
-    """States after each duration in ``durations`` under static M: one
-    per duration, each shaped as ``psi0``, (n,) or (n, k)."""
-    w, V = np.linalg.eigh(M)
+def _static_samples(M, psi0, durations, eig=None):
+    """States after each duration in ``durations`` under static M, whose
+    eigh may come as ``eig``: one per duration, each shaped as ``psi0``."""
+    w, V = np.linalg.eigh(M) if eig is None else eig
     phases = np.exp(-1j * np.multiply.outer(np.asarray(durations, float), w))
     return (V * phases[:, None]) @ (V.conj().T @ np.asarray(psi0, complex))
 
@@ -247,9 +247,11 @@ def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
     exactly the pairs of a ladder started at _CAL_STEPS, and so does
     every stretch with ``n_chunks`` >= _CAL_STEPS.  Returns (final,
     samples) of the finer run, with ``n_chunks`` evenly spaced samples.
-    Raises RuntimeError before a finer run past _N_MAX steps, or before
-    integrating when the budget tol*(t1-t0) exceeds _BUDGET_MAX.
+    Raises ValueError for a tol outside [1e-14, 1e-6], and RuntimeError
+    before a finer run past _N_MAX steps or a budget past _BUDGET_MAX.
     """
+    if not 1e-14 <= tol <= 1e-6:  # NaN fails this too
+        raise ValueError("tol must lie in [1e-14, 1e-6]")
     budget = tol * (t1 - t0)
     if budget > _BUDGET_MAX:
         raise RuntimeError(f"error budget tol*(t1-t0) = {budget:g} exceeds "
@@ -280,8 +282,6 @@ def evolve_timedep(H, psi0, t0, t1, tol):
     tol*(t1-t0).  Raises RuntimeError, rather than clamping, when the
     step count or the budget is out of reach (see :func:`_propagate`).
     """
-    if not (1e-14 <= tol <= 1e-6):
-        raise ValueError("tol must lie in [1e-14, 1e-6]")
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     return _propagate(H, psi0, t0, t1, tol)[0]

@@ -305,8 +305,8 @@ def build_ramp(H, entries, direction, dt):
     """
     if not isinstance(H, TimedHamiltonian) or not H.static:
         raise ValueError("ramps are built from a static Hamiltonian")
-    if not dt > 0:
-        raise ValueError("ramp duration must be positive")
+    if isinstance(dt, bool) or not 0 < dt < np.inf:  # NaN fails this too
+        raise ValueError(f"dt must be a positive finite number, not {dt!r}")
     if direction not in ("down", "up"):
         raise ValueError(f"unknown ramp direction {direction!r}")
     entries = [tuple(sorted(e)) for e in entries]
@@ -542,9 +542,9 @@ def _unit_fidelity(psi, target):
     return fidelity(psi / np.linalg.norm(psi), target)
 
 
-# Gauss-Legendre nodes and weights on [0, 1] for a segment's leak integral
+# Gauss-Legendre nodes on [0, 1], then 1, and weights for the leak integral
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-_GL_X, _GL_W = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
+_GL_X, _GL_W = np.append((_GL_X + 1.0) / 2.0, 1.0), _GL_W / 2.0
 
 
 def _walk_supports(tl, schedule, psi):
@@ -561,34 +561,43 @@ def _walk_supports(tl, schedule, psi):
                 return list(j.star.sites if t0 < b2 else j.star.dimer_in)
         return list(tl.routes[r].destination)
 
-    psi, leak, reads = psi + 0j, np.zeros(k), {}
+    psi, leak, reads, eighs = psi + 0j, np.zeros(k), {}, {}
     norms = [np.linalg.norm(psi, axis=0)]
-    for clock, item, M in schedule.walk():
+    M, end = schedule.base.base, 0.0  # in force, as walk() yields it
+    sites = [np.flatnonzero(c).tolist() for c in psi.T]  # 0 elsewhere
+    for item in schedule.items:
+        if isinstance(item, HoppingFlip):
+            item.negate(M := M.copy())
         if not isinstance(item, Segment):
-            if isinstance(item, PhaseFlip):
-                psi = item.apply(psi)
+            psi = item.apply(psi) if isinstance(item, PhaseFlip) else psi
             continue
-        d, end = item.duration, clock + item.duration
-        taus = np.append(d * _GL_X, d)
+        d, clock, end = item.duration, end, end + item.duration
+        taus = d * _GL_X
         pulses = item.H.overrides if item.H else {}
-        # sampled here: lattice._sample_block gives the same bits, slower
         vals = {p: p.value(taus) for p in set(pulses.values())}
+        if item.H is not None:  # its pulses' last samples stay in force
+            M = item.H.base.copy()
+            for (i, j), p in pulses.items():
+                M[i, j] = M[j, i] = vals[p][-1]
         for r in range(k):
             S = support(r, clock, end)
-            cols = np.repeat(M[:, S][None], len(taus), axis=0)
-            for (i, j), pulse in pulses.items():
-                for a, b in ((i, j), (j, i)):
-                    if b in S:
-                        cols[:, a, S.index(b)] = vals[pulse]
-            # the walk's static block: one spectral step on at most 5 sites
-            MS = M[np.ix_(S, S)]
-            states = _static_samples(MS, psi[S, r], taus)
-            cols[:, S] -= MS
+            cols = M[:, S]
+            MS = cols[S]  # one eigh per distinct static block
+            if (eig := eighs.get(key := MS.tobytes())) is None:
+                eig = eighs[key] = np.linalg.eigh(MS)
+            states = _static_samples(MS, psi[S, r], taus, eig)
+            if any(b in S for e in pulses for b in e):  # a drive meets S
+                cols = np.repeat(cols[None], len(taus), axis=0)
+                for (i, j), pulse in pulses.items():
+                    for a, b in ((i, j), (j, i)):
+                        if b in S:
+                            cols[:, a, S.index(b)] = vals[pulse]
+            cols[..., S, :] -= MS
             rates = np.linalg.norm(cols @ states[..., None], axis=(1, 2))
-            # the Duhamel integral, and the norm dropped outside S
-            leak[r] += d * (_GL_W @ rates[:-1]) + \
-                np.linalg.norm(np.delete(psi[:, r], S))
-            psi[:, r] = 0.0
+            # the Duhamel integral, and the norm S drops of the last support
+            leak[r] += d * (_GL_W @ rates[:-1]) + (np.linalg.norm(np.delete(
+                psi[:, r], S)) if any(s not in S for s in sites[r]) else 0.0)
+            psi[:, r], sites[r] = 0.0, S
             psi[S, r] = states[-1]
         norms.append(np.linalg.norm(psi, axis=0))
         if end in ends:
@@ -603,13 +612,14 @@ def simulate_route(graph, H, tl, tol=1e-11):
     The routes share the one schedule of :func:`timeline_schedule`, so
     they see each other's ramps and flips as one joint state would.
     Route r's column runs on its support S, its dimer while it rests
-    and its star over each jump window; H[S, S] is static on every
-    segment, so a segment is one spectral step on at most 5 sites.  By
+    and its star over each jump window, on the columns S of walk()'s
+    matrix in force, kept from the segments' pulse samples: H[S, S] is
+    static on a segment, one spectral step, one eigh per block.  By
     Duhamel's formula the column is within ``leak_bound[r]`` of the
-    full-lattice one: the 8-node Gauss-Legendre integral of
-    ||(H(t) - H[S, S]) psi_S(t)|| per segment (couplings out of S and
-    drives inside it) plus the norm dropped where S shrinks.  Unless
-    every bound is within tol times the timeline's end, itself within
+    full-lattice one: the 8-node Gauss-Legendre integral of ||(H(t) -
+    H[S, S]) psi_S(t)|| per segment (couplings out of S and drives
+    inside it) plus the norm dropped where S shrinks.  Unless every
+    bound is within tol times the timeline's end, itself within
     ``_BUDGET_MAX``, the k sources run as one (n, k) block in one
     :func:`run_schedule` pass over the full lattice instead.  Returns
     per-route fidelities of the normalized states to the destination

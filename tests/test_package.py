@@ -162,7 +162,9 @@ def test_runtime_imports_only_stdlib_and_numpy():
 
 def test_only_evolve_rebuilds_the_matrix_in_force():
     # ProtocolSchedule.walk owns the rule for the static matrix in
-    # force; no other module takes a segment's end snapshot itself
+    # force; no other module takes a segment's end snapshot itself (the
+    # routing support walk keeps the matrix from its own pulse samples,
+    # held to walk()'s by test_support_walk_reads_the_matrix_in_force_of_walk)
     callers = {name for name, tree in _source_trees()
                for node in ast.walk(tree) if isinstance(node, ast.Call)
                and ast.unparse(node.func).split(".")[-1] == "evaluate_at"}

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -155,6 +156,14 @@ def test_build_ramp_validates_input():
         build_ramp(H, ((1, 5), (5, 1)), "down", 1.0)
     with pytest.raises(ValueError, match="diagonal"):
         build_ramp(H, ((3, 3),), "down", 1.0)
+
+
+@pytest.mark.parametrize("dt", [True, math.nan, math.inf, -1.0, 0.0])
+def test_build_ramp_refuses_a_dt_it_cannot_ramp(dt):
+    # True built a ramp of duration True, inf one whose pulses end at NaN
+    g, H = dll(2, 1)
+    with pytest.raises(ValueError, match=r"^dt must be a positive finite"):
+        build_ramp(H, ((1, 5), (2, 5)), "down", dt)
 
 
 def test_build_ramp_shares_one_pulse_per_base_value():
@@ -923,6 +932,95 @@ def test_support_walk_matches_the_full_lattice_pass(data):
                            rtol=0, atol=1e-12)
     for a, b in zip(rep.final_states, finals):
         assert np.linalg.norm(a - b) <= 1e-12
+
+
+def _columns_in_force(tl, s, psi0):
+    """Per (segment, route) pair of ``_walk_supports``, in its order: the
+    support S and the columns M[:, S] of the matrix M it holds in force,
+    read from its frame as its ``support`` closure returns S.  The walk
+    keeps M as a local, so this is where the columns it reads are seen."""
+    walk, seen = clsnet.routing._walk_supports.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code.co_name == "support" and \
+                frame.f_back.f_code is walk:
+            seen.append((arg, frame.f_back.f_locals["M"][:, arg].copy()))
+    sys.setprofile(profile)
+    try:
+        clsnet.routing._walk_supports(tl, s, psi0)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_support_walk_reads_the_matrix_in_force_of_walk(data):
+    # the support walk keeps the matrix in force from its own pulse
+    # samples, not from walk()'s evaluate_at snapshots: its columns must
+    # be walk()'s bit for bit, after ramps, flips and flipped spokes
+    cells = data.draw(st.integers(2, 3), label="cells")
+    g, H = dll(cells, cells)
+    dimers = st.sampled_from(g.dimers())
+    hopping = data.draw(st.tuples(dimers, dimers).filter(
+        lambda p: p[0] != p[1]), label="hopping request")
+    requests = data.draw(st.lists(
+        st.tuples(dimers, dimers, st.sampled_from(TRANSFER_VARIANTS),
+                  st.sampled_from((0.2, 0.5, 1.0, 2.0))),
+        min_size=1, max_size=3), label="requests")
+    plans = [plan_route(g, H, *hopping, variant="hopping-flip-transfer")]
+    plans += [plan_route(g, H, a, b, variant=v, dt=dt)
+              for a, b, v, dt in requests]
+    tl = schedule_multi(plans)
+    s = timeline_schedule(g, H, tl)
+    psi0 = np.column_stack([dimer_state(g.n_sites, p.source) for p in plans])
+    seen = iter(_columns_in_force(tl, s, psi0))
+    segments = 0
+    for _, item, M in s.walk():
+        if isinstance(item, Segment):
+            segments += 1
+            for _ in plans:
+                S, cols = next(seen)
+                assert cols.tobytes() == M[:, S].tobytes()
+    assert next(seen, None) is None
+    assert segments and any(isinstance(it, HoppingFlip) for it in s.items)
+
+
+def test_walk_takes_one_eigh_per_distinct_block(monkeypatch):
+    g, H = dll(3, 3)
+    plans = [plan_route(g, H, a, b, variant=v, dt=dt) for a, b, v, dt in (
+        ((16, 17), (26, 27), "phase-flip-transfer", 2.0),
+        ((8, 9), (38, 39), "hopping-flip-transfer", 2.0),
+        ((3, 4), (1, 2), "phase-flip-transfer", 1.0))]
+    tl = schedule_multi(plans)
+    s = timeline_schedule(g, H, tl)
+    psi0 = np.column_stack([dimer_state(g.n_sites, p.source) for p in plans])
+    blocks, eigh = [], np.linalg.eigh
+
+    def counted(M):
+        blocks.append(M.tobytes())
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    clsnet.routing._walk_supports(tl, s, psi0)
+    pairs = len(plans) * sum(isinstance(it, Segment) for it in s.items)
+    # one call per (route, segment) pair before; the blocks are the
+    # dimer's, the star's and the star's with a flipped spoke
+    assert len(blocks) == len(set(blocks)) == 3 and pairs == 33
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1e-5])
+def test_out_of_range_tol_raises_before_integrating(full_lattice, tol):
+    # nan failed converting a step count to int, -1.0 in np.ceil; only
+    # evolve_timedep checked the range.  simulate_route reads tol past
+    # its budget check only where it integrates, its full-lattice pass
+    g, H = dll(2, 2)
+    tl = schedule_multi([plan_route(g, H, (1, 2), (3, 4))])
+    with pytest.raises(ValueError, match=r"^tol must lie in \[1e-14, 1e-6\]"):
+        run_schedule(timeline_schedule(g, H, tl),
+                     dimer_state(g.n_sites, (1, 2)), tol=tol)
+    with pytest.raises(ValueError, match=r"^tol must lie in \[1e-14, 1e-6\]"):
+        simulate_route(g, H, tl, tol=tol)
 
 
 def test_each_route_runs_as_if_alone(monkeypatch):
