@@ -35,8 +35,8 @@ in force starts as the base; a hopping flip negates its entry, and a
 segment with its own Hamiltonian leaves its end snapshot behind, so
 reconfigurations (e.g. swapping which couplings are active) are
 expressed by consecutive segments.  :meth:`ProtocolSchedule.walk` is
-the one place that applies this rule for running a schedule and its end
-Hamiltonian; the routing support walk keeps it from its own samples.
+the one place that applies this rule; running a schedule, its end
+Hamiltonian and the routing support walk all read it.
 A fidelity lies in [0, 1], or computing it raises.
 """
 
@@ -52,7 +52,6 @@ from .lattice import (
     TimeMirrored,
     TimedHamiltonian,
     _sample_block,
-    evaluate_at,
     evaluate_grid,  # unused here; bench/tracing.py wraps evolve.evaluate_grid
     static_matrix,
 )
@@ -235,6 +234,11 @@ def evolve_timedep_fixed(H, psi0, t0, t1, n_steps):
     return _cf4_run(H, psi0, t0, t1, n_steps)[0]
 
 
+def _check_tol(tol):
+    if not 1e-14 <= tol <= 1e-6:  # NaN fails this too
+        raise ValueError("tol must lie in [1e-14, 1e-6]")
+
+
 def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
     """Propagate over [t0, t1] to ``tol`` per unit time by convergence pair.
 
@@ -250,8 +254,7 @@ def _propagate(H, psi0, t0, t1, tol, n_chunks=1):
     Raises ValueError for a tol outside [1e-14, 1e-6], and RuntimeError
     before a finer run past _N_MAX steps or a budget past _BUDGET_MAX.
     """
-    if not 1e-14 <= tol <= 1e-6:  # NaN fails this too
-        raise ValueError("tol must lie in [1e-14, 1e-6]")
+    _check_tol(tol)
     budget = tol * (t1 - t0)
     if budget > _BUDGET_MAX:
         raise RuntimeError(f"error budget tol*(t1-t0) = {budget:g} exceeds "
@@ -408,15 +411,18 @@ class ProtocolSchedule:
         """Yield (t, item, M) per item: the clock t at which the item acts
         and the static matrix M in force once it has acted.  M starts as
         the base; a hopping flip negates its entry on a copy, and a
-        segment with its own H leaves ``evaluate_at(H, duration)``, so a
-        matrix once yielded never changes."""
+        segment with its own H leaves its base, each pulse at the duration
+        (``evaluate_at``'s bits); a matrix once yielded never changes."""
         M, t = self.base.base, 0.0
         for item in self.items:
             if isinstance(item, HoppingFlip):
                 M = M.copy()
                 item.negate(M)
             elif isinstance(item, Segment) and item.H is not None:
-                M = evaluate_at(item.H, item.duration)
+                M, drives = item.H.base.copy(), item.H.overrides
+                end = {p: p.value(item.duration) for p in set(drives.values())}
+                for (i, j), p in drives.items():
+                    M[i, j] = M[j, i] = end[p]
             yield t, item, M
             if isinstance(item, Segment):
                 t += item.duration

@@ -21,9 +21,9 @@ adjacency, edge index, stars, the last H's transfer member) once;
 holds stay sorted per coupling, and ramp ends are swept once each.
 
 Simulation runs each route's column only where its stored state lives,
-its dimer or, over a jump window, its star; a Duhamel leak bound
-certifies it, and the full-lattice run replaces it where a bound is
-over its budget (see :func:`simulate_route`).
+its dimer or, over a jump window, its star, on the matrix in force of
+``ProtocolSchedule.walk()``; a Duhamel leak bound certifies it, and the
+full-lattice run replaces one over its budget (see :func:`simulate_route`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .evolve import HoppingFlip, PhaseFlip, ProtocolSchedule, Segment, \
-    _BUDGET_MAX, _static_samples, fidelity, run_schedule
+    _BUDGET_MAX, _check_tol, _static_samples, fidelity, run_schedule
 from .lattice import LinearRamp, TimedHamiltonian
 from .protocols import TRANSFER_VARIANTS, StarTransferParams, \
     build_schedule, transfer_member_for
@@ -542,9 +542,9 @@ def _unit_fidelity(psi, target):
     return fidelity(psi / np.linalg.norm(psi), target)
 
 
-# Gauss-Legendre nodes on [0, 1], then 1, and weights for the leak integral
+# Gauss-Legendre nodes and weights on [0, 1] for a segment's leak integral
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-_GL_X, _GL_W = np.append((_GL_X + 1.0) / 2.0, 1.0), _GL_W / 2.0
+_GL_X, _GL_W = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
 
 
 def _walk_supports(tl, schedule, psi):
@@ -563,36 +563,29 @@ def _walk_supports(tl, schedule, psi):
 
     psi, leak, reads, eighs = psi + 0j, np.zeros(k), {}, {}
     norms = [np.linalg.norm(psi, axis=0)]
-    M, end = schedule.base.base, 0.0  # in force, as walk() yields it
     sites = [np.flatnonzero(c).tolist() for c in psi.T]  # 0 elsewhere
-    for item in schedule.items:
-        if isinstance(item, HoppingFlip):
-            item.negate(M := M.copy())
+    for clock, item, M in schedule.walk():
         if not isinstance(item, Segment):
-            psi = item.apply(psi) if isinstance(item, PhaseFlip) else psi
+            if isinstance(item, PhaseFlip):
+                psi = item.apply(psi)
             continue
-        d, clock, end = item.duration, end, end + item.duration
-        taus = d * _GL_X
+        d, end = item.duration, clock + item.duration
+        taus = np.append(d * _GL_X, d)
         pulses = item.H.overrides if item.H else {}
+        # sampled here: lattice._sample_block gives the same bits, slower
         vals = {p: p.value(taus) for p in set(pulses.values())}
-        if item.H is not None:  # its pulses' last samples stay in force
-            M = item.H.base.copy()
-            for (i, j), p in pulses.items():
-                M[i, j] = M[j, i] = vals[p][-1]
         for r in range(k):
             S = support(r, clock, end)
-            cols = M[:, S]
-            MS = cols[S]  # one eigh per distinct static block
+            cols = np.repeat(M[:, S][None], len(taus), axis=0)
+            for (i, j), pulse in pulses.items():
+                for a, b in ((i, j), (j, i)):
+                    if b in S:
+                        cols[:, a, S.index(b)] = vals[pulse]
+            MS = M[:, S][S]  # one eigh per distinct static block
             if (eig := eighs.get(key := MS.tobytes())) is None:
                 eig = eighs[key] = np.linalg.eigh(MS)
             states = _static_samples(MS, psi[S, r], taus, eig)
-            if any(b in S for e in pulses for b in e):  # a drive meets S
-                cols = np.repeat(cols[None], len(taus), axis=0)
-                for (i, j), pulse in pulses.items():
-                    for a, b in ((i, j), (j, i)):
-                        if b in S:
-                            cols[:, a, S.index(b)] = vals[pulse]
-            cols[..., S, :] -= MS
+            cols[:, S] -= MS
             rates = np.linalg.norm(cols @ states[..., None], axis=(1, 2))
             # the Duhamel integral, and the norm S drops of the last support
             leak[r] += d * (_GL_W @ rates[:-1]) + (np.linalg.norm(np.delete(
@@ -612,20 +605,21 @@ def simulate_route(graph, H, tl, tol=1e-11):
     The routes share the one schedule of :func:`timeline_schedule`, so
     they see each other's ramps and flips as one joint state would.
     Route r's column runs on its support S, its dimer while it rests
-    and its star over each jump window, on the columns S of walk()'s
-    matrix in force, kept from the segments' pulse samples: H[S, S] is
-    static on a segment, one spectral step, one eigh per block.  By
+    and its star over each jump window; H[S, S] of the matrix in force
+    that ``schedule.walk()`` yields is static on each segment, one
+    spectral step per segment and one eigh per distinct block.  By
     Duhamel's formula the column is within ``leak_bound[r]`` of the
-    full-lattice one: the 8-node Gauss-Legendre integral of ||(H(t) -
-    H[S, S]) psi_S(t)|| per segment (couplings out of S and drives
-    inside it) plus the norm dropped where S shrinks.  Unless every
-    bound is within tol times the timeline's end, itself within
-    ``_BUDGET_MAX``, the k sources run as one (n, k) block in one
-    :func:`run_schedule` pass over the full lattice instead.  Returns
+    full-lattice one: the 8-node Gauss-Legendre integral of
+    ||(H(t) - H[S, S]) psi_S(t)|| per segment (couplings out of S and
+    drives inside it) plus the norm dropped where S shrinks.  Unless
+    every bound is within tol (in [1e-14, 1e-6], or ValueError) times
+    the timeline's end, within ``_BUDGET_MAX``, the k sources run as
+    one (n, k) block in one :func:`run_schedule` pass instead.  Returns
     per-route fidelities of the normalized states to the destination
     CLS, per jump the same at its window end (read at its exact time),
     the final states, the largest norm drift over segment ends and the
     leak bounds."""
+    _check_tol(tol)
     n = graph.n_sites
     schedule = timeline_schedule(graph, H, tl)
     psi0 = np.reshape([dimer_state(n, plan.source) for plan in tl.routes],

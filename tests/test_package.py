@@ -14,9 +14,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # public names kept without a caller in the package or the bench: the
-# correctness claims on tolerance per unit time and on time reversal
-# rest on them
-KEPT_WITHOUT_CALLER = {"evolve_timedep", "reverse_schedule"}
+# correctness claims on tolerance per unit time, on time reversal and on
+# the matrix in force that ProtocolSchedule.walk leaves rest on them
+KEPT_WITHOUT_CALLER = {"evolve_timedep", "reverse_schedule", "evaluate_at"}
 
 MODULES = ("lattice", "spectral", "evolve", "protocols", "crab", "routing",
            "cli", "acceptance")
@@ -162,12 +162,12 @@ def test_runtime_imports_only_stdlib_and_numpy():
 
 def test_only_evolve_rebuilds_the_matrix_in_force():
     # ProtocolSchedule.walk owns the rule for the static matrix in
-    # force; no other module takes a segment's end snapshot itself (the
-    # routing support walk keeps the matrix from its own pulse samples,
-    # held to walk()'s by test_support_walk_reads_the_matrix_in_force_of_walk)
+    # force; no other module negates a flipped coupling in a matrix or
+    # takes a segment's end snapshot itself
     callers = {name for name, tree in _source_trees()
                for node in ast.walk(tree) if isinstance(node, ast.Call)
-               and ast.unparse(node.func).split(".")[-1] == "evaluate_at"}
+               and ast.unparse(node.func).split(".")[-1] in (
+                   "evaluate_at", "negate")}
     assert callers == {"evolve.py"}
 
 

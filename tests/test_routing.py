@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import hashlib
 import math
-import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -934,31 +933,13 @@ def test_support_walk_matches_the_full_lattice_pass(data):
         assert np.linalg.norm(a - b) <= 1e-12
 
 
-def _columns_in_force(tl, s, psi0):
-    """Per (segment, route) pair of ``_walk_supports``, in its order: the
-    support S and the columns M[:, S] of the matrix M it holds in force,
-    read from its frame as its ``support`` closure returns S.  The walk
-    keeps M as a local, so this is where the columns it reads are seen."""
-    walk, seen = clsnet.routing._walk_supports.__code__, []
-
-    def profile(frame, event, arg):
-        if event == "return" and frame.f_code.co_name == "support" and \
-                frame.f_back.f_code is walk:
-            seen.append((arg, frame.f_back.f_locals["M"][:, arg].copy()))
-    sys.setprofile(profile)
-    try:
-        clsnet.routing._walk_supports(tl, s, psi0)
-    finally:
-        sys.setprofile(None)
-    return seen
-
-
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_support_walk_reads_the_matrix_in_force_of_walk(data):
-    # the support walk keeps the matrix in force from its own pulse
-    # samples, not from walk()'s evaluate_at snapshots: its columns must
-    # be walk()'s bit for bit, after ramps, flips and flipped spokes
+def test_walk_leaves_each_drawn_segment_its_snapshot(data):
+    # walk() writes each pulse's end value into a copy of the segment's
+    # base rather than gathering evaluate_at's n x n snapshot; on route
+    # timelines, after ramps, flips and flipped spokes, it must leave
+    # the snapshot's bits, which the support walk then reads
     cells = data.draw(st.integers(2, 3), label="cells")
     g, H = dll(cells, cells)
     dimers = st.sampled_from(g.dimers())
@@ -971,19 +952,18 @@ def test_support_walk_reads_the_matrix_in_force_of_walk(data):
     plans = [plan_route(g, H, *hopping, variant="hopping-flip-transfer")]
     plans += [plan_route(g, H, a, b, variant=v, dt=dt)
               for a, b, v, dt in requests]
-    tl = schedule_multi(plans)
-    s = timeline_schedule(g, H, tl)
-    psi0 = np.column_stack([dimer_state(g.n_sites, p.source) for p in plans])
-    seen = iter(_columns_in_force(tl, s, psi0))
-    segments = 0
+    s = timeline_schedule(g, H, schedule_multi(plans))
+    prev = s.base.base
     for _, item, M in s.walk():
-        if isinstance(item, Segment):
-            segments += 1
-            for _ in plans:
-                S, cols = next(seen)
-                assert cols.tobytes() == M[:, S].tobytes()
-    assert next(seen, None) is None
-    assert segments and any(isinstance(it, HoppingFlip) for it in s.items)
+        if isinstance(item, HoppingFlip):
+            prev = prev.copy()
+            item.negate(prev)
+        elif isinstance(item, Segment) and item.H is not None:
+            prev = evaluate_at(item.H, item.duration)
+        assert M.tobytes() == prev.tobytes()
+    assert any(isinstance(it, HoppingFlip) for it in s.items)
+    assert any(isinstance(it, Segment) and it.H is not None
+               and not it.H.static for it in s.items)
 
 
 def test_walk_takes_one_eigh_per_distinct_block(monkeypatch):
@@ -1010,12 +990,13 @@ def test_walk_takes_one_eigh_per_distinct_block(monkeypatch):
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1e-5])
-def test_out_of_range_tol_raises_before_integrating(full_lattice, tol):
+def test_out_of_range_tol_raises_before_integrating(tol):
     # nan failed converting a step count to int, -1.0 in np.ceil; only
-    # evolve_timedep checked the range.  simulate_route reads tol past
-    # its budget check only where it integrates, its full-lattice pass
+    # evolve_timedep checked the range.  The support walk certifies this
+    # jump, so simulate_route checks tol without integrating at all
     g, H = dll(2, 2)
     tl = schedule_multi([plan_route(g, H, (1, 2), (3, 4))])
+    assert simulate_route(g, H, tl).leak_bound[0] <= 1e-11 * tl.end
     with pytest.raises(ValueError, match=r"^tol must lie in \[1e-14, 1e-6\]"):
         run_schedule(timeline_schedule(g, H, tl),
                      dimer_state(g.n_sites, (1, 2)), tol=tol)
