@@ -6,9 +6,14 @@ failure), and asserts the whole criterion passed.  Every criterion
 checks its own norm drift and runtime through ``run_criterion``, as
 ``clsnet verify`` does; C13 checks fixed-seed determinism alone.  The
 harness tests at the end drive ``run_criterion`` with fake criteria.
+Each criterion's report, without its timings, is pinned in golden.py.
 """
 
+import json
+from dataclasses import asdict
+
 from clsnet import acceptance
+from golden import assert_pinned
 
 _reports = {}
 
@@ -30,6 +35,10 @@ def _assert_passed(report):
     assert report.passed, (
         f"{report.cid} failed: "
         + "; ".join(f"{c.name}={c.value!r}, want {c.bound}" for c in failed))
+    untimed = dict(asdict(report), elapsed=None, checks=[
+        asdict(c) for c in report.checks if c.name != "runtime"])
+    assert_pinned(f"verify/{report.cid}",
+                  json.dumps(untimed, sort_keys=True).encode())
 
 
 def test_c1_flagship_star_transfer():

@@ -19,6 +19,7 @@ from clsnet import cli
 from clsnet.cli import ConfigError, ScenarioConfig, parse_config
 from clsnet.lattice import build_dll
 from clsnet.routing import dimer_adjacency
+from golden import assert_outputs_pinned
 
 
 def write_config(tmp_path, doc, name="scenario.json"):
@@ -301,6 +302,7 @@ def test_spectrum_uniform_star(tmp_path):
     for c in rep["cls"]:
         assert np.allclose(np.abs(c["amplitudes"]), 1 / np.sqrt(2.0))
     assert rep["block_spectra"] is not None
+    assert_outputs_pinned("spectrum-star", out)
 
 
 def test_spectrum_seven_sqrt3(tmp_path):
@@ -316,6 +318,7 @@ def test_spectrum_seven_sqrt3(tmp_path):
     s2 = np.sqrt(2.0)
     want = np.sort([0.0, 0.0, 0.0, s2, -s2, 2 * s2, -2 * s2])
     assert np.allclose(np.sort(rep["eigenvalues"]), want, atol=1e-12)
+    assert_outputs_pinned("spectrum-seven", out)
 
 
 # sha256 of summary.json from ``clsnet spectrum --out`` on the L x L DLL
@@ -354,6 +357,7 @@ def test_simulate_star_transfer(tmp_path):
     assert summary["norm_drift"] <= 1e-10
     assert summary["seed"] is None
     assert len(summary["digest"]) == 64
+    assert_outputs_pinned("simulate-star-phase-flip-transfer", out)
 
 
 def test_trajectory_file_format(tmp_path):
@@ -403,6 +407,8 @@ def test_simulate_optimized_creation_matches_reference(tmp_path):
     f_opt = load_summary(opt_out)["fidelity"]
     assert abs(f_sim - f_opt) < 1e-10
     assert 1.0 - f_sim < 1e-4
+    assert_outputs_pinned("simulate-star-optimized-star-creation", sim_out)
+    assert_outputs_pinned("optimize-evaluate-star-creation", opt_out)
 
 
 def test_simulate_zero_duration_hold(tmp_path):
@@ -420,6 +426,7 @@ def test_simulate_zero_duration_hold(tmp_path):
     rows = [l for l in (out / "trajectory.csv").read_text().splitlines()
             if l and not l.startswith(("t,", "#"))]
     assert len(rows) == 1
+    assert_outputs_pinned("simulate-star-hold-T0", out)
 
 
 # --------------------------------------------------------- optimize
@@ -440,6 +447,7 @@ def test_optimize_evaluate_reference_parameters(tmp_path):
     table = (out / "pulses.csv").read_text().splitlines()
     assert table[0].startswith("t, J_")
     assert len(table) == 202
+    assert_outputs_pinned("optimize-evaluate-star-transfer", out)
 
 
 def test_reference_pulse_runs_at_configured_J(tmp_path):
@@ -462,6 +470,9 @@ def test_reference_pulse_runs_at_configured_J(tmp_path):
             assert cli.main([command, "--config", path]) == 0
             summary = load_summary(out)
             fid[command, J] = summary["fidelity"]
+            pinned = {"optimize": "optimize-evaluate",
+                      "simulate": "simulate-star-optimized"}[command]
+            assert_outputs_pinned(f"{pinned}-star-transfer-J{J}", out)
             if command == "optimize":
                 assert summary["report"]["params"]["floor"] == J
     assert 1.0 - fid["optimize", 0.25] < 1e-4
@@ -490,6 +501,9 @@ def test_reference_pulse_defaults_to_its_own_J(tmp_path, problem):
         assert cli.main([command, "--config", path]) == 0
         summaries[command] = summary = load_summary(out)
         assert summary["parameters"]["J"] == J
+        pinned = {"optimize": "optimize-evaluate",
+                  "simulate": "simulate-seven-optimized"}[command]
+        assert_outputs_pinned(f"{pinned}-{problem}", out)
     assert summaries["optimize"]["infidelity"] <= 1e-6
     assert summaries["optimize"]["report"]["params"]["floor"] == J
     assert summaries["simulate"]["fidelity"] >= 1 - 1e-6
@@ -512,6 +526,7 @@ def test_optimize_seed_determinism(tmp_path):
     assert a == b
     assert (tmp_path / "a" / "pulses.csv").read_bytes() == \
         (tmp_path / "b" / "pulses.csv").read_bytes()
+    assert_outputs_pinned("optimize-search-star-transfer", tmp_path / "a")
 
 
 def test_optimize_seed_override_changes_digest(tmp_path):
@@ -803,6 +818,70 @@ def test_route_summary_is_pinned(tmp_path, name):
     assert cli.main(["route", "--config", path, "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "summary.json").read_bytes())
     assert digest.hexdigest() == ROUTE_SHA256[name]
+
+
+def _doc(command, system, action=None, **parameters):
+    system = system if isinstance(system, dict) else {"kind": system}
+    return command, {"system": system, "parameters": parameters,
+                     "action": dict(action or {}, kind=command)}
+
+
+def _schedule(system, variant, parameters=None, **keys):
+    return _doc("simulate", system, {"schedule": dict(keys, variant=variant)},
+                **parameters or {})
+
+
+_GENERATION = {"branch": 2, "k1p": 0, "k2p": 1}
+
+# (command, config) of each pinned scenario that no other test here runs;
+# the tests above pin the outputs of the scenarios they run themselves
+PINNED_SCENARIOS = {
+    "spectrum-star-couplings": _doc("spectrum", "star",
+                                    couplings=[0.25, 0.3, 0.35, 0.4]),
+    "spectrum-seven-couplings": _doc("spectrum", "seven",
+                                     couplings=[1, 1, 1.5, 1.5, 1, 1]),
+    "spectrum-seven-J_inner": _doc("spectrum", "seven", J=1.0, v=0.0,
+                                   J_inner=1.5),
+    **{f"spectrum-dll-{L}": _doc("spectrum", {"kind": "dll", "cells_x": L,
+                                              "cells_y": L}, J=0.25, v=0.5)
+       for L in (2, 4, 5)},
+    "simulate-star-hopping-flip-transfer": _schedule(
+        "star", "hopping-flip-transfer", k1=1, k2=0),
+    "simulate-star-generation": _schedule("star", "generation",
+                                          **_GENERATION),
+    "simulate-star-generation-J_prime": _schedule(
+        "star", "generation", {"J_prime": 1.0}, **_GENERATION),
+    "simulate-star-reverse-generation": _schedule(
+        "star", "reverse-generation", **_GENERATION),
+    "simulate-star-piecewise-transfer": _schedule(
+        "star", "piecewise-transfer", branch=1, k1p=1, k2p=0),
+    "simulate-star-hold-couplings": _schedule(
+        "star", "hold", {"couplings": [0.25, 0.3, 0.25, 0.3]}, T=2.0),
+    "simulate-seven-phase-flip-transfer": _schedule(
+        "seven", "phase-flip-transfer", k=1),
+    "simulate-seven-hopping-flip-transfer": _schedule(
+        "seven", "hopping-flip-transfer", k=0),
+    "simulate-seven-hold": _schedule("seven", "hold", T=2.0),
+    "simulate-seven-hold-J_inner": _schedule("seven", "hold",
+                                             {"J_inner": 0.5}, T=2.0),
+    "simulate-seven-hold-couplings": _schedule(
+        "seven", "hold", {"couplings": [0.25, 0.25, 0.5, 0.5, 0.25, 0.25]},
+        T=2.0),
+    "optimize-evaluate-seven-transfer-J_inner": _doc(
+        "optimize", "seven", {"problem": "seven-transfer"}, J_inner=2.5),
+    "optimize-refine-star-creation": _doc(
+        "optimize", "star", {"problem": "star-creation", "mode": "refine",
+                             "n_steps": 64}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
+def test_scenario_outputs_are_pinned(tmp_path, name):
+    command, doc = PINNED_SCENARIOS[name]
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+    assert_outputs_pinned(name, out)
 
 
 # ----------------------------------------------------------- verify

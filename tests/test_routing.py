@@ -52,6 +52,7 @@ from clsnet.routing import (
     verify_timeline,
 )
 from clsnet.spectral import dimer_state
+from golden import assert_pinned
 
 J, V = 0.25, 0.5  # uniform lattice matching the shortest flip transfer
 
@@ -1306,6 +1307,7 @@ def test_timeline_schedule_mixed_base_values_match_oracle():
     want = _oracle_items(Hm, tl)
     assert len(got) == len(want)
     assert all(_same_item(Hm, a, b) for a, b in zip(got, want))
+    assert_pinned("timeline/4x4-seed30-mixed-base", _items_text(got))
     held = [p for it in _ramped(got) for p in it.H.overrides.values()
             if p.start == p.end == 0.0]
     assert any(math.copysign(1.0, p.end) < 0 for p in held)
@@ -1314,6 +1316,24 @@ def test_timeline_schedule_mixed_base_values_match_oracle():
 
 def _ramped(items):
     return [it for it in items if isinstance(it, Segment) and it.H]
+
+
+def _items_text(items):
+    """timeline_schedule's items, one line each, every float as
+    float.hex: a segment's duration and each override's pulse fields."""
+    def text(x):
+        return x.hex() if isinstance(x, float) else repr(x)
+
+    lines = []
+    for it in items:
+        row = [type(it).__name__] + [text(getattr(it, f.name)) for f in
+                                     dataclasses.fields(it) if f.name != "H"]
+        if isinstance(it, Segment) and it.H:
+            row += [f"{e}:{type(p).__name__}:"
+                    + ",".join(map(text, dataclasses.astuple(p)))
+                    for e, p in sorted(it.H.overrides.items())]
+        lines.append(" ".join(row))
+    return "\n".join(lines).encode()
 
 
 # sha256 of the matrices reverse_schedule(_fifty_requests()[1]).walk()
@@ -1342,6 +1362,21 @@ def test_ramped_segments_share_the_lattice_base():
     ramped = _ramped(s.items)
     assert len(ramped) > 100
     assert all(it.H.base is H.base for it in ramped)
+    assert_pinned("timeline/6x6-seed17", _items_text(s.items))
+
+
+def test_timeline_items_of_both_variants_are_pinned():
+    g, H = dll(6, 6)
+    rng = np.random.default_rng(18)
+    dimers = g.dimers()
+    plans = [plan_route(g, H, *(dimers[k] for k in
+                                rng.choice(len(dimers), 2, replace=False)),
+                        variant=str(rng.choice(TRANSFER_VARIANTS)),
+                        dt=float(rng.choice([1.0, 2.0])))
+             for _ in range(30)]
+    items = timeline_schedule(g, H, schedule_multi(plans)).items
+    assert any(isinstance(it, HoppingFlip) for it in items)
+    assert_pinned("timeline/6x6-seed18-both-variants", _items_text(items))
 
 
 def test_reversed_segments_share_the_lattice_base():
@@ -1497,10 +1532,11 @@ def test_timeline_schedule_builds_one_slice_per_ramp_and_segment(
         return ramp_slice(*args)
 
     monkeypatch.setattr(clsnet.routing, "_ramp_slice", counted)
-    timeline_schedule(g, H, tl)
+    items = timeline_schedule(g, H, tl).items
     # every entry of a ramp shares its slice: one per (ramp, segment),
     # not one per entry
     assert 0 < len(calls) <= pairs
+    assert_pinned("timeline/6x6-seed16", _items_text(items))
 
 
 def test_equal_graphs_share_hash_and_tables():
