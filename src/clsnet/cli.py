@@ -50,9 +50,8 @@ from .routing import plan_route, schedule_multi, simulate_route
 from .spectral import equitable_blocks_star, find_cls, \
     nonequitable_blocks_seven, spectrum
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "load_config",
-           "cmd_spectrum", "cmd_simulate", "cmd_optimize", "cmd_route",
-           "cmd_verify", "main"]
+__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "cmd_spectrum",
+           "cmd_simulate", "cmd_optimize", "cmd_route", "cmd_verify", "main"]
 
 class ConfigError(Exception):
     """Scenario config failed parsing or validation."""
@@ -92,7 +91,8 @@ class _Key(NamedTuple):
     needs.  ``default`` may be a function of the choices made so far.
     ``bounds`` are (operator, value) pairs.  ``only`` lists conditions
     ``(choice, *accepted values)``; a choice is named by its key, a
-    ``kind`` by its section.
+    ``kind`` by its section, and one not made is None.  A key is
+    admitted only where a command reads it.
     """
 
     type: object
@@ -143,7 +143,8 @@ _GRAMMAR = {
                      "evaluate", only=_OPTIMIZE),
         "n_restarts": _Key(int, 32, ((">=", 1),), _SEARCH),
         "max_evals": _Key(int, 20000, ((">=", 10),), _SEARCH),
-        "n_steps": _Key(int, _OMIT, ((">=", 8),), _OPTIMIZE),
+        "n_steps": _Key(int, _OMIT, ((">=", 8),),
+                        _OPTIMIZE + (("mode", "refine", "search"),)),
         "requests": _Key(["request"], only=(("action", "route"),)),
     },
     "schedule": {
@@ -170,9 +171,13 @@ _GRAMMAR = {
     "parameters": {
         "J": _Key(float, _reference_J),
         "v": _Key(float, 0.5),
-        "couplings": _Key("couplings", _OMIT, only=_STAR_SEVEN),
-        "J_prime": _Key(float, _OMIT, only=_STAR),
-        "J_inner": _Key(float, _OMIT, only=_SEVEN),
+        "couplings": _Key("couplings", _OMIT, only=(
+            ("action", "spectrum", "simulate"), ("variant", None, "hold"),
+            *_STAR_SEVEN)),
+        "J_prime": _Key(float, _OMIT, only=(*_STAR, _GENERATION)),
+        "J_inner": _Key(float, _OMIT, only=(
+            *_SEVEN, ("variant", None, "hold", "optimized"),
+            ("problem", None, "seven-transfer"))),
     },
     "integrator": {
         "tol": _Key(float, 1e-11, ((">=", 1e-14), ("<=", 1e-6))),
@@ -202,9 +207,13 @@ def _refusal(conditions, ctx):
     """Why the choices in ``ctx`` rule out what ``conditions`` guard,
     or None when they allow it."""
     for choice, *accepted in conditions:
-        if ctx.get(choice) not in accepted:
-            return (f"does not run on {ctx.get(choice)} {choice}s, only on "
-                    f"{' or '.join(accepted)} {choice}s")
+        made = ctx.get(choice)
+        if made not in accepted:
+            on = [ctx["action"]] if "action" in ctx else []
+            if made and choice != "action":
+                on.append(f"{made} {choice}s")
+            return (f"does not run on {' with '.join(on)}, only on "
+                    f"{' or '.join(filter(None, accepted))} {choice}s")
     return None
 
 
@@ -282,12 +291,6 @@ def parse_config(text, source="config"):
     return sc
 
 
-def load_config(path):
-    """The scenario at ``path``, checked as parse_config checks it but
-    for a search's seed: the CLI's --seed may still supply that."""
-    return _parse(_read(path), source=str(path))
-
-
 def _read(path):
     try:
         return Path(path).read_text()
@@ -325,6 +328,8 @@ def _build_system(sc):
         couplings = p.get("couplings", [p["J"]] * 4)
         return build_star(couplings, p["v"])
     if kind == "seven":
+        _expect("couplings" not in p or "J_inner" not in p, "parameters",
+                f"{sc.action['kind']} reads couplings or J_inner, not both")
         inner = p.get("J_inner", np.sqrt(3.0) * p["J"])
         couplings = p.get("couplings",
                           [p["J"], p["J"], inner, inner, p["J"], p["J"]])
@@ -341,14 +346,11 @@ def _build_dll(sc):
 
 @_as_config_error()
 def _problem_factory(name, p):
-    kw = {"J": p["J"], "v": p["v"]}
-    if name == "seven-transfer" and "J_inner" in p:
-        kw["J_inner"] = p["J_inner"]
     factory = {"star-transfer": crab.star_transfer,
                "star-creation": crab.star_creation,
                "seven-transfer": crab.seven_transfer,
                "seven-creation": crab.seven_creation}[name]
-    return factory(**kw)
+    return factory(**p)  # J and v, and J_inner where the grammar admits it
 
 
 def _reference_point(problem):
@@ -393,25 +395,18 @@ def _build_protocol_schedule(sc):
 # --------------------------------------------------------------- output
 
 
-def _plain(obj):
-    """Recursively convert numpy containers and Fractions to JSON types."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(x) for x in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return _plain(obj.item())
+def _jsonable(obj):
+    """What json writes for a value it cannot: a numpy array or scalar
+    as its list or number, a complex as {re, im}, a Fraction as float."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return float(obj) if isinstance(obj, Fraction) else obj
+    return float(obj) if isinstance(obj, Fraction) else obj.tolist()
 
 
 def _write_json(path, payload):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_plain(payload), sort_keys=True, indent=2)
-                    + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               default=_jsonable) + "\n")
 
 
 def _summary(sc, fidelity_=None, T=None, norm_drift=None, report=None):
@@ -632,15 +627,15 @@ def _apply_overrides(args):
     """The scenario at --config under the command line's overrides:
     --seed and --tol re-walk it, --out (a str, all output.dir asks) is
     set as it is, and parse_config's search-seed check runs once."""
-    if args.seed is None and args.tol is None:
-        sc = parse_config(_read(args.config), source=str(args.config))
-    else:
-        changed = asdict(load_config(args.config))
+    text, source = _read(args.config), str(args.config)
+    if args.seed is not None or args.tol is not None:
+        changed = asdict(_parse(text, source))
         if args.seed is not None:
             changed["seed"] = args.seed
         if args.tol is not None:
             changed["integrator"] = dict(changed["integrator"], tol=args.tol)
-        sc = parse_config(json.dumps(changed), source="<overrides>")
+        text, source = json.dumps(changed), "<overrides>"
+    sc = parse_config(text, source)
     return sc if args.out is None else replace(sc, output={"dir": args.out})
 
 

@@ -33,7 +33,7 @@ from bisect import bisect_left, insort
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -217,29 +217,26 @@ def _dimer_hubs(graph, pair):
 
 # per graph: hubs, hub -> its dimers, the read-only dimer adjacency, the
 # edge index, extract_star's stars by (hub, dimer_in, dimer_out) and the
-# last H planned [weakref, member]; keyed weakly, equal graphs sharing it
+# last H planned [weakref, member]; keyed by value, equal graphs sharing it
 _Tables = namedtuple("_Tables", "hubs hub_dimers adjacency edge_index stars member")
-_TABLES = weakref.WeakKeyDictionary()
 
 
+@lru_cache(maxsize=16)
 def _tables(graph):
-    tables = _TABLES.get(graph)
-    if tables is None:
-        hub_dimers = {}
-        for d in graph.dimers():
-            for h in _dimer_hubs(graph, d):
-                hub_dimers.setdefault(h, []).append(d)
-        adj = {d: [] for d in graph.dimers()}
-        for h, ds in sorted(hub_dimers.items()):
-            for d in ds:
-                adj[d] += [(h, d2) for d2 in ds if d2 != d]
-        tables = _TABLES[graph] = _Tables(
-            graph.hubs(),
-            {h: tuple(sorted(ds)) for h, ds in hub_dimers.items()},
-            MappingProxyType({d: tuple(sorted(v)) for d, v in adj.items()}),
-            tuple(np.array(graph.edges, dtype=int).reshape(-1, 2).T), {},
-            [lambda: None, None])
-    return tables
+    hub_dimers = {}
+    for d in graph.dimers():
+        for h in _dimer_hubs(graph, d):
+            hub_dimers.setdefault(h, []).append(d)
+    adj = {d: [] for d in graph.dimers()}
+    for h, ds in sorted(hub_dimers.items()):
+        for d in ds:
+            adj[d] += [(h, d2) for d2 in ds if d2 != d]
+    return _Tables(
+        graph.hubs(),
+        {h: tuple(sorted(ds)) for h, ds in hub_dimers.items()},
+        MappingProxyType({d: tuple(sorted(v)) for d, v in adj.items()}),
+        tuple(np.array(graph.edges, dtype=int).reshape(-1, 2).T), {},
+        [lambda: None, None])
 
 
 def extract_star(graph, H, center, dimer_in=None, dimer_out=None):

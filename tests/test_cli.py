@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from contextlib import suppress
 from dataclasses import asdict
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from clsnet import cli
 from clsnet.cli import ConfigError, ScenarioConfig, parse_config
+from clsnet.crab import REFERENCE_PARAMS
 from clsnet.lattice import build_dll
+from clsnet.protocols import TRANSFER_VARIANTS
 from clsnet.routing import dimer_adjacency
 from golden import assert_outputs_pinned
 
@@ -42,6 +45,19 @@ def star_transfer_doc(out_dir):
 def load_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
+
+def _doc(command, system, action=None, **parameters):
+    system = system if isinstance(system, dict) else {"kind": system}
+    return command, {"system": system, "parameters": parameters,
+                     "action": dict(action or {}, kind=command)}
+
+
+def _schedule(system, variant, parameters=None, **keys):
+    return _doc("simulate", system, {"schedule": dict(keys, variant=variant)},
+                **parameters or {})
+
+
+_GENERATION = {"branch": 2, "k1p": 0, "k2p": 1}
 
 # ----------------------------------------------------------- config
 
@@ -130,7 +146,7 @@ def test_digest_ignores_output_dir_only():
     # null is the default of seed alone
     ({"system": {"kind": "star"},
       "action": {"kind": "optimize", "problem": "star-transfer",
-                 "n_steps": None}},
+                 "mode": "search", "n_steps": None}, "seed": 1},
      "action: n_steps must be an integer"),
 ])
 def test_parse_rejects_bad_sections(doc, fragment):
@@ -181,6 +197,153 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["spectrum", "--config",
                      str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# ------------------------------------------------ keys each command reads
+
+
+def _candidate_configs():
+    """A cheap config for every system, action, schedule variant, problem
+    and mode the grammar names, whether or not the grammar accepts it."""
+    schedules = [dict(keys, variant=v) for v in TRANSFER_VARIANTS
+                 for keys in ({"k1": 1, "k2": 0}, {"k": 0})]
+    schedules += [dict(_GENERATION, variant=v)
+                  for v in ("generation", "reverse-generation")]
+    schedules += [{"variant": "piecewise-transfer", "branch": 1, "k1p": 1,
+                   "k2p": 0}, {"variant": "hold", "T": 1.0}]
+    schedules += [{"variant": "optimized", "problem": p}
+                  for p in REFERENCE_PARAMS]
+    actions = [{"kind": "spectrum"}, {"kind": "route", "requests": [
+        {"source": [1, 2], "destination": [3, 4]}]}]
+    actions += [{"kind": "simulate", "schedule": s} for s in schedules]
+    for p in REFERENCE_PARAMS:
+        actions += [{"kind": "optimize", "problem": p, "mode": "evaluate"},
+                    {"kind": "optimize", "problem": p, "mode": "refine",
+                     "n_steps": 16},
+                    {"kind": "optimize", "problem": p, "mode": "search",
+                     "n_restarts": 1, "max_evals": 20, "n_steps": 16}]
+    for system in ({"kind": "star"}, {"kind": "seven"},
+                   {"kind": "dll", "cells_x": 1, "cells_y": 1}):
+        for action in actions:
+            yield {"system": system, "action": action, "seed": 1}
+
+
+def _command_contexts():
+    """(config, choices) of each context a command runs in: the configs
+    the grammar accepts, with the choices its walk records."""
+    contexts = []
+    for doc in _candidate_configs():
+        ctx = {}
+        with suppress(ConfigError):
+            cli._walk(doc, "config", "config", ctx)
+            contexts.append((doc, ctx))
+    return contexts
+
+
+_CONTEXTS = _command_contexts()
+
+
+def _admits(section, key, ctx):
+    return not cli._refusal(cli._GRAMMAR[section][key].only, ctx)
+
+
+def test_grammar_admits_only_the_key_slots_commands_read():
+    # a slot is a parameter, integrator or step key one context admits
+    keys = [(section, k) for section in ("parameters", "integrator")
+            for k in cli._GRAMMAR[section]]
+    keys += [("action", k) for k in ("n_restarts", "max_evals", "n_steps")]
+    slots = sum(_admits(*sk, ctx) for _, ctx in _CONTEXTS for sk in keys)
+    assert (len(_CONTEXTS), slots) == (29, 145)
+
+
+def _two_values(key, system):
+    return {"couplings": ([0.25] * 4, [0.25, 0.3] * 2) if system == "star"
+            else ([0.25] * 6, [0.25, 0.3] * 3),
+            "J_prime": (1.0, 2.0), "J_inner": (2.5, 3.5),
+            "n_steps": (16, 32)}[key]
+
+
+@pytest.mark.parametrize("section, key", [
+    ("parameters", "couplings"), ("parameters", "J_prime"),
+    ("parameters", "J_inner"), ("action", "n_steps")])
+def test_every_admitted_key_is_read(tmp_path, section, key):
+    # wherever the grammar admits the key, two values of it give two
+    # different runs, apart from the echoed parameters and digest
+    contexts = [(d, c) for d, c in _CONTEXTS if _admits(section, key, c)]
+    assert contexts
+    for i, (doc, ctx) in enumerate(contexts):
+        runs = []
+        for j, value in enumerate(_two_values(key, ctx["system"])):
+            changed = json.loads(json.dumps(doc))
+            changed.setdefault(section, {})[key] = value
+            out = tmp_path / f"{i}-{j}"
+            assert cli.main([doc["action"]["kind"], "--config",
+                             write_config(tmp_path, changed),
+                             "--out", str(out)]) == 0
+            written = {p.name: p.read_bytes() for p in out.iterdir()}
+            summary = json.loads(written.pop("summary.json"))
+            del summary["parameters"], summary["digest"]
+            runs.append((summary, written))
+        assert runs[0] != runs[1], doc
+
+
+_STAR_COUPLINGS = {"couplings": [1, 2, 3, 4]}
+
+
+def _unread(key, case, keys=None):
+    action = case[1]["action"]
+    what = "-".join(v for v in action.get("schedule", action).values()
+                    if isinstance(v, str))
+    return pytest.param(*case, keys or [key],
+                        id=f"{key}-{case[1]['system']['kind']}-{what}")
+
+
+@pytest.mark.parametrize("command, doc, keys", [
+    # each of the first three ran to fidelity 1 on the default unit,
+    # echoing a value it never used
+    _unread("couplings", _schedule("star", "phase-flip-transfer",
+                                   _STAR_COUPLINGS, k1=1, k2=0)),
+    _unread("couplings", _schedule("seven", "phase-flip-transfer",
+                                   {"couplings": [9] * 6}, k=1)),
+    _unread("J_inner", _schedule("seven", "phase-flip-transfer",
+                                 {"J_inner": 0.1}, k=1)),
+    _unread("couplings", _schedule("star", "generation", _STAR_COUPLINGS,
+                                   **_GENERATION)),
+    _unread("couplings", _schedule("star", "optimized", _STAR_COUPLINGS,
+                                   problem="star-transfer")),
+    _unread("couplings", _doc("optimize", "star",
+                              {"problem": "star-creation"},
+                              **_STAR_COUPLINGS)),
+    _unread("J_prime", _doc("spectrum", "star", J_prime=1.0)),
+    _unread("J_prime", _schedule("star", "hold", {"J_prime": 1.0}, T=1.0)),
+    _unread("J_prime", _schedule("star", "hopping-flip-transfer",
+                                 {"J_prime": 1.0}, k1=1, k2=0)),
+    _unread("J_prime", _doc("optimize", "star", {"problem": "star-transfer"},
+                            J_prime=1.0)),
+    _unread("J_inner", _schedule("seven", "hopping-flip-transfer",
+                                 {"J_inner": 0.5}, k=0)),
+    _unread("J_inner", _doc("optimize", "seven",
+                            {"problem": "seven-creation"}, J_inner=0.5)),
+    _unread("J_inner", _schedule("seven", "optimized", {"J_inner": 0.5},
+                                 problem="seven-creation")),
+    _unread("n_steps", _doc("optimize", "star", {
+        "problem": "star-transfer", "mode": "evaluate", "n_steps": 64})),
+    # the couplings would silently win
+    _unread("both", _doc("spectrum", "seven", couplings=[1] * 6,
+                         J_inner=0.5), ["couplings", "J_inner"]),
+    _unread("both", _schedule("seven", "hold",
+                              {"couplings": [1] * 6, "J_inner": 0.5},
+                              T=1.0), ["couplings", "J_inner"]),
+])
+def test_unread_key_exits_2(tmp_path, capsys, command, doc, keys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(doc, output={"dir": str(out)}))
+    assert cli.main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert all(word in err for word in (*keys, command))
+    assert "None" not in err
+    assert not out.exists()
 
 
 # one valid config per action kind
@@ -819,19 +982,6 @@ def test_route_summary_is_pinned(tmp_path, name):
     digest = hashlib.sha256((out / "summary.json").read_bytes())
     assert digest.hexdigest() == ROUTE_SHA256[name]
 
-
-def _doc(command, system, action=None, **parameters):
-    system = system if isinstance(system, dict) else {"kind": system}
-    return command, {"system": system, "parameters": parameters,
-                     "action": dict(action or {}, kind=command)}
-
-
-def _schedule(system, variant, parameters=None, **keys):
-    return _doc("simulate", system, {"schedule": dict(keys, variant=variant)},
-                **parameters or {})
-
-
-_GENERATION = {"branch": 2, "k1p": 0, "k2p": 1}
 
 # (command, config) of each pinned scenario that no other test here runs;
 # the tests above pin the outputs of the scenarios they run themselves

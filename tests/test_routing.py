@@ -5,7 +5,6 @@ import functools
 import hashlib
 import math
 import tracemalloc
-import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -1451,8 +1450,7 @@ def test_plan_route_builds_dimer_tables_once_per_graph(monkeypatch):
              for _ in range(50)]
     counts = []
     for batch in (pairs[:1], pairs):
-        monkeypatch.setattr(clsnet.routing, "_TABLES",
-                            weakref.WeakKeyDictionary())
+        clsnet.routing._tables.cache_clear()
         calls.clear()
         for a, b in batch:
             plan_route(g, H, g.dimers()[a], g.dimers()[b])
@@ -1469,8 +1467,7 @@ def test_plan_route_builds_each_star_once(monkeypatch):
         return star_view(center, dimer_in, dimer_out, boundary)
 
     monkeypatch.setattr(clsnet.routing, "StarView", counted)
-    monkeypatch.setattr(clsnet.routing, "_TABLES",
-                        weakref.WeakKeyDictionary())
+    clsnet.routing._tables.cache_clear()
     rng = np.random.default_rng(14)
     dimers = g.dimers()
     plans = [plan_route(g, H, *(dimers[k] for k in
