@@ -17,8 +17,10 @@ the dimer-adjacency graph with lexicographic tie-breaks, greedy
 earliest-start scheduling in request order, on exact times.
 
 Each ``SiteGraph`` gets its dimer tables (hubs, dimers per hub, dimer
-adjacency, edge index, stars, the last H's transfer member) once;
-holds stay sorted per coupling, and ramp ends are swept once each.
+adjacency, edge index, stars, the last H's transfer member) once, and on
+first use each source's search (resumed a level at a time), each star's
+boundary entries by the last scheduled H's base values and its moved
+flips; holds stay sorted per coupling, and ramp ends are swept once each.
 
 Simulation runs each route's column only where its stored state lives,
 its dimer or, over a jump window, its star, on the matrix in force of
@@ -74,6 +76,12 @@ class StarView:
         """The four hub couplings, in protocol order of the dimer sites."""
         return tuple(tuple(sorted((s, self.center)))
                      for s in (*self.dimer_in, *self.dimer_out))
+
+    @cached_property
+    def holds(self):
+        """(entry, ramped): spokes held alone, boundary entries ramped."""
+        return tuple((e, False) for e in self.spokes) + \
+            tuple((e, True) for e in self.boundary_entries)
 
 
 @dataclass(frozen=True)
@@ -147,7 +155,9 @@ class Timeline:
         coarsens the clock for all): a ramp takes no time, or the flips
         are not T apart to 1e-9, as past the largest float, where images
         are inf."""
-        rows = [[(j, t0, t0 + (d := _ticks(j.dt)), t1 - d, t1)
+        d = {dt: _ticks(dt) for dt in {j.dt for row in self.jumps
+                                       for j, *_ in row}}
+        rows = [[(j, t0, t0 + d[j.dt], t1 - d[j.dt], t1)
                  for j, t0, t1, _ in row] for row in self.jumps]
         ticks = sorted({t for row in rows for r in row for t in r[1:]})
         m = max(max(ticks, default=0).bit_length() - 53, 0)
@@ -216,9 +226,12 @@ def _dimer_hubs(graph, pair):
 
 
 # per graph: hubs, hub -> its dimers, the read-only dimer adjacency, the
-# edge index, extract_star's stars by (hub, dimer_in, dimer_out) and the
-# last H planned [weakref, member]; keyed by value, equal graphs sharing it
-_Tables = namedtuple("_Tables", "hubs hub_dimers adjacency edge_index stars member")
+# edge index, extract_star's stars by (hub, dimer_in, dimer_out), the last
+# H planned [weakref, member], source -> (paths, frontier), the last H
+# scheduled [weakref, star -> entries by value] and (star, (variant,
+# member)) -> moved flips; keyed by value, equal graphs sharing it
+_Tables = namedtuple("_Tables", "hubs hub_dimers adjacency edge_index stars "
+                     "member searches groups moved")
 
 
 @lru_cache(maxsize=16)
@@ -236,7 +249,7 @@ def _tables(graph):
         {h: tuple(sorted(ds)) for h, ds in hub_dimers.items()},
         MappingProxyType({d: tuple(sorted(v)) for d, v in adj.items()}),
         tuple(np.array(graph.edges, dtype=int).reshape(-1, 2).T), {},
-        [lambda: None, None])
+        [lambda: None, None], {}, [lambda: None, {}], {})
 
 
 def extract_star(graph, H, center, dimer_in=None, dimer_out=None):
@@ -343,8 +356,9 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
     if src == dst:
         return RoutePlan((), src, dst)
 
-    # each dimer reached, with the (dimer, hub, dimer) moves reaching it
-    paths, frontier = {src: ()}, [src]
+    # each dimer reached, with the (dimer, hub, dimer) moves reaching it;
+    # kept per source, whole levels at a time, so a path is the first found
+    paths, frontier = tables.searches.setdefault(src, ({src: ()}, [src]))
     while frontier and dst not in paths:
         nxt = []
         for d in frontier:
@@ -352,7 +366,7 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
                 if d2 not in paths:
                     paths[d2] = paths[d] + ((d, h, d2),)
                     nxt.append(d2)
-        frontier = nxt
+        frontier[:] = nxt
     if dst not in paths:
         raise ValueError(f"no route from {src} to {dst}")
 
@@ -364,8 +378,9 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
                              "potentials")
         params = transfer_member_for(float(vals[0]), float(diag[0]))
         tables.member[:] = weakref.ref(H), params
+    stars = tables.stars  # the search's moves are valid stars' keys
     jumps = tuple(
-        Jump(extract_star(graph, H, hub, dimer_in=a, dimer_out=b),
+        Jump(stars.get((hub, a, b)) or extract_star(graph, H, hub, a, b),
              variant, dt, params)
         for a, hub, b in paths[dst])
     return RoutePlan(jumps, src, dst)
@@ -375,14 +390,13 @@ def _jump_holds(plan):
     """Per jump of ``plan``: (jump, r0, r1, holds) relative to its
     start in ticks, the one jump model of scheduling, checking and
     building.  r0 sums 2 dt + T of the earlier jumps, r1 = r0 + 2 dt + T;
-    ``holds`` are the (entry, ramped) couplings held all of the window:
-    the spokes exclusively, the boundary entries as a ramp."""
-    out, r0 = [], 0
+    ``holds`` are the star's :attr:`StarView.holds`."""
+    out, r0, span = [], 0, {}  # (dt, T) -> ticks, once per distinct pair
     for j in plan.jumps:
-        r1 = r0 + 2 * _ticks(j.dt) + _ticks(j.params.T)
-        holds = tuple((e, False) for e in j.star.spokes) + \
-            tuple((e, True) for e in j.star.boundary_entries)
-        out.append((j, r0, r1, holds))
+        if (key := (j.dt, j.params.T)) not in span:
+            span[key] = 2 * _ticks(j.dt) + _ticks(j.params.T)
+        r1 = r0 + span[key]
+        out.append((j, r0, r1, j.star.holds))
         r0 = r1
     return out
 
@@ -474,26 +488,36 @@ def timeline_schedule(graph, H, tl):
     overrides are its ramp slices and, under them, the entries held off
     the base: a ramp's end at 0 and a flipped spoke, each a constant
     ``LinearRamp``, one per value.  One sweep over the bounds opens each
-    ramp (one per key, its entries grouped by base value once per jump)
-    at its start and closes it at its end: a segment takes one slice per
-    open ramp and base value, a closing ramp one held update per value.
+    ramp (one per key, its entries grouped by base value once per star,
+    kept in the graph's tables with the star's moved flips) at its start
+    and closes it at its end: a segment takes one slice per open ramp
+    and base value, a closing ramp one held update per value.
     """
     verify_timeline(tl)
+    tables = _tables(graph)
+    ref, groups = tables.groups  # star -> base value -> entries
+    if ref() is not H:
+        tables.groups[:] = weakref.ref(H), (groups := {})
     ramps, flips, star_items = {}, {}, {}  # ramp -> base value -> entries
     for row in tl.windows:
         for j, t0, down_end, up_start, t1 in row:
-            for v, es in _by_value(H, j.star.boundary_entries).items():
-                for r in ((t0, down_end, "down"), (up_start, t1, "up")):
-                    ramps.setdefault(r, {}).setdefault(v, []).extend(es)
+            if (by_value := groups.get(star := j.star)) is None:
+                by_value = groups[star] = _by_value(H, star.boundary_entries)
+            for r in ((t0, down_end, "down"), (up_start, t1, "up")):
+                ramp = ramps.setdefault(r, {})
+                for v, es in by_value.items():
+                    ramp.setdefault(v, []).extend(es)
             key = (j.variant, j.params)
-            if key not in star_items:
-                star_items[key] = build_schedule(*key).items
-            t = down_end
-            for f in star_items[key]:
-                if isinstance(f, Segment):
-                    t = up_start
-                else:
-                    flips.setdefault(t, []).append(_moved(f, j.star.sites))
+            if (moved := tables.moved.get((star, key))) is None:
+                if key not in star_items:
+                    star_items[key] = build_schedule(*key).items
+                fs = star_items[key]
+                k = next(k for k, f in enumerate(fs) if isinstance(f, Segment))
+                moved = tables.moved[star, key] = tuple(
+                    tuple(_moved(f, star.sites) for f in part)
+                    for part in (fs[:k], fs[k + 1:]))
+            flips.setdefault(down_end, []).extend(moved[0])
+            flips.setdefault(up_start, []).extend(moved[1])
 
     bounds = sorted({0.0, *(t for row in tl.windows for w in row
                            for t in w[1:])})

@@ -148,12 +148,22 @@ def _candidate_supports(M, max_size, tau):
     value <= tau, as one index array per size, rows in lexicographic
     order.  Its Gram matrix is (M^H M)[S, S] - M[S, S]^H M[S, S]; a
     pair's [[a, b], [b*, d]] has its smallest eigenvalue in closed form,
-    larger supports take one batched eigvalsh per size."""
+    larger supports take one batched eigvalsh per size.
+
+    The closed form runs only on pairs whose columns meet (M[i, j],
+    M[j, i] or (M^H M)[i, j] nonzero) or with a site whose a_i = ((M^H
+    M)[i, i] - |M[i, i]|^2).real is <= tau^2 + 8 eps (a_i + max a).
+    Any other pair has b == 0 exactly and a, d = a_i, a_j, so its low =
+    (a + d)/2 - |a - d|/2 is min(a_i, a_j) to eps max a, above tau^2:
+    it keeps the closed form's pairs over all pairs, bit for bit."""
     MM = M.conj().T @ M
     out = []
     for size in range(2, max_size + 1):
         if size == 2:
-            i, j = np.triu_indices(len(M), 1)
+            ai = (MM.diagonal() - M.diagonal().conj() * M.diagonal()).real
+            small = ai <= tau * tau + 8 * np.finfo(float).eps * (ai + ai.max())
+            meet = (M != 0) | (M.T != 0) | (MM != 0) | small | small[:, None]
+            i, j = np.nonzero(np.triu(meet, 1))  # row-major: lexicographic
             mii, mji, mij, mjj = M[i, i], M[j, i], M[i, j], M[j, j]
             a = (MM[i, i] - (mii.conj() * mii + mji.conj() * mji)).real
             d = (MM[j, j] - (mij.conj() * mij + mjj.conj() * mjj)).real
@@ -180,8 +190,8 @@ def find_cls(H, max_support):
     and |u off S| <= sqrt(_FLAT_TOL), so H[S^c, S] u_S meets tau: no
     support the projector test accepts is dropped.  Candidates are taken
     by increasing size, lexicographically within one; per degenerate
-    cluster and size, one gather weighs them and one batched eigh gives
-    the projector's eigenpairs on those reaching 1 - _FLAT_TOL.  A
+    cluster and size, one gather weighs them and, if any reaches
+    1 - _FLAT_TOL, one batched eigh gives their projector eigenpairs.  A
     support qualifies when its projector has a unit eigenvalue; that
     eigenspace is deflated (SVD) against the cluster's accepted states if
     one is nonzero on the support, else all are exactly orthogonal to it,
@@ -204,6 +214,8 @@ def find_cls(H, max_support):
         for supports in candidates:
             # a NaN weight is not below the bound: the projector decides
             heavy = supports[~(weight[supports].sum(axis=1) < 1 - _FLAT_TOL)]
+            if not len(heavy):
+                continue
             sub = Vc[heavy]
             lams, Us = np.linalg.eigh(sub @ sub.conj().transpose(0, 2, 1))
             for idx, lam, U in zip(heavy.tolist(), lams, Us):

@@ -101,7 +101,7 @@ def test_every_private_name_is_read():
 
 
 # parameters kept unread: bench/ passes them positionally
-UNREAD_KEPT = {("extract_star", "H"), ("timeline_schedule", "graph")}
+UNREAD_KEPT = {("extract_star", "H")}
 
 
 def _is_stub(fn):
@@ -227,7 +227,7 @@ def test_only_the_timeline_converts_to_ticks():
 
 
 # ROADMAP's cap on src/clsnet, counted as ``wc -l`` counts: newlines
-LINE_CAP = 3814
+LINE_CAP = 3850
 
 
 def test_source_stays_under_the_line_cap():

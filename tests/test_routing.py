@@ -1286,10 +1286,9 @@ def test_planner_output_matches_oracle(data):
     assert all(_same_item(H, a, b) for a, b in zip(got, want))
 
 
-def test_timeline_schedule_mixed_base_values_match_oracle():
-    # planning needs a uniform lattice, the schedule's base does not:
-    # a star's boundary entries of different base values take their own
-    # slices, and a ramp down from a negative value holds -0.0
+def _mixed_base_timeline():
+    """A 30-request 4x4 timeline planned on the uniform H, and Hm: H
+    with each coupling drawn from J, -J, 0.4 and -0.7."""
     g, H = dll(4, 4)
     rng = np.random.default_rng(30)
     dimers = g.dimers()
@@ -1301,7 +1300,14 @@ def test_timeline_schedule_mixed_base_values_match_oracle():
     M = np.array(H.base)
     for e in g.edges:
         M[e] = M[e[::-1]] = rng.choice([J, -J, 0.4, -0.7])
-    Hm = TimedHamiltonian(M)
+    return g, H, TimedHamiltonian(M), tl
+
+
+def test_timeline_schedule_mixed_base_values_match_oracle():
+    # planning needs a uniform lattice, the schedule's base does not:
+    # a star's boundary entries of different base values take their own
+    # slices, and a ramp down from a negative value holds -0.0
+    g, _, Hm, tl = _mixed_base_timeline()
     got = timeline_schedule(g, Hm, tl).items
     want = _oracle_items(Hm, tl)
     assert len(got) == len(want)
@@ -1534,6 +1540,35 @@ def test_timeline_schedule_builds_one_slice_per_ramp_and_segment(
     # not one per entry
     assert 0 < len(calls) <= pairs
     assert_pinned("timeline/6x6-seed16", _items_text(items))
+
+
+@pytest.mark.parametrize("cells", [3, 4])
+def test_warm_searches_plan_as_cold(cells):
+    # each source's search resumes where an earlier request left it, a
+    # whole level at a time, so every plan is the one a fresh search finds
+    g, H = dll(cells, cells)
+    dimers = g.dimers()
+    pairs = [(a, b) for a in dimers for b in dimers]
+    clsnet.routing._tables.cache_clear()
+    warm = {pairs[k]: plan_route(g, H, *pairs[k])
+            for k in np.random.default_rng(cells).permutation(len(pairs))}
+    for a, b in pairs:
+        clsnet.routing._tables.cache_clear()
+        assert plan_route(g, H, a, b) == warm[a, b]
+
+
+def test_timeline_schedule_alternating_hamiltonians_match_cold():
+    # a star's entries by base value are kept for the last H scheduled
+    # on the graph only, so neither H is scheduled with the other's
+    g, H, Hm, tl = _mixed_base_timeline()
+    cold = []
+    for h in (H, Hm):
+        clsnet.routing._tables.cache_clear()
+        cold.append(_items_text(timeline_schedule(g, h, tl).items))
+    assert cold[0] != cold[1]
+    for k in (0, 1, 0, 1):
+        assert _items_text(timeline_schedule(g, (H, Hm)[k], tl).items) == \
+            cold[k]
 
 
 def test_equal_graphs_share_hash_and_tables():

@@ -328,11 +328,12 @@ def test_spectrum_and_find_cls_share_one_eigh(monkeypatch):
 
 
 def test_find_cls_dll_6x6_eigh_count(monkeypatch):
-    # candidate supports come once per H, and each cluster takes one
-    # batched projector eigh over its heavy pairs, not one eigh per
-    # heavy pair (76 calls) or one per pair of all 16,110
+    # candidate supports come once per H, and only a cluster with a heavy
+    # pair takes a batched projector eigh over them: at most one per
+    # support size, not one per cluster (43), one per heavy pair (76) or
+    # one per pair of all 16,110
     graph, H = build_dll(6, 6, 1.0, 0.0)
-    clusters = spectrum(H).clusters()  # the full eigh, kept on H
+    spectrum(H)  # the full eigh, kept on H
     calls = []
     eigh = np.linalg.eigh
 
@@ -351,7 +352,7 @@ def test_find_cls_dll_6x6_eigh_count(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     states = find_cls(H, 2)
-    assert len(calls) <= len(clusters)  # one support size, 2
+    assert len(calls) <= 1  # one support size, 2
     assert not batched
     assert len(states) == 72
     assert {s.support for s in states} == set(graph.dimers())
@@ -395,6 +396,20 @@ def test_find_cls_deflates_overlapping_supports(monkeypatch, H,
         exhaustive_find_cls(H, max_support)
 
 
+def closed_form_pairs(M, tau):
+    """Pairs kept by the size-2 closed form evaluated on every pair, the
+    exhaustive scan the pruned one must reproduce, in lexicographic
+    order."""
+    MM = M.conj().T @ M
+    i, j = np.triu_indices(len(M), 1)
+    mii, mji, mij, mjj = M[i, i], M[j, i], M[i, j], M[j, j]
+    a = (MM[i, i] - (mii.conj() * mii + mji.conj() * mji)).real
+    d = (MM[j, j] - (mij.conj() * mij + mjj.conj() * mjj)).real
+    b = MM[i, j] - (mii.conj() * mij + mji.conj() * mjj)
+    low = (a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))
+    return np.column_stack([i, j])[low <= tau * tau]
+
+
 def eigvalsh_pairs(M, tau):
     """Pairs kept by a batched eigvalsh of their 2x2 Gram matrices, the
     test the closed form replaces, in lexicographic order."""
@@ -433,14 +448,37 @@ def isolated_site_hermitian(seed, n=9):
     return M
 
 
+def zero_column(seed, n=9):
+    """Random real symmetric matrix with one site's column all zero."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    M = A + A.T
+    k = rng.integers(n)
+    M[k, :] = M[:, k] = 0.0
+    return M
+
+
+def gauged_dll(cells, seed):
+    """The DLL at (J, v) = (0.3, 0.7) in a random diagonal phase gauge:
+    complex Hermitian, with the same spectrum and compact states up to
+    the phases."""
+    M = np.array(build_dll(cells, cells, 0.3, 0.7)[1].base)
+    phase = np.exp(2j * np.pi * np.random.default_rng(seed).random(len(M)))
+    return phase[:, None] * M * phase.conj()
+
+
 PAIR_CASES = {
     **{f"dll{L}-J{J}-v{v}": (lambda L=L, J=J, v=v: build_dll(L, L, J, v)[1])
-       for L in range(2, 7) for J, v in ((0.25, 0.5), (1.0, 0.0))},
+       for L in range(2, 7)
+       for J, v in ((0.25, 0.5), (1.0, 0.0), (0.3, 0.7))},
     **{f"star-{k}": f for k, f in TUNED_STARS.items()},
     "seven-sqrt3": lambda: build_seven([1, 1, S3, S3, 1, 1], 0.0),
     **{f"isolated-site-{seed}": (lambda seed=seed:
                                  isolated_site_hermitian(seed))
        for seed in range(8)},
+    **{f"zero-column-{seed}": (lambda seed=seed: zero_column(seed))
+       for seed in range(4)},
+    **{f"gauged-dll{L}": (lambda L=L: gauged_dll(L, L)) for L in (2, 3)},
 }
 
 
@@ -450,16 +488,23 @@ def assert_pairs_match_eigvalsh(H):
     tau = 2 * np.abs(w).max() * np.sqrt(1e-12) + len(M) * CLUSTER_GAP
     (pairs,) = _candidate_supports(M, 2, tau)
     np.testing.assert_array_equal(pairs, eigvalsh_pairs(M, tau))
+    np.testing.assert_array_equal(pairs, closed_form_pairs(M, tau))
     return len(pairs)
 
 
 class TestPairClosedForm:
     """_candidate_supports keeps, in the same order, exactly the pairs
-    a batched eigvalsh of their Gram matrices keeps."""
+    a batched eigvalsh of their Gram matrices keeps, and exactly those
+    of the closed form over all pairs, whatever tau."""
 
     @pytest.mark.parametrize("case", sorted(PAIR_CASES))
     def test_matches_eigvalsh(self, case):
-        assert assert_pairs_match_eigvalsh(PAIR_CASES[case]()) > 0
+        H = PAIR_CASES[case]()
+        assert assert_pairs_match_eigvalsh(H) > 0
+        M = static_matrix(H)
+        for tau in (1e-6, 1e-4, 1e-2, 0.1, 0.2, 0.3):
+            (pairs,) = _candidate_supports(M, 2, tau)
+            np.testing.assert_array_equal(pairs, closed_form_pairs(M, tau))
 
     def test_perturbed_dll_ensemble(self):
         for M in perturbed_dll_ensemble():
