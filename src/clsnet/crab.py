@@ -241,7 +241,7 @@ def eval_pulse(kind, n, t, p):
     for a scalar time, else an array of the shape of ``t``."""
     _check_arity(kind, p)
     t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > p.horizon + 1e-12):
+    if not np.all((t >= -1e-12) & (t <= p.horizon + 1e-12)):  # NaN too
         raise ValueError("t outside [0, horizon]")
     return _pulse_for(kind, n, p).value(t)
 

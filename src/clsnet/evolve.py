@@ -16,14 +16,14 @@ and sizes nothing: the pairs resume at 64 steps as if it had not run.
 
 A pulsed H must be chiral, as every network here is: bipartite (hubs
 and connectors couple only to dimer sites), with a uniform on-site
-potential and no driven diagonal; any other raises ValueError.  The
-integrator samples only the coupling block C(t) from the smaller
-sublattice (p = 1 on the star, 2 on the seven-site unit, 9 on the 3x3
-DLL) and exponentiates through the eigenpairs of the p x p Gram matrix
-C C^T: closed forms for p <= 2, and for p > 2 one batched eigh of the
-Gram stack per call; no step forms an n x n exponential.  A step acts
-through the couplings alone, so a state they annihilate (say an
-antisymmetric dimer under symmetric driving) is left alone exactly.
+potential and no driven diagonal; any other raises ValueError.  A step
+runs only the connected components the state occupies (the rest stay
+exactly 0) and samples their coupling block C(t) from the smaller
+sublattice: p = 1 on the star and in seven-site creation, 2 in its
+transfer, 9 on the 3x3 DLL.  It exponentiates through the eigenpairs
+of the p x p Gram matrix C C^T (closed forms for p <= 2, one batched
+eigh per call for p > 2), never n x n.  A state the couplings annihilate
+(an antisymmetric dimer under symmetric driving) is left alone exactly.
 
 A :class:`ProtocolSchedule` is an ordered sequence of instantaneous
 flips (phase flips on the state, sign flips on couplings, each applied
@@ -181,29 +181,39 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
 
     ``H`` must have a chiral split (``TimedHamiltonian._sublattices``
     raises ValueError otherwise): each CF4 generator is (v/2) I +
-    [[0, C], [C^T, 0]] in its site order.  A chunk samples only C(t), as
-    one (2m, p, q) stack on the C1 and C2 nodes, and each exponential is
-    e^{-ihv/2} times :func:`_sublattice_exponentials`.  The state runs
-    permuted A-first, in the frame where those are real; the phase and
-    the frame are undone for every sample and the result.
+    [[0, C], [C^T, 0]] in its site order.  H(t) is block diagonal over
+    the split's components, so only those where a column of ``psi0`` is
+    nonzero run, and every other row is exactly 0.  A chunk samples only
+    their C(t), as one (2m, p, q) stack on the C1 and C2 nodes, and each
+    exponential is e^{-ihv/2} times :func:`_sublattice_exponentials`.
+    The state runs permuted A-first, in the frame where those are real;
+    the phase and the frame are undone for every sample and the result.
     """
     n = int(n_steps)
     h = (t1 - t0) / n
     if t0 + 0.5 * h == t0:
         raise RuntimeError(f"step size underflow: h={h!r} vanishes at t={t0!r}")
-    order, p = H._sublattices
+    order, p, parts = H._sublattices
+    psi = np.asarray(psi0, dtype=complex)[order]
+    hit = np.zeros(len(parts), bool)
+    hit[parts[(psi != 0).reshape(len(psi), -1).any(axis=1)]] = True
+    keep = hit[parts]
+    if not keep.all():
+        order, p, psi = order[keep], np.count_nonzero(keep[:p]), psi[keep]
     a, b = order[:p], order[p:]
     v = H.base[0, 0]
-    psi = np.asarray(psi0, dtype=complex)[order]
     psi[p:] *= -1j
 
     def state(phi, steps):
-        out = np.empty_like(phi)
-        out[a] = phi[:p]
-        out[b] = 1j * phi[p:]
-        return out * np.exp(-1j * v * h * steps)
+        phase = np.exp(-1j * v * h * steps)
+        out = np.zeros((len(parts),) + psi.shape[1:], complex)
+        out[a], out[b] = phi[:p] * phase, 1j * phi[p:] * phase
+        return out
 
     samples = [] if record_every else None
+    if not p:  # no A site (isolated sites or a zero state): a phase only
+        return state(psi, n), samples if samples is None else [
+            state(psi, k) for k in range(record_every, n + 1, record_every)]
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
@@ -228,9 +238,12 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
 
 
 def evolve_timedep_fixed(H, psi0, t0, t1, n_steps):
-    """Propagate under a pulsed Hamiltonian with a fixed step count."""
+    """Propagate under a pulsed Hamiltonian in ``n_steps`` >= 1 steps."""
     if not t1 > t0:
         raise ValueError("need t1 > t0")
+    if isinstance(n_steps, bool) or \
+            not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     return _cf4_run(H, psi0, t0, t1, n_steps)[0]
 
 

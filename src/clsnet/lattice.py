@@ -301,7 +301,7 @@ class TimedHamiltonian:
 
     @cached_property
     def _sublattices(self):
-        """Chiral split of the sites: (order, p) with sublattice A first.
+        """Chiral split of the sites: (order, p, parts), sublattice A first.
 
         Every pulsed H must have one: a uniform on-site potential, no
         pulse on a diagonal entry, and a 2-colourable graph of nonzero
@@ -309,7 +309,8 @@ class TimedHamiltonian:
         fails.  Then H(t) = v*I + [[0, C(t)], [C(t)^T, 0]] in the basis
         ``order``, whose first ``p`` sites form A: the smaller colour
         class of each connected component (an isolated site joins B).
-        Computed on first use.
+        ``parts[i]`` numbers the component of site ``order[i]``; H(t) is
+        block diagonal over them.  Computed on first use.
         """
         n = self.n_sites
         diag = np.diagonal(self.base)
@@ -323,19 +324,19 @@ class TimedHamiltonian:
         for i, j in chain(zip(rows.tolist(), cols.tolist()), self.overrides):
             adjacent[i].append(j)
             adjacent[j].append(i)
-        colour = [-1] * n
+        colour, part, roots = [-1] * n, [0] * n, 0
         a_sites, b_sites = [], []
         for root in range(n):
             if colour[root] >= 0:
                 continue
-            colour[root] = 0
+            colour[root], part[root], roots = 0, roots, roots + 1
             classes = ([root], [])
             stack = [root]
             while stack:
                 i = stack.pop()
                 for j in adjacent[i]:
                     if colour[j] < 0:
-                        colour[j] = 1 - colour[i]
+                        colour[j], part[j] = 1 - colour[i], part[root]
                         classes[colour[j]].append(j)
                         stack.append(j)
                     elif colour[j] == colour[i]:
@@ -344,7 +345,8 @@ class TimedHamiltonian:
             small, large = sorted(classes, key=len)
             a_sites += small
             b_sites += large
-        return np.array(sorted(a_sites) + sorted(b_sites)), len(a_sites)
+        order = np.array(sorted(a_sites) + sorted(b_sites))
+        return order, len(a_sites), np.array(part)[order]
 
 
 def _unit_matrix(n, edges, J, v):

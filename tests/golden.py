@@ -68,9 +68,9 @@ SHA256 = {
     "simulate-seven-hopping-flip-transfer/trajectory.csv":
         "5c831fb24c09898dd2f1bb298f373da8c87a6e06eb83e3b9aa799779b3047149",
     "simulate-seven-optimized-seven-creation/summary.json":
-        "35c8bcbb036faadf89f578e51ba08cca5fdd42bf4ff07d3e6a2b975cf7c7739c",
+        "1dce1a06f4a73f4ab9e7bb95e16c111ce5722b7136f99d47b51766c863d59284",
     "simulate-seven-optimized-seven-creation/trajectory.csv":
-        "0def55f2e09f85c5e0437d4cee30c305d2dc16f972e8b5a5e862b749f7862bd5",
+        "0a93d6c9b7a3c82fc7e89c0ceada9fece23fc5bbf2d805e2b2ddc8ca292152ae",
     "simulate-seven-optimized-seven-transfer/summary.json":
         "ad23c7cbb9ebaef11521f25657b189a65a9c9fc93ff107fbce5e88bcd7a7780d",
     "simulate-seven-optimized-seven-transfer/trajectory.csv":
@@ -100,9 +100,9 @@ SHA256 = {
     "simulate-star-hopping-flip-transfer/trajectory.csv":
         "9701073ffaedad1e6c433978a8c9cba5552fac143106596f6e561be59fa9eb89",
     "simulate-star-optimized-star-creation/summary.json":
-        "e97e95533e09d6a8a71c3d6fabc77822c114e57f85d1acddd0a3e9b990cb0927",
+        "f682f36963a512849220fbd111778b3c1181dab433e0cfd4bea293eb36d4a328",
     "simulate-star-optimized-star-creation/trajectory.csv":
-        "e6c3857407e0ab42ef64ed3efffdc28be9908b0941d325b2c870ae2d8bd4981a",
+        "2a5466bcb03f778229fb5f0d81bbef4518d0bd0e11f20a9ae148f19acfc5007b",
     "simulate-star-optimized-star-transfer-J0.25/summary.json":
         "3678019448e3470f6d707a18ef329f9e13aebd9d52eeacc0055f98bee5207376",
     "simulate-star-optimized-star-transfer-J0.25/trajectory.csv":

@@ -156,6 +156,13 @@ def test_eval_pulse_rejects_time_outside_horizon():
         eval_pulse("star-transfer", 1, 7.0, p)
 
 
+@pytest.mark.parametrize("t", [np.nan, [0.0, np.nan, 1.0]])
+def test_eval_pulse_rejects_nan_time(t):
+    # NaN fails both bounds' comparisons, so it used to pass as inside
+    with pytest.raises(ValueError, match=r"t outside \[0, horizon\]"):
+        eval_pulse("star-transfer", 1, t, REFERENCE_PARAMS["star-transfer"])
+
+
 def test_transfer_pulses_never_dip_below_floor():
     # squared bracket and nonnegative envelope keep J_n >= J
     rng = np.random.default_rng(42)
@@ -306,6 +313,77 @@ def test_objective_matches_fresh_assembly(make):
     ref = REFERENCE_PARAMS[prob.kind]
     assert abs(infidelity_objective(prob, ref)
                - _fresh_infidelity(prob, ref, prob.n_steps)) <= 1e-14
+
+
+# float.hex of infidelity_objective at each kind's reference point, then
+# at 8 points drawn as below; taken before the pulsed kernel ran only the
+# components the state occupies, so they show that every search still
+# sees the same objective, bit for bit
+OBJECTIVE_HEX = {
+    "star-transfer": (
+        "0x1.002297e000000p-26",
+        "0x1.bc6983ea0d16cp-1",
+        "0x1.cc781087e2686p-1",
+        "0x1.ffff4f0a839d9p-1",
+        "0x1.f93d49cdab7e2p-1",
+        "0x1.d7b3673e7e7a8p-1",
+        "0x1.ffc22fd063ff3p-1",
+        "0x1.fddb200cfe6b7p-1",
+        "0x1.edc215ea3508bp-1",
+    ),
+    "star-creation": (
+        "0x1.27d9e20000000p-27",
+        "0x1.676d9953905a8p-4",
+        "0x1.27aa8847987f0p-3",
+        "0x1.4e1774129c36ep-1",
+        "0x1.ff61e7e36c67ep-1",
+        "0x1.e6f10af5bed80p-3",
+        "0x1.d26e1989b13d1p-1",
+        "0x1.133aabad6553cp-1",
+        "0x1.f936237e4fee2p-1",
+    ),
+    "seven-transfer": (
+        "0x1.83b5030c00000p-21",
+        "0x1.fd19e6c4d1ee6p-1",
+        "0x1.e05f5f8ed318cp-1",
+        "0x1.fee98224a1726p-1",
+        "0x1.ff758f153c10ap-1",
+        "0x1.e9aec66acbfcap-1",
+        "0x1.fa1a481b7ac9bp-1",
+        "0x1.f298053812887p-1",
+        "0x1.ffa68ef761386p-1",
+    ),
+    "seven-creation": (
+        "0x1.0510f2e000000p-25",
+        "0x1.e9fc7faa31484p-1",
+        "0x1.fffd5b23c9e10p-1",
+        "0x1.f208cf861ad73p-1",
+        "0x1.ffcd794120321p-1",
+        "0x1.ff92cb61548c2p-1",
+        "0x1.b0af557eb1fcfp-1",
+        "0x1.c1aca78940e00p-1",
+        "0x1.febddb445f9d7p-1",
+    ),
+}
+
+
+def _objective_points(problem):
+    yield REFERENCE_PARAMS[problem.kind]
+    nx, nxp, nw = problem.arity
+    for i in range(8):
+        rng = np.random.default_rng([2011, i])
+        yield problem.make_params(rng.uniform(0.0, 3.0, nx),
+                                  rng.uniform(0.0, 3.0, nxp),
+                                  rng.uniform(*OMEGA_RANGE, nw))
+
+
+@pytest.mark.parametrize("make", [star_transfer, star_creation,
+                                  seven_transfer, seven_creation])
+def test_objective_bits_pinned(make):
+    prob = make()
+    got = tuple(float.hex(infidelity_objective(prob, p))
+                for p in _objective_points(prob))
+    assert got == OBJECTIVE_HEX[prob.kind]
 
 
 def test_floor_mismatch_gets_its_own_skeleton():

@@ -205,6 +205,22 @@ class TestEvolveTimedep:
         with pytest.raises(ValueError):
             evolve_timedep(crab_star_hamiltonian(), I_STATE, 1.0, 1.0, tol=1e-10)
 
+    @pytest.mark.parametrize("bad", [-4, 0, 2.5, 4.0, True, False,
+                                     np.True_, "8", None])
+    def test_fixed_step_count_checked(self, bad):
+        # -4 used to return psi0, 0 to divide by zero, 2.5 to run 2
+        # steps and True to run 1
+        with pytest.raises(ValueError, match="n_steps"):
+            evolve_timedep_fixed(crab_star_hamiltonian(), I_STATE, 0.0, 1.0,
+                                 bad)
+
+    @pytest.mark.parametrize("count", [1, 7, np.int64(7)])
+    def test_fixed_step_count_accepted(self, count):
+        H = crab_star_hamiltonian()
+        np.testing.assert_array_equal(
+            evolve_timedep_fixed(H, I_STATE, 0.0, 1.0, count),
+            ev._cf4_run(H, I_STATE, 0.0, 1.0, int(count))[0])
+
     def test_step_ceiling_reported(self, monkeypatch):
         monkeypatch.setattr(ev, "_N_MAX", 4096)
         H = crab_star_hamiltonian()
@@ -556,7 +572,7 @@ def _coupling_stack(rng, k, mask):
 
 def _dll_mask(cells):
     _, H = build_dll(cells, cells, 1.0, 0.5)
-    order, p = H._sublattices
+    order, p, _ = H._sublattices
     return H.base[np.ix_(order[:p], order[p:])]
 
 
@@ -650,13 +666,14 @@ class TestSublatticeExponential:
         for problem, p in ((crab.star_creation(), 1), (crab.star_transfer(), 1),
                            (crab.seven_transfer(), 2),
                            # hub 3 starts decoupled: per-component classes
-                           # give p = 2 where one global colouring gives 3
+                           # give p = 2 where one global colouring gives 3;
+                           # its objective runs the hub part alone, p = 1
                            (crab.seven_creation(), 2)):
             H = crab.assemble_hamiltonian(
                 problem, crab.REFERENCE_PARAMS[problem.kind])
             assert H._sublattices[1] == p
         _, H = build_dll(3, 3, 0.25, 0.5)
-        order, p = H._sublattices
+        order, p, _ = H._sublattices
         assert p == 9 and sorted(order[:p]) == list(range(0, 45, 5))
 
     @pytest.mark.parametrize("case", ["pulsed-diagonal", "non-uniform-diagonal",
@@ -732,7 +749,7 @@ class TestCouplingBlock:
                              ids=["star-creation", "seven-creation",
                                   "seven-transfer", "dll-ramp"])
     def test_block_equals_gathered_snapshots(self, H):
-        order, p = H._sublattices
+        order, p, _ = H._sublattices
         a, b = order[:p], order[p:]
         times = np.linspace(-0.1, 2 * np.pi + 0.1, 77)
         block = _sample_block(H, times, a, b)
@@ -751,7 +768,7 @@ class TestCouplingBlock:
 
     def test_dll_ramp_drives_both_orientations(self):
         H = _dll_ramp_segment().H
-        order, p = H._sublattices
+        order, p, _ = H._sublattices
         in_a = {i in set(order[:p].tolist()) for i, _ in H.overrides}
         assert in_a == {True, False}
 
@@ -805,6 +822,156 @@ class TestNoFullExponential:
         shapes = self._spy(monkeypatch)
         crab.infidelity_objective(prob, crab.REFERENCE_PARAMS[prob.kind])
         assert shapes == []
+
+
+# --------------------------------------------- occupied components only
+
+_V = 0.5
+
+
+def _block_diagonal_case(rng):
+    """Random pulsed chiral H over components of A x B sizes (1, 3),
+    (2, 3) and (3, 4) plus two isolated sites, their sites shuffled over
+    the 15 indices: (H, the components' sorted sites, their duration)."""
+    sizes = ((1, 3), (2, 3), (3, 4), (0, 1), (0, 1))
+    perm = rng.permutation(sum(p + q for p, q in sizes))
+    base, overrides, parts, start = _V * np.eye(perm.size), {}, [], 0
+    T = 1.5
+    for p, q in sizes:
+        sites = perm[start:start + p + q]
+        start += p + q
+        parts.append(np.sort(sites))
+        for i in sites[:p]:
+            for j in sites[p:]:
+                entry = (min(i, j), max(i, j))
+                base[entry] = base[entry[::-1]] = rng.uniform(-1.5, 1.5)
+                if rng.random() < 0.5:
+                    ends = rng.uniform(-1.5, 1.5, 2)
+                    overrides[entry] = LinearRamp(*ends, T)
+    return TimedHamiltonian(base, overrides), parts, T
+
+
+def _component(H, sites):
+    """The component on ``sites`` of H as a Hamiltonian of its own."""
+    at = {int(s): k for k, s in enumerate(sites)}
+    return TimedHamiltonian(H.base[np.ix_(sites, sites)], {
+        (at[i], at[j]): pulse for (i, j), pulse in H.overrides.items()
+        if i in at})
+
+
+def _component_run(H, sites, psi0, T, n_steps, record_every=None):
+    """Oracle: the component on ``sites`` propagated on its own."""
+    sub = _component(H, sites)
+    if sub.static:              # an isolated site: a phase only
+        steps = np.arange(record_every or n_steps, n_steps + 1,
+                          record_every or n_steps)
+        phases = np.exp(-1j * _V * T * steps / n_steps)
+        return psi0[sites] * phases[-1], [psi0[sites] * f for f in phases]
+    return ev._cf4_run(sub, psi0[sites], 0.0, T, n_steps, record_every)
+
+
+def _random_state(rng, n, k=None):
+    shape = (n,) if k is None else (n, k)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestOccupiedComponents:
+    @pytest.mark.parametrize("occupied", [
+        (0,), (1, 3), (2,), (3,), (0, 1, 2, 3, 4)],
+        ids=["p=1", "p=2+isolated", "p=3", "isolated", "all"])
+    def test_matches_per_component_oracle(self, occupied):
+        # each occupied component evolves as if alone; every other row,
+        # and each sample's, is exactly 0
+        rng = np.random.default_rng(sum(occupied) + 17)
+        H, parts, T = _block_diagonal_case(rng)
+        _, p, labels = H._sublattices
+        assert p == 1 + 2 + 3 and labels.max() == len(parts) - 1
+        full = _random_state(rng, H.n_sites)
+        psi0 = np.zeros(H.n_sites, complex)
+        for c in occupied:
+            psi0[parts[c]] = full[parts[c]]
+        final, samples = ev._cf4_run(H, psi0, 0.0, T, 64, 16)
+        assert len(samples) == 4
+        for c, sites in enumerate(parts):
+            if c not in occupied:
+                assert (final[sites] == 0.0).all()
+                assert all((s[sites] == 0.0).all() for s in samples)
+                continue
+            ref, ref_samples = _component_run(H, sites, psi0, T, 64, 16)
+            np.testing.assert_allclose(final[sites], ref, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(np.asarray(samples)[:, sites],
+                                       ref_samples, rtol=0, atol=1e-13)
+
+    def test_block_columns_in_different_components(self):
+        # column 0 lives on the p = 1 part, column 1 on the p = 3 part and
+        # an isolated site, column 2 is zero: the (2, 3) part stays 0
+        rng = np.random.default_rng(5)
+        H, parts, T = _block_diagonal_case(rng)
+        psi0 = np.zeros((H.n_sites, 3), complex)
+        psi0[parts[0], 0] = _random_state(rng, parts[0].size)
+        psi0[parts[2], 1] = _random_state(rng, parts[2].size)
+        psi0[parts[4], 1] = 0.6 - 0.8j
+        final = evolve_timedep_fixed(H, psi0, 0.0, T, 64)
+        assert (final[parts[1]] == 0.0).all() and (final[:, 2] == 0.0).all()
+        for col in (0, 1):
+            for sites in parts:
+                ref, _ = _component_run(H, sites, psi0[:, col], T, 64)
+                np.testing.assert_allclose(final[sites, col], ref,
+                                           rtol=0, atol=1e-13)
+
+    def test_zero_state_and_isolated_sites_build_no_exponential(
+            self, monkeypatch):
+        def refuse(C, h):
+            raise AssertionError("exponentials built")
+
+        H, parts, T = _block_diagonal_case(np.random.default_rng(2))
+        monkeypatch.setattr(ev, "_sublattice_exponentials", refuse)
+        zero = np.zeros((H.n_sites, 2))
+        final, samples = ev._cf4_run(H, zero, 0.0, T, 32, 8)
+        assert final.shape == zero.shape and (final == 0.0).all()
+        assert len(samples) == 4 and (np.asarray(samples) == 0.0).all()
+        psi0 = np.zeros(H.n_sites, complex)
+        psi0[parts[3]], psi0[parts[4]] = 0.6, 0.8j
+        final = evolve_timedep_fixed(H, psi0, 0.0, T, 32)
+        np.testing.assert_allclose(final, psi0 * np.exp(-1j * _V * T),
+                                   rtol=0, atol=1e-15)
+        assert (final[psi0 == 0] == 0.0).all()
+
+    def test_schedule_runs_occupied_components(self):
+        # run_schedule's convergence pair and samples take the same path
+        rng = np.random.default_rng(9)
+        H, parts, T = _block_diagonal_case(rng)
+        psi0 = np.zeros(H.n_sites, complex)
+        psi0[parts[1]] = _random_state(rng, parts[1].size)
+        psi0 /= np.linalg.norm(psi0)
+        traj = run_schedule(ProtocolSchedule(TimedHamiltonian(H.base),
+                                             (Segment(T, H),)), psi0)
+        sites = parts[1]
+        alone = _component(H, sites)
+        ref = run_schedule(ProtocolSchedule(TimedHamiltonian(alone.base),
+                                            (Segment(T, alone),)),
+                           psi0[sites])
+        rest = np.setdiff1d(np.arange(H.n_sites), sites)
+        assert (traj.states[:, rest] == 0.0).all()
+        np.testing.assert_allclose(traj.states[:, sites], ref.states,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("problem, shape", [
+        (crab.seven_creation, (1, 3)), (crab.star_creation, (1, 2))])
+    def test_creation_objectives_run_the_hub_component(self, problem, shape,
+                                                       monkeypatch):
+        # seven-creation's undriven (3, 4) coupling and star-creation's
+        # zero outer couplings split the units; the hub's part runs alone
+        kernel, shapes = ev._sublattice_exponentials, []
+
+        def spy(C, h):
+            shapes.append(C.shape)
+            return kernel(C, h)
+
+        monkeypatch.setattr(ev, "_sublattice_exponentials", spy)
+        prob = problem()
+        crab.infidelity_objective(prob, crab.REFERENCE_PARAMS[prob.kind])
+        assert shapes == [(2 * prob.n_steps,) + shape]
 
 
 # ------------------------------------------ pulsed segment property tests
