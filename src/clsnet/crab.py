@@ -31,19 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .evolve import evolve_timedep_fixed, fidelity
-from .lattice import (
-    SEVEN_EDGES,
-    STAR_EDGES,
-    CrabTransferPulse,
-    CreationSevenPulse,
-    CreationStarPulse,
-    LinearRamp,
-    Pulse,
-    TimeMirrored,
-    TimedHamiltonian,
-    _unit_matrix,
-)
+from .evolve import _check_count, evolve_timedep_fixed, fidelity
+from .lattice import SEVEN_EDGES, STAR_EDGES, CrabTransferPulse, \
+    CreationSevenPulse, CreationStarPulse, LinearRamp, Pulse, TimeMirrored, \
+    TimedHamiltonian, _unit_matrix
 from .protocols import cls_state
 
 __all__ = [
@@ -214,6 +205,7 @@ def _pulse_for(kind, n, p):
     """Printed-profile pulse object for channel n of the given kind;
     the caller has checked the arity of ``p``."""
     channels = dict(_CHANNELS[kind])
+    _check_count("channel", n, 1)  # True == 1.0 == 1 would pass as a key
     if n not in channels:
         raise ValueError(f"{kind} has no channel {n}")
     k = list(channels).index(n)
@@ -248,9 +240,9 @@ def eval_pulse(kind, n, t, p):
 
 @lru_cache(maxsize=32)
 def _skeleton(kind, floor, v, extra):
-    """Validated base and chiral split of a kind's Hamiltonian, which do
-    not depend on the pulse amplitudes: a search builds them once, and
-    :func:`assemble_hamiltonian` swaps in its pulses per evaluation."""
+    """Validated base, chiral split and integrator plan of a kind's H,
+    none of which depends on the pulse amplitudes: a search builds them
+    once, and :func:`assemble_hamiltonian` swaps in its pulses per call."""
     if kind.startswith("star"):
         base = _unit_matrix(5, STAR_EDGES,
                             floor if kind == "star-transfer" else 0.0, v)
@@ -277,7 +269,8 @@ def assemble_hamiltonian(problem, p):
             if kind == "star-creation" else pulse
     sk = _skeleton(kind, p.floor, problem.v, problem.extra)
     return TimedHamiltonian._trusted(sk.base, overrides,
-                                     _sublattices=sk._sublattices)
+                                     _sublattices=sk._sublattices,
+                                     _plans=sk._plans)
 
 
 def infidelity_objective(problem, p):
@@ -328,8 +321,7 @@ def nelder_mead(objective, x0, max_evals=20000):
     if x0.ndim != 1 or not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be a finite vector")
     dim = x0.size
-    if max_evals < dim + 1:
-        raise ValueError("max_evals must cover the initial simplex")
+    _check_count("max_evals", max_evals, dim + 1)  # covers the simplex
 
     evals = 0
 
@@ -420,15 +412,12 @@ def optimize_crab(problem, n_restarts=32, seed=0, max_evals=20000):
     merged by (infidelity, restart index), so the result is
     reproducible from the seed alone.
     """
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be at least 1")
+    _check_count("n_restarts", n_restarts, 1)
     nx, nxp, nw = problem.arity
     refine_omega = problem.kind == "star-creation"
     lo, hi = OMEGA_RANGE
 
-    log = []
-    total_evals = 0
-    best = None
+    log, found = [], []
     for k in range(n_restarts):
         rng = np.random.default_rng([seed, k])
         omega = rng.uniform(lo, hi, size=nw)
@@ -437,13 +426,10 @@ def optimize_crab(problem, n_restarts=32, seed=0, max_evals=20000):
         fixed = None if refine_omega else tuple(omega)
         xb, fb, evals = nelder_mead(_objective_from_vector(problem, fixed),
                                     x0, max_evals=max_evals)
-        params = _unpack(problem, xb, fixed)
-        total_evals += evals
+        found.append((fb, k, _unpack(problem, xb, fixed)))
         log.append({"restart": k, "omega": tuple(omega),
                     "infidelity": fb, "evaluations": evals,
                     "stopped": "budget" if evals >= max_evals else "converged"})
-        if best is None or (fb, k) < best[:2]:
-            best = (fb, k, params)
-
-    return OptResult(best_params=best[2], infidelity=best[0],
-                     evaluations=total_evals, log=tuple(log))
+    fb, _, params = min(found)  # (infidelity, restart) never ties
+    return OptResult(best_params=params, infidelity=fb, log=tuple(log),
+                     evaluations=sum(r["evaluations"] for r in log))

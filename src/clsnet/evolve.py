@@ -24,6 +24,8 @@ transfer, 9 on the 3x3 DLL.  It exponentiates through the eigenpairs
 of the p x p Gram matrix C C^T (closed forms for p <= 2, one batched
 eigh per call for p > 2), never n x n.  A state the couplings annihilate
 (an antisymmetric dimer under symmetric driving) is left alone exactly.
+What a run needs besides the pulse amplitudes is planned once per H,
+start state, clock and step count; a CRAB search shares one plan.
 
 A :class:`ProtocolSchedule` is an ordered sequence of instantaneous
 flips (phase flips on the state, sign flips on couplings, each applied
@@ -48,28 +50,14 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (
-    TimeMirrored,
-    TimedHamiltonian,
-    _sample_block,
-    evaluate_grid,  # unused here; bench/tracing.py wraps evolve.evaluate_grid
-    static_matrix,
-)
+# evaluate_grid is unused here; bench/tracing.py wraps evolve.evaluate_grid
+from .lattice import TimeMirrored, TimedHamiltonian, _block_plan, \
+    _fill_block, evaluate_grid, static_matrix
 
-__all__ = [
-    "evolve_static",
-    "evolve_timedep",
-    "evolve_timedep_fixed",
-    "fidelity",
-    "PhaseFlip",
-    "HoppingFlip",
-    "Segment",
-    "ProtocolSchedule",
-    "Trajectory",
-    "run_schedule",
-    "reverse_schedule",
-    "end_hamiltonian",
-]
+__all__ = ["evolve_static", "evolve_timedep", "evolve_timedep_fixed",
+           "fidelity", "PhaseFlip", "HoppingFlip", "Segment",
+           "ProtocolSchedule", "Trajectory", "run_schedule",
+           "reverse_schedule", "end_hamiltonian"]
 
 # Gauss-Legendre nodes and exponential weights of the 4th-order
 # commutator-free scheme.  Per step, with A1 = H(t + C1*h) and
@@ -111,12 +99,9 @@ def _chain_product(stack):
     if len(stack) == 0:
         raise ValueError("empty propagator stack")
     while len(stack) > 1:
-        tail = stack[-1] if len(stack) % 2 else None
-        if tail is not None:
-            stack = stack[:-1]
-        stack = stack[1::2] @ stack[0::2]
-        if tail is not None:
-            stack = np.concatenate([stack, tail[None]])
+        k = len(stack) - len(stack) % 2  # an odd last factor waits a round
+        paired = stack[1:k:2] @ stack[0:k:2]
+        stack = np.concatenate([paired, stack[k:]]) if k < len(stack) else paired
     return stack[0]
 
 
@@ -172,54 +157,74 @@ def _sublattice_exponentials(C, h):
     return R
 
 
+class _CF4Plan:
+    """What :func:`_cf4_run` keeps while only the pulse amplitudes change,
+    for one skeleton of H, start state ``psi0`` and n steps over [t0, t1]:
+    the A sites ``a`` and B sites ``b`` of the components ``psi0``
+    occupies (p = len(a); every other row stays exactly 0), the start
+    state permuted A-first in the real frame, the base A x B block with
+    the slots its pulses drive, and the first chunk's nodes."""
+
+    def __init__(self, H, psi0, t0, t1, n):
+        self.t0, self.n = t0, n
+        h = self.h = (t1 - t0) / n
+        if t0 + 0.5 * h == t0:
+            raise RuntimeError(f"step size underflow: h={h!r} vanishes at t={t0!r}")
+        order, p, parts = H._sublattices
+        psi = np.asarray(psi0, dtype=complex)[order]
+        hit = np.zeros(len(parts), bool)
+        hit[parts[(psi != 0).reshape(len(psi), -1).any(axis=1)]] = True
+        keep = hit[parts]
+        if not keep.all():
+            order, p, psi = order[keep], np.count_nonzero(keep[:p]), psi[keep]
+        psi[p:] *= -1j
+        psi.flags.writeable = False
+        self.psi, self.p, self.a, self.b = psi, p, order[:p], order[p:]
+        self.shape = (len(parts),) + psi.shape[1:]
+        self.vh = -1j * H.base[0, 0] * h
+        self.block, self.slots = _block_plan(H, self.a, self.b)
+        self.first = self.grid(0)
+
+    def grid(self, done):
+        """The C1 then the C2 node times of the chunk from step ``done``."""
+        ts = self.t0 + (done + np.arange(min(_CHUNK, self.n - done))) * self.h
+        return np.concatenate([ts + _C1 * self.h, ts + _C2 * self.h])
+
+    def state(self, phi, steps):
+        """Full state of ``phi`` after ``steps``: phase and frame undone."""
+        phase, out = np.exp(self.vh * steps), np.zeros(self.shape, complex)
+        out[self.a] = phi[:self.p] * phase
+        out[self.b] = 1j * phi[self.p:] * phase
+        return out
+
+
 def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
     """Fixed-step commutator-free propagation of psi over [t0, t1].
 
     Times refer to the pulse clock of ``H``; ``psi0`` is (n,) or (n, k).
     Returns (final_state, samples) where samples is a list of states
     taken after every ``record_every`` steps (or None if not requested).
-
-    ``H`` must have a chiral split (``TimedHamiltonian._sublattices``
-    raises ValueError otherwise): each CF4 generator is (v/2) I +
-    [[0, C], [C^T, 0]] in its site order.  H(t) is block diagonal over
-    the split's components, so only those where a column of ``psi0`` is
-    nonzero run, and every other row is exactly 0.  A chunk samples only
-    their C(t), as one (2m, p, q) stack on the C1 and C2 nodes, and each
-    exponential is e^{-ihv/2} times :func:`_sublattice_exponentials`.
-    The state runs permuted A-first, in the frame where those are real;
-    the phase and the frame are undone for every sample and the result.
+    Each CF4 generator is (v/2) I + [[0, C], [C^T, 0]] in the site order
+    of ``H._sublattices`` (ValueError if H has none).  The run reuses H's
+    :class:`_CF4Plan` when it was built for the same ``psi0`` bits, clock
+    and step count, else replaces it; a chunk then samples the pulses into
+    the plan's block, as one (2m, p, q) stack on the C1 and C2 nodes, and
+    each exponential is e^{-ihv/2} times :func:`_sublattice_exponentials`.
     """
-    n = int(n_steps)
-    h = (t1 - t0) / n
-    if t0 + 0.5 * h == t0:
-        raise RuntimeError(f"step size underflow: h={h!r} vanishes at t={t0!r}")
-    order, p, parts = H._sublattices
-    psi = np.asarray(psi0, dtype=complex)[order]
-    hit = np.zeros(len(parts), bool)
-    hit[parts[(psi != 0).reshape(len(psi), -1).any(axis=1)]] = True
-    keep = hit[parts]
-    if not keep.all():
-        order, p, psi = order[keep], np.count_nonzero(keep[:p]), psi[keep]
-    a, b = order[:p], order[p:]
-    v = H.base[0, 0]
-    psi[p:] *= -1j
-
-    def state(phi, steps):
-        phase = np.exp(-1j * v * h * steps)
-        out = np.zeros((len(parts),) + psi.shape[1:], complex)
-        out[a], out[b] = phi[:p] * phase, 1j * phi[p:] * phase
-        return out
-
+    psi0, n = np.asarray(psi0), int(n_steps)
+    key = (psi0.dtype.str, psi0.shape, psi0.tobytes(), t0, t1, n)
+    if (plan := H._plans.get(key)) is None:
+        H._plans.clear()
+        plan = H._plans[key] = _CF4Plan(H, psi0, t0, t1, n)
+    psi, p, h, done = plan.psi, plan.p, plan.h, 0
     samples = [] if record_every else None
     if not p:  # no A site (isolated sites or a zero state): a phase only
-        return state(psi, n), samples if samples is None else [
-            state(psi, k) for k in range(record_every, n + 1, record_every)]
-    done = 0
+        return plan.state(psi, n), samples if samples is None else [
+            plan.state(psi, k) for k in range(record_every, n + 1, record_every)]
     while done < n:
-        m = min(_CHUNK, n - done)
-        ts = t0 + (done + np.arange(m)) * h
-        nodes = np.concatenate([ts + _C1 * h, ts + _C2 * h])
-        A = _sample_block(H, nodes, a, b)
+        nodes = plan.grid(done) if done else plan.first
+        m = len(nodes) // 2
+        A = _fill_block(H, nodes, plan.block, plan.slots)
         A1, A2 = A[:m], A[m:]
         stacked = np.concatenate([_X2 * A1 + _X1 * A2, _X1 * A1 + _X2 * A2])
         E = _sublattice_exponentials(stacked, h)
@@ -229,21 +234,26 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
         start = 0
         for stop in marks:
             psi = _chain_product(U[start:stop]) @ psi
-            samples.append(state(psi, done + stop))
+            samples.append(plan.state(psi, done + stop))
             start = stop
         if start < m:
             psi = _chain_product(U[start:]) @ psi
         done += m
-    return state(psi, n), samples
+    return plan.state(psi, n), samples
+
+
+def _check_count(name, value, least):
+    """ValueError for a bool, a non-integer or a value below ``least``."""
+    if isinstance(value, bool) or \
+            not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def evolve_timedep_fixed(H, psi0, t0, t1, n_steps):
     """Propagate under a pulsed Hamiltonian in ``n_steps`` >= 1 steps."""
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    if isinstance(n_steps, bool) or \
-            not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    _check_count("n_steps", n_steps, 1)
     return _cf4_run(H, psi0, t0, t1, n_steps)[0]
 
 

@@ -12,7 +12,7 @@ time dependent:
 
 A Hamiltonian is stored as a dense real symmetric ``base`` matrix plus
 a mapping from matrix entries to :class:`Pulse` objects, all sampled by
-:func:`_sample_block`.  Conventions: hbar = 1, energies in abstract
+:func:`_fill_block`.  Conventions: hbar = 1, energies in abstract
 units, times in inverse energy units.  All couplings and potentials are
 real, so Hermitian means symmetric here.
 """
@@ -300,6 +300,11 @@ class TimedHamiltonian:
         return w, V
 
     @cached_property
+    def _plans(self):
+        """evolve's plan of the last pulsed run, keyed by its inputs."""
+        return {}
+
+    @cached_property
     def _sublattices(self):
         """Chiral split of the sites: (order, p, parts), sublattice A first.
 
@@ -437,23 +442,29 @@ def evaluate_grid(H, times):
     """Stacked snapshots of ``H`` at an array of times, shape
     (len(times), n, n); pulses are evaluated vectorized over time."""
     sites = np.arange(H.n_sites)
-    return _sample_block(H, times, sites, sites)
+    return _fill_block(H, times, *_block_plan(H, sites, sites))
 
 
-def _sample_block(H, times, rows, cols):
-    """C-contiguous stack of the blocks H(t)[rows][:, cols] at ``times``,
-    shape (len(times), len(rows), len(cols)).  Equal pulses are sampled
-    once, and no n x n snapshot is formed."""
-    times = np.asarray(times, dtype=float)
-    block = H.base[np.ix_(rows, cols)]
-    out = np.empty((times.size,) + block.shape)
-    out[:] = block
+def _block_plan(H, rows, cols):
+    """The base block H.base[rows][:, cols] and the (entry, row, column)
+    slots in it that H's overrides drive, in override order: all that
+    sampling the block needs besides the pulses, built once per plan."""
     at_row = dict(zip(rows.tolist(), range(len(rows))))
     at_col = dict(zip(cols.tolist(), range(len(cols))))
-    sampled = {p: p._sample(times) for p in set(H.overrides.values())}
-    for (i, j), pulse in H.overrides.items():
-        vals = sampled[pulse]
-        for r, c in ((i, j), (j, i)):
-            if r in at_row and c in at_col:
-                out[:, at_row[r], at_col[c]] = vals
+    return H.base[np.ix_(rows, cols)], tuple(
+        (e, at_row[r], at_col[c]) for e in H.overrides
+        for r, c in (e, e[::-1]) if r in at_row and c in at_col)
+
+
+def _fill_block(H, times, block, slots):
+    """C-contiguous (len(times),) + block.shape stack of ``block`` with
+    H's pulses at ``times`` in ``slots`` (:func:`_block_plan`): each
+    distinct pulse is sampled once, and no n x n snapshot is formed."""
+    times = np.asarray(times, dtype=float)
+    out = np.empty((times.size,) + block.shape)
+    out[:] = block
+    pulses = [H.overrides[e] for e, _, _ in slots]
+    sampled = {p: p._sample(times) for p in set(pulses)}
+    for (_, r, c), pulse in zip(slots, pulses):
+        out[:, r, c] = sampled[pulse]
     return out

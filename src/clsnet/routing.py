@@ -593,7 +593,7 @@ def _walk_supports(tl, schedule, psi):
         d, end = item.duration, clock + item.duration
         taus = np.append(d * _GL_X, d)
         pulses = item.H.overrides if item.H else {}
-        # sampled here: lattice._sample_block gives the same bits, slower
+        # sampled here: lattice._fill_block gives the same bits, slower
         vals = {p: p.value(taus) for p in set(pulses.values())}
         for r in range(k):
             S = support(r, clock, end)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from clsnet import crab
+from clsnet import crab, evolve
 from clsnet.crab import (
     OMEGA_RANGE,
     REFERENCE_PARAMS,
@@ -161,6 +161,14 @@ def test_eval_pulse_rejects_nan_time(t):
     # NaN fails both bounds' comparisons, so it used to pass as inside
     with pytest.raises(ValueError, match=r"t outside \[0, horizon\]"):
         eval_pulse("star-transfer", 1, t, REFERENCE_PARAMS["star-transfer"])
+
+
+@pytest.mark.parametrize("channel", [True, False, np.True_, 1.0])
+def test_eval_pulse_rejects_non_integer_channel(channel):
+    # True == 1 and hashes as 1, so it used to return channel 1's value
+    with pytest.raises(ValueError, match="channel"):
+        eval_pulse("star-creation", channel, 0.5,
+                   REFERENCE_PARAMS["star-creation"])
 
 
 def test_transfer_pulses_never_dip_below_floor():
@@ -412,6 +420,40 @@ def test_search_colours_one_skeleton(monkeypatch):
     assert res.evaluations > 200 and len(calls) == 1
 
 
+def _count_plans(monkeypatch):
+    """The argument tuples of every integrator plan built from now on."""
+    built, init = [], evolve._CF4Plan.__init__
+
+    def counted(plan, H, *args):
+        built.append(args)
+        init(plan, H, *args)
+
+    monkeypatch.setattr(evolve._CF4Plan, "__init__", counted)
+    return built
+
+
+def test_search_builds_one_plan(monkeypatch):
+    built = _count_plans(monkeypatch)
+    crab._skeleton.cache_clear()
+    res = optimize_crab(star_creation(n_steps=64), n_restarts=2, max_evals=200)
+    assert res.evaluations > 200 and len(built) == 1
+
+
+@pytest.mark.parametrize("change", [{"floor": 0.3}, {"horizon": 2.5}])
+def test_mismatched_params_get_their_own_plan(monkeypatch, change):
+    prob = seven_creation(J=0.25, n_steps=64)
+    ref = REFERENCE_PARAMS["seven-creation"]
+    own = prob.make_params(ref.x, ref.xp, ref.omega)
+    other = dataclasses.replace(own, **change)
+    crab._skeleton.cache_clear()
+    built = _count_plans(monkeypatch)
+    first = infidelity_objective(prob, own)
+    got = infidelity_objective(prob, other)
+    assert len(built) == 2 and built[1][2] == other.horizon
+    assert got == _fresh_infidelity(prob, other, prob.n_steps)
+    assert infidelity_objective(prob, own) == first
+
+
 def test_refinement_recovers_deep_minimum():
     # rounded print -> 1e-8 scale; local refinement goes much deeper
     prob = star_creation()
@@ -477,6 +519,22 @@ def test_restart_stop_reason(monkeypatch):
 def test_optimize_crab_rejects_zero_restarts():
     with pytest.raises(ValueError):
         optimize_crab(_tiny_problem(), n_restarts=0, seed=1)
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("max_evals", np.nan), ("max_evals", np.inf), ("max_evals", 50.5),
+    ("max_evals", 50.0), ("max_evals", True), ("n_restarts", True),
+    ("n_restarts", 2.0), ("n_restarts", np.nan), ("n_restarts", np.inf)])
+def test_search_sizes_checked(key, bad):
+    # max_evals=nan used to stop each restart after its initial simplex
+    # and log "converged", 50.5 to run 51 evaluations, n_restarts=True
+    # to run one restart and 2.0 to raise TypeError
+    sizes = {"n_restarts": 1, "max_evals": 50, key: bad}
+    with pytest.raises(ValueError, match=key):
+        optimize_crab(_tiny_problem(), seed=1, **sizes)
+    if key == "max_evals":
+        with pytest.raises(ValueError, match=key):
+            nelder_mead(lambda x: float(x @ x), np.ones(2), max_evals=bad)
 
 
 def test_star_creation_optimizes_frequencies_jointly():

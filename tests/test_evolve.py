@@ -31,7 +31,7 @@ from clsnet.lattice import (
     evaluate_at,
     evaluate_grid,
 )
-from clsnet.lattice import _sample_block
+from clsnet.lattice import _block_plan, _fill_block
 from clsnet.protocols import GenerationParams, build_schedule
 from clsnet.routing import build_ramp, extract_star
 
@@ -165,6 +165,12 @@ class TestEvolveTimedep:
         # at T = 1e3 the budget still bounds the error
         H = ramp(1e3)
         psi = evolve_timedep(H, L_STATE, 0.0, 1e3, tol=1e-11)
+        # the ladder ran past one chunk, yet H keeps one plan, holding at
+        # most one chunk of nodes and otherwise arrays of the state's size
+        (plan,) = H._plans.values()
+        assert plan.n > ev._CHUNK and plan.first.size == 2 * ev._CHUNK
+        assert all(a.size <= H.n_sites ** 2 for a in vars(plan).values()
+                   if isinstance(a, np.ndarray) and a is not plan.first)
         ref = evolve_timedep_fixed(H, L_STATE, 0.0, 1e3, 1 << 17)
         assert np.linalg.norm(psi - ref) <= 5e-11
 
@@ -752,7 +758,7 @@ class TestCouplingBlock:
         order, p, _ = H._sublattices
         a, b = order[:p], order[p:]
         times = np.linspace(-0.1, 2 * np.pi + 0.1, 77)
-        block = _sample_block(H, times, a, b)
+        block = _fill_block(H, times, *_block_plan(H, a, b))
         assert block.flags.c_contiguous
         assert block.shape == (times.size, p, H.n_sites - p)
         np.testing.assert_array_equal(
