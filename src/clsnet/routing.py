@@ -20,7 +20,8 @@ Each ``SiteGraph`` gets its dimer tables (hubs, dimers per hub, dimer
 adjacency, edge index, stars, the last H's transfer member) once, and on
 first use each source's search (resumed a level at a time), each star's
 boundary entries by the last scheduled H's base values and its moved
-flips; holds stay sorted per coupling, and ramp ends are swept once each.
+flips.  Holds stay sorted per (hub, dimer) link, which stars hold whole,
+and a clash skips a run of them; the final check sweeps couplings.
 
 Simulation runs each route's column only where its stored state lives,
 its dimer or, over a jump window, its star, on the matrix in force of
@@ -58,13 +59,15 @@ class StarView:
     """One five-site star embedded in a larger lattice.
 
     ``boundary_entries`` are exactly the couplings that leave the star;
-    ramping them to zero isolates it.
+    ramping them to zero isolates it.  ``links`` are :attr:`holds` as
+    the scheduler keys them, (key, ramped), by link (see extract_star).
     """
 
     center: int
     dimer_in: tuple
     dimer_out: tuple
     boundary_entries: tuple
+    links: tuple
 
     @property
     def sites(self):
@@ -137,9 +140,13 @@ class Timeline:
     routes: tuple
     starts: tuple
 
+    def __post_init__(self):
+        if len(self.routes) != len(self.starts):
+            raise ValueError("a timeline takes one start time per route")
+
     @cached_property
     def jumps(self):
-        """Per route, its jumps' (jump, t0, t1, holds) in ticks."""
+        """Per route, its jumps' (jump, t0, t1, links) in ticks."""
         return tuple(_shifted(_jump_holds(plan), _ticks(start))
                      for plan, start in zip(self.routes, self.starts))
 
@@ -166,15 +173,15 @@ class Timeline:
             if t - kept >= 1 << m:
                 kept, image = t, ((t + (1 << m >> 1)) >> m) * step
             at[t] = image
-        windows = tuple(tuple((j, *(at[t] for t in r)) for j, *r in row)
-                        for row in rows)
-        for j, a, b, c, d in sorted((w for row in windows for w in row),
-                                    key=lambda w: -w[0].dt):
-            T = j.params.T
-            if not (a < b and c < d and abs(c - b - T) <= 1e-9 * T):
-                raise ValueError(f"dt={j.dt!r} collapses the jump at t={a:g}"
-                                 f": ramps of {b - a:g} and {d - c:g}, flips "
-                                 f"{c - b:g} apart, not T={T:g}")
+        windows = tuple(tuple((j, at[a], at[b], at[c], at[e])
+                              for j, a, b, c, e in row) for row in rows)
+        if collapsed := [w for row in windows for w in row if not (
+                w[1] < w[2] and w[3] < w[4] and
+                abs(w[3] - w[2] - w[0].params.T) <= 1e-9 * w[0].params.T)]:
+            j, a, b, c, e = max(collapsed, key=lambda w: w[0].dt)
+            raise ValueError(f"dt={j.dt!r} collapses the jump at t={a:g}: "
+                             f"ramps of {b - a:g} and {e - c:g}, flips "
+                             f"{c - b:g} apart, not T={j.params.T:g}")
         return windows
 
     @property
@@ -187,8 +194,8 @@ class Timeline:
         holds, sorted by start, swept against the one ending last so far."""
         by_entry = {}
         for r, row in enumerate(self.jumps):
-            for j, t0, t1, holds in row:
-                for e, ramped in holds:
+            for j, t0, t1, _ in row:
+                for e, ramped in j.star.holds:
                     by_entry.setdefault(e, []).append(
                         (t0, t1, j.dt if ramped else None, j.star.center, r))
         for e, held in by_entry.items():
@@ -280,7 +287,14 @@ def extract_star(graph, H, center, dimer_in=None, dimer_out=None):
     sites = {center, *dimer_in, *dimer_out}
     edges = {tuple(sorted((a, b))) for a in sites for b in graph.neighbors(a)}
     inside = {e for e in edges if e[0] in sites and e[1] in sites}
-    star = StarView(center, dimer_in, dimer_out, tuple(sorted(edges - inside)))
+    boundary, hd = tuple(sorted(edges - inside)), tables.hub_dimers
+    # key: the first link (hub h, dimer d), (h, d[0]) and (h, d[1]), with
+    # the coupling, else itself; a star holds a link whole, in one role
+    keys = (next(((h, d) for h, s in (e, e[::-1]) for d in hd.get(h, ())
+                  if s in d), e) for e in boundary)
+    star = StarView(center, dimer_in, dimer_out, boundary, (
+        ((center, dimer_in), False), ((center, dimer_out), False),
+        *dict.fromkeys((k, True) for k in keys)))
     # the induced subgraph must be the star: four spokes, nothing else
     if inside != set(star.spokes):
         raise ValueError("induced subgraph around the hub is not a star")
@@ -387,16 +401,16 @@ def plan_route(graph, H, src_dimer, dst_dimer, variant="phase-flip-transfer",
 
 
 def _jump_holds(plan):
-    """Per jump of ``plan``: (jump, r0, r1, holds) relative to its
+    """Per jump of ``plan``: (jump, r0, r1, links) relative to its
     start in ticks, the one jump model of scheduling, checking and
     building.  r0 sums 2 dt + T of the earlier jumps, r1 = r0 + 2 dt + T;
-    ``holds`` are the star's :attr:`StarView.holds`."""
+    ``links`` are the star's :attr:`StarView.links`."""
     out, r0, span = [], 0, {}  # (dt, T) -> ticks, once per distinct pair
     for j in plan.jumps:
         if (key := (j.dt, j.params.T)) not in span:
             span[key] = 2 * _ticks(j.dt) + _ticks(j.params.T)
         r1 = r0 + span[key]
-        out.append((j, r0, r1, j.star.holds))
+        out.append((j, r0, r1, j.star.links))
         r0 = r1
     return out
 
@@ -408,21 +422,26 @@ def _shifted(jumps, start):
 
 def _clash(index, jumps, delay):
     """How much later than ``delay`` to try the ``jumps`` of
-    :func:`_jump_holds` next, 0 if none clashes with ``index`` (entry ->
+    :func:`_jump_holds` next, 0 if none clashes with ``index`` (link ->
     its admitted holds (t0, t1, dt), dt None for a spoke, sorted).  They
     are disjoint but for ramps of one key, so only the last to start
-    before a hold ends can overlap it.  Every start before the next
-    clashes with that held: the jump starting with it, if their ramps
-    could share a key, else at its end."""
-    for j, r0, r1, holds in jumps:
+    before a hold ends can overlap it.  From there the next try is the
+    end of the run of holds, each meeting the jump started at the end of
+    the one before, or the first ramp in it that the jump could share."""
+    for j, r0, r1, links in jumps:
         t0, t1 = delay + r0, delay + r1
-        for e, ramped in holds:
-            if k := bisect_left(held := index.get(e, ()), (t1,)):
+        for key, ramped in links:
+            if k := bisect_left(held := index.get(key, ()), (t1,)):
                 h0, h1, dt = held[k - 1]
                 if t0 < h1 and not (ramped and (h0, h1, dt) == (t0, t1, j.dt)):
-                    share = ramped and dt == j.dt and t0 < h0 and \
-                        h1 - h0 == t1 - t0
-                    return (h0 if share else h1) - t0
+                    t, w = t0, t1 - t0  # the run's end so far, the window
+                    for g0, g1, dt in held[k - 1:]:
+                        if g0 >= t + w:
+                            break
+                        if ramped and dt == j.dt and g1 - g0 == w and g0 >= t:
+                            return g0 - t0
+                        t = g1
+                    return t - t0
     return 0
 
 
@@ -437,18 +456,19 @@ def schedule_multi(routes):
     jump may start on exactly a held ramp's window.  Relaxation from 0
     finds the exact delay (a ``Fraction``): each clash names the next.
     """
-    index, starts, rows = {}, [], []  # entry -> its admitted holds
+    routes = tuple(routes)
+    index, starts, rows = {}, [], []  # link -> its admitted holds
     for plan in routes:
         jumps, delay = _jump_holds(plan), 0
         while step := _clash(index, jumps, delay):
             delay += step
         starts.append(Fraction(delay, _ONE))
         rows.append(row := _shifted(jumps, delay))
-        for j, t0, t1, holds in row:
-            for e, ramped in holds:
-                insort(index.setdefault(e, []),
+        for j, t0, t1, links in row:
+            for key, ramped in links:
+                insort(index.setdefault(key, []),
                        (t0, t1, j.dt if ramped else None))
-    tl = Timeline(routes=tuple(routes), starts=tuple(starts))
+    tl = Timeline(routes, tuple(starts))
     vars(tl)["jumps"] = tuple(rows)  # as admitted: no holds built twice
     tl.windows  # the emitted clock refuses a dt that collapses a jump on it
     return tl

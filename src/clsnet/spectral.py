@@ -23,20 +23,10 @@ import numpy as np
 
 from .lattice import SEVEN_EDGES, TimedHamiltonian, static_matrix
 
-__all__ = [
-    "SUPPORT_THRESHOLD",
-    "CLUSTER_GAP",
-    "STAR_FOUR_CYCLE",
-    "Spectrum",
-    "CompactState",
-    "PartitionBlocks",
-    "spectrum",
-    "commutes_with_permutation",
-    "find_cls",
-    "dimer_state",
-    "equitable_blocks_star",
-    "nonequitable_blocks_seven",
-]
+__all__ = ["SUPPORT_THRESHOLD", "CLUSTER_GAP", "STAR_FOUR_CYCLE", "Spectrum",
+           "CompactState", "PartitionBlocks", "spectrum",
+           "commutes_with_permutation", "find_cls", "dimer_state",
+           "equitable_blocks_star", "nonequitable_blocks_seven"]
 
 # |amplitude| below this counts as zero when declaring a CLS support:
 # far above eigensolver noise, far below any physical amplitude here
@@ -189,10 +179,10 @@ def find_cls(H, max_support):
     with weight >= 1 - _FLAT_TOL on S has |(H - E) u| <= n CLUSTER_GAP
     and |u off S| <= sqrt(_FLAT_TOL), so H[S^c, S] u_S meets tau: no
     support the projector test accepts is dropped.  Candidates are taken
-    by increasing size, lexicographically within one; per degenerate
-    cluster and size, one gather weighs them and, if any reaches
-    1 - _FLAT_TOL, one batched eigh gives their projector eigenpairs.  A
-    support qualifies when its projector has a unit eigenvalue; that
+    by increasing size, lexicographically within one; one gather per size
+    weighs them in every degenerate cluster, and only where some reach
+    1 - _FLAT_TOL does one batched eigh give their projector eigenpairs.
+    A support qualifies when its projector has a unit eigenvalue; that
     eigenspace is deflated (SVD) against the cluster's accepted states if
     one is nonzero on the support, else all are exactly orthogonal to it,
     so the returned list is mutually orthogonal.  Amplitudes below
@@ -206,25 +196,26 @@ def find_cls(H, max_support):
     tau = (2 * np.abs(spec.eigenvalues).max(initial=0.0) * np.sqrt(_FLAT_TOL)
            + n * CLUSTER_GAP)
     candidates = _candidate_supports(M, min(max_support, n), tau)
+    clusters, V = spec.clusters(), spec.eigenvectors
+    # W[site, cluster]; heavy[size][support, cluster], NaN counting heavy
+    W = np.add.reduceat((V * V.conj()).real, [c.start for c in clusters], 1)
+    heavy = [~(W[S].sum(axis=1) < 1 - _FLAT_TOL) for S in candidates]
     found = []
-    for cluster in spec.clusters():
-        Vc = spec.eigenvectors[:, list(cluster)]
-        weight = np.einsum("ij,ij->i", Vc, Vc.conj()).real
-        Ah, a = np.empty((len(cluster), n), Vc.dtype), 0  # A^H, A: accepted
-        for supports in candidates:
-            # a NaN weight is not below the bound: the projector decides
-            heavy = supports[~(weight[supports].sum(axis=1) < 1 - _FLAT_TOL)]
-            if not len(heavy):
+    for c in np.flatnonzero(sum(h.any(axis=0) for h in heavy)):
+        Vc, covered = V[:, clusters[c]], np.zeros(n, bool)  # Ah's sites
+        Ah, a = np.empty((Vc.shape[1], n), Vc.dtype), 0  # A^H, A: accepted
+        for supports, h in zip(candidates, heavy):
+            if not len(sel := supports[h[:, c]]):
                 continue
-            sub = Vc[heavy]
+            sub = Vc[sel]
             lams, Us = np.linalg.eigh(sub @ sub.conj().transpose(0, 2, 1))
-            for idx, lam, U in zip(heavy.tolist(), lams, Us):
+            for idx, lam, U in zip(sel.tolist(), lams, Us):
                 inside = lam >= 1 - _FLAT_TOL
                 if not inside.any():
                     continue
                 B = np.zeros((n, int(inside.sum())), dtype=Vc.dtype)
                 B[idx, :] = U[:, inside]
-                if Ah[:a, idx].any():  # project onto Ah's null space
+                if covered[idx].any():  # project onto Ah's null space
                     _, sv, vh = np.linalg.svd(Ah[:a] @ B, full_matrices=True)
                     B = B @ vh[int(np.sum(sv > 1e-8)):].conj().T
                 for vec in B.T:
@@ -237,6 +228,7 @@ def find_cls(H, max_support):
                     support = tuple(np.flatnonzero(np.abs(vec) > 0.0))
                     found.append(CompactState(vec, support, energy))
                     Ah[a], a = vec.conj(), a + 1
+                    covered[list(support)] = True
     return found
 
 

@@ -246,7 +246,7 @@ def test_only_the_plans_index_blocks_and_lay_node_grids():
 
 
 # ROADMAP's cap on src/clsnet, counted as ``wc -l`` counts: newlines
-LINE_CAP = 3872
+LINE_CAP = 3884
 
 
 def test_source_stays_under_the_line_cap():

@@ -382,13 +382,16 @@ def test_schedule_overlap_only_where_stars_differ():
 
 class _StubPlan:
     # the jump model reads each jump's star, ramp time, duration and
-    # transfer time; the stars here have no boundary, only their spokes
+    # transfer time; the stars here have no boundary, only their spokes,
+    # held as the links (hub, dimer)
     _DIMERS = {5: ((1, 2), (6, 7)), 20: ((16, 17), (21, 22))}
 
     def __init__(self, jumps):
         self.jumps = tuple(
-            SimpleNamespace(star=StarView(c, *self._DIMERS[c], ()), dt=1.0,
-                            duration=d, params=SimpleNamespace(T=d - 2.0))
+            SimpleNamespace(star=StarView(
+                c, *self._DIMERS[c], (),
+                tuple(((c, d), False) for d in self._DIMERS[c])),
+                dt=1.0, duration=d, params=SimpleNamespace(T=d - 2.0))
             for c, d in jumps)
 
 
@@ -426,6 +429,54 @@ def test_schedule_starts_a_ramp_on_a_held_ramps_window():
         (8.283185307179586, 18.566370614359172)
     rep = simulate_route(g, H, tl)
     assert all(f >= 1 - 1e-8 for f in rep.fidelities)
+
+
+def test_schedule_multi_takes_a_generator_of_routes():
+    # the routes were consumed by the scheduling loop before the
+    # timeline kept them, which left 0 routes beside 2 start times
+    g, H = dll(2, 2)
+    pairs = (((16, 17), (8, 9)), ((18, 19), (11, 12)))
+    plans = [plan_route(g, H, a, b) for a, b in pairs]
+    tl = schedule_multi(plan_route(g, H, a, b) for a, b in pairs)
+    assert tl == schedule_multi(plans) and len(tl.routes) == 2
+    assert len(simulate_route(g, H, tl).fidelities) == 2
+
+
+def test_timeline_refuses_unpaired_routes_and_starts():
+    g, H = dll(1, 1)
+    r = plan_route(g, H, (1, 2), (3, 4))
+    for routes, starts in (((), (0,)), ((r, r), (0,)), ((r,), ())):
+        with pytest.raises(ValueError, match="one start time per route"):
+            Timeline(routes, starts)
+
+
+def _held(*holds):
+    """An index of one link's sorted holds (t0, t1, dt), dt None for a
+    spoke, and a ramped jump of 5 ticks and dt 1.0 on that link."""
+    jump = SimpleNamespace(dt=1.0)
+    return {"link": list(holds)}, [(jump, 0, 5, (("link", True),))]
+
+
+def test_clash_skips_a_run_of_held_windows():
+    # three back-to-back holds, each less than the jump's 5 ticks after
+    # the one before, none it could share: one call moves past them all
+    index, jumps = _held((0, 10, None), (12, 20, 2.0), (21, 30, None))
+    assert clsnet.routing._clash(index, jumps, 0) == 30
+    assert clsnet.routing._clash(index, jumps, 30) == 0
+    # a gap the jump fits in ends the run
+    index, jumps = _held((0, 10, None), (15, 20, None))
+    assert clsnet.routing._clash(index, jumps, 0) == 10
+
+
+def test_clash_stops_at_a_ramp_it_could_share():
+    # the third hold is a ramp of the jump's own window length and dt:
+    # the walk does not pass it, and the jump starts with it, sharing it
+    index, jumps = _held((0, 10, None), (10, 20, None), (22, 27, 1.0))
+    assert clsnet.routing._clash(index, jumps, 0) == 22
+    assert clsnet.routing._clash(index, jumps, 22) == 0
+    # a ramp on another dt is a clash like any other
+    index, jumps = _held((0, 10, None), (10, 20, None), (22, 27, 2.0))
+    assert clsnet.routing._clash(index, jumps, 0) == 27
 
 
 def test_concurrent_starts_emit_no_sliver_segment():
@@ -1080,24 +1131,47 @@ def test_jump_duration_and_busy_accounting():
 # segment rescanned every ramp.  The planner must emit the same output.
 
 
-def _oracle_dimer_adjacency(g):
+def _oracle_hub_dimers(g):
+    """Each common neighbour h of a dimer's two sites -> its dimers."""
     by_hub = {}
     for d in g.dimers():
         shared = set(g.neighbors(d[0])) & set(g.neighbors(d[1]))
         for h in sorted(shared - set(d)):
             by_hub.setdefault(h, []).append(d)
+    return by_hub
+
+
+def _oracle_dimer_adjacency(g):
     adj = {d: [] for d in g.dimers()}
-    for h, ds in sorted(by_hub.items()):
+    for h, ds in sorted(_oracle_hub_dimers(g).items()):
         for d in ds:
             adj[d] += [(h, d2) for d2 in ds if d2 != d]
     return {d: tuple(sorted(v)) for d, v in adj.items()}
 
 
+def _oracle_link_keys(g):
+    """Each coupling -> its scheduling key: the link (h, d) whose
+    couplings (h, d[0]) and (h, d[1]) include it, else itself.  On the
+    lattices tested here no coupling is in two links."""
+    links = {}
+    for h, ds in _oracle_hub_dimers(g).items():
+        for d in ds:
+            for s in d:
+                links.setdefault(tuple(sorted((h, s))), []).append((h, d))
+    assert all(len(ls) == 1 for ls in links.values())
+    return {e: links[e][0] if e in links else e for e in g.edges}
+
+
 def _oracle_star(g, center, dimer_in, dimer_out):
     sites = {center, *dimer_in, *dimer_out}
     inside = {e for e in g.edges if e[0] in sites and e[1] in sites}
-    boundary = [e for e in g.edges if (e[0] in sites) != (e[1] in sites)]
-    star = StarView(center, dimer_in, dimer_out, tuple(sorted(boundary)))
+    boundary = tuple(sorted(
+        e for e in g.edges if (e[0] in sites) != (e[1] in sites)))
+    spokes = [tuple(sorted((s, center))) for s in (*dimer_in, *dimer_out)]
+    key = _oracle_link_keys(g)
+    links = dict.fromkeys([(key[e], False) for e in spokes] +
+                          [(key[e], True) for e in boundary])
+    star = StarView(center, dimer_in, dimer_out, boundary, tuple(links))
     assert inside == set(star.spokes)
     return star
 
@@ -1261,6 +1335,57 @@ def test_extract_star_matches_full_edge_scan(cells):
                         _oracle_star(g, hub, a, b)
         assert extract_star(g, H, hub) == \
             _oracle_star(g, hub, adjacent[0], adjacent[1])
+
+
+@pytest.mark.parametrize("cells", range(1, 7))
+def test_dll_stars_hold_whole_links_in_one_role(cells):
+    # each coupling a DLL star holds is one of the two of a (hub, dimer)
+    # link, and the star holds that link's other coupling too, in the
+    # same role: the scheduler keys the pair once, exactly
+    g, H = dll(cells, cells)
+    key = _oracle_link_keys(g)
+    stars = [extract_star(g, H, h, a, b)
+             for h, ds in sorted(_oracle_hub_dimers(g).items())
+             for a in ds for b in ds if a != b]
+    for star in stars:
+        role = dict(star.holds)
+        for e, ramped in star.holds:
+            h, d = key[e]
+            assert [role.get(tuple(sorted((h, s)))) for s in d] == \
+                [ramped, ramped]
+        assert star.links == tuple(dict.fromkeys(
+            (key[e], ramped) for e, ramped in star.holds))
+        assert len(star.links) == len(star.holds) // 2
+    # every ordered dimer pair of every hub: 852 stars in all
+    assert len(stars) == {1: 2, 2: 26, 3: 74, 4: 146, 5: 242, 6: 362}[cells]
+
+
+def test_a_coupling_of_no_link_keeps_its_own_key():
+    # on the 3x3 DLL plus a coupling from dimer site 1 to hub 15, which
+    # its partner 2 lacks: (1, 15) belongs to no link, so it is
+    # scheduled alone, and the starts are the per-coupling brute force's
+    base, _ = dll(3, 3)
+    g = SiteGraph(base.n_sites, tuple(sorted(base.edges + ((1, 15),))),
+                  base.labels)
+    M = np.diag(np.full(g.n_sites, V))
+    for i, j in g.edges:
+        M[i, j] = M[j, i] = J
+    H = TimedHamiltonian(M, {})
+    for hub, a, b in ((0, (1, 2), (3, 4)), (15, (3, 4), (16, 17))):
+        star = extract_star(g, H, hub, a, b)
+        assert star == _oracle_star(g, hub, a, b)
+        assert ((1, 15), True) in star.links
+    rng = np.random.default_rng(17)
+    dimers = g.dimers()
+    plans = [plan_route(g, H, *(dimers[k] for k in
+                                rng.choice(len(dimers), 2, replace=False)),
+                        dt=float(rng.choice([1.0, 2.0])))
+             for _ in range(40)]
+    assert any(((1, 15), True) in j.star.links
+               for p in plans for j in p.jumps)
+    tl = schedule_multi(plans)
+    assert tl.starts == _oracle_starts(plans)
+    verify_timeline(tl)
 
 
 # no shrinking: each example plans 50 requests, and a failing one is
@@ -1468,9 +1593,9 @@ def test_plan_route_builds_each_star_once(monkeypatch):
     g, H = dll(6, 6)
     built, star_view = Counter(), clsnet.routing.StarView
 
-    def counted(center, dimer_in, dimer_out, boundary):
+    def counted(center, dimer_in, dimer_out, *rest):
         built[center, dimer_in, dimer_out] += 1
-        return star_view(center, dimer_in, dimer_out, boundary)
+        return star_view(center, dimer_in, dimer_out, *rest)
 
     monkeypatch.setattr(clsnet.routing, "StarView", counted)
     clsnet.routing._tables.cache_clear()
@@ -1515,15 +1640,37 @@ def test_schedule_multi_builds_each_plans_holds_once(monkeypatch):
     assert built == Counter(id(p) for p in plans)
 
 
-def test_timeline_schedule_builds_one_slice_per_ramp_and_segment(
-        monkeypatch):
+def _seed16_plans():
+    """50 random 6x6 requests, dt 1 or 2, drawn from seed 16."""
     g, H = dll(6, 6)
     rng = np.random.default_rng(16)
     dimers = g.dimers()
-    plans = [plan_route(g, H, *(dimers[k] for k in
-                                rng.choice(len(dimers), 2, replace=False)),
-                        dt=float(rng.choice([1.0, 2.0])))
-             for _ in range(50)]
+    return g, H, [plan_route(g, H, *(dimers[k] for k in rng.choice(
+        len(dimers), 2, replace=False)), dt=float(rng.choice([1.0, 2.0])))
+        for _ in range(50)]
+
+
+def test_schedule_multi_bisects_once_per_link(monkeypatch):
+    # a jump checks its star's (hub, dimer) links, 6 rows for 12
+    # couplings, and a clash skips the run of holds behind it: at most
+    # half the 8,738 bisections of one per coupling and held window
+    _, _, plans = _seed16_plans()
+    calls, bisect_left = [], clsnet.routing.bisect_left
+
+    def counted(*args):
+        calls.append(args)
+        return bisect_left(*args)
+
+    monkeypatch.setattr(clsnet.routing, "bisect_left", counted)
+    tl = schedule_multi(plans)
+    assert 0 < len(calls) <= 4369
+    monkeypatch.undo()
+    assert tl.starts == _oracle_starts(plans)
+
+
+def test_timeline_schedule_builds_one_slice_per_ramp_and_segment(
+        monkeypatch):
+    g, H, plans = _seed16_plans()
     tl = schedule_multi(plans)
     ramps, _, bounds = _oracle_timeline(tl)
     pairs = sum(r[0] < b2 and b < r[1]
