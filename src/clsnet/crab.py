@@ -33,7 +33,7 @@ import numpy as np
 
 from .evolve import _check_count, evolve_timedep_fixed, fidelity
 from .lattice import SEVEN_EDGES, STAR_EDGES, CrabTransferPulse, \
-    CreationSevenPulse, CreationStarPulse, LinearRamp, Pulse, TimeMirrored, \
+    CreationSevenPulse, CreationStarPulse, LinearRamp, TimeMirrored, \
     TimedHamiltonian, _unit_matrix
 from .protocols import cls_state
 
@@ -240,9 +240,8 @@ def eval_pulse(kind, n, t, p):
 
 @lru_cache(maxsize=32)
 def _skeleton(kind, floor, v, extra):
-    """Validated base, chiral split and integrator plan of a kind's H,
-    none of which depends on the pulse amplitudes: a search builds them
-    once, and :func:`assemble_hamiltonian` swaps in its pulses per call."""
+    """Pulse-free H of a kind, validated once: every H that
+    :func:`assemble_hamiltonian` builds shares its read-only base."""
     if kind.startswith("star"):
         base = _unit_matrix(5, STAR_EDGES,
                             floor if kind == "star-transfer" else 0.0, v)
@@ -250,8 +249,7 @@ def _skeleton(kind, floor, v, extra):
         Ji = dict(extra)["J_inner"] if kind == "seven-transfer" else 0.0
         base = _unit_matrix(7, SEVEN_EDGES,
                             [floor, floor, Ji, Ji, floor, floor], v)
-    entries = [entry for _, entry in _CHANNELS[kind]]
-    return TimedHamiltonian(base, dict.fromkeys(entries, Pulse()))
+    return TimedHamiltonian(base, {})
 
 
 def assemble_hamiltonian(problem, p):
@@ -268,9 +266,7 @@ def assemble_hamiltonian(problem, p):
         overrides[entry] = TimeMirrored(pulse, p.horizon) \
             if kind == "star-creation" else pulse
     sk = _skeleton(kind, p.floor, problem.v, problem.extra)
-    return TimedHamiltonian._trusted(sk.base, overrides,
-                                     _sublattices=sk._sublattices,
-                                     _plans=sk._plans)
+    return TimedHamiltonian._trusted(sk.base, overrides)
 
 
 def infidelity_objective(problem, p):

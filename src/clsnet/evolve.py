@@ -24,8 +24,9 @@ transfer, 9 on the 3x3 DLL.  It exponentiates through the eigenpairs
 of the p x p Gram matrix C C^T (closed forms for p <= 2, one batched
 eigh per call for p > 2), never n x n.  A state the couplings annihilate
 (an antisymmetric dimer under symmetric driving) is left alone exactly.
-What a run needs besides the pulse amplitudes is planned once per H,
-start state, clock and step count; a CRAB search shares one plan.
+What a run needs besides the pulse amplitudes is planned once per base,
+driven entries, start state, clock and step count, and the last few
+plans are kept by that value, so a CRAB search builds one.
 
 A :class:`ProtocolSchedule` is an ordered sequence of instantaneous
 flips (phase flips on the state, sign flips on couplings, each applied
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -75,6 +77,10 @@ _CAL_STEPS = 64         # where the pairs resume after a failed first pair
 # largest budget tol*(t1-t0) a convergence pair can certify: two unit
 # columns differ by at most 2, so near 1 a pair passes whatever its error
 _BUDGET_MAX = 1e-3
+# plans kept by value: a crab-search pass (bench/workloads.py) uses four
+# keys, per creation kind its search's n and the check at twice native n
+_PLANS_KEPT = 4
+_PLANS = {}
 
 
 def evolve_static(H, psi0, t):
@@ -157,9 +163,58 @@ def _sublattice_exponentials(C, h):
     return R
 
 
+def _sublattices(H):
+    """Chiral split of the sites of H: (order, p, parts), sublattice A first.
+
+    Every pulsed H must have one: a uniform on-site potential, no pulse
+    on a diagonal entry, and a 2-colourable graph of nonzero base
+    couplings plus driven entries; else ValueError names what fails.
+    Then H(t) = v*I + [[0, C(t)], [C(t)^T, 0]] in the basis ``order``,
+    whose first ``p`` sites form A: the smaller colour class of each
+    connected component (an isolated site joins B).  ``parts[i]``
+    numbers the component of site ``order[i]``; H(t) is block diagonal
+    over them.
+    """
+    n = H.n_sites
+    diag = np.diagonal(H.base)
+    driven = [e for e in H.overrides if e[0] == e[1]]
+    if driven or (diag != diag[0]).any():
+        why = f"a pulse drives the diagonal entry {driven[0]}" \
+            if driven else "the on-site potential is not uniform"
+        raise ValueError(f"{why}: not a chiral Hamiltonian")
+    adjacent = [[] for _ in range(n)]
+    rows, cols = np.nonzero(np.triu(H.base, 1))
+    for i, j in chain(zip(rows.tolist(), cols.tolist()), H.overrides):
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    colour, part, roots = [-1] * n, [0] * n, 0
+    a_sites, b_sites = [], []
+    for root in range(n):
+        if colour[root] >= 0:
+            continue
+        colour[root], part[root], roots = 0, roots, roots + 1
+        classes = ([root], [])
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in adjacent[i]:
+                if colour[j] < 0:
+                    colour[j], part[j] = 1 - colour[i], part[root]
+                    classes[colour[j]].append(j)
+                    stack.append(j)
+                elif colour[j] == colour[i]:
+                    raise ValueError(f"sites {i} and {j} close an odd "
+                                     f"cycle: not a chiral Hamiltonian")
+        small, large = sorted(classes, key=len)
+        a_sites += small
+        b_sites += large
+    order = np.array(sorted(a_sites) + sorted(b_sites))
+    return order, len(a_sites), np.array(part)[order]
+
+
 class _CF4Plan:
     """What :func:`_cf4_run` keeps while only the pulse amplitudes change,
-    for one skeleton of H, start state ``psi0`` and n steps over [t0, t1]:
+    for H's base and driven entries, ``psi0`` and n steps over [t0, t1]:
     the A sites ``a`` and B sites ``b`` of the components ``psi0``
     occupies (p = len(a); every other row stays exactly 0), the start
     state permuted A-first in the real frame, the base A x B block with
@@ -170,7 +225,7 @@ class _CF4Plan:
         h = self.h = (t1 - t0) / n
         if t0 + 0.5 * h == t0:
             raise RuntimeError(f"step size underflow: h={h!r} vanishes at t={t0!r}")
-        order, p, parts = H._sublattices
+        order, p, parts = _sublattices(H)
         psi = np.asarray(psi0, dtype=complex)[order]
         hit = np.zeros(len(parts), bool)
         hit[parts[(psi != 0).reshape(len(psi), -1).any(axis=1)]] = True
@@ -205,17 +260,19 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
     Returns (final_state, samples) where samples is a list of states
     taken after every ``record_every`` steps (or None if not requested).
     Each CF4 generator is (v/2) I + [[0, C], [C^T, 0]] in the site order
-    of ``H._sublattices`` (ValueError if H has none).  The run reuses H's
-    :class:`_CF4Plan` when it was built for the same ``psi0`` bits, clock
-    and step count, else replaces it; a chunk then samples the pulses into
-    the plan's block, as one (2m, p, q) stack on the C1 and C2 nodes, and
-    each exponential is e^{-ihv/2} times :func:`_sublattice_exponentials`.
+    of :func:`_sublattices` (ValueError if H has none).  The run takes its
+    :class:`_CF4Plan` from ``_PLANS`` by the value of all the plan reads,
+    else builds it there; a chunk then samples the pulses into the plan's
+    block, as one (2m, p, q) stack on the C1 and C2 nodes, and each
+    exponential is e^{-ihv/2} times :func:`_sublattice_exponentials`.
     """
     psi0, n = np.asarray(psi0), int(n_steps)
-    key = (psi0.dtype.str, psi0.shape, psi0.tobytes(), t0, t1, n)
-    if (plan := H._plans.get(key)) is None:
-        H._plans.clear()
-        plan = H._plans[key] = _CF4Plan(H, psi0, t0, t1, n)
+    key = (H.base.shape, H.base.tobytes(), tuple(H.overrides),
+           psi0.dtype.str, psi0.shape, psi0.tobytes(), t0, t1, n)
+    if (plan := _PLANS.get(key)) is None:
+        if len(_PLANS) == _PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]  # first in, first out
+        plan = _PLANS[key] = _CF4Plan(H, psi0, t0, t1, n)
     psi, p, h, done = plan.psi, plan.p, plan.h, 0
     samples = [] if record_every else None
     if not p:  # no A site (isolated sites or a zero state): a phase only
@@ -435,7 +492,7 @@ class ProtocolSchedule:
         and the static matrix M in force once it has acted.  M starts as
         the base; a hopping flip negates its entry on a copy, and a
         segment with its own H leaves its base, each pulse at the duration
-        (``evaluate_at``'s bits); a matrix once yielded never changes."""
+        (``evaluate_grid``'s bits); a matrix once yielded never changes."""
         M, t = self.base.base, 0.0
         for item in self.items:
             if isinstance(item, HoppingFlip):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "build_seven",
     "build_dll",
     "static_matrix",
-    "evaluate_at",
     "evaluate_grid",
     "STAR_EDGES",
     "SEVEN_EDGES",
@@ -284,12 +282,12 @@ class TimedHamiltonian:
         return not self.overrides
 
     @classmethod
-    def _trusted(cls, base, overrides, **cached):
+    def _trusted(cls, base, overrides):
         """The one constructor that skips ``__post_init__``, sharing the
         read-only ``base`` of a validated instance; ``overrides`` are keyed
-        by (i, j), i <= j, and ``cached`` presets cached properties."""
+        by (i, j), i <= j."""
         H = object.__new__(cls)
-        H.__dict__.update(base=base, overrides=overrides, **cached)
+        H.__dict__.update(base=base, overrides=overrides)
         return H
 
     @cached_property
@@ -298,60 +296,6 @@ class TimedHamiltonian:
         w, V = np.linalg.eigh(self.base)
         w.flags.writeable = V.flags.writeable = False
         return w, V
-
-    @cached_property
-    def _plans(self):
-        """evolve's plan of the last pulsed run, keyed by its inputs."""
-        return {}
-
-    @cached_property
-    def _sublattices(self):
-        """Chiral split of the sites: (order, p, parts), sublattice A first.
-
-        Every pulsed H must have one: a uniform on-site potential, no
-        pulse on a diagonal entry, and a 2-colourable graph of nonzero
-        base couplings plus driven entries; else ValueError names what
-        fails.  Then H(t) = v*I + [[0, C(t)], [C(t)^T, 0]] in the basis
-        ``order``, whose first ``p`` sites form A: the smaller colour
-        class of each connected component (an isolated site joins B).
-        ``parts[i]`` numbers the component of site ``order[i]``; H(t) is
-        block diagonal over them.  Computed on first use.
-        """
-        n = self.n_sites
-        diag = np.diagonal(self.base)
-        driven = [e for e in self.overrides if e[0] == e[1]]
-        if driven or (diag != diag[0]).any():
-            why = f"a pulse drives the diagonal entry {driven[0]}" \
-                if driven else "the on-site potential is not uniform"
-            raise ValueError(f"{why}: not a chiral Hamiltonian")
-        adjacent = [[] for _ in range(n)]
-        rows, cols = np.nonzero(np.triu(self.base, 1))
-        for i, j in chain(zip(rows.tolist(), cols.tolist()), self.overrides):
-            adjacent[i].append(j)
-            adjacent[j].append(i)
-        colour, part, roots = [-1] * n, [0] * n, 0
-        a_sites, b_sites = [], []
-        for root in range(n):
-            if colour[root] >= 0:
-                continue
-            colour[root], part[root], roots = 0, roots, roots + 1
-            classes = ([root], [])
-            stack = [root]
-            while stack:
-                i = stack.pop()
-                for j in adjacent[i]:
-                    if colour[j] < 0:
-                        colour[j], part[j] = 1 - colour[i], part[root]
-                        classes[colour[j]].append(j)
-                        stack.append(j)
-                    elif colour[j] == colour[i]:
-                        raise ValueError(f"sites {i} and {j} close an odd "
-                                         f"cycle: not a chiral Hamiltonian")
-            small, large = sorted(classes, key=len)
-            a_sites += small
-            b_sites += large
-        order = np.array(sorted(a_sites) + sorted(b_sites))
-        return order, len(a_sites), np.array(part)[order]
 
 
 def _unit_matrix(n, edges, J, v):
@@ -430,12 +374,6 @@ def static_matrix(H):
         raise ValueError("Hamiltonian must be a square matrix")
     _check_hermitian(M, "Hamiltonian", "Hermitian")
     return M
-
-
-def evaluate_at(H, t):
-    """Dense symmetric snapshot of ``H`` at time ``t``: the one-time
-    case of :func:`evaluate_grid`."""
-    return evaluate_grid(H, [t])[0]
 
 
 def evaluate_grid(H, times):

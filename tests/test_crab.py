@@ -25,9 +25,14 @@ from clsnet.crab import (
 )
 from clsnet.evolve import evolve_static, evolve_timedep_fixed, fidelity
 from clsnet.lattice import TimedHamiltonian, build_seven, build_star, \
-    evaluate_at
+    evaluate_grid
 
 ROOT2 = np.sqrt(2.0)
+
+
+def _snapshot(H, t):
+    """Dense snapshot of H at one time: ``evaluate_grid`` at [t]."""
+    return evaluate_grid(H, [t])[0]
 
 
 # ------------------------------------------------------------ simplex
@@ -278,8 +283,8 @@ def test_zero_horizon_identity_objective():
 def test_creation_assembly_boundary_hamiltonians():
     prob = star_creation()
     H = assemble_hamiltonian(prob, REFERENCE_PARAMS["star-creation"])
-    M0 = evaluate_at(H, 0.0)
-    MT = evaluate_at(H, np.pi)
+    M0 = _snapshot(H, 0.0)
+    MT = _snapshot(H, np.pi)
     assert abs(M0[0, 2]) < 1e-12 and abs(M0[1, 2]) < 1e-12
     assert_allclose(MT[0, 2], 3 * ROOT2, rtol=1e-12)
     assert_allclose(MT[1, 2], 3 * ROOT2, rtol=1e-12)
@@ -288,8 +293,8 @@ def test_creation_assembly_boundary_hamiltonians():
 def test_seven_creation_assembly_ramp():
     prob = seven_creation()
     H = assemble_hamiltonian(prob, REFERENCE_PARAMS["seven-creation"])
-    M0 = evaluate_at(H, 0.0)
-    MT = evaluate_at(H, 2 * np.pi)
+    M0 = _snapshot(H, 0.0)
+    MT = _snapshot(H, 2 * np.pi)
     assert abs(M0[2, 3]) < 1e-12
     assert_allclose(MT[2, 3], 1.0, rtol=1e-12)
     assert abs(M0[3, 4]) < 1e-12 and abs(MT[3, 4]) < 1e-12
@@ -300,7 +305,8 @@ def test_seven_creation_assembly_ramp():
 
 def _fresh_infidelity(problem, p, n_steps):
     """The objective with H assembled from scratch: an independently
-    built base, the assembled pulses, validation and colouring anew."""
+    built base, the assembled pulses, validation and a plan anew."""
+    evolve._PLANS.clear()
     J, v = p.floor, problem.v
     Ji = dict(problem.extra).get("J_inner", 0.0)
     base = {"star-transfer": lambda: build_star([J] * 4, v),
@@ -407,21 +413,22 @@ def test_floor_mismatch_gets_its_own_skeleton():
 
 
 def test_search_colours_one_skeleton(monkeypatch):
-    colouring = TimedHamiltonian.__dict__["_sublattices"]
-    original, calls = colouring.func, []
+    # the chiral split runs once per plan built, so once per search
+    original, calls = evolve._sublattices, []
 
     def counted(H):
         calls.append(H)
         return original(H)
 
-    monkeypatch.setattr(colouring, "func", counted)
-    crab._skeleton.cache_clear()
+    monkeypatch.setattr(evolve, "_sublattices", counted)
+    evolve._PLANS.clear()
     res = optimize_crab(star_creation(n_steps=64), n_restarts=2, max_evals=200)
     assert res.evaluations > 200 and len(calls) == 1
 
 
 def _count_plans(monkeypatch):
-    """The argument tuples of every integrator plan built from now on."""
+    """The argument tuples of every integrator plan built from now on,
+    with evolve's plan table cleared first."""
     built, init = [], evolve._CF4Plan.__init__
 
     def counted(plan, H, *args):
@@ -429,14 +436,37 @@ def _count_plans(monkeypatch):
         init(plan, H, *args)
 
     monkeypatch.setattr(evolve._CF4Plan, "__init__", counted)
+    evolve._PLANS.clear()
     return built
 
 
 def test_search_builds_one_plan(monkeypatch):
     built = _count_plans(monkeypatch)
-    crab._skeleton.cache_clear()
     res = optimize_crab(star_creation(n_steps=64), n_restarts=2, max_evals=200)
     assert res.evaluations > 200 and len(built) == 1
+
+
+def test_verify_between_objectives_keeps_the_search_plan(monkeypatch):
+    # the table keeps plans by value, so a verification at 2n between
+    # two objective calls at n leaves the search's plan in place
+    prob = star_creation(n_steps=64)
+    ref = REFERENCE_PARAMS["star-creation"]
+    built = _count_plans(monkeypatch)
+    first = infidelity_objective(prob, ref)
+    verify_infidelity(prob, ref)
+    assert infidelity_objective(prob, ref) == first
+    assert [args[-1] for args in built] == [64, 128]
+
+
+def test_assembled_hamiltonians_share_only_the_base():
+    prob = seven_creation(n_steps=64)
+    ref = REFERENCE_PARAMS["seven-creation"]
+    H1, H2 = (assemble_hamiltonian(prob, ref) for _ in range(2))
+    for H in (H1, H2):
+        evolve_timedep_fixed(H, prob.initial_state, 0.0, ref.horizon, 64)
+    assert vars(H1).keys() == vars(H2).keys() == {"base", "overrides"}
+    shared = [k for k in vars(H1) if vars(H1)[k] is vars(H2)[k]]
+    assert shared == ["base"] and not H1.base.flags.writeable
 
 
 @pytest.mark.parametrize("change", [{"floor": 0.3}, {"horizon": 2.5}])
@@ -445,7 +475,6 @@ def test_mismatched_params_get_their_own_plan(monkeypatch, change):
     ref = REFERENCE_PARAMS["seven-creation"]
     own = prob.make_params(ref.x, ref.xp, ref.omega)
     other = dataclasses.replace(own, **change)
-    crab._skeleton.cache_clear()
     built = _count_plans(monkeypatch)
     first = infidelity_objective(prob, own)
     got = infidelity_objective(prob, other)

@@ -28,7 +28,6 @@ from clsnet.lattice import (
     build_dll,
     build_seven,
     build_star,
-    evaluate_at,
     evaluate_grid,
 )
 from clsnet.lattice import _block_plan, _fill_block
@@ -40,6 +39,11 @@ I_STATE = np.array([1, -1, 0, 0, 0]) / S2
 F_STATE = np.array([0, 0, 0, 1, -1]) / S2
 L_STATE = np.array([1, 1, 0, 0, 0]) / S2
 R_STATE = np.array([0, 0, 0, 1, 1]) / S2
+
+
+def _snapshot(H, t):
+    """Dense snapshot of H at one time: ``evaluate_grid`` at [t]."""
+    return evaluate_grid(H, [t])[0]
 
 # transfer pulse parameters reproducing the reference star protocol
 STAR_PULSES = {
@@ -164,15 +168,35 @@ class TestEvolveTimedep:
             evolve_timedep(ramp(1e11), L_STATE, 0.0, 1e11, tol=1e-11)
         # at T = 1e3 the budget still bounds the error
         H = ramp(1e3)
+        ev._PLANS.clear()
         psi = evolve_timedep(H, L_STATE, 0.0, 1e3, tol=1e-11)
-        # the ladder ran past one chunk, yet H keeps one plan, holding at
-        # most one chunk of nodes and otherwise arrays of the state's size
-        (plan,) = H._plans.values()
-        assert plan.n > ev._CHUNK and plan.first.size == 2 * ev._CHUNK
-        assert all(a.size <= H.n_sites ** 2 for a in vars(plan).values()
-                   if isinstance(a, np.ndarray) and a is not plan.first)
+        # the ladder ran past one chunk, yet evolve keeps only the last
+        # few plans, each holding at most one chunk of nodes and
+        # otherwise arrays of the state's size
+        plans = list(ev._PLANS.values())
+        assert len(plans) == ev._PLANS_KEPT and plans[-1].n > ev._CHUNK
+        for plan in plans:
+            assert plan.first.size == 2 * min(plan.n, ev._CHUNK)
+            assert all(a.size <= H.n_sites ** 2 for a in vars(plan).values()
+                       if isinstance(a, np.ndarray) and a is not plan.first)
         ref = evolve_timedep_fixed(H, L_STATE, 0.0, 1e3, 1 << 17)
         assert np.linalg.norm(psi - ref) <= 5e-11
+
+    def test_plans_are_kept_by_value_first_in_first_out(self, monkeypatch):
+        # an equal H built anew finds its plan, and a fifth key evicts
+        # the oldest of the four kept
+        built, init = [], ev._CF4Plan.__init__
+
+        def counted(plan, H, *args):
+            built.append(args[-1])
+            init(plan, H, *args)
+
+        monkeypatch.setattr(ev._CF4Plan, "__init__", counted)
+        ev._PLANS.clear()
+        for n in (8, 16, 32, 64, 128, 16, 8):
+            evolve_timedep_fixed(crab_star_hamiltonian(), I_STATE, 0.0, 1.0, n)
+        assert built == [8, 16, 32, 64, 128, 8]
+        assert [key[-1] for key in ev._PLANS] == [32, 64, 128, 8]
 
     @pytest.mark.parametrize("n_chunks, first", [(1, 8), (32, 32), (64, None)])
     def test_failed_first_pair_sizes_nothing(self, monkeypatch, n_chunks,
@@ -523,7 +547,7 @@ class TestWalk:
                 np.testing.assert_array_equal(snap, expected)
             elif isinstance(item, Segment) and item.H is not None:
                 np.testing.assert_array_equal(
-                    snap, evaluate_at(item.H, item.duration))
+                    snap, _snapshot(item.H, item.duration))
                 if item.H.static:
                     np.testing.assert_array_equal(snap, item.H.base)
             else:
@@ -578,7 +602,7 @@ def _coupling_stack(rng, k, mask):
 
 def _dll_mask(cells):
     _, H = build_dll(cells, cells, 1.0, 0.5)
-    order, p, _ = H._sublattices
+    order, p, _ = ev._sublattices(H)
     return H.base[np.ix_(order[:p], order[p:])]
 
 
@@ -677,9 +701,9 @@ class TestSublatticeExponential:
                            (crab.seven_creation(), 2)):
             H = crab.assemble_hamiltonian(
                 problem, crab.REFERENCE_PARAMS[problem.kind])
-            assert H._sublattices[1] == p
+            assert ev._sublattices(H)[1] == p
         _, H = build_dll(3, 3, 0.25, 0.5)
-        order, p, _ = H._sublattices
+        order, p, _ = ev._sublattices(H)
         assert p == 9 and sorted(order[:p]) == list(range(0, 45, 5))
 
     @pytest.mark.parametrize("case", ["pulsed-diagonal", "non-uniform-diagonal",
@@ -722,8 +746,8 @@ class TestSublatticeExponential:
         h = 1.0 / 96
         psi, samples = psi0, []
         for step in range(96):
-            A1 = evaluate_at(seg.H, step * h + c1 * h)
-            A2 = evaluate_at(seg.H, step * h + c2 * h)
+            A1 = _snapshot(seg.H, step * h + c1 * h)
+            A2 = _snapshot(seg.H, step * h + c2 * h)
             psi = scipy.linalg.expm(-1j * h * (x2 * A1 + x1 * A2)) @ psi
             psi = scipy.linalg.expm(-1j * h * (x1 * A1 + x2 * A2)) @ psi
             if (step + 1) % 32 == 0:
@@ -755,7 +779,7 @@ class TestCouplingBlock:
                              ids=["star-creation", "seven-creation",
                                   "seven-transfer", "dll-ramp"])
     def test_block_equals_gathered_snapshots(self, H):
-        order, p, _ = H._sublattices
+        order, p, _ = ev._sublattices(H)
         a, b = order[:p], order[p:]
         times = np.linspace(-0.1, 2 * np.pi + 0.1, 77)
         block = _fill_block(H, times, *_block_plan(H, a, b))
@@ -774,7 +798,7 @@ class TestCouplingBlock:
 
     def test_dll_ramp_drives_both_orientations(self):
         H = _dll_ramp_segment().H
-        order, p, _ = H._sublattices
+        order, p, _ = ev._sublattices(H)
         in_a = {i in set(order[:p].tolist()) for i, _ in H.overrides}
         assert in_a == {True, False}
 
@@ -890,7 +914,7 @@ class TestOccupiedComponents:
         # and each sample's, is exactly 0
         rng = np.random.default_rng(sum(occupied) + 17)
         H, parts, T = _block_diagonal_case(rng)
-        _, p, labels = H._sublattices
+        _, p, labels = ev._sublattices(H)
         assert p == 1 + 2 + 3 and labels.max() == len(parts) - 1
         full = _random_state(rng, H.n_sites)
         psi0 = np.zeros(H.n_sites, complex)
@@ -1065,7 +1089,7 @@ def test_pulsed_segment_properties(case):
     # that it never steps across the kink of a mirrored ramp
     ref = psi
     for k in range(_KNOTS):
-        ref = solve_ivp(lambda t, y: -1j * (evaluate_at(H, t) @ y),
+        ref = solve_ivp(lambda t, y: -1j * (_snapshot(H, t) @ y),
                         (T * k / _KNOTS, T * (k + 1) / _KNOTS), ref,
                         method="DOP853", rtol=1e-12, atol=1e-12).y[:, -1]
     direct = evolve_timedep(H, psi, 0.0, T, tol)

@@ -14,13 +14,17 @@ from clsnet.lattice import (
     build_dll,
     build_seven,
     build_star,
-    evaluate_at,
     evaluate_grid,
     static_matrix,
 )
 
 S2 = np.sqrt(2.0)
 S3 = np.sqrt(3.0)
+
+
+def _snapshot(H, t):
+    """Dense snapshot of H at one time: ``evaluate_grid`` at [t]."""
+    return evaluate_grid(H, [t])[0]
 
 
 class TestBuildStar:
@@ -70,7 +74,7 @@ class TestBuildSeven:
     def test_ramp_override_is_isolated(self):
         H = build_seven([1, 1, 0, 0, 1, 1], 0.0)
         H = TimedHamiltonian(H.base, {(2, 3): LinearRamp(0.0, 1.0, 2 * np.pi)})
-        snap = evaluate_at(H, np.pi)
+        snap = _snapshot(H, np.pi)
         assert snap[2, 3] == pytest.approx(0.5)
         assert snap[3, 2] == pytest.approx(0.5)
         # every other entry still static (base has 0 at the overridden slot)
@@ -185,25 +189,25 @@ class TestAttachEvaluate:
         H = build_star([0.25] * 4, 0.5)
         H2 = TimedHamiltonian(H.base, {(0, 2): LinearRamp(0.25, 0.25, 1.0)})
         for t in (0.0, 1.0, 100.0):
-            assert evaluate_at(H2, t)[0, 2] == 0.25
+            assert _snapshot(H2, t)[0, 2] == 0.25
 
     def test_attach_crab_floor_at_zero(self):
         H = build_star([0.25] * 4, 0.5)
         H2 = TimedHamiltonian(H.base, {
             (0, 2): CrabTransferPulse(0.25, 0.5850, 2.9997, 1.4452)})
-        assert evaluate_at(H2, 0.0)[0, 2] == pytest.approx(0.25, abs=1e-15)
+        assert _snapshot(H2, 0.0)[0, 2] == pytest.approx(0.25, abs=1e-15)
 
     def test_attach_ramp_endpoint(self):
         H = build_star([0.25] * 4, 0.5)
         H2 = TimedHamiltonian(H.base, {(1, 2): LinearRamp(0.25, 0.0, 0.37)})
-        assert evaluate_at(H2, 0.37)[1, 2] == 0.0
-        assert evaluate_at(H2, 0.37)[2, 1] == 0.0
+        assert _snapshot(H2, 0.37)[1, 2] == 0.0
+        assert _snapshot(H2, 0.37)[2, 1] == 0.0
 
     def test_attach_leaves_original(self):
         H = build_star([0.25] * 4, 0.5)
         H2 = TimedHamiltonian(H.base, {(0, 2): LinearRamp(9.0, 9.0, 1.0)})
         assert not H.overrides
-        assert evaluate_at(H, 3.0)[0, 2] == 0.25
+        assert _snapshot(H, 3.0)[0, 2] == 0.25
         assert H2.base is not H.base and not H2.base.flags.writeable
 
     def test_attach_out_of_bounds(self):
@@ -215,17 +219,17 @@ class TestAttachEvaluate:
         H = build_star([0.25] * 4, 0.5)
         H2 = TimedHamiltonian(H.base, {(2, 0): LinearRamp(0.9, 0.9, 1.0)})
         assert list(H2.overrides) == [(0, 2)]
-        snap = evaluate_at(H2, 0.0)
+        snap = _snapshot(H2, 0.0)
         assert snap[0, 2] == 0.9 and snap[2, 0] == 0.9
 
     def test_static_snapshot_is_base(self):
         H = build_seven([1, 1, S3, S3, 1, 1], 0.0)
-        np.testing.assert_array_equal(evaluate_at(H, 123.4), H.base)
+        np.testing.assert_array_equal(_snapshot(H, 123.4), H.base)
 
     def test_diagonal_override(self):
         H = build_star([0.25] * 4, 0.5)
         H2 = TimedHamiltonian(H.base, {(2, 2): LinearRamp(0.5, 1.5, 1.0)})
-        assert evaluate_at(H2, 0.5)[2, 2] == pytest.approx(1.0)
+        assert _snapshot(H2, 0.5)[2, 2] == pytest.approx(1.0)
 
     def test_grid_matches_pointwise(self):
         H = build_star([0.25] * 4, 0.5)
@@ -235,7 +239,7 @@ class TestAttachEvaluate:
         times = np.linspace(0.0, 2 * np.pi, 33)
         grid = evaluate_grid(H, times)
         for k, t in enumerate(times):
-            np.testing.assert_allclose(grid[k], evaluate_at(H, t), atol=0, rtol=0)
+            np.testing.assert_allclose(grid[k], _snapshot(H, t), atol=0, rtol=0)
 
 
 # one instance of each pulse class, and a mirrored wrapper
@@ -280,34 +284,6 @@ class TestScalarPath:
         assert type(PULSES[name]).value is Pulse.value
 
 
-def _one_sampler_cases():
-    from clsnet import crab
-    from clsnet.routing import build_ramp, extract_star
-
-    cases = {kind: crab.assemble_hamiltonian(
-                 problem, crab.REFERENCE_PARAMS[kind])
-             for kind, problem in (("star-creation", crab.star_creation()),
-                                   ("seven-creation", crab.seven_creation()),
-                                   ("star-transfer", crab.star_transfer()))}
-    g, H = build_dll(3, 3, 0.25, 0.5)
-    star = extract_star(g, H, 20, dimer_in=(8, 9), dimer_out=(21, 22))
-    cases["dll-ramp"] = build_ramp(H, star.boundary_entries, "down", 1.0).H
-    return cases
-
-
-class TestOneSampler:
-    @pytest.mark.parametrize("name", ["star-creation", "seven-creation",
-                                      "star-transfer", "dll-ramp"])
-    def test_evaluate_at_is_grid_at_one_time(self, name):
-        H = _one_sampler_cases()[name]
-        times = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 300)
-        grid = evaluate_grid(H, times)
-        for k, t in enumerate(times):
-            snap = evaluate_at(H, t)
-            np.testing.assert_array_equal(snap, evaluate_grid(H, [t])[0])
-            np.testing.assert_array_equal(snap, grid[k])
-
-
 class TestInvariants:
     def test_symmetric_at_random_times(self):
         rng = np.random.default_rng(7)
@@ -318,7 +294,7 @@ class TestInvariants:
                                       3 * S2, np.pi),
             (2, 4): LinearRamp(0.25, 0.0, 1.0)})
         for t in rng.uniform(-1.0, 10.0, size=1000):
-            snap = evaluate_at(H, t)
+            snap = _snapshot(H, t)
             np.testing.assert_array_equal(snap, snap.T)
             assert snap.dtype == np.float64
 

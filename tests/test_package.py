@@ -14,9 +14,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # public names kept without a caller in the package or the bench: the
-# correctness claims on tolerance per unit time, on time reversal and on
-# the matrix in force that ProtocolSchedule.walk leaves rest on them
-KEPT_WITHOUT_CALLER = {"evolve_timedep", "reverse_schedule", "evaluate_at"}
+# correctness claims on tolerance per unit time and on time reversal
+# rest on them
+KEPT_WITHOUT_CALLER = {"evolve_timedep", "reverse_schedule"}
 
 MODULES = ("lattice", "spectral", "evolve", "protocols", "crab", "routing",
            "cli", "acceptance")
@@ -167,23 +167,61 @@ def test_only_evolve_rebuilds_the_matrix_in_force():
     callers = {name for name, tree in _source_trees()
                for node in ast.walk(tree) if isinstance(node, ast.Call)
                and ast.unparse(node.func).split(".")[-1] in (
-                   "evaluate_at", "negate")}
+                   "evaluate_grid", "negate")}
     assert callers == {"evolve.py"}
 
 
 def test_trusted_shares_a_validated_base():
     # TimedHamiltonian._trusted skips validation, so the base it gets
     # must be the ``base`` of an instance that was validated: never a
-    # matrix built or copied at the call
+    # matrix built or copied at the call; and it gets nothing else but
+    # the overrides, so no cache or plan rides along on an instance
     calls = [(name, node) for name, tree in _source_trees()
              for node in ast.walk(tree) if isinstance(node, ast.Call)
              and ast.unparse(node.func).endswith("TimedHamiltonian._trusted")]
     assert calls
     for name, call in calls:
+        # ``**cached`` is a keyword whose arg is None
+        passed = ["*" if isinstance(a, ast.Starred) else "" for a in
+                  call.args] + [k.arg for k in call.keywords]
+        assert len(passed) == 2 and set(passed) <= {"", "base", "overrides"}, \
+            f"{name}:{call.lineno} passes {ast.unparse(call)}"
         base = call.args[0] if call.args else \
             next(k.value for k in call.keywords if k.arg == "base")
         assert isinstance(base, ast.Attribute) and base.attr == "base", \
             f"{name}:{call.lineno} passes {ast.unparse(base)}"
+
+
+# evolve's integrator plan: the value-keyed table and its size, the
+# plan itself and the chiral split it is built from
+PLAN_NAMES = {"_PLANS", "_PLANS_KEPT", "_CF4Plan", "_sublattices"}
+
+
+def _named(tree):
+    """Every name a module reads, defines, imports, passes as a keyword
+    or spells as a string (getattr-style)."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, (ast.FunctionDef, ast.ClassDef, ast.keyword)):
+            yield getattr(n, "name", getattr(n, "arg", None))
+        elif isinstance(n, ast.alias):
+            yield n.asname or n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_only_evolve_names_a_plan():
+    # evolve owns the CF4 plan: no other module, bench/ included, keeps,
+    # presets, spies on or rebuilds it, and no TimedHamiltonian carries it
+    files = sorted((ROOT / "src" / "clsnet").glob("*.py")) + \
+        sorted((ROOT / "bench").glob("*.py"))
+    naming = {path.name: PLAN_NAMES & set(_named(ast.parse(path.read_text())))
+              for path in files}
+    assert {name for name, found in naming.items() if found} == {"evolve.py"}
+    assert naming["evolve.py"] == PLAN_NAMES
 
 
 def test_only_run_criterion_times_and_looks_up_criteria():
@@ -246,7 +284,7 @@ def test_only_the_plans_index_blocks_and_lay_node_grids():
 
 
 # ROADMAP's cap on src/clsnet, counted as ``wc -l`` counts: newlines
-LINE_CAP = 3884
+LINE_CAP = 3875
 
 
 def test_source_stays_under_the_line_cap():

@@ -11,7 +11,7 @@ from clsnet.evolve import (
     fidelity,
     run_schedule,
 )
-from clsnet.lattice import build_star, evaluate_at
+from clsnet.lattice import build_star, evaluate_grid
 from clsnet.protocols import (
     TRANSFER_VARIANTS,
     GenerationParams,
@@ -511,6 +511,6 @@ def test_cls_state_validation():
 def test_evaluate_at_star_base_matches_params():
     p = StarTransferParams(1, 0, 0.25)
     s = build_schedule("phase-flip-transfer", p)
-    M = evaluate_at(s.base, 0.0)
+    M = evaluate_grid(s.base, [0.0])[0]
     assert_allclose(np.diag(M), p.v, atol=1e-15)
     assert M[0, 2] == p.J

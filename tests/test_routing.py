@@ -33,7 +33,7 @@ from clsnet.lattice import (
     TimedHamiltonian,
     LinearRamp,
     build_dll,
-    evaluate_at,
+    evaluate_grid,
 )
 from clsnet.protocols import TRANSFER_VARIANTS, build_schedule, \
     transfer_member_for
@@ -54,6 +54,11 @@ from clsnet.spectral import dimer_state
 from golden import assert_pinned
 
 J, V = 0.25, 0.5  # uniform lattice matching the shortest flip transfer
+
+
+def _snapshot(H, t):
+    """Dense snapshot of H at one time: ``evaluate_grid`` at [t]."""
+    return evaluate_grid(H, [t])[0]
 
 
 def dll(nx, ny):
@@ -134,13 +139,13 @@ def test_build_ramp_hits_exact_endpoints():
     sv = extract_star(g, H, 0)
     down = build_ramp(H, sv.boundary_entries, "down", 0.7)
     up = build_ramp(H, sv.boundary_entries, "up", 0.7)
-    M0 = evaluate_at(down.H, 0.0)
-    M1 = evaluate_at(down.H, 0.7)
+    M0 = _snapshot(down.H, 0.0)
+    M1 = _snapshot(down.H, 0.7)
     for e in sv.boundary_entries:
         assert M0[e] == J
         assert M1[e] == 0.0
-        assert evaluate_at(up.H, 0.0)[e] == 0.0
-        assert evaluate_at(up.H, 0.7)[e] == J
+        assert _snapshot(up.H, 0.0)[e] == 0.0
+        assert _snapshot(up.H, 0.7)[e] == J
     assert up.duration == 0.7
 
 
@@ -988,7 +993,7 @@ def test_support_walk_matches_the_full_lattice_pass(data):
 @given(data=st.data())
 def test_walk_leaves_each_drawn_segment_its_snapshot(data):
     # walk() writes each pulse's end value into a copy of the segment's
-    # base rather than gathering evaluate_at's n x n snapshot; on route
+    # base rather than gathering an n x n evaluate_grid snapshot; on route
     # timelines, after ramps, flips and flipped spokes, it must leave
     # the snapshot's bits, which the support walk then reads
     cells = data.draw(st.integers(2, 3), label="cells")
@@ -1010,7 +1015,7 @@ def test_walk_leaves_each_drawn_segment_its_snapshot(data):
             prev = prev.copy()
             item.negate(prev)
         elif isinstance(item, Segment) and item.H is not None:
-            prev = evaluate_at(item.H, item.duration)
+            prev = _snapshot(item.H, item.duration)
         assert M.tobytes() == prev.tobytes()
     assert any(isinstance(it, HoppingFlip) for it in s.items)
     assert any(isinstance(it, Segment) and it.H is not None
