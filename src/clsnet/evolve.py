@@ -559,8 +559,7 @@ def run_schedule(s, psi0, samples_per_segment=33, tol=1e-11):
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.ndim not in (1, 2) or psi.shape[0] != s.base.n_sites:
         raise ValueError("state dimension does not match the Hamiltonian")
-    if samples_per_segment < 2:
-        raise ValueError("need at least 2 samples per segment")
+    _check_count("samples_per_segment", samples_per_segment, 2)
     times, kept, events = [], [], []
 
     def put(t, psi):

@@ -25,8 +25,8 @@ and a clash skips a run of them; the final check sweeps couplings.
 
 Simulation runs each route's column only where its stored state lives,
 its dimer or, over a jump window, its star, on the matrix in force of
-``ProtocolSchedule.walk()``; a Duhamel leak bound certifies it, and the
-full-lattice run replaces one over its budget (see :func:`simulate_route`).
+``ProtocolSchedule.walk()``; a Duhamel leak bound certifies the set, or
+it is refused (see :func:`simulate_route`).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+# run_schedule is unused here; bench/tracing.py wraps routing.run_schedule
 from .evolve import HoppingFlip, PhaseFlip, ProtocolSchedule, Segment, \
     _BUDGET_MAX, _check_tol, _static_samples, fidelity, run_schedule
 from .lattice import LinearRamp, TimedHamiltonian
@@ -218,7 +219,7 @@ class RouteReport:
     largest deviation from 1 of any column's norm over the samples at
     segment ends, the only ones the simulation takes.  ``leak_bound``
     is, per route, the support walk's bound on its column's distance
-    from the full-lattice one, finite for every timeline."""
+    from the full-lattice one, each within the set's error budget."""
 
     fidelities: tuple
     per_jump: tuple
@@ -500,9 +501,9 @@ def timeline_schedule(graph, H, tl):
     Hamiltonian.  In between run the flips of ``build_schedule(variant,
     params)``, star site k moved to ``StarView.sites[k]``: those before
     its segment at the end of the down-ramp, the rest at the start of the
-    up-ramp.  The rule covers couplings: a state resting in a dimer that
-    another route jumps through is not protected.  Every jump's window
-    end is a segment bound, and every bound a time on the emitted clock.
+    up-ramp.  The rule covers couplings, not a state resting in a dimer
+    that another route jumps through: :func:`simulate_route` refuses
+    that set.  Window ends are segment bounds, on the emitted clock.
 
     Every ramped segment shares the validated, read-only ``H.base``; its
     overrides are its ramp slices and, under them, the entries held off
@@ -579,10 +580,6 @@ def timeline_schedule(graph, H, tl):
     return ProtocolSchedule(H, tuple(items))
 
 
-def _unit_fidelity(psi, target):
-    return fidelity(psi / np.linalg.norm(psi), target)
-
-
 # Gauss-Legendre nodes and weights on [0, 1] for a segment's leak integral
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _GL_X, _GL_W = (_GL_X + 1.0) / 2.0, _GL_W / 2.0
@@ -654,8 +651,8 @@ def simulate_route(graph, H, tl, tol=1e-11):
     ||(H(t) - H[S, S]) psi_S(t)|| per segment (couplings out of S and
     drives inside it) plus the norm dropped where S shrinks.  Unless
     every bound is within tol (in [1e-14, 1e-6], or ValueError) times
-    the timeline's end, within ``_BUDGET_MAX``, the k sources run as
-    one (n, k) block in one :func:`run_schedule` pass instead.  Returns
+    the timeline's end, within ``_BUDGET_MAX``, RuntimeError refuses
+    the set and names the route of the largest bound.  Returns
     per-route fidelities of the normalized states to the destination
     CLS, per jump the same at its window end (read at its exact time),
     the final states, the largest norm drift over segment ends and the
@@ -668,13 +665,16 @@ def simulate_route(graph, H, tl, tol=1e-11):
     finals, reads, drift, leaks = _walk_supports(tl, schedule, psi0)
     # as for a convergence pair, a budget above _BUDGET_MAX certifies nothing
     if not max(leaks, default=0.0) <= tol * tl.end <= _BUDGET_MAX:
-        traj = run_schedule(schedule, psi0, samples_per_segment=2, tol=tol)
-        finals, drift = traj.final_state, traj.norm_drift
-        reads = dict(zip(traj.times, traj.states))
-    fids = tuple(_unit_fidelity(f, dimer_state(n, plan.destination))
+        r = int(np.argmax(leaks))
+        raise RuntimeError(f"route {r} is not certified: leak bound "
+                           f"{leaks[r]:.3g}, error budget tol*end = "
+                           f"{tol * tl.end:.3g} (at most {_BUDGET_MAX:g})")
+    def unit(psi, pair):  # fidelity of psi, normalized, to the pair's CLS
+        return fidelity(psi / np.linalg.norm(psi), dimer_state(n, pair))
+
+    fids = tuple(unit(f, plan.destination)
                  for f, plan in zip(finals.T, tl.routes))
-    per_jump = tuple(
-        tuple((t1, _unit_fidelity(reads[t1][:, r],
-                                  dimer_state(n, j.star.dimer_out)))
-              for j, *_, t1 in row) for r, row in enumerate(tl.windows))
+    per_jump = tuple(tuple((t1, unit(reads[t1][:, r], j.star.dimer_out))
+                           for j, *_, t1 in row)
+                     for r, row in enumerate(tl.windows))
     return RouteReport(fids, per_jump, tuple(finals.T), drift, leaks)

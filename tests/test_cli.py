@@ -809,32 +809,46 @@ def test_route_crossing_pair_reports_delay(tmp_path):
     assert summary["norm_drift"] <= 1e-10
 
 
-def test_route_summary_reports_leak_bounds(tmp_path):
+def _crossing_route(tmp_path, second):
+    """Config of two routes on the 3x3 DLL, (16, 17) -> (26, 27) and
+    ``second`` -> (23, 24), writing into tmp_path/out<second[0]>."""
+    return write_config(tmp_path, {
+        "system": {"kind": "dll", "cells_x": 3, "cells_y": 3},
+        "parameters": {"J": 0.25, "v": 0.5},
+        "action": {"kind": "route", "requests": [
+            {"source": [16, 17], "destination": [26, 27]},
+            {"source": list(second), "destination": [23, 24]},
+        ]},
+        "output": {"dir": str(tmp_path / f"out{second[0]}")},
+    })
+
+
+def test_route_summary_reports_leak_bounds(tmp_path, capsys):
     # with (8, 9) both routes run on their supports and each bound
-    # certifies its column; with (21, 22) route 1 jumps through the dimer
-    # where route 2's state rests, and route 2's bound sends the set to
-    # the full lattice
-    reports = []
-    for second in ([8, 9], [21, 22]):
-        out = tmp_path / f"out{second[0]}"
-        path = write_config(tmp_path, {
-            "system": {"kind": "dll", "cells_x": 3, "cells_y": 3},
-            "parameters": {"J": 0.25, "v": 0.5},
-            "action": {"kind": "route", "requests": [
-                {"source": [16, 17], "destination": [26, 27]},
-                {"source": second, "destination": [23, 24]},
-            ]},
-            "output": {"dir": str(out)},
-        })
-        assert cli.main(["route", "--config", path]) == 0
-        reports.append(load_summary(out)["report"])
-    routes = reports[0]["routes"]
+    # certifies its column; with (21, 22) route 0 jumps through the dimer
+    # where route 1's state rests, and route 1's bound refuses the set
+    assert cli.main(["route", "--config", _crossing_route(tmp_path, (8, 9))]) \
+        == 0
+    routes = load_summary(tmp_path / "out8")["report"]["routes"]
     assert [0.0 <= r["leak_bound"] <= 1e-12 for r in routes] == [True] * 2
-    routes = reports[1]["routes"]
-    tol = 1e-11  # the integrator's default
-    assert all(np.isfinite(r["leak_bound"]) for r in routes)
-    assert routes[1]["leak_bound"] > tol * reports[1]["makespan"]
-    assert 0.0 <= routes[0]["leak_bound"] <= 1e-12
+    path = _crossing_route(tmp_path, (21, 22))
+    assert cli.main(["route", "--config", path]) == 3
+    bound, budget = map(float, re.search(
+        r"leak bound (\S+), error budget tol\*end = (\S+) ",
+        capsys.readouterr().err).groups())
+    assert np.isfinite(bound) and bound > budget > 0.0
+
+
+def test_route_over_its_error_budget_exits_3(tmp_path, capsys):
+    # on the full lattice route 1 of this set ends at fidelity 0.5627:
+    # refused, naming route 1 and its leak bound, and no summary written
+    path = _crossing_route(tmp_path, (21, 22))
+    assert cli.main(["route", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^numerical failure: route 1 is not certified: leak "
+                     r"bound 0\.\d+, error budget tol\*end = [\d.e+-]+ "
+                     r"\(at most 0\.001\)$", err, re.M)
+    assert not (tmp_path / "out21").exists()
 
 
 def test_parser_is_built_once_per_process(capsys):
@@ -908,10 +922,6 @@ def _drawn_route_sets(count=10):
 ROUTE_SCENARIOS = {
     "crossing": (3, [_request((16, 17), (26, 27)),
                      _request((8, 9), (23, 24))]),
-    # route 1 jumps through the dimer where route 2's state rests: the
-    # one scenario that falls back to the full lattice
-    "resting-state": (3, [_request((16, 17), (26, 27)),
-                          _request((21, 22), (23, 24))]),
     "single-jump": (1, [_request((1, 2), (3, 4))]),
     "four-requests": (3, [_request((16, 17), (26, 27), dt=2),
                           _request((8, 9), (38, 39), dt=2),
@@ -932,8 +942,6 @@ ROUTE_SCENARIOS = {
 ROUTE_SHA256 = {
     "crossing":
         "e63aa8b7f7d788b95cfa3575e261ff3017c2ea517cbc650f3164775e8ff91ba6",
-    "resting-state":
-        "387340ca9841dedee3313f35dc7965480892b882a99abf292995a6f3c70372ea",
     "single-jump":
         "0858b94093dd40d6fe1c6d6e0c629eae6580c1acf6ada314151303d1fc06cbf1",
     "four-requests":

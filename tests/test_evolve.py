@@ -431,6 +431,28 @@ class TestRunSchedule:
         with pytest.raises(ValueError):
             run_schedule(phase_flip_schedule(), np.ones(3) / np.sqrt(3))
 
+    @staticmethod
+    def _static_and_pulsed():
+        pulsed = ProtocolSchedule(star_quarter(),
+                                  (Segment(1.0, crab_star_hamiltonian()),))
+        return phase_flip_schedule(), pulsed
+
+    @pytest.mark.parametrize("bad", [True, 2.5, 3.0])
+    def test_sample_count_checked(self, bad):
+        # 2.5 used to sample a static segment at 2T/3 and T, and 2.5 or
+        # 3.0 ended a pulsed one in a TypeError from range
+        for s in self._static_and_pulsed():
+            with pytest.raises(ValueError, match="^samples_per_segment must "
+                               "be an integer >= 2"):
+                run_schedule(s, I_STATE, samples_per_segment=bad)
+
+    def test_numpy_sample_count_accepted(self):
+        for s in self._static_and_pulsed():
+            traj = run_schedule(s, I_STATE, samples_per_segment=np.int64(3))
+            plain = run_schedule(s, I_STATE, samples_per_segment=3)
+            np.testing.assert_array_equal(traj.times, plain.times)
+            np.testing.assert_array_equal(traj.states, plain.states)
+
 
 class TestScheduleValidation:
     def test_conflicting_same_site_flips(self):

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -63,15 +64,6 @@ def _snapshot(H, t):
 
 def dll(nx, ny):
     return build_dll(nx, ny, J, V)
-
-
-@pytest.fixture
-def full_lattice(monkeypatch):
-    """simulate_route on its full-lattice path: the support walk reports
-    an infinite leak bound for every route, which no budget admits."""
-    monkeypatch.setattr(clsnet.routing, "_walk_supports",
-                        lambda tl, schedule, psi:
-                        (None, None, None, (math.inf,) * len(tl.windows)))
 
 
 # ---------------------------------------------------------------- stars
@@ -539,31 +531,31 @@ def test_schedule_shared_dimer_pair_builds():
     assert tl.starts[1] == r1.duration
 
 
-def test_shared_dimer_pair_falls_back_to_the_full_lattice(monkeypatch):
-    # route 1 jumps through (21, 22) while route 2's state rests there:
-    # its flips hit the resting dimer and its leak bound exceeds
-    # tol * end, so the whole timeline runs on the full lattice
-    passes = []
-
-    def counted(s, psi0, **kwargs):
-        passes.append(np.shape(psi0))
-        return run_schedule(s, psi0, **kwargs)
-
-    monkeypatch.setattr(clsnet.routing, "run_schedule", counted)
+def test_shared_dimer_pair_is_refused():
+    # route 0 jumps through (21, 22) while route 1's state rests there:
+    # its flips hit the resting dimer, route 1's leak bound exceeds
+    # tol * end, and the set is refused rather than run (the full
+    # lattice ends route 1 at fidelity 0.5627)
     g, H = dll(3, 3)
     tl = schedule_multi([plan_route(g, H, (16, 17), (26, 27)),
                          plan_route(g, H, (21, 22), (23, 24))])
-    rep = simulate_route(g, H, tl)
-    assert passes == [(g.n_sites, 2)]
-    assert rep.leak_bound[1] > 1e-11 * tl.end
-    assert rep.leak_bound[0] <= 1e-12
-    assert rep.fidelities[1] == pytest.approx(0.5627, abs=1e-4)
+    s = timeline_schedule(g, H, tl)
+    psi0 = np.column_stack([dimer_state(g.n_sites, p.source)
+                            for p in tl.routes])
+    *_, (ok, leak) = clsnet.routing._walk_supports(tl, s, psi0)
+    assert ok <= 1e-12 and leak > 1e-11 * tl.end
+    with pytest.raises(RuntimeError, match="^" + re.escape(
+            f"route 1 is not certified: leak bound {leak:.3g}, error "
+            f"budget tol*end = {1e-11 * tl.end:.3g} (at most 0.001)")):
+        simulate_route(g, H, tl)
+    fids, *_ = _full_lattice_report(g, H, tl)
+    assert fids[1] == pytest.approx(0.5627, abs=1e-4)
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
     "the jump model covers couplings, not resting states: route 1 moves "
-    "its state into (21, 22) while route 2's state rests there, and "
-    "route 2 ends with fidelity 0.5627"))
+    "its state into (21, 22) while route 2's state rests there, so the "
+    "set is refused until a planner reorders it (ROADMAP item 1)"))
 def test_shared_dimer_pair_keeps_both_states():
     g, H = dll(3, 3)
     r1 = plan_route(g, H, (16, 17), (26, 27))
@@ -572,7 +564,7 @@ def test_shared_dimer_pair_keeps_both_states():
     assert all(f >= 1 - 1e-8 for f in rep.fidelities)
 
 
-def test_route_fidelities_never_exceed_one(full_lattice):
+def test_route_fidelities_never_exceed_one():
     # three concurrent routes on the 3x3 DLL: the propagated states
     # drift in norm by ~5e-14, which the reported fidelities used to
     # carry above 1 (1.0000000000000915 for the first route)
@@ -802,52 +794,30 @@ def test_crossing_routes_share_star_at_distinct_times():
     assert report.norm_drift <= 1e-10
 
 
-def test_simulate_route_runs_one_pass_per_timeline(monkeypatch,
-                                                   full_lattice):
-    calls = []
-
-    def counted(s, psi0, **kwargs):
-        calls.append(np.shape(psi0))
-        return run_schedule(s, psi0, **kwargs)
-
-    monkeypatch.setattr(clsnet.routing, "run_schedule", counted)
-    g, H = dll(3, 3)
-    r1 = plan_route(g, H, (1, 2), (6, 7))
-    r2 = plan_route(g, H, (31, 32), (36, 37))
-    report = simulate_route(g, H, schedule_multi([r1, r2]))
-    assert calls == [(g.n_sites, 2)]
-    assert all(f >= 1.0 - 1e-8 for f in report.fidelities)
-
-
 @pytest.mark.parametrize("cells, requests, dt", [
     # the one star of a cell has no boundary couplings, so no ramp ends
-    # where the first route's jump does
-    (1, [((1, 2), (3, 4)), ((3, 4), (1, 2))], 1.0),
+    # where the jump does (a second route back from (3, 4) would rest
+    # where this one arrives, and the set would be refused)
+    (1, [((1, 2), (3, 4))], 1.0),
     # start times an ulp apart put two segment bounds 1.8e-15 apart
     (3, [((41, 42), (3, 4)), ((11, 12), (38, 39))], 0.3),
 ])
-def test_per_jump_states_read_at_their_exact_time(monkeypatch, full_lattice,
-                                                  cells, requests, dt):
-    seen = []
-
-    def captured(s, psi0, **kwargs):
-        seen.append(run_schedule(s, psi0, **kwargs))
-        return seen[-1]
-
-    monkeypatch.setattr(clsnet.routing, "run_schedule", captured)
+def test_per_jump_states_read_at_their_exact_time(cells, requests, dt):
     g, H = dll(cells, cells)
     tl = schedule_multi([plan_route(g, H, a, b, dt=dt) for a, b in requests])
     report = simulate_route(g, H, tl)
-    times = set(seen[0].times.tolist())
+    times = {clock + it.duration for clock, it, _ in
+             timeline_schedule(g, H, tl).walk() if isinstance(it, Segment)}
     ends = [t for row in report.per_jump for t, _ in row]
     assert len(ends) == sum(len(plan.jumps) for plan in tl.routes)
     assert all(t in times for t in ends)
     assert all(f >= 1.0 - 1e-8 for _, f in report.per_jump[0])
 
 
-def test_stored_states_pass_the_first_pair(monkeypatch, full_lattice):
+def test_stored_states_pass_the_first_pair(monkeypatch):
     # on C12's three-jump route every ramp leaves the stored state alone,
-    # so each pulsed segment runs one (8, 16) pair and no more
+    # so each pulsed segment of the full-lattice pass runs one (8, 16)
+    # pair and no more
     steps = []
     cf4 = clsnet.evolve._cf4_run
 
@@ -858,13 +828,14 @@ def test_stored_states_pass_the_first_pair(monkeypatch, full_lattice):
     monkeypatch.setattr(clsnet.evolve, "_cf4_run", counted)
     g, H = dll(3, 3)
     tl = schedule_multi([plan_route(g, H, (1, 2), (36, 37), dt=1.0)])
+    s = timeline_schedule(g, H, tl)
     pulsed = sum(isinstance(it, Segment) and it.H is not None
-                 and not it.H.static
-                 for it in timeline_schedule(g, H, tl).items)
-    report = simulate_route(g, H, tl)
+                 and not it.H.static for it in s.items)
+    final = run_schedule(s, dimer_state(g.n_sites, (1, 2)),
+                         samples_per_segment=2).final_state
     assert pulsed >= 6
     assert steps == [8, 16] * pulsed
-    assert report.fidelities[0] >= 1.0 - 1e-8
+    assert fidelity(final, dimer_state(g.n_sites, (36, 37))) >= 1.0 - 1e-8
 
 
 def test_stored_states_run_no_integrator(monkeypatch):
@@ -958,27 +929,24 @@ def test_support_walk_matches_the_full_lattice_pass(data):
         min_size=1, max_size=4), label="requests")
     tl = schedule_multi([plan_route(g, H, a, b, variant=v, dt=dt)
                          for a, b, v, dt in requests])
-    passes = []
-
-    def counted(s, psi0, **kwargs):
-        passes.append(np.shape(psi0))
-        return run_schedule(s, psi0, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clsnet.routing, "run_schedule", counted)
-        rep = simulate_route(g, H, tl)
-    fids, per_jump, finals, drift = _full_lattice_report(g, H, tl)
-    assert len(rep.leak_bound) == len(tl.routes)
-    assert all(map(math.isfinite, rep.leak_bound))
-    # a flip on another route's resting dimer leaks past the budget
-    assert passes or not _flip_hits_a_resting_dimer(g, H, tl)
-    if passes:
-        # a fallback returns the full-lattice pass bit for bit
-        assert (rep.fidelities, rep.per_jump, rep.norm_drift) == \
-            (fids, per_jump, drift)
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(rep.final_states, finals))
+    psi0 = np.column_stack([dimer_state(g.n_sites, p.source)
+                            for p in tl.routes])
+    *_, leaks = clsnet.routing._walk_supports(
+        tl, timeline_schedule(g, H, tl), psi0)
+    assert len(leaks) == len(tl.routes)
+    assert all(map(math.isfinite, leaks))
+    # refused exactly when a bound is over budget, as is a flip on
+    # another route's resting dimer
+    if max(leaks) > 1e-11 * tl.end:
+        r = int(np.argmax(leaks))
+        with pytest.raises(RuntimeError, match="^" + re.escape(
+                f"route {r} is not certified: leak bound {leaks[r]:.3g}, ")):
+            simulate_route(g, H, tl)
         return
+    assert not _flip_hits_a_resting_dimer(g, H, tl)
+    rep = simulate_route(g, H, tl)
+    assert rep.leak_bound == leaks
+    fids, per_jump, finals, _ = _full_lattice_report(g, H, tl)
     assert max(rep.leak_bound) <= 1e-12
     assert np.allclose(rep.fidelities, fids, rtol=0, atol=1e-12)
     for got, want in zip(rep.per_jump, per_jump):
@@ -1060,12 +1028,10 @@ def test_out_of_range_tol_raises_before_integrating(tol):
         simulate_route(g, H, tl, tol=tol)
 
 
-def test_each_route_runs_as_if_alone(monkeypatch):
-    # the paper's independent paths, by linearity: a route of a joint
-    # timeline that does not fall back ends as it would alone from the
-    # same start, up to the resting phase e^{-iv t} until the joint end
-    # no fallback: it would call run_schedule
-    monkeypatch.setattr(clsnet.routing, "run_schedule", None)
+def test_each_route_runs_as_if_alone():
+    # the paper's independent paths, by linearity: a route of a certified
+    # joint timeline ends as it would alone from the same start, up to
+    # the resting phase e^{-iv t} until the joint end
     g, H = dll(3, 3)
     plans = [plan_route(g, H, a, b) for a, b in
              (((16, 17), (26, 27)), ((8, 9), (23, 24)), ((1, 2), (3, 4)))]
