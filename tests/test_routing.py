@@ -553,8 +553,8 @@ def test_shared_dimer_pair_is_refused():
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError, reason=(
-    "the jump model covers couplings, not resting states: route 1 moves "
-    "its state into (21, 22) while route 2's state rests there, so the "
+    "the jump model covers couplings, not resting states: route 0 moves "
+    "its state into (21, 22) while route 1's state rests there, so the "
     "set is refused until a planner reorders it (ROADMAP item 1)"))
 def test_shared_dimer_pair_keeps_both_states():
     g, H = dll(3, 3)
