@@ -43,12 +43,13 @@ with tempfile.TemporaryDirectory(prefix="clsnet_demo_") as tmp:
     print("digest:", summary["digest"][:16], "...\n")
 
     # ----------------------------------------------------------------
-    # Simulate the flagship transfer; the trajectory table is plot-ready
-    # (one row per sample, events as comment lines).
+    # Simulate the flagship transfer; k1 and k2 fix v (0.5 at this J).
+    # The trajectory table is plot-ready (one row per sample, events as
+    # comment lines).
 
     summary = run("simulate", {
         "system": {"kind": "star"},
-        "parameters": {"J": 0.25, "v": 0.5},
+        "parameters": {"J": 0.25},
         "action": {"kind": "simulate",
                    "schedule": {"variant": "phase-flip-transfer",
                                 "k1": 1, "k2": 0}},

@@ -88,10 +88,10 @@ class _Key(NamedTuple):
     ``"couplings"`` (one finite number per network edge); the name of
     a ``_GRAMMAR`` section, or ``[name]`` for a non-empty list of
     them; or a dict of choices, each mapped to the conditions it
-    needs.  ``default`` may be a function of the choices made so far.
+    needs.  ``default`` may be a function of the values given so far.
     ``bounds`` are (operator, value) pairs.  ``only`` lists conditions
-    ``(choice, *accepted values)``; a choice is named by its key, a
-    ``kind`` by its section, and one not made is None.  A key is
+    ``(key, *accepted values)`` on the values given so far; a ``kind``
+    is named by its section, and a key not given is None.  A key is
     admitted only where a command reads it.
     """
 
@@ -114,7 +114,7 @@ _STAR_SEVEN = (("system", "star", "seven"),)
 _TRANSFER = ("variant", *TRANSFER_VARIANTS)
 _GENERATION = ("variant", "generation", "reverse-generation",
                "piecewise-transfer")
-_OPTIMIZE = (("action", "optimize"),)
+_SIMULATE, _OPTIMIZE = ((("action", k),) for k in ("simulate", "optimize"))
 _SEARCH = _OPTIMIZE + (("mode", "search"),)
 _PROBLEMS = {name: (("system", name.split("-")[0]),)
              for name in crab.REFERENCE_PARAMS}
@@ -126,7 +126,7 @@ _GRAMMAR = {
         "action": _Key("action"),
         "parameters": _Key("parameters", {}),
         "integrator": _Key("integrator", {}),
-        "seed": _Key(int, None),
+        "seed": _Key(int, None, only=_SEARCH),
         "output": _Key("output", {}),
     },
     "system": {
@@ -137,7 +137,7 @@ _GRAMMAR = {
     "action": {
         "kind": _Key({"spectrum": (), "simulate": _STAR_SEVEN,
                       "optimize": _STAR_SEVEN, "route": _DLL}),
-        "schedule": _Key("schedule", only=(("action", "simulate"),)),
+        "schedule": _Key("schedule", only=_SIMULATE),
         "problem": _Key(_PROBLEMS, only=_OPTIMIZE),
         "mode": _Key(dict.fromkeys(("evaluate", "refine", "search"), ()),
                      "evaluate", only=_OPTIMIZE),
@@ -169,19 +169,28 @@ _GRAMMAR = {
         "dt": _Key(float, 1.0, ((">", 0),)),
     },
     "parameters": {
-        "J": _Key(float, _reference_J),
-        "v": _Key(float, 0.5),
         "couplings": _Key("couplings", _OMIT, only=(
             ("action", "spectrum", "simulate"), ("variant", None, "hold"),
             *_STAR_SEVEN)),
         "J_prime": _Key(float, _OMIT, only=(*_STAR, _GENERATION)),
         "J_inner": _Key(float, _OMIT, only=(
             *_SEVEN, ("variant", None, "hold", "optimized"),
-            ("problem", None, "seven-transfer"))),
+            ("problem", None, "seven-transfer"), ("couplings", None))),
+        # J and v last, where couplings, J_prime or a member fix them; star
+        # creation has its own scale, and no fidelity sees a uniform v
+        "J": _Key(float, _reference_J, only=(
+            ("couplings", None), ("J_prime", None),
+            ("problem", None, "star-transfer", "seven-transfer",
+             "seven-creation"))),
+        "v": _Key(float, 0.5, only=(("action", "spectrum", "simulate", "route"),
+                                    ("k1", None), ("branch", None))),
     },
     "integrator": {
-        "tol": _Key(float, 1e-11, ((">=", 1e-14), ("<=", 1e-6))),
-        "samples_per_segment": _Key(int, 33, ((">=", 2),)),
+        # only pulses and a route's error budget read tol
+        "tol": _Key(float, 1e-11, ((">=", 1e-14), ("<=", 1e-6)),
+                    (("action", "simulate", "route"),
+                     ("variant", None, "optimized"))),
+        "samples_per_segment": _Key(int, 33, ((">=", 2),), _SIMULATE),
     },
     "output": {"dir": _Key(str, ".")},
 }
@@ -204,38 +213,42 @@ def _is_integer(v):
 
 
 def _refusal(conditions, ctx):
-    """Why the choices in ``ctx`` rule out what ``conditions`` guard,
+    """Why the values in ``ctx`` rule out what ``conditions`` guard,
     or None when they allow it."""
-    for choice, *accepted in conditions:
-        made = ctx.get(choice)
+    for key, *accepted in conditions:
+        made = ctx.get(key)
         if made not in accepted:
             on = [ctx["action"]] if "action" in ctx else []
-            if made and choice != "action":
-                on.append(f"{made} {choice}s")
-            return (f"does not run on {' with '.join(on)}, only on "
-                    f"{' or '.join(filter(None, accepted))} {choice}s")
+            if made is not None and key != "action":
+                on.append(f"{made} {key}s" if isinstance(made, str) else key)
+            named = " or ".join(filter(None, accepted))
+            return (f"does not run on {' with '.join(on)}, only "
+                    + (f"on {named} {key}s" if named else f"without {key}"))
     return None
 
 
 def _walk(raw, where, section, ctx):
     """Check ``raw`` against ``_GRAMMAR[section]`` and fill in its
-    defaults; ``ctx`` collects the choices made so far."""
+    defaults; ``ctx`` collects the values given so far."""
     _expect(isinstance(raw, dict), where, "must be an object")
     table = _GRAMMAR[section]
     _expect(set(raw) <= set(table), where,
             f"unknown keys {sorted(set(raw) - set(table))}")
     out = {}
     for key, rule in table.items():
+        v = raw.get(key, rule.default)
+        if v is None and rule.default is None:
+            out[key] = None  # null, where it is the default, is no value
+            continue
         why = _refusal(rule.only, ctx)
         if why:
             _expect(key not in raw, where, f"{key} {why}")
             continue
-        v = raw.get(key, rule.default)
         v = v(ctx) if callable(v) else v
         if v is not _OMIT:
             _expect(v is not _REQUIRED, where, f"missing required key {key!r}")
             out[key] = _value(v, rule, key, where, ctx)
-            if isinstance(rule.type, dict):
+            if not isinstance(out[key], dict):  # a section records its own
                 ctx[section if key == "kind" else key] = out[key]
     return out
 
@@ -243,8 +256,6 @@ def _walk(raw, where, section, ctx):
 def _value(v, rule, key, where, ctx):
     """``v`` checked against ``rule`` and normalized."""
     t, path = rule.type, key if where == "config" else f"{where}.{key}"
-    if v is None and rule.default is None:
-        return None  # null is accepted only where it is the default
     if isinstance(t, dict):
         _expect(isinstance(v, str) and v in t, path,
                 f"must be one of {tuple(t)}")
@@ -253,7 +264,9 @@ def _value(v, rule, key, where, ctx):
         return v
     if isinstance(t, list):
         _expect(isinstance(v, list) and v, path, "must be a non-empty list")
-        return [_walk(x, f"{path}[{i}]", t[0], ctx) for i, x in enumerate(v)]
+        # what one item gives holds within that item
+        return [_walk(x, f"{path}[{i}]", t[0], dict(ctx))
+                for i, x in enumerate(v)]
     if t in _GRAMMAR:
         return _walk(v, path, t, ctx)
     if t == "couplings":
@@ -324,17 +337,16 @@ def _as_config_error():
 def _build_system(sc):
     kind = sc.system["kind"]
     p = sc.parameters
-    if kind == "star":
-        couplings = p.get("couplings", [p["J"]] * 4)
-        return build_star(couplings, p["v"])
-    if kind == "seven":
-        _expect("couplings" not in p or "J_inner" not in p, "parameters",
-                f"{sc.action['kind']} reads couplings or J_inner, not both")
+    if kind == "dll":
+        return _build_dll(sc)[1]
+    if "couplings" in p:
+        couplings = p["couplings"]
+    elif kind == "star":
+        couplings = [p["J"]] * 4
+    else:
         inner = p.get("J_inner", np.sqrt(3.0) * p["J"])
-        couplings = p.get("couplings",
-                          [p["J"], p["J"], inner, inner, p["J"], p["J"]])
-        return build_seven(couplings, p["v"])
-    return _build_dll(sc)[1]
+        couplings = [p["J"], p["J"], inner, inner, p["J"], p["J"]]
+    return (build_star if kind == "star" else build_seven)(couplings, p["v"])
 
 
 @_as_config_error()
@@ -371,9 +383,8 @@ def _build_protocol_schedule(sc):
         else:
             params = SevenTransferParams(sched["k"], p["J"], p["v"])
         return build_schedule(variant, params)
-    if variant in ("generation", "reverse-generation",
-                   "piecewise-transfer"):
-        Jp = p.get("J_prime", 3 * np.sqrt(2.0) * p["J"])
+    if variant in _GENERATION[1:]:
+        Jp = p["J_prime"] if "J_prime" in p else 3 * np.sqrt(2.0) * p["J"]
         params = GenerationParams(sched["branch"], sched["k1p"],
                                   sched["k2p"], Jp)
         return build_schedule(variant, params)
@@ -472,10 +483,7 @@ def cmd_spectrum(sc, out_dir):
 
 def cmd_simulate(sc, out_dir):
     s = _build_protocol_schedule(sc)
-    traj = run_schedule(s, s.initial_state,
-                        samples_per_segment=sc.integrator[
-                            "samples_per_segment"],
-                        tol=sc.integrator["tol"])
+    traj = run_schedule(s, s.initial_state, **sc.integrator)
     fid = fidelity(traj.final_state, s.target_state)
     T = s.duration
     report = {
@@ -542,7 +550,7 @@ def cmd_route(sc, out_dir):
                             dt=r["dt"])
                  for r in sc.action["requests"]]
         tl = schedule_multi(plans)
-    rep = simulate_route(graph, H, tl, tol=sc.integrator["tol"])
+    rep = simulate_route(graph, H, tl, **sc.integrator)
     routes = []
     for plan, start, fid, jumps, leak in zip(tl.routes, tl.starts, *(
             rep.fidelities, rep.per_jump, rep.leak_bound)):
@@ -563,7 +571,7 @@ def cmd_route(sc, out_dir):
         "delays_inserted": [s for s in tl.starts if s > 0],
         "makespan": tl.end,
     }
-    worst = min(rep.fidelities) if rep.fidelities else None
+    worst = min(rep.fidelities)
     _write_json(out_dir / "summary.json",
                 _summary(sc, fidelity_=worst, T=tl.end,
                          norm_drift=rep.norm_drift, report=report))

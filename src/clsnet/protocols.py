@@ -63,7 +63,8 @@ def cls_state(graph, name):
 
 
 def _require_int(value, label):
-    if value != int(value):
+    if isinstance(value, (bool, np.bool_)) or not abs(value) < np.inf \
+            or value != int(value):
         raise ValueError(f"{label} must be an integer")
 
 
@@ -160,6 +161,7 @@ class GenerationParams:
     Jp: float
 
     def __post_init__(self):
+        _require_int(self.branch, "branch")
         if self.branch not in (1, 2):
             raise ValueError("branch must be 1 or 2")
         _require_int(self.k1p, "k1p")

@@ -18,53 +18,53 @@ SHA256 = {
     "optimize-evaluate-seven-creation/pulses.csv":
         "d2fa11e5fabe2ba951ee7ec8744fedfd8b607af13c7a8fead63843e2c53e3482",
     "optimize-evaluate-seven-creation/summary.json":
-        "c1f5c029c0203a0b13bcf0199f13b1c57640c06fd6729b4be01194a8aa89f601",
+        "1de090aac64c6f1a881daa4d3f2b641ea42dfa9d3cbabef3e1a3c19bb0083e4c",
     "optimize-evaluate-seven-transfer-J_inner/pulses.csv":
         "eebcfc2179bda55fe37cd207c3a00821bec62faaee35b7a02c2a346608859e47",
     "optimize-evaluate-seven-transfer-J_inner/summary.json":
-        "01080eb2e4601204e8952439118a84badcce832f0fcaea80df1fd09483ca2dc3",
+        "dfa771f4283b85fad157589dd073f8fffea3fefcb4f85b70b145b2fbcb9a6bd7",
     "optimize-evaluate-seven-transfer/pulses.csv":
         "eebcfc2179bda55fe37cd207c3a00821bec62faaee35b7a02c2a346608859e47",
     "optimize-evaluate-seven-transfer/summary.json":
-        "7f1392cdf00b15b5e5960650c815b4ac22c893876fd990fe22d363473172ace4",
+        "763531e194dbad920274e09c99c99555b2525e03a7d9222c1318641406e4e81a",
     "optimize-evaluate-star-creation/pulses.csv":
         "2e339c023ed62e050568cf6450e18eb7d56e3f7570874b4de0e8b0acae311226",
     "optimize-evaluate-star-creation/summary.json":
-        "e5240548fa8eb29b614aac0150e43f6489febb01a0f1c9256909f97fe30d4c78",
+        "fdcd7180932c598b8e5661ef429cf6ebe5a3b57d374d6c6f5c9c45962f7aaea9",
     "optimize-evaluate-star-transfer-J0.25/pulses.csv":
         "3806d52c75947b5e1bd6f2c97678fe90fc9cd135db29742587fbf3d90613f435",
     "optimize-evaluate-star-transfer-J0.25/summary.json":
-        "491de133ad8643019f69b351f42a57f6011792cbf615e69faf6a3f72bec862ab",
+        "e3ce26636830a13905be23ba02faf316cd4e1d8bc6d8e986d8bc1f7fb16d3e4d",
     "optimize-evaluate-star-transfer-J0.5/pulses.csv":
         "7e4388be932ec432fba573b3cca9944b5dd68b1bc7592e6558c4b298aabfac7f",
     "optimize-evaluate-star-transfer-J0.5/summary.json":
-        "32c90dd0271e31997a1aeeca4551b1a2fea08c35f99d7c502ff3036b713b9eff",
+        "041725de99b4b4527286a821291706c2c06c548b86ae4f5a6b6e20d888e3f705",
     "optimize-evaluate-star-transfer/pulses.csv":
         "3806d52c75947b5e1bd6f2c97678fe90fc9cd135db29742587fbf3d90613f435",
     "optimize-evaluate-star-transfer/summary.json":
-        "491de133ad8643019f69b351f42a57f6011792cbf615e69faf6a3f72bec862ab",
+        "e3ce26636830a13905be23ba02faf316cd4e1d8bc6d8e986d8bc1f7fb16d3e4d",
     "optimize-refine-star-creation/pulses.csv":
         "1dc5baf49db0d52cc7d19db858ba72d54e91d93f7b8e011c2e7e4de6f78551bd",
     "optimize-refine-star-creation/summary.json":
-        "d6106508f0257f07e2a64b323bc4feaddd1a158223d81440949d49a770f34659",
+        "571ef5a90c4ba833c84cab43d7df9b029e64b0931f7e81adfafbb12ff726ed32",
     "optimize-search-star-transfer/pulses.csv":
         "a0cc3587531697cb00d0b83582038c33de490bad6f75539159beff2548519e6f",
     "optimize-search-star-transfer/summary.json":
-        "a0459217b23d106d14eec34e54286effecc965faab4cd79b102ebd202ff8c4a3",
+        "78fddc1b6a949d18036ab7c02f6153aed5f53335c5ad4bd13c815353ded23ca1",
     "simulate-seven-hold-J_inner/summary.json":
-        "f22a19b32a5323c75a29833687a3c7bfb40cbeaeefaa99898e4a7cd8c0ed86aa",
+        "177fc4b8b4ac64cf119113f5e9738e22eee891a3b014cd7a2b31791ada777f7f",
     "simulate-seven-hold-J_inner/trajectory.csv":
         "ce7f1c5b80d3456464e99f6895c3ed4134d6ff50e64f123f498199559d58cd9f",
     "simulate-seven-hold-couplings/summary.json":
-        "b220b84d28674c10f153d9e34fb379789e82d1d630d747124f59014d540ae11d",
+        "43c4c430a9ea6d5c25e27312e9c6da210f8e681bf5f5b1a52df7dd6716a419d8",
     "simulate-seven-hold-couplings/trajectory.csv":
         "ce7f1c5b80d3456464e99f6895c3ed4134d6ff50e64f123f498199559d58cd9f",
     "simulate-seven-hold/summary.json":
-        "5be8d5d1584ca8b3cc0d2a0b5b1414095e0c0c0acf99147fc022e0368ad03026",
+        "51ddb23880e42e5833cd3fc02844b4927f7c55bd0224808aab52123491cb56e2",
     "simulate-seven-hold/trajectory.csv":
         "2635630107419ae5a8abd974414d7a8808637749ba8ca2590e725179c48efc78",
     "simulate-seven-hopping-flip-transfer/summary.json":
-        "76d2a05b702a079d8db689bbe1ea0ef01c9254258280cd7676902ce6b60ec186",
+        "a364fbfa97ba9860b6c5d8e278723479b0011a246f506166ece9e952b70de168",
     "simulate-seven-hopping-flip-transfer/trajectory.csv":
         "5c831fb24c09898dd2f1bb298f373da8c87a6e06eb83e3b9aa799779b3047149",
     "simulate-seven-optimized-seven-creation/summary.json":
@@ -76,31 +76,31 @@ SHA256 = {
     "simulate-seven-optimized-seven-transfer/trajectory.csv":
         "2bc1de519f0a8dfcab92e6b5e3716be6c8e2f4fe62e4dd182dd5e33552681c0d",
     "simulate-seven-phase-flip-transfer/summary.json":
-        "910d66a2b266b705a5fcf5c3aa2986421c1b7f5906341e4f77853e3dca0461fc",
+        "8b33301848b15e1e71f2845ed1607c203609a3c47f9cb6046eddf66dc634e50d",
     "simulate-seven-phase-flip-transfer/trajectory.csv":
         "c78dfeacf5b10cd7892c090ad6de147706798fb937b65c15addc6f55752a193e",
     "simulate-star-generation-J_prime/summary.json":
-        "ff6c1f82622950a5b92ecc78a951b174708856e4ce23e73c4c2bb8815c898d9e",
+        "dfc8d7f62a37bbb517c1bad15508afcdd82e4b594f672909230e25ea27b1b723",
     "simulate-star-generation-J_prime/trajectory.csv":
         "312edb86195739b7178f1185d9df244dabbd12820e365a9cd4f2f87731f5ea7d",
     "simulate-star-generation/summary.json":
-        "ce69c41531e59d56c95d520f43c4bbe8e2e7ce34f18d30e3b0769c1b62cfacf1",
+        "cb30ded27da6836a2916bfd34365a493ce0c61e999ea445c29f3e688e6f98241",
     "simulate-star-generation/trajectory.csv":
         "21731f86d0928fe4eefdb091f104d540d6d3a3b01b1742e119f896d9554911c3",
     "simulate-star-hold-T0/summary.json":
-        "85bccf5d1e93d97c09a2a58350d7b463622558bcf43b15c829755bbe92644286",
+        "1eab609e0d47cdd9cca827f5bb251b0920ef94b410d09c36ca2c1516b7eadbae",
     "simulate-star-hold-T0/trajectory.csv":
         "22780fa04c3dbeaea8e413f2109b3ceae96a938b7097b97a62359c7e0d28c894",
     "simulate-star-hold-couplings/summary.json":
-        "2850340ebdd14bf2903db0ca52b1ddfb87d99584586483af806d6fd77c52dcd0",
+        "bb0de412f001848e1bf9ac2b314eeb13e53f018c399c2e37b643ded67419951f",
     "simulate-star-hold-couplings/trajectory.csv":
         "6399f473222e3f15faac0ec5f2060112302b11cfe9cfcb635f0fdbdde653006d",
     "simulate-star-hopping-flip-transfer/summary.json":
-        "6025dd65c63943003820825afc91f3070e0e1555d0e7d88a320bc0c609c9ab3d",
+        "76e9c4cd0f3060dcb4e4f24d04d678722cd19c585b4810bd18145e1d8b1a6141",
     "simulate-star-hopping-flip-transfer/trajectory.csv":
         "9701073ffaedad1e6c433978a8c9cba5552fac143106596f6e561be59fa9eb89",
     "simulate-star-optimized-star-creation/summary.json":
-        "f682f36963a512849220fbd111778b3c1181dab433e0cfd4bea293eb36d4a328",
+        "e75b9052f7af24782f360d30aaa485b0c0578911efdf89daa5254000607077e5",
     "simulate-star-optimized-star-creation/trajectory.csv":
         "2a5466bcb03f778229fb5f0d81bbef4518d0bd0e11f20a9ae148f19acfc5007b",
     "simulate-star-optimized-star-transfer-J0.25/summary.json":
@@ -112,33 +112,33 @@ SHA256 = {
     "simulate-star-optimized-star-transfer-J0.5/trajectory.csv":
         "1063b6b18614123be85fe4a54757c5233ec0a8d0e105e1798e99b71dfd08b956",
     "simulate-star-phase-flip-transfer/summary.json":
-        "4f5ac4c7b5eb648374991766c4dc2a3186ceb933641784be5271c81091970de3",
+        "f79166cb214fdd75adeac6da5bdef4d1ea5dca792012c741f43e54dcd3124bce",
     "simulate-star-phase-flip-transfer/trajectory.csv":
         "ad44df062ca14ce41bf170e8fe56d7d90d6c25627aa30d9696aeaa6ab9547625",
     "simulate-star-piecewise-transfer/summary.json":
-        "72a0b751fdf028fba65f64338a7e1b38c7da45e672f1ce19f288b48576a6b1d8",
+        "10a6970c3a040ed0a7ad321c2c349ab46fe9188ef0d262eb069abd81763a9af4",
     "simulate-star-piecewise-transfer/trajectory.csv":
         "e99782cb3ff9de4074931438d170aabae59e0a5a43ff72dfc80b4c47ea47f1a9",
     "simulate-star-reverse-generation/summary.json":
-        "5824c072081e724a24c7f22228ac28afdecff24ff29c6ebac2ba975fb2ec0587",
+        "b5d3e854fbc7a8dc4898bec255373a5c741180997e53885095d63a3c3a183e0a",
     "simulate-star-reverse-generation/trajectory.csv":
         "fe53c34888cb6ae2d59beb743b019430e505eb9e89e9c44ad0adc225dfa50703",
     "spectrum-dll-2/summary.json":
-        "a20f8aaad2477836f669a5eccf246bcc1abef86a459011d91c82d3c271b9b3e4",
+        "ce80a41fc07ffa817a89178058ffea34415e007bd0a980b6937fb6567f180a53",
     "spectrum-dll-4/summary.json":
-        "49923bf7d1fc65d4896184e5e0194de9a5d45d871c668f77dfab46d0aa05fcdf",
+        "acfbb7a3613a39695f54f0a58c358a7fa345a688164fb087f4473273e3c2e5cf",
     "spectrum-dll-5/summary.json":
-        "d620e360e066fa12865b3b86c808d45f77e374ea8d152460fae8cf487203b64e",
+        "dacb267b5ccc485dee0faa35612d254dac289dcbbfe904f460dd2e69475ba5a1",
     "spectrum-seven-J_inner/summary.json":
-        "8865057b70c9e87502d931d3492540507c960df68fa9efa87d82006419ac8fb1",
+        "e8286ad87eb1780e1da7426d235d9a8663179471bd2035d7867944483a694485",
     "spectrum-seven-couplings/summary.json":
-        "4b312b404b42a45ca50c769766549a7e1a0dea807107282322a79624d7aaa801",
+        "f940d958104da22ae8a5cbdf7e105f67e49fc39ad863b9490626ad9f15e9c9e0",
     "spectrum-seven/summary.json":
-        "0ae6ef2c13315c0ee5ba19a8da835ec89c11b312e0c0773093c150ad7333eb91",
+        "9a1574a40de95758d188cb50cb99887e62e41860167decee01bf803445997ac0",
     "spectrum-star-couplings/summary.json":
-        "5afd5559035977f8691cc9cf0d2a6ce745963ee0f876d75e0799abc9796a4a3f",
+        "bafe9d334146e22adad1c329cdb5c2b6fc5fecabeb02abffc141fe08c4306b77",
     "spectrum-star/summary.json":
-        "276c9290487848176d2a06b120fd23029d44e6af403ed03fb1305f74d86d3c7f",
+        "887184fe565bf9bb09b345904c2de64c42222c050c2cbe5f4f3b5fb7c6958065",
     "timeline/4x4-seed30-mixed-base":
         "df1d185a46994d0b0e831a3f2bd4111ea74a198ba5b575f27f5d849a188f5986",
     "timeline/6x6-seed16":

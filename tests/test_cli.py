@@ -32,9 +32,10 @@ def write_config(tmp_path, doc, name="scenario.json"):
 
 
 def star_transfer_doc(out_dir):
+    # the member (k1, k2) sets v
     return {
         "system": {"kind": "star"},
-        "parameters": {"J": 0.25, "v": 0.5},
+        "parameters": {"J": 0.25},
         "action": {"kind": "simulate",
                    "schedule": {"variant": "phase-flip-transfer",
                                 "k1": 1, "k2": 0}},
@@ -68,16 +69,22 @@ def test_parse_fills_defaults():
         "action": {"kind": "spectrum"},
     }))
     assert sc.parameters == {"J": 0.25, "v": 0.5}
-    assert sc.integrator == {"tol": 1e-11, "samples_per_segment": 33}
+    assert sc.integrator == {}
     assert sc.seed is None
     assert sc.output == {"dir": "."}
+    pulsed = parse_config(json.dumps({
+        "system": {"kind": "star"},
+        "action": {"kind": "simulate", "schedule": {
+            "variant": "optimized", "problem": "star-transfer"}},
+    }))
+    assert pulsed.integrator == {"tol": 1e-11, "samples_per_segment": 33}
 
 
 def test_digest_ignores_output_dir_only():
     base = {"system": {"kind": "star"}, "action": {"kind": "spectrum"}}
     a = parse_config(json.dumps(dict(base, output={"dir": "a"})))
     b = parse_config(json.dumps(dict(base, output={"dir": "b"})))
-    c = parse_config(json.dumps(dict(base, seed=1)))
+    c = parse_config(json.dumps(dict(base, parameters={"v": 0.25})))
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
 
@@ -107,10 +114,13 @@ def test_digest_ignores_output_dir_only():
       "action": {"kind": "optimize", "problem": "star-transfer",
                  "mode": "evaluate", "n_restarts": 2}},
      "search mode"),
-    ({"system": {"kind": "star"}, "action": {"kind": "spectrum"},
+    ({"system": {"kind": "dll", "cells_x": 1, "cells_y": 1},
+      "action": {"kind": "route", "requests": [
+          {"source": [1, 2], "destination": [3, 4]}]},
       "integrator": {"tol": 1.0}}, "tol"),
-    ({"system": {"kind": "star"}, "action": {"kind": "spectrum"},
-      "seed": 1.5}, "seed"),
+    ({"system": {"kind": "star"},
+      "action": {"kind": "optimize", "problem": "star-transfer",
+                 "mode": "search"}, "seed": 1.5}, "seed"),
     ({"system": {"kind": "star"},
       "action": {"kind": "simulate",
                  "schedule": {"variant": "phase-flip-transfer", "k1": 1,
@@ -123,7 +133,9 @@ def test_digest_ignores_output_dir_only():
     ({"system": {"kind": "star"}, "parameters": {"v": float("-inf")},
       "action": {"kind": "spectrum"}},
      "parameters: v must be a finite number"),
-    ({"system": {"kind": "star"}, "action": {"kind": "spectrum"},
+    ({"system": {"kind": "star"},
+      "action": {"kind": "simulate", "schedule": {
+          "variant": "optimized", "problem": "star-creation"}},
       "integrator": {"tol": float("inf")}},
      "integrator: tol must be a finite number"),
     ({"system": {"kind": "star"},
@@ -213,8 +225,10 @@ def _candidate_configs():
                    "k2p": 0}, {"variant": "hold", "T": 1.0}]
     schedules += [{"variant": "optimized", "problem": p}
                   for p in REFERENCE_PARAMS]
+    # ramps of 1000: at tol 1e-6 the route's error budget tol * end
+    # passes its cap of 1e-3, so its refusal reads tol
     actions = [{"kind": "spectrum"}, {"kind": "route", "requests": [
-        {"source": [1, 2], "destination": [3, 4]}]}]
+        {"source": [1, 2], "destination": [3, 4], "dt": 1000.0}]}]
     actions += [{"kind": "simulate", "schedule": s} for s in schedules]
     for p in REFERENCE_PARAMS:
         actions += [{"kind": "optimize", "problem": p, "mode": "evaluate"},
@@ -225,7 +239,8 @@ def _candidate_configs():
     for system in ({"kind": "star"}, {"kind": "seven"},
                    {"kind": "dll", "cells_x": 1, "cells_y": 1}):
         for action in actions:
-            yield {"system": system, "action": action, "seed": 1}
+            seed = {"seed": 1} if action.get("mode") == "search" else {}
+            yield {"system": system, "action": action, **seed}
 
 
 def _command_contexts():
@@ -247,58 +262,79 @@ def _admits(section, key, ctx):
     return not cli._refusal(cli._GRAMMAR[section][key].only, ctx)
 
 
+# every parameter and integrator key, the seed and a search's step keys
+_READ_KEYS = [(section, k) for section in ("config", "action", "parameters",
+                                           "integrator")
+              for k, rule in cli._GRAMMAR[section].items()
+              if section in ("parameters", "integrator") or rule.type is int]
+
+
 def test_grammar_admits_only_the_key_slots_commands_read():
     # a slot is a parameter, integrator or step key one context admits
-    keys = [(section, k) for section in ("parameters", "integrator")
-            for k in cli._GRAMMAR[section]]
-    keys += [("action", k) for k in ("n_restarts", "max_evals", "n_steps")]
-    slots = sum(_admits(*sk, ctx) for _, ctx in _CONTEXTS for sk in keys)
-    assert (len(_CONTEXTS), slots) == (29, 145)
+    slots = sum(_admits(*sk, ctx) for _, ctx in _CONTEXTS
+                for sk in _READ_KEYS if sk[0] != "config")
+    assert (len(_CONTEXTS), slots) == (29, 84)
 
 
 def _two_values(key, system):
     return {"couplings": ([0.25] * 4, [0.25, 0.3] * 2) if system == "star"
             else ([0.25] * 6, [0.25, 0.3] * 3),
-            "J_prime": (1.0, 2.0), "J_inner": (2.5, 3.5),
+            "J_prime": (1.0, 2.0), "J_inner": (2.5, 3.5), "J": (0.25, 0.75),
+            "v": (0.5, 1.5), "tol": (1e-11, 1e-6),
+            "samples_per_segment": (2, 3), "seed": (1, 2),
+            "n_restarts": (1, 2), "max_evals": (20, 40),
             "n_steps": (16, 32)}[key]
 
 
-@pytest.mark.parametrize("section, key", [
-    ("parameters", "couplings"), ("parameters", "J_prime"),
-    ("parameters", "J_inner"), ("action", "n_steps")])
+@pytest.mark.parametrize("section, key", _READ_KEYS)
 def test_every_admitted_key_is_read(tmp_path, section, key):
     # wherever the grammar admits the key, two values of it give two
-    # different runs, apart from the echoed parameters and digest
+    # different exit codes or runs, apart from the echoed parameters,
+    # seed and digest
     contexts = [(d, c) for d, c in _CONTEXTS if _admits(section, key, c)]
     assert contexts
     for i, (doc, ctx) in enumerate(contexts):
         runs = []
         for j, value in enumerate(_two_values(key, ctx["system"])):
             changed = json.loads(json.dumps(doc))
-            changed.setdefault(section, {})[key] = value
+            keys = changed if section == "config" else \
+                changed.setdefault(section, {})
+            keys[key] = value
             out = tmp_path / f"{i}-{j}"
-            assert cli.main([doc["action"]["kind"], "--config",
+            code = cli.main([doc["action"]["kind"], "--config",
                              write_config(tmp_path, changed),
-                             "--out", str(out)]) == 0
-            written = {p.name: p.read_bytes() for p in out.iterdir()}
-            summary = json.loads(written.pop("summary.json"))
-            del summary["parameters"], summary["digest"]
-            runs.append((summary, written))
+                             "--out", str(out)])
+            assert code in (0, 3), (doc, key, value)
+            written = {p.name: p.read_bytes() for p in out.glob("*")}
+            if code == 0:
+                summary = json.loads(written.pop("summary.json"))
+                del summary["parameters"], summary["seed"], summary["digest"]
+                written["summary.json"] = summary
+            runs.append((code, written))
         assert runs[0] != runs[1], doc
 
 
 _STAR_COUPLINGS = {"couplings": [1, 2, 3, 4]}
 
 
-def _unread(key, case, keys=None):
+def _unread(key, case, keys=None, flags=()):
     action = case[1]["action"]
     what = "-".join(v for v in action.get("schedule", action).values()
                     if isinstance(v, str))
-    return pytest.param(*case, keys or [key],
+    return pytest.param(*case, keys or [key.lstrip("-")], list(flags),
                         id=f"{key}-{case[1]['system']['kind']}-{what}")
 
 
-@pytest.mark.parametrize("command, doc, keys", [
+def _with(case, **sections):
+    command, doc = case
+    return command, dict(doc, **sections)
+
+
+_ROUTE = _doc("route", {"kind": "dll", "cells_x": 1, "cells_y": 1},
+              {"requests": [{"source": [1, 2], "destination": [3, 4]}]})
+
+
+@pytest.mark.parametrize("command, doc, keys, flags", [
     # each of the first three ran to fidelity 1 on the default unit,
     # echoing a value it never used
     _unread("couplings", _schedule("star", "phase-flip-transfer",
@@ -334,11 +370,36 @@ def _unread(key, case, keys=None):
     _unread("both", _schedule("seven", "hold",
                               {"couplings": [1] * 6, "J_inner": 0.5},
                               T=1.0), ["couplings", "J_inner"]),
+    # the member sets v; couplings or J_prime set what J would
+    _unread("v", _schedule("star", "phase-flip-transfer", {"v": 0.5},
+                           k1=1, k2=0)),
+    _unread("v", _schedule("star", "generation", {"v": 0.5}, **_GENERATION)),
+    _unread("J", _doc("spectrum", "star", J=0.25, **_STAR_COUPLINGS),
+            ["J", "couplings"]),
+    _unread("J", _schedule("star", "generation", {"J": 0.25, "J_prime": 1.0},
+                           **_GENERATION), ["J", "J_prime"]),
+    # star creation pulses carry their own scale; a uniform v is a global
+    # phase, which no fidelity sees
+    _unread("J", _doc("optimize", "star", {"problem": "star-creation"},
+                      J=0.25)),
+    _unread("v", _doc("optimize", "seven", {"problem": "seven-transfer"},
+                      v=0.5)),
+    # only pulses and a route's error budget read tol
+    _unread("tol", _with(_doc("spectrum", "star"), integrator={"tol": 1e-8})),
+    _unread("tol", _with(_doc("optimize", "star", {"problem": "star-transfer"}),
+                         integrator={"tol": 1e-8})),
+    _unread("tol", _with(_schedule("star", "hold", T=1.0),
+                         integrator={"tol": 1e-8})),
+    _unread("samples_per_segment", _with(
+        _ROUTE, integrator={"samples_per_segment": 3})),
+    _unread("seed", _with(_doc("spectrum", "star"), seed=1)),
+    _unread("--tol", _doc("spectrum", "star"), flags=["--tol", "1e-8"]),
+    _unread("--seed", _ROUTE, flags=["--seed", "1"]),
 ])
-def test_unread_key_exits_2(tmp_path, capsys, command, doc, keys):
+def test_unread_key_exits_2(tmp_path, capsys, command, doc, keys, flags):
     out = tmp_path / "out"
     path = write_config(tmp_path, dict(doc, output={"dir": str(out)}))
-    assert cli.main([command, "--config", path]) == 2
+    assert cli.main([command, "--config", path, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert all(word in err for word in (*keys, command))
@@ -489,8 +550,8 @@ def test_spectrum_seven_sqrt3(tmp_path):
 # sent every pair through a batched eigvalsh; eigh's rounding is part
 # of it, so another LAPACK build may need a new pin
 SPECTRUM_SHA256 = {
-    3: "5667b793de42c52c94045721194f19dcb953a32d5ff5432790d25656ddf1a683",
-    6: "40ebb3cbdab53db1e1ad0bb0a8bf9d51bc8ef522a35c1a598b887b4256d81465",
+    3: "8c912ebf568f386e87ccac6aebb26942224a1479eeb3960b8cacb2213211e7fd",
+    6: "e895627985660d6a452830d33fa36cdccdf6df3949ab595e5b4942d2c4024b79",
 }
 
 
@@ -547,9 +608,10 @@ def test_trajectory_file_format(tmp_path):
 def test_simulate_optimized_creation_matches_reference(tmp_path):
     sim_out = tmp_path / "sim"
     opt_out = tmp_path / "opt"
+    # star creation reads no J, and an optimize fidelity no uniform v
     sim_doc = {
         "system": {"kind": "star"},
-        "parameters": {"J": 0.25, "v": 0.5},
+        "parameters": {"v": 0.5},
         "action": {"kind": "simulate",
                    "schedule": {"variant": "optimized",
                                 "problem": "star-creation"}},
@@ -557,7 +619,6 @@ def test_simulate_optimized_creation_matches_reference(tmp_path):
     }
     opt_doc = {
         "system": {"kind": "star"},
-        "parameters": {"J": 0.25, "v": 0.5},
         "action": {"kind": "optimize", "problem": "star-creation",
                    "mode": "evaluate"},
         "output": {"dir": str(opt_out)},
@@ -941,35 +1002,35 @@ ROUTE_SCENARIOS = {
 # it, so another LAPACK build may need new pins
 ROUTE_SHA256 = {
     "crossing":
-        "e63aa8b7f7d788b95cfa3575e261ff3017c2ea517cbc650f3164775e8ff91ba6",
+        "73355b1668d92e5a21c68324bcec4de9b48a5628157774e64649eeaf31168621",
     "single-jump":
-        "0858b94093dd40d6fe1c6d6e0c629eae6580c1acf6ada314151303d1fc06cbf1",
+        "f6daf3237d2c64789cc9da3bfcdfe8cb85ec88361bf2a2ec0ea6cac93fc2eb60",
     "four-requests":
-        "d429f5d2a5da63a8953b4f66474fbb8d2fd37d88f9a59e13c47dd52834d15448",
+        "4b27fa58cbf33f5fc3a07982aeea2b7ef6db25325c26c52f3c26f52b410ba99f",
     "dt-0.2":
-        "61bb9ee227d372fb6b93cb0dca78799e74e369e1d91808ff29f349e2970a8098",
+        "7a4f96a4cf309f1395033ddb9d01ea04d691a73899c70b194e9e5dee70b3166b",
     "hopping-flip":
-        "d379108c0e2d811873a9dc63bb81184ff854e85eed2803b18f779feac0ce07f4",
+        "3b53e5dfa59b0313e618b1437d54fa829da3e938be1fd0b47740575f62a371bc",
     "drawn-0":
-        "9ae3b8634553fa91b2e400d8802de72fe795cc06c0e9fc58d42af1096cf04a4b",
+        "afa6934edc82a04ebda6914f42e6e54e4cab09c634ff909f6f9664ce1a9c3c16",
     "drawn-1":
-        "24d5ed477c99fc97d2b4ff0a7f3b0840a750bab8c92f4cbd0183ac890b73f9e8",
+        "cf6d931a03f92e8a97f83b88fce36df03d88230064cdc7468b188f98fcec458a",
     "drawn-2":
-        "e15636036187e792a80d82d88ef69e4df919fd848191fb45bb06ce8802002482",
+        "469d6399b3c9be64525c875bd6c8e4ed7244237c3197c2e872887dbb6b9bc046",
     "drawn-3":
-        "d7636b941ddcc9eb58654825524e43076d5e9c221c852c1f4ea9ea69abe3115f",
+        "96f93ca3d299e6ec7abd3d873694667b627785c3eb01f863c17a5ddae1217eaa",
     "drawn-4":
-        "bcaf7a1647583ad04d485bfcfe5507dcfa71c73c5aaa36149b1052d4c6d7b9d7",
+        "683c89a254098b5a86d5d97d08bbb6d9a706f4822844d796335f2e2ca0450057",
     "drawn-5":
-        "4d71e830290a7205a758b0cf95ca56be75fcbebffd0041caadfc789f7bfba52e",
+        "782797dbfb4b5eea9c2689f45b9b8dfb8294c41a66a8b1646906fb5eed8b8152",
     "drawn-6":
-        "e630bdeec95d9311af7f17d4e685efad702bc7a66d84b8836611fb3b79c43856",
+        "08935c6f87f22828e3592a23e5e92e54ed7923af69f7c7c66e06bead512da64f",
     "drawn-7":
-        "eb32e5682c1c440dae643a91dde847255f0abe84b72765f5a3fc09ec4d173d3c",
+        "7a98cbf1c19405bd88e551a037b51a893d64739ece56d4e53e9f84416eda1287",
     "drawn-8":
-        "acc15c3076a5e6c3e5570cf20d8f1d0e82eaaef7ee1862862882d7468d8f23bf",
+        "e604413e34a1b0b2ad2995ecf51c81a4f652190999e2ae9a270da732667b9e82",
     "drawn-9":
-        "1e93288db7e16c03ac3606a0bbf47e70da813b72cc54710aef7d6ed79b863ce4",
+        "5f86ef90a6e100448f97fe08d17f0f2a8c44da53d1351d5acdfbf03c53c09e22",
 }
 
 
@@ -1193,7 +1254,8 @@ def _value(draw, rule, key, section, ctx, branch):
         v = branch[name] if name in branch else draw(st.sampled_from(
             [c for c in t if not cli._refusal(t[c], ctx)]))
     elif isinstance(t, list):
-        return [_section(draw, t[0], ctx, branch)
+        # what one item gives holds within that item, as parse_config has it
+        return [_section(draw, t[0], dict(ctx), branch)
                 for _ in range(draw(st.integers(1, 3)))]
     elif t in cli._GRAMMAR:
         return _section(draw, t, ctx, branch)
@@ -1202,10 +1264,11 @@ def _value(draw, rule, key, section, ctx, branch):
         return list(draw(st.sampled_from(graph.dimers())))
     elif t == "couplings":
         n = 4 if ctx["system"] == "star" else 6
-        return draw(st.lists(_NUMBER, min_size=n, max_size=n))
+        v = draw(st.lists(_NUMBER, min_size=n, max_size=n))
     else:
         v = draw(_LIMITS.get(key, _number(rule)))
-    # the choices, as parse_config names them, and the cells of a pair
+    # the values, as parse_config records them: conditions and the cells
+    # of a pair read them
     ctx[name] = v
     return v
 

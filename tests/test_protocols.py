@@ -116,6 +116,14 @@ def test_members_refuse_non_integer_indices_and_negative_durations():
         SevenTransferParams(-1, 1.0)
     with pytest.raises(ValueError, match="positive, got -"):
         GenerationParams(1, 1, -1, 1.0)
+    # True == 1, and int() of inf or NaN raises an error of its own
+    for k1 in (True, np.inf, np.nan):
+        with pytest.raises(ValueError, match="k1 must be an integer"):
+            StarTransferParams(k1, 0, 0.25)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        SevenTransferParams(np.nan, 1.0)
+    with pytest.raises(ValueError, match="branch must be an integer"):
+        GenerationParams(True, 0, 1, 1.0)
 
 
 def test_members_derive_v_and_t_from_their_indices():
