@@ -124,7 +124,8 @@ class OptResult:
 @dataclass(frozen=True)
 class ControlProblem:
     """A pulse-design task: evolve ``initial_state`` to ``target_state``
-    under the kind's ansatz; REFERENCE_PARAMS[kind] fixes horizon and arity."""
+    under the kind's ansatz; REFERENCE_PARAMS[kind] fixes horizon and arity.
+    ``J_inner`` is the held inner coupling pair of seven-transfer."""
 
     kind: str
     initial_state: np.ndarray
@@ -132,7 +133,7 @@ class ControlProblem:
     v: float
     floor: float
     n_steps: int
-    extra: tuple = ()
+    J_inner: float = 0.0
 
     @property
     def arity(self):
@@ -169,8 +170,7 @@ def seven_transfer(J=1 / (4 * np.sqrt(2.0)), J_inner=3.0, v=0.5,
     """Dimer-to-dimer transfer across the seven-site unit; the four
     outer couplings are driven, the two inner ones held constant."""
     return ControlProblem("seven-transfer", cls_state("seven", "I"),
-                          cls_state("seven", "F"), v, J, n_steps,
-                          extra=(("J_inner", J_inner),))
+                          cls_state("seven", "F"), v, J, n_steps, J_inner)
 
 
 def seven_creation(J=1 / (4 * np.sqrt(2.0)), v=0.5, n_steps=1024):
@@ -239,16 +239,15 @@ def eval_pulse(kind, n, t, p):
 
 
 @lru_cache(maxsize=32)
-def _skeleton(kind, floor, v, extra):
+def _skeleton(kind, floor, v, J_inner):
     """Pulse-free H of a kind, validated once: every H that
     :func:`assemble_hamiltonian` builds shares its read-only base."""
     if kind.startswith("star"):
         base = _unit_matrix(5, STAR_EDGES,
                             floor if kind == "star-transfer" else 0.0, v)
     else:
-        Ji = dict(extra)["J_inner"] if kind == "seven-transfer" else 0.0
         base = _unit_matrix(7, SEVEN_EDGES,
-                            [floor, floor, Ji, Ji, floor, floor], v)
+                            [floor, floor, J_inner, J_inner, floor, floor], v)
     return TimedHamiltonian(base, {})
 
 
@@ -265,7 +264,7 @@ def assemble_hamiltonian(problem, p):
         pulse = _pulse_for(kind, n, p)
         overrides[entry] = TimeMirrored(pulse, p.horizon) \
             if kind == "star-creation" else pulse
-    sk = _skeleton(kind, p.floor, problem.v, problem.extra)
+    sk = _skeleton(kind, p.floor, problem.v, problem.J_inner)
     return TimedHamiltonian._trusted(sk.base, overrides)
 
 

@@ -24,9 +24,8 @@ transfer, 9 on the 3x3 DLL.  It exponentiates through the eigenpairs
 of the p x p Gram matrix C C^T (closed forms for p <= 2, one batched
 eigh per call for p > 2), never n x n.  A state the couplings annihilate
 (an antisymmetric dimer under symmetric driving) is left alone exactly.
-What a run needs besides the pulse amplitudes is planned once per base,
-driven entries, start state, clock and step count, and the last few
-plans are kept by that value, so a CRAB search builds one.
+What a run's H and start state fix is planned once and the last plan
+kept by their value, so a CRAB search or a convergence ladder builds one.
 
 A :class:`ProtocolSchedule` is an ordered sequence of instantaneous
 flips (phase flips on the state, sign flips on couplings, each applied
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Optional
 
@@ -77,10 +77,8 @@ _CAL_STEPS = 64         # where the pairs resume after a failed first pair
 # largest budget tol*(t1-t0) a convergence pair can certify: two unit
 # columns differ by at most 2, so near 1 a pair passes whatever its error
 _BUDGET_MAX = 1e-3
-# plans kept by value: a crab-search pass (bench/workloads.py) uses four
-# keys, per creation kind its search's n and the check at twice native n
-_PLANS_KEPT = 4
-_PLANS = {}
+# (key, plan) of the last run: a stretch runs one H and start state
+_PLAN = (None, None)
 
 
 def evolve_static(H, psi0, t):
@@ -212,19 +210,23 @@ def _sublattices(H):
     return order, len(a_sites), np.array(part)[order]
 
 
-class _CF4Plan:
-    """What :func:`_cf4_run` keeps while only the pulse amplitudes change,
-    for H's base and driven entries, ``psi0`` and n steps over [t0, t1]:
-    the A sites ``a`` and B sites ``b`` of the components ``psi0``
-    occupies (p = len(a); every other row stays exactly 0), the start
-    state permuted A-first in the real frame, the base A x B block with
-    the slots its pulses drive, and the first chunk's nodes."""
+@lru_cache(maxsize=1)
+def _grid(t0, h, n, done):
+    """The C1 then the C2 node times of the chunk from step ``done`` of n
+    steps of h from t0, kept for the last clock and chunk asked for."""
+    ts = t0 + (done + np.arange(min(_CHUNK, n - done))) * h
+    return np.concatenate([ts + _C1 * h, ts + _C2 * h])
 
-    def __init__(self, H, psi0, t0, t1, n):
-        self.t0, self.n = t0, n
-        h = self.h = (t1 - t0) / n
-        if t0 + 0.5 * h == t0:
-            raise RuntimeError(f"step size underflow: h={h!r} vanishes at t={t0!r}")
+
+class _CF4Plan:
+    """What :func:`_cf4_run` keeps while only the pulse amplitudes and the
+    clock change, for H's base and driven entries and ``psi0``: the A
+    sites ``a`` and B sites ``b`` of the components ``psi0`` occupies
+    (p = len(a); every other row stays exactly 0), the start state
+    permuted A-first in the real frame, and the base A x B block with the
+    slots its pulses drive."""
+
+    def __init__(self, H, psi0):
         order, p, parts = _sublattices(H)
         psi = np.asarray(psi0, dtype=complex)[order]
         hit = np.zeros(len(parts), bool)
@@ -236,18 +238,11 @@ class _CF4Plan:
         psi.flags.writeable = False
         self.psi, self.p, self.a, self.b = psi, p, order[:p], order[p:]
         self.shape = (len(parts),) + psi.shape[1:]
-        self.vh = -1j * H.base[0, 0] * h
         self.block, self.slots = _block_plan(H, self.a, self.b)
-        self.first = self.grid(0)
 
-    def grid(self, done):
-        """The C1 then the C2 node times of the chunk from step ``done``."""
-        ts = self.t0 + (done + np.arange(min(_CHUNK, self.n - done))) * self.h
-        return np.concatenate([ts + _C1 * self.h, ts + _C2 * self.h])
-
-    def state(self, phi, steps):
-        """Full state of ``phi`` after ``steps``: phase and frame undone."""
-        phase, out = np.exp(self.vh * steps), np.zeros(self.shape, complex)
+    def state(self, phi, exponent):
+        """Full state of ``phi`` times e^exponent: phase and frame undone."""
+        phase, out = np.exp(exponent), np.zeros(self.shape, complex)
         out[self.a] = phi[:self.p] * phase
         out[self.b] = 1j * phi[self.p:] * phase
         return out
@@ -260,26 +255,30 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
     Returns (final_state, samples) where samples is a list of states
     taken after every ``record_every`` steps (or None if not requested).
     Each CF4 generator is (v/2) I + [[0, C], [C^T, 0]] in the site order
-    of :func:`_sublattices` (ValueError if H has none).  The run takes its
-    :class:`_CF4Plan` from ``_PLANS`` by the value of all the plan reads,
-    else builds it there; a chunk then samples the pulses into the plan's
-    block, as one (2m, p, q) stack on the C1 and C2 nodes, and each
+    of :func:`_sublattices` (ValueError if H has none).  It reuses the
+    last :class:`_CF4Plan` if H's base, driven entries and ``psi0`` are
+    its key, else builds one in its place; a chunk then samples the
+    pulses into the plan's block on the :func:`_grid` nodes, and each
     exponential is e^{-ihv/2} times :func:`_sublattice_exponentials`.
     """
+    global _PLAN
     psi0, n = np.asarray(psi0), int(n_steps)
+    h = (t1 - t0) / n
+    if t0 + 0.5 * h == t0:
+        raise RuntimeError(f"step size underflow: h={h!r} vanishes at t={t0!r}")
     key = (H.base.shape, H.base.tobytes(), tuple(H.overrides),
-           psi0.dtype.str, psi0.shape, psi0.tobytes(), t0, t1, n)
-    if (plan := _PLANS.get(key)) is None:
-        if len(_PLANS) == _PLANS_KEPT:
-            del _PLANS[next(iter(_PLANS))]  # first in, first out
-        plan = _PLANS[key] = _CF4Plan(H, psi0, t0, t1, n)
-    psi, p, h, done = plan.psi, plan.p, plan.h, 0
+           psi0.dtype.str, psi0.shape, psi0.tobytes())
+    kept, plan = _PLAN
+    if kept != key:
+        _PLAN = key, (plan := _CF4Plan(H, psi0))
+    psi, p, vh, done = plan.psi, plan.p, -1j * H.base[0, 0] * h, 0
     samples = [] if record_every else None
     if not p:  # no A site (isolated sites or a zero state): a phase only
-        return plan.state(psi, n), samples if samples is None else [
-            plan.state(psi, k) for k in range(record_every, n + 1, record_every)]
+        return plan.state(psi, vh * n), samples if samples is None else [
+            plan.state(psi, vh * k) for k in range(record_every, n + 1,
+                                                   record_every)]
     while done < n:
-        nodes = plan.grid(done) if done else plan.first
+        nodes = _grid(t0, h, n, done)
         m = len(nodes) // 2
         A = _fill_block(H, nodes, plan.block, plan.slots)
         A1, A2 = A[:m], A[m:]
@@ -291,12 +290,12 @@ def _cf4_run(H, psi0, t0, t1, n_steps, record_every=None):
         start = 0
         for stop in marks:
             psi = _chain_product(U[start:stop]) @ psi
-            samples.append(plan.state(psi, done + stop))
+            samples.append(plan.state(psi, vh * (done + stop)))
             start = stop
         if start < m:
             psi = _chain_product(U[start:]) @ psi
         done += m
-    return plan.state(psi, n), samples
+    return plan.state(psi, vh * n), samples
 
 
 def _check_count(name, value, least):

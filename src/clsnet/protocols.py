@@ -62,10 +62,11 @@ def cls_state(graph, name):
     raise ValueError(f"unknown state {name!r}")
 
 
-def _require_int(value, label):
-    if isinstance(value, (bool, np.bool_)) or not abs(value) < np.inf \
+def _require_int(value, label, scale=1):
+    limit = float(np.finfo(float).max) / scale  # so scale*k +- 1 is a float
+    if isinstance(value, (bool, np.bool_)) or not abs(value) < limit \
             or value != int(value):
-        raise ValueError(f"{label} must be an integer")
+        raise ValueError(f"{label} must be an integer of size < {limit:.3g}")
 
 
 def _require_coupling(J):
@@ -103,8 +104,8 @@ class StarTransferParams:
 
     def __post_init__(self):
         _require_coupling(self.J)
-        _require_int(self.k1, "k1")
-        _require_int(self.k2, "k2")
+        _require_int(self.k1, "k1", 4)
+        _require_int(self.k2, "k2", 2)
         _require_duration(self.T)
         v, T, J = self.v, self.T, self.J
         # the three sector phases the derivation rests on
@@ -135,7 +136,7 @@ class SevenTransferParams:
 
     def __post_init__(self):
         _require_coupling(self.J)
-        _require_int(self.k, "k")
+        _require_int(self.k, "k", 2)
         _require_duration(self.T)
 
     @cached_property
@@ -164,8 +165,8 @@ class GenerationParams:
         _require_int(self.branch, "branch")
         if self.branch not in (1, 2):
             raise ValueError("branch must be 1 or 2")
-        _require_int(self.k1p, "k1p")
-        _require_int(self.k2p, "k2p")
+        _require_int(self.k1p, "k1p", 4)
+        _require_int(self.k2p, "k2p", 4)
         if self.v == 0:
             raise ValueError("family point has v = 0 (is Jp zero?)")
         if not self.T > 0:

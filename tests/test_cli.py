@@ -477,6 +477,15 @@ def test_too_large_flip_index_exits_2(tmp_path, capsys, k2):
     assert f"k2={k2} too large" in capsys.readouterr().err
 
 
+def test_flip_index_past_the_float_range_exits_2(tmp_path, capsys):
+    # 1 + 2*k2 has no float: a config error naming k2, not a numerical
+    # failure
+    doc = star_transfer_doc(tmp_path / "out")
+    doc["action"]["schedule"].update(k1=0, k2=10**330)
+    assert cli.main(["simulate", "--config", write_config(tmp_path, doc)]) == 2
+    assert "k2 must be an integer" in capsys.readouterr().err
+
+
 def _one_jump_route(tmp_path, dt):
     return write_config(tmp_path, {
         "system": {"kind": "dll", "cells_x": 1, "cells_y": 1},

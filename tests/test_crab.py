@@ -306,9 +306,8 @@ def test_seven_creation_assembly_ramp():
 def _fresh_infidelity(problem, p, n_steps):
     """The objective with H assembled from scratch: an independently
     built base, the assembled pulses, validation and a plan anew."""
-    evolve._PLANS.clear()
-    J, v = p.floor, problem.v
-    Ji = dict(problem.extra).get("J_inner", 0.0)
+    evolve._PLAN = (None, None)
+    J, v, Ji = p.floor, problem.v, problem.J_inner
     base = {"star-transfer": lambda: build_star([J] * 4, v),
             "star-creation": lambda: build_star([0.0] * 4, v),
             "seven-transfer": lambda: build_seven([J, J, Ji, Ji, J, J], v),
@@ -421,14 +420,14 @@ def test_search_colours_one_skeleton(monkeypatch):
         return original(H)
 
     monkeypatch.setattr(evolve, "_sublattices", counted)
-    evolve._PLANS.clear()
+    evolve._PLAN = (None, None)
     res = optimize_crab(star_creation(n_steps=64), n_restarts=2, max_evals=200)
     assert res.evaluations > 200 and len(calls) == 1
 
 
 def _count_plans(monkeypatch):
-    """The argument tuples of every integrator plan built from now on,
-    with evolve's plan table cleared first."""
+    """The argument tuples after H of every integrator plan built from
+    now on, with evolve's last plan dropped first."""
     built, init = [], evolve._CF4Plan.__init__
 
     def counted(plan, H, *args):
@@ -436,26 +435,29 @@ def _count_plans(monkeypatch):
         init(plan, H, *args)
 
     monkeypatch.setattr(evolve._CF4Plan, "__init__", counted)
-    evolve._PLANS.clear()
+    evolve._PLAN = (None, None)
     return built
 
 
 def test_search_builds_one_plan(monkeypatch):
+    # the seeded search and its check at twice its n share one plan
+    prob = star_creation(n_steps=64)
     built = _count_plans(monkeypatch)
-    res = optimize_crab(star_creation(n_steps=64), n_restarts=2, max_evals=200)
+    res = optimize_crab(prob, n_restarts=2, max_evals=200)
+    verify_infidelity(prob, res.best_params)
     assert res.evaluations > 200 and len(built) == 1
 
 
 def test_verify_between_objectives_keeps_the_search_plan(monkeypatch):
-    # the table keeps plans by value, so a verification at 2n between
-    # two objective calls at n leaves the search's plan in place
+    # a plan is kept by H and start state alone, so a verification at 2n
+    # between two objective calls at n runs on the search's plan
     prob = star_creation(n_steps=64)
     ref = REFERENCE_PARAMS["star-creation"]
     built = _count_plans(monkeypatch)
     first = infidelity_objective(prob, ref)
     verify_infidelity(prob, ref)
     assert infidelity_objective(prob, ref) == first
-    assert [args[-1] for args in built] == [64, 128]
+    assert len(built) == 1
 
 
 def test_assembled_hamiltonians_share_only_the_base():
@@ -469,8 +471,12 @@ def test_assembled_hamiltonians_share_only_the_base():
     assert shared == ["base"] and not H1.base.flags.writeable
 
 
-@pytest.mark.parametrize("change", [{"floor": 0.3}, {"horizon": 2.5}])
-def test_mismatched_params_get_their_own_plan(monkeypatch, change):
+@pytest.mark.parametrize("change, plans", [({"floor": 0.3}, 3),
+                                           ({"horizon": 2.5}, 1)],
+                         ids=["floor", "horizon"])
+def test_mismatched_params_run_as_a_fresh_plan(monkeypatch, change, plans):
+    # another floor is another base, so each switch builds a plan; another
+    # horizon only moves the clock and the pulses, and shares the plan
     prob = seven_creation(J=0.25, n_steps=64)
     ref = REFERENCE_PARAMS["seven-creation"]
     own = prob.make_params(ref.x, ref.xp, ref.omega)
@@ -478,9 +484,9 @@ def test_mismatched_params_get_their_own_plan(monkeypatch, change):
     built = _count_plans(monkeypatch)
     first = infidelity_objective(prob, own)
     got = infidelity_objective(prob, other)
-    assert len(built) == 2 and built[1][2] == other.horizon
-    assert got == _fresh_infidelity(prob, other, prob.n_steps)
     assert infidelity_objective(prob, own) == first
+    assert len(built) == plans
+    assert got == _fresh_infidelity(prob, other, prob.n_steps)
 
 
 def test_refinement_recovers_deep_minimum():

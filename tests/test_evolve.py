@@ -41,6 +41,20 @@ L_STATE = np.array([1, 1, 0, 0, 0]) / S2
 R_STATE = np.array([0, 0, 0, 1, 1]) / S2
 
 
+def _count_plans(monkeypatch):
+    """The argument tuples after H of every integrator plan built from
+    now on, with evolve's last plan dropped first."""
+    built, init = [], ev._CF4Plan.__init__
+
+    def counted(plan, H, *args):
+        built.append(args)
+        init(plan, H, *args)
+
+    monkeypatch.setattr(ev._CF4Plan, "__init__", counted)
+    ev._PLAN = (None, None)
+    return built
+
+
 def _snapshot(H, t):
     """Dense snapshot of H at one time: ``evaluate_grid`` at [t]."""
     return evaluate_grid(H, [t])[0]
@@ -168,35 +182,49 @@ class TestEvolveTimedep:
             evolve_timedep(ramp(1e11), L_STATE, 0.0, 1e11, tol=1e-11)
         # at T = 1e3 the budget still bounds the error
         H = ramp(1e3)
-        ev._PLANS.clear()
         psi = evolve_timedep(H, L_STATE, 0.0, 1e3, tol=1e-11)
-        # the ladder ran past one chunk, yet evolve keeps only the last
-        # few plans, each holding at most one chunk of nodes and
-        # otherwise arrays of the state's size
-        plans = list(ev._PLANS.values())
-        assert len(plans) == ev._PLANS_KEPT and plans[-1].n > ev._CHUNK
-        for plan in plans:
-            assert plan.first.size == 2 * min(plan.n, ev._CHUNK)
-            assert all(a.size <= H.n_sites ** 2 for a in vars(plan).values()
-                       if isinstance(a, np.ndarray) and a is not plan.first)
+        # the ladder ran past one chunk, yet its plan holds no node times,
+        # only arrays of the state's size
+        plan = ev._PLAN[1]
+        assert all(a.size <= H.n_sites ** 2 for a in vars(plan).values()
+                   if isinstance(a, np.ndarray))
         ref = evolve_timedep_fixed(H, L_STATE, 0.0, 1e3, 1 << 17)
         assert np.linalg.norm(psi - ref) <= 5e-11
 
-    def test_plans_are_kept_by_value_first_in_first_out(self, monkeypatch):
-        # an equal H built anew finds its plan, and a fifth key evicts
-        # the oldest of the four kept
-        built, init = [], ev._CF4Plan.__init__
+    def test_a_ladder_builds_one_plan(self, monkeypatch):
+        # test_long_segment's ramp climbs several rungs of n and 2n steps,
+        # all on the one plan its H and start state fix
+        H = TimedHamiltonian(star_quarter().base,
+                             {(0, 2): LinearRamp(0.25, 0.75, 1e3)})
+        built = _count_plans(monkeypatch)
+        evolve_timedep(H, L_STATE, 0.0, 1e3, tol=1e-11)
+        assert len(built) == 1
 
-        def counted(plan, H, *args):
-            built.append(args[-1])
-            init(plan, H, *args)
+    def test_the_last_plan_is_kept_by_value(self, monkeypatch):
+        # an equal H built anew finds the last plan at any step count;
+        # another start state replaces it, so coming back builds anew
+        built = _count_plans(monkeypatch)
+        for psi0, n in ((I_STATE, 8), (I_STATE, 16), (L_STATE, 16),
+                        (L_STATE, 8), (I_STATE, 8)):
+            evolve_timedep_fixed(crab_star_hamiltonian(), psi0, 0.0, 1.0, n)
+        assert [np.array_equal(psi0, L_STATE) for psi0, in built] == \
+            [False, True, False]
 
-        monkeypatch.setattr(ev._CF4Plan, "__init__", counted)
-        ev._PLANS.clear()
-        for n in (8, 16, 32, 64, 128, 16, 8):
-            evolve_timedep_fixed(crab_star_hamiltonian(), I_STATE, 0.0, 1.0, n)
-        assert built == [8, 16, 32, 64, 128, 8]
-        assert [key[-1] for key in ev._PLANS] == [32, 64, 128, 8]
+    def test_one_plan_runs_every_clock_as_a_fresh_one(self, monkeypatch):
+        # alternating step counts, horizons and starts on one plan give
+        # the bits of a plan built for each clock alone; 5000 steps run
+        # two chunks
+        H = crab_star_hamiltonian()
+        clocks = [(0.0, 1.0, 64), (0.0, 1.0, 128), (0.0, 1.0, 64),
+                  (0.0, 0.7, 64), (0.25, 1.0, 5000), (0.0, 1.0, 128)]
+        built = _count_plans(monkeypatch)
+        shared = [evolve_timedep_fixed(H, I_STATE, *clock) for clock in clocks]
+        assert len(built) == 1
+        for clock, psi in zip(clocks, shared):
+            ev._PLAN = (None, None)
+            np.testing.assert_array_equal(
+                evolve_timedep_fixed(H, I_STATE, *clock), psi)
+        assert len(built) == 1 + len(clocks)
 
     @pytest.mark.parametrize("n_chunks, first", [(1, 8), (32, 32), (64, None)])
     def test_failed_first_pair_sizes_nothing(self, monkeypatch, n_chunks,

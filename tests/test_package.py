@@ -192,9 +192,9 @@ def test_trusted_shares_a_validated_base():
             f"{name}:{call.lineno} passes {ast.unparse(base)}"
 
 
-# evolve's integrator plan: the value-keyed table and its size, the
+# evolve's integrator plan: the slot keeping the last one by value, the
 # plan itself and the chiral split it is built from
-PLAN_NAMES = {"_PLANS", "_PLANS_KEPT", "_CF4Plan", "_sublattices"}
+PLAN_NAMES = {"_PLAN", "_CF4Plan", "_sublattices"}
 
 
 def _named(tree):
@@ -222,6 +222,14 @@ def test_only_evolve_names_a_plan():
               for path in files}
     assert {name for name, found in naming.items() if found} == {"evolve.py"}
     assert naming["evolve.py"] == PLAN_NAMES
+
+
+def test_a_plan_is_built_from_h_and_the_start_state_alone():
+    # the clock stays out of the plan and so out of its key: a ladder's
+    # coarse and fine runs, or a search and its check at 2n, share one
+    evolve = importlib.import_module("clsnet.evolve")
+    init = inspect.signature(evolve._CF4Plan.__init__)
+    assert list(init.parameters) == ["self", "H", "psi0"]
 
 
 def test_only_run_criterion_times_and_looks_up_criteria():
@@ -270,17 +278,17 @@ def test_only_the_timeline_converts_to_ticks():
 
 
 def test_only_the_plans_index_blocks_and_lay_node_grids():
-    # what a pulsed run keeps fixed is built once per plan: np.ix_ only
-    # where lattice._block_plan cuts the base block, and the C1/C2 node
-    # grid only in evolve._CF4Plan.grid, so the per-evaluation path
-    # cannot grow either back
+    # what a pulsed run keeps fixed is built once: np.ix_ only where
+    # lattice._block_plan cuts a plan's base block, and the C1/C2 node
+    # grid only in evolve._grid, which keeps the last clock's chunk, so
+    # the per-evaluation path cannot grow either back
     found = {(name, scope) for name, tree in _source_trees()
              for scope, node in _scopes(tree) for n in ast.walk(node)
              if isinstance(n, ast.Attribute) and n.attr == "ix_"
              or isinstance(n, ast.Name) and n.id in ("_C1", "_C2")
              and isinstance(n.ctx, ast.Load)}
     assert found == {("lattice.py", "_block_plan"),
-                     ("evolve.py", "_CF4Plan.grid")}
+                     ("evolve.py", "_grid")}
 
 
 def test_routing_runs_one_engine():
@@ -295,7 +303,7 @@ def test_routing_runs_one_engine():
 
 
 # ROADMAP's cap on src/clsnet, counted as ``wc -l`` counts: newlines
-LINE_CAP = 3884
+LINE_CAP = 3883
 
 
 def test_source_stays_under_the_line_cap():

@@ -126,6 +126,20 @@ def test_members_refuse_non_integer_indices_and_negative_durations():
         GenerationParams(True, 0, 1, 1.0)
 
 
+@pytest.mark.parametrize("member, args, label", [
+    (StarTransferParams, (10**330, 0, 0.25), "k1"),
+    (StarTransferParams, (0, 10**330, 0.25), "k2"),
+    (SevenTransferParams, (10**330, 1.0), "k"),
+    (GenerationParams, (1, 10**330, 0, 1.0), "k1p"),
+    (GenerationParams, (1, 1, 10**330, 1.0), "k2p"),
+], ids=["star-k1", "star-k2", "seven-k", "generation-k1p", "generation-k2p"])
+def test_members_refuse_indices_past_the_float_range(member, args, label):
+    # a family term such as 1 + 2*k2 has no float: a ValueError naming
+    # the index, not an OverflowError
+    with pytest.raises(ValueError, match=f"^{label} must be an integer"):
+        member(*args)
+
+
 def test_members_derive_v_and_t_from_their_indices():
     # v and T are no inputs, so no member carries an off-family pair
     with pytest.raises(TypeError):
